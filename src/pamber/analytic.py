@@ -14,8 +14,10 @@ agree to machine precision, which the test suite asserts.
 For equally spaced unit-energy M-PAM with midpoint boundaries the PBER
 collapses to a weighted sum of Q-functions at odd multiples of the half
 spacing; the integer weight vector depends only on the pattern and fully
-determines the curve.  Summing the weight vectors of a labeling's column
-patterns gives the labeling's BER the same way.
+determines the curve.  It is bilinear in the pattern bits, so
+:func:`pattern_weights` evaluates it for many patterns in one array pass.
+Summing the weight vectors of a labeling's column patterns gives the
+labeling's BER the same way.
 """
 
 from __future__ import annotations
@@ -102,6 +104,29 @@ def pber_interval_form(
     return float(v[disagree].sum()) / constellation.size
 
 
+def pattern_weights(bits) -> np.ndarray:
+    """Integer Q-function weight vectors of many patterns in one array pass.
+
+    ``bits`` holds one length-M 0/1 pattern per row; row n of the result
+    is the weight vector of pattern n (see :func:`pattern_coefficients`).
+    With ``step[j] = p[j+1] - p[j]`` and ``sign[i] = 1 - 2*p[i]`` the
+    weight at lag ``a = 0..M-2`` is the bilinear form
+
+        sum_j step[j] * (sign[j-a] - sign[j+a+1]),
+
+    where sign entries outside ``0..M-1`` count as zero.
+    """
+    bits = np.asarray(bits, dtype=np.int64)
+    m_points = bits.shape[1]
+    step = np.diff(bits, axis=1)
+    # Zero-pad sign by M-1 on both sides so every lagged index is in range.
+    sign = np.zeros((bits.shape[0], 3 * m_points - 2), dtype=np.int64)
+    sign[:, m_points - 1 : 2 * m_points - 1] = 1 - 2 * bits
+    lag = np.arange(m_points - 1)[:, None]
+    j = np.arange(m_points - 1)[None, :] + (m_points - 1)
+    return np.einsum("naj,nj->na", sign[:, j - lag] - sign[:, j + lag + 1], step)
+
+
 def pattern_coefficients(pattern: BitPattern) -> np.ndarray:
     """Integer Q-function weights of a pattern for equally spaced PAM.
 
@@ -110,18 +135,7 @@ def pattern_coefficients(pattern: BitPattern) -> np.ndarray:
     differ; the vector is invariant under reflection and inversion of the
     pattern.
     """
-    p = pattern.as_array().astype(np.int64)
-    m_points = pattern.size
-    step = np.diff(p)            # p[k+1] - p[k], k = 0..M-2 (0-based)
-    sign = 1 - 2 * p             # 1 - 2*p[i]
-    out = np.zeros(m_points - 1, dtype=np.int64)
-    for n in range(1, m_points):
-        k = np.arange(n, m_points)          # 1-based transition index
-        out[n - 1] = int(
-            (step[k - 1] * sign[k - n]).sum()
-            - (step[k - n] * sign[k]).sum()
-        )
-    return out
+    return pattern_weights(pattern.as_array()[None, :])[0]
 
 
 def ber_from_coefficients(
@@ -146,8 +160,7 @@ def pber_pam(pattern: BitPattern, params: ChannelParams) -> float:
 
 def labeling_coefficients(labeling: Labeling) -> np.ndarray:
     """Sum of the column patterns' Q-function weight vectors."""
-    cols = labeling.columns()
-    return np.sum([pattern_coefficients(p) for p in cols], axis=0)
+    return pattern_weights(labeling.matrix.T).sum(axis=0)
 
 
 def labeling_ber_pam(labeling: Labeling, params: ChannelParams) -> float:

@@ -6,9 +6,13 @@ over equally spaced PAM is fixed by the integer weight vector summed over
 the column patterns; counting distinct weight vectors counts labelings
 with genuinely different BER.
 
-Exhaustive enumeration is practical for M in {2, 4, 8} (C(70,3) = 54834
-candidate sets for M = 8).  For larger M a seeded sampler is provided and
-is explicitly non-exhaustive.
+Exhaustive enumeration is practical for M in {2, 4, 8} (C(70,3) = 54740
+candidate sets for M = 8).  The census works on integer pattern indices:
+it keeps the bijective candidate sets, sums rows of a table holding the
+weight vector of each of the C(M, M/2) patterns, groups equal sums, and
+builds a :class:`~pamber.constellation.Labeling` only for one witness per
+class.  For larger M a seeded sampler is provided and is explicitly
+non-exhaustive.
 """
 
 from __future__ import annotations
@@ -19,25 +23,38 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .analytic import labeling_coefficients
-from .constellation import Labeling
+from . import analytic
+from .constellation import Labeling, pattern_from_index
 from .pattern_classes import pattern_indices
 
 _EXHAUSTIVE_SIZES = (2, 4, 8)
 
 
-def _bit_columns(m_points: int, indices: Sequence[int]) -> np.ndarray:
-    shifts = np.arange(m_points - 1, -1, -1)
-    return (np.asarray(indices)[:, None] >> shifts[None, :]) & 1  # (m, M)
-
-
 def is_bijective_set(m_points: int, indices: Sequence[int]) -> bool:
     """True when stacking the patterns as columns yields M distinct rows."""
-    cols = _bit_columns(m_points, indices)
-    rows = np.zeros(m_points, dtype=np.int64)
-    for bits in cols:
-        rows = (rows << 1) | bits
-    return np.unique(rows).size == m_points
+    codes = set()
+    for shift in range(m_points):
+        code = 0
+        for w in indices:
+            code = (code << 1) | ((w >> shift) & 1)
+        if code in codes:
+            return False
+        codes.add(code)
+    return True
+
+
+def _bijective_sets(m_points: int) -> list[tuple[int, ...]]:
+    """Pattern-index sets of every labeling, in ascending combination order."""
+    if m_points not in _EXHAUSTIVE_SIZES:
+        raise ValueError(
+            f"exhaustive enumeration supports M in {_EXHAUSTIVE_SIZES}, got {m_points}"
+        )
+    n_bits = m_points.bit_length() - 1
+    return [
+        combo
+        for combo in itertools.combinations(pattern_indices(m_points), n_bits)
+        if is_bijective_set(m_points, combo)
+    ]
 
 
 def enumerate_labelings(m_points: int) -> Iterator[Labeling]:
@@ -46,15 +63,8 @@ def enumerate_labelings(m_points: int) -> Iterator[Labeling]:
     Column order within a yielded labeling follows ascending pattern
     index; the BER does not depend on it.
     """
-    if m_points not in _EXHAUSTIVE_SIZES:
-        raise ValueError(
-            f"exhaustive enumeration supports M in {_EXHAUSTIVE_SIZES}, got {m_points}"
-        )
-    n_bits = m_points.bit_length() - 1
-    pool = list(pattern_indices(m_points))
-    for combo in itertools.combinations(pool, n_bits):
-        if is_bijective_set(m_points, combo):
-            yield Labeling.from_indices(m_points, combo)
+    for combo in _bijective_sets(m_points):
+        yield Labeling.from_indices(m_points, combo)
 
 
 def sample_labelings(
@@ -86,22 +96,28 @@ class LabelingClass:
 def labeling_census(m_points: int) -> list[LabelingClass]:
     """Group every labeling by weight vector, best to worst at high SNR.
 
-    The witness of each class is the first set encountered in ascending
-    pattern-index order, so the census is deterministic.
+    Classes come in ascending lexicographic order of weight vectors.  The
+    witness of each class is its first set in ascending pattern-index
+    (combination) order, so the census is deterministic.
     """
-    table: dict[tuple[int, ...], list] = {}
-    for lab in enumerate_labelings(m_points):
-        alpha = tuple(int(x) for x in labeling_coefficients(lab))
-        entry = table.get(alpha)
-        if entry is None:
-            table[alpha] = [lab, 1]
-        else:
-            entry[1] += 1
-    classes = [
-        LabelingClass(alpha=alpha, witness=lab, population=pop)
-        for alpha, (lab, pop) in table.items()
+    sets = np.array(_bijective_sets(m_points), dtype=np.int64)
+    pool = np.fromiter(pattern_indices(m_points), dtype=np.int64)
+    table = np.array([
+        analytic.pattern_coefficients(pattern_from_index(m_points, int(w)))
+        for w in pool
+    ])
+    alphas = table[np.searchsorted(pool, sets)].sum(axis=1)
+    unique, first, population = np.unique(
+        alphas, axis=0, return_index=True, return_counts=True
+    )
+    return [
+        LabelingClass(
+            alpha=tuple(alpha),
+            witness=Labeling.from_indices(m_points, sets[i].tolist()),
+            population=int(count),
+        )
+        for alpha, i, count in zip(unique.tolist(), first, population)
     ]
-    return order_labelings_high_snr(classes)
 
 
 def order_labelings_high_snr(classes: list[LabelingClass]) -> list[LabelingClass]:

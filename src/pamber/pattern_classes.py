@@ -6,8 +6,10 @@ patterns group into classes of size 2 or 4 under the two operations.  A
 pattern can never equal its own inversion; it may equal its reflection
 (RE), its inverted reflection (ARE), or neither (ASY).
 
-Patterns are handled as machine-word bitmasks for speed; the public
-surface speaks :class:`~pamber.constellation.BitPattern`.
+Enumeration walks the orbits on integer bitmasks and computes the weight
+vectors of all class representatives in one array pass; a
+:class:`~pamber.constellation.BitPattern` is built only for each
+representative, at the public surface.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
-from .analytic import pattern_coefficients
+import numpy as np
+
+from .analytic import pattern_weights
 from .constellation import BitPattern, pattern_from_index
 
 RE = "RE"
@@ -37,10 +41,14 @@ def invert(pattern: BitPattern) -> BitPattern:
 
 def classify(pattern: BitPattern) -> str:
     """Symmetry type of a pattern: RE, ARE, or ASY."""
-    r = reflect(pattern)
-    if r == pattern:
+    return _symmetry(pattern.index, pattern.size)
+
+
+def _symmetry(index: int, m_points: int) -> str:
+    r = reflect_index(index, m_points)
+    if r == index:
         return RE
-    if invert(r) == pattern:
+    if r == invert_index(index, m_points):
         return ARE
     return ASY
 
@@ -117,22 +125,26 @@ def enumerate_classes(m_points: int) -> list[PatternClass]:
     if m_points % 4 != 0:
         raise ValueError(f"class enumeration needs M divisible by 4, got {m_points}")
     seen: set[int] = set()
-    classes: list[PatternClass] = []
+    orbits: list[list[int]] = []
     for w in pattern_indices(m_points):
         if w in seen:
             continue
         r = reflect_index(w, m_points)
         orbit = sorted({w, r, invert_index(w, m_points), invert_index(r, m_points)})
         seen.update(orbit)
-        rep = pattern_from_index(m_points, w)
-        classes.append(
-            PatternClass(
-                representative=rep,
-                members=tuple(orbit),
-                symmetry=classify(rep),
-                coefficients=tuple(int(a) for a in pattern_coefficients(rep)),
-            )
+        orbits.append(orbit)
+    reps = np.array([orbit[0] for orbit in orbits], dtype=np.int64)
+    shifts = np.arange(m_points - 1, -1, -1)
+    weights = pattern_weights((reps[:, None] >> shifts) & 1).tolist()
+    classes = [
+        PatternClass(
+            representative=pattern_from_index(m_points, orbit[0]),
+            members=tuple(orbit),
+            symmetry=_symmetry(orbit[0], m_points),
+            coefficients=tuple(coeffs),
         )
+        for orbit, coeffs in zip(orbits, weights)
+    ]
     classes.sort(key=lambda c: c.coefficients)
     if len({c.coefficients for c in classes}) != len(classes):
         warnings.warn(

@@ -12,11 +12,11 @@ filled with midpoints by convention.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .constellation import BitPattern, Constellation
 from .demod import ChannelParams, pattern_exact_llr
@@ -92,10 +92,42 @@ def _crossing_brackets(grid: np.ndarray, values: np.ndarray) -> list[tuple[float
     return brackets
 
 
+_RTOL = 4 * np.finfo(float).eps
+_MAXITER = 100
+
+
+def _value(f, x: float) -> float:
+    fx = float(f(x))
+    if math.isnan(fx):
+        raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
+    return fx
+
+
+def _bisect(f, xa: float, xb: float, xtol: float) -> float:
+    """Root of ``f`` in ``[xa, xb]``, step for step as ``scipy.optimize.bisect``."""
+    fa, fb = _value(f, xa), _value(f, xb)
+    if fa * fb > 0:
+        raise ValueError("f(a) and f(b) must have different signs")
+    if fa == 0:
+        return xa
+    if fb == 0:
+        return xb
+    dm = xb - xa
+    for _ in range(_MAXITER):
+        dm *= 0.5
+        xm = xa + dm
+        fm = _value(f, xm)
+        if fm * fa >= 0:
+            xa = xm
+        if fm == 0 or abs(dm) < xtol + _RTOL * abs(xm):
+            return xm
+    raise RuntimeError(f"bisection failed to converge after {_MAXITER} iterations")
+
+
 def _solve(f, lo: float, hi: float, xtol: float) -> float:
     if lo == hi:
         return lo
-    return float(bisect(f, lo, hi, xtol=xtol))
+    return _bisect(f, float(lo), float(hi), xtol)
 
 
 def bd_thresholds(

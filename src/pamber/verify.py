@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import analytic, labeling_space, montecarlo, pattern_classes
 from .constellation import Labeling, make_pam, named_labeling, pattern_from_index
@@ -181,6 +180,8 @@ def check_sd_abd_equivalence() -> str:
 
 def _quadrature_pber(pattern, constellation, thresholds, params) -> float:
     # Integrate the channel density over every opposite-bit slice.
+    from scipy.integrate import quad  # only this oracle needs scipy.integrate
+
     bits = pattern.bits
     edges = np.concatenate(([-np.inf], thresholds.betas, [np.inf]))
     snr = params.snr

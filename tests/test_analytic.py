@@ -30,7 +30,8 @@ from pamber import (
     qfunc,
     sd_decide,
 )
-from pamber.pattern_classes import invert, iter_patterns, reflect
+from pamber.analytic import pattern_weights
+from pamber.pattern_classes import invert, iter_patterns, pattern_indices, reflect
 from pamber.thresholds import bd_thresholds
 
 
@@ -44,6 +45,22 @@ def gauss_tail(x):
         epsrel=1e-13,
     )
     return val
+
+
+def loop_coefficients(bits):
+    """Per-pattern loop form of the weight vector, kept as an oracle.
+
+    Entry n-1 sums step[k-1]*sign[k-n] - step[k-n]*sign[k] over the
+    1-based transitions k = n..M-1, in plain integer arithmetic.
+    """
+    p = [int(b) for b in bits]
+    m_points = len(p)
+    step = [p[j + 1] - p[j] for j in range(m_points - 1)]
+    sign = [1 - 2 * b for b in p]
+    return [
+        sum(step[k - 1] * sign[k - n] - step[k - n] * sign[k] for k in range(n, m_points))
+        for n in range(1, m_points)
+    ]
 
 
 class TestQfunc:
@@ -152,6 +169,14 @@ class TestPatternCoefficients:
         assert tuple(pattern_coefficients(pattern_from_index(8, 85))) == (
             14, -12, 10, -8, 6, -4, 2,
         )
+
+    @pytest.mark.parametrize("m", [4, 8, 12, 16])
+    def test_table_matches_loop_oracle(self, m):
+        masks = np.fromiter(pattern_indices(m), dtype=np.int64)
+        bits = (masks[:, None] >> np.arange(m - 1, -1, -1)) & 1
+        oracle = np.array([loop_coefficients(b) for b in bits])
+        assert oracle.shape == (math.comb(m, m // 2), m - 1)
+        np.testing.assert_array_equal(pattern_weights(bits), oracle)
 
     @pytest.mark.parametrize("m", [4, 8])
     def test_coefficients_sum_to_m(self, m):

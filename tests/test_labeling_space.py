@@ -1,5 +1,9 @@
 """Labeling enumeration and the distinct-BER census."""
 
+import itertools
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -12,10 +16,12 @@ from pamber import (
     labeling_coefficients,
     named_labeling,
     order_labelings_high_snr,
+    pattern_coefficients,
+    pattern_from_index,
     sample_labelings,
 )
 from pamber.labeling_space import is_bijective_set
-from pamber.pattern_classes import invert_index
+from pamber.pattern_classes import invert_index, pattern_indices
 
 
 class TestEnumeration:
@@ -63,9 +69,32 @@ class TestCensus:
         assert alphas == sorted(alphas)
 
     def test_witness_reproduces_alpha(self):
-        for cls in labeling_census(4):
-            got = tuple(int(x) for x in labeling_coefficients(cls.witness))
-            assert got == cls.alpha
+        for m in (4, 8):
+            for cls in labeling_census(m):
+                got = tuple(int(x) for x in labeling_coefficients(cls.witness))
+                assert got == cls.alpha
+
+    def test_eight_point_census_against_brute_force(self):
+        # All 3-sets of balanced patterns in combination order, rows compared
+        # as bit strings; the first set met with a weight vector is its witness.
+        weights = {
+            w: tuple(int(x) for x in pattern_coefficients(pattern_from_index(8, w)))
+            for w in pattern_indices(8)
+        }
+        first, count = {}, Counter()
+        for combo in itertools.combinations(sorted(weights), 3):
+            if len(set(zip(*(format(w, "08b") for w in combo)))) == 8:
+                alpha = tuple(map(sum, zip(*(weights[w] for w in combo))))
+                first.setdefault(alpha, combo)
+                count[alpha] += 1
+        census = labeling_census(8)
+        order = sorted(first)
+        assert sum(cls.population for cls in census) == math.factorial(8) // math.factorial(3)
+        assert [cls.alpha for cls in census] == order
+        assert [cls.population for cls in census] == [count[a] for a in order]
+        assert [tuple(sorted(cls.witness.pattern_set)) for cls in census] == [
+            first[a] for a in order
+        ]
 
 
 class TestAlphaInvariances:

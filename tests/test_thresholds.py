@@ -9,6 +9,7 @@ from pamber import (
     ChannelParams,
     NoSignChangeError,
     bd_thresholds,
+    enumerate_classes,
     make_pam,
     midpoint_thresholds,
     pattern_exact_llr,
@@ -16,6 +17,7 @@ from pamber import (
     relevance_mask,
     transition_mask,
 )
+from pamber import thresholds
 from pamber.pattern_classes import invert, iter_patterns
 
 D4 = math.sqrt(0.2)
@@ -161,3 +163,46 @@ class TestBdThresholds:
             thr = bd_thresholds(pat, c, ChannelParams.from_db(2.0))
             rel = thr.betas[thr.relevant]
             assert np.all(np.diff(rel) > 0)
+
+
+class TestBisection:
+    """The package's bisection repeats ``scipy.optimize.bisect`` exactly."""
+
+    def test_matches_scipy_on_every_8pam_class(self):
+        from scipy.optimize import bisect
+
+        c = make_pam(8)
+        compared = 0
+        for cls in enumerate_classes(8):
+            pat = cls.representative
+            relevant = np.nonzero(transition_mask(pat))[0]
+            for snr_db in np.arange(-2.0, 24.5, 4.0):
+                params = ChannelParams.from_db(snr_db)
+
+                def llr(y):
+                    return pattern_exact_llr(y, pat, c, params)
+
+                for k in relevant:
+                    grid = np.linspace(c.points[k], c.points[k + 1], 1024)
+                    for lo, hi in thresholds._crossing_brackets(grid, llr(grid)):
+                        if lo == hi:
+                            continue
+                        want = bisect(llr, lo, hi, xtol=1e-10)
+                        assert thresholds._bisect(llr, float(lo), float(hi), 1e-10) == want
+                        compared += 1
+        assert compared > 500
+
+    def test_rejects_what_scipy_rejects(self):
+        from scipy.optimize import bisect
+
+        def same_sign(y):
+            return y * y + 1.0
+
+        def nan_inside(y):
+            return math.nan if 0.4 < y < 0.6 else y - 0.5
+
+        for f in (same_sign, nan_inside):
+            with pytest.raises(ValueError):
+                bisect(f, 0.0, 1.0, xtol=1e-10)
+            with pytest.raises(ValueError):
+                thresholds._bisect(f, 0.0, 1.0, 1e-10)
