@@ -58,8 +58,6 @@ from .pattern_classes import (
     reflect,
 )
 from .thresholds import (
-    MultipleCrossingsWarning,
-    NoSignChangeError,
     ThresholdSet,
     bd_thresholds,
     midpoint_thresholds,
@@ -76,8 +74,6 @@ __all__ = [
     "Constellation",
     "Labeling",
     "LabelingClass",
-    "MultipleCrossingsWarning",
-    "NoSignChangeError",
     "PatternClass",
     "SimConfig",
     "ThresholdSet",

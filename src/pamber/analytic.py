@@ -1,15 +1,19 @@
 """Closed-form bit-error rates for one-dimensional constellations.
 
 The single-pattern error rate (PBER) of a sign demodulator with decision
-boundaries ``beta_1 < ... < beta_{M-1}`` over points ``s_1 < ... < s_M``
+boundaries ``beta_1 < ... < beta_K`` over points ``s_1 < ... < s_M``,
+deciding bit ``b_k`` in the region between ``beta_k`` and ``beta_{k+1}``,
 is
 
-    P = 1/2 + (1/M) * sum_{i,k} g[i,k] * Q((beta_k - s_i) * sqrt(2*snr))
+    P = c + (1/M) * sum_{i,k} g[i,k] * Q((beta_k - s_i) * sqrt(2*snr))
 
-with the relevance matrix ``g`` from :func:`pamber.thresholds.relevance_mask`.
-An equivalent form accumulates interval probabilities against the
-bit-disagreement matrix ``e[i,k] = p_i XOR p_k``; both are implemented and
-agree to machine precision, which the test suite asserts.
+with the relevance matrix ``g[i,k] = (b_k - b_{k-1}) * (1 - 2*p_i)`` from
+:func:`pamber.thresholds.relevance_mask` and
+``c = (1/M) * sum_i [p_i + (1 - 2*p_i) * b_0]``.  A pattern has M/2 ones,
+so ``c = 1/2`` whatever ``b_0`` is.  For midpoint boundaries ``K = M-1``
+and ``b = p``.  An equivalent form accumulates region probabilities
+against the bit-disagreement matrix ``e[i,k] = p_i XOR b_k``; both are
+implemented and agree to machine precision, which the test suite asserts.
 
 For equally spaced unit-energy M-PAM with midpoint boundaries the PBER
 collapses to a weighted sum of Q-functions at odd multiples of the half
@@ -57,19 +61,16 @@ def interval_probs(
     """Conditional probabilities of landing between consecutive boundaries.
 
     Entry (i, k) is the probability that the observation falls in the k-th
-    slice of the real line (boundaries prepended/appended with -inf/+inf)
-    given that point i was sent.  Rows sum to one.
+    of the K+1 regions of the real line given that point i was sent.  Rows
+    sum to one.
     """
-    if thresholds.size != constellation.size - 1:
-        raise ValueError("need M-1 thresholds for an M-point constellation")
+    if thresholds.bits is None and thresholds.size != constellation.size - 1:
+        raise ValueError("need M-1 midpoint thresholds for an M-point constellation")
     scale = math.sqrt(2.0 * params.snr)
     tails = qfunc((thresholds.betas[None, :] - constellation.points[:, None]) * scale)
     m_points = constellation.size
-    v = np.empty((m_points, m_points))
-    v[:, 0] = 1.0 - tails[:, 0]
-    v[:, 1 : m_points - 1] = tails[:, :-1] - tails[:, 1:]
-    v[:, m_points - 1] = tails[:, -1]
-    return v
+    above = np.hstack((np.ones((m_points, 1)), tails, np.zeros((m_points, 1))))
+    return above[:, :-1] - above[:, 1:]
 
 
 def pber_general(
@@ -82,7 +83,7 @@ def pber_general(
     _check_pair(pattern, constellation)
     scale = math.sqrt(2.0 * params.snr)
     tails = qfunc((thresholds.betas[None, :] - constellation.points[:, None]) * scale)
-    g = relevance_mask(pattern)
+    g = relevance_mask(pattern, thresholds.region_bits(pattern))
     return 0.5 + float((g * tails).sum()) / constellation.size
 
 
@@ -99,7 +100,7 @@ def pber_interval_form(
     """
     _check_pair(pattern, constellation)
     bits = pattern.as_array()
-    disagree = bits[:, None] != bits[None, :]
+    disagree = bits[:, None] != thresholds.region_bits(pattern)[None, :]
     v = interval_probs(constellation, thresholds, params)
     return float(v[disagree].sum()) / constellation.size
 
@@ -181,8 +182,7 @@ def labeling_ber(
 
     ``demod`` selects the decision boundaries: ``"abd"`` (or ``"sd"``,
     which decides identically) uses midpoints; ``"bd"`` solves the exact
-    L-value boundaries at this SNR for every column pattern.  Threshold
-    solver failures propagate.
+    L-value boundaries at this SNR for every column pattern.
     """
     if constellation.size != labeling.size:
         raise ValueError("labeling and constellation sizes differ")

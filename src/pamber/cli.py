@@ -14,6 +14,7 @@ comma-separated pattern indices (``15,60,102``).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
 
@@ -28,14 +29,11 @@ from .constellation import (
     pattern_from_index,
 )
 from .demod import ChannelParams, exact_llr, maxlog_llr, pattern_exact_llr, pattern_maxlog_llr
-from .thresholds import (
-    NoSignChangeError,
-    bd_thresholds,
-    midpoint_thresholds,
-    transition_mask,
-)
+from .thresholds import bd_thresholds, midpoint_thresholds, transition_mask
 
 _NAMES = ("brgc", "nbc", "fbc", "bsgc", "ag")
+
+MAX_GRID_POINTS = 1_000_000
 
 
 def _fmt(x: float) -> str:
@@ -43,25 +41,36 @@ def _fmt(x: float) -> str:
 
 
 def parse_grid(text: str) -> np.ndarray:
-    """Parse ``start:step:stop`` (inclusive) or a single value."""
+    """Parse ``start:step:stop`` (inclusive) or a single value.
+
+    Every value must be finite, and a grid holds at most
+    ``MAX_GRID_POINTS`` points.
+    """
     parts = text.split(":")
     try:
-        if len(parts) == 1:
-            return np.array([float(parts[0])])
-        if len(parts) == 3:
-            start, step, stop = (float(p) for p in parts)
-            if step <= 0:
-                raise ValueError
-            if stop < start:
-                raise ValueError
-            count = int(round((stop - start) / step)) + 1
-            grid = start + step * np.arange(count)
-            return grid[grid <= stop + 1e-9]
-        raise ValueError
+        values = [float(p) for p in parts]
+        if len(values) not in (1, 3):
+            raise ValueError
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a value or start:step:stop, got {text!r}"
         ) from None
+    if not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(f"grid values must be finite, got {text!r}")
+    if len(values) == 1:
+        return np.array(values)
+    start, step, stop = values
+    if step <= 0 or stop < start:
+        raise argparse.ArgumentTypeError(
+            f"expected a value or start:step:stop, got {text!r}"
+        )
+    span = (stop - start) / step
+    if not span + 1 <= MAX_GRID_POINTS:  # also when the division overflowed
+        raise argparse.ArgumentTypeError(
+            f"grid {text!r} has more than {MAX_GRID_POINTS} points"
+        )
+    grid = start + step * np.arange(int(round(span)) + 1)
+    return grid[grid <= stop + 1e-9]
 
 
 def parse_pattern(text: str, m_points: int) -> BitPattern:
@@ -174,13 +183,14 @@ def _cmd_thresholds(args) -> int:
     grid = parse_grid(args.snr)
     constellation = make_pam(args.M)
     pattern = parse_pattern(args.pattern, args.M)
-    relevant = np.nonzero(transition_mask(pattern))[0]
+    transitions = [str(k + 1) for k in np.nonzero(transition_mask(pattern))[0]]
     rows = []
     for snr_db in grid:
         params = ChannelParams.from_db(snr_db)
         thr = bd_thresholds(pattern, constellation, params)
-        for k in relevant:
-            rows.append((_fmt(snr_db), str(k + 1), _fmt(thr.betas[k])))
+        keys = transitions if thr.size == len(transitions) else [""] * thr.size
+        for k, beta in zip(keys, thr.betas):
+            rows.append((_fmt(snr_db), k, _fmt(beta)))
     _emit(args, ["snr_db", "k", "beta"], rows)
     return 0
 
@@ -299,7 +309,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True, help="observation grid start:step:stop")
     p.set_defaults(func=_cmd_llr)
 
-    p = sub.add_parser("thresholds", help="exact-L-value decision boundaries vs SNR")
+    p = sub.add_parser(
+        "thresholds",
+        help="exact-L-value decision boundaries vs SNR",
+        description=(
+            "Zero crossings of the exact L-value at each SNR, in increasing "
+            "order.  While every bit transition keeps its crossing, k is the "
+            "1-based index of the transition (between points k and k+1).  "
+            "Where crossings have merged and vanished, the surviving "
+            "crossings are printed with an empty k."
+        ),
+    )
     _add_common(p)
     p.add_argument("--pattern", required=True)
     p.add_argument("--snr", required=True, help="dB grid start:step:stop")
@@ -332,7 +352,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, NoSignChangeError) as exc:
+    except argparse.ArgumentTypeError as exc:
+        print(f"usage: pamber {args.command}: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
         print(f"pamber: error: {exc}", file=sys.stderr)
         return 1
 

@@ -182,18 +182,19 @@ class Labeling:
             raise ValueError(
                 f"matrix is {m_points}x{n_bits}; need 2^{n_bits} = {1 << n_bits} rows"
             )
-        if not np.isin(mat, (0, 1)).all():
+        if not np.all((mat == 0) | (mat == 1)):
             raise ValueError("labeling matrix entries must be 0 or 1")
-        rows = {tuple(r) for r in mat}
-        if len(rows) != m_points:
+        row_codes = mat @ (1 << np.arange(n_bits - 1, -1, -1))
+        if len(set(row_codes.tolist())) != m_points:
             raise ValueError("labeling rows must be pairwise distinct (bijection)")
         # Holds automatically for a bijection on 2^m points; checked anyway
         # because everything downstream relies on it.
         if not np.all(mat.sum(axis=0) == m_points // 2):
             raise ValueError("every labeling column must have weight M/2")
-        object.__setattr__(
-            self, "pattern_set", frozenset(p.index for p in self.columns())
-        )
+        # Pattern indices read each column big-endian; Python ints keep
+        # them exact past 63 points.
+        place = np.array([1 << k for k in range(m_points - 1, -1, -1)], dtype=object)
+        object.__setattr__(self, "pattern_set", frozenset((place @ mat).tolist()))
 
     @property
     def size(self) -> int:

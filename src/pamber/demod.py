@@ -14,7 +14,8 @@ Tie rules: the SD resolves an exact midpoint toward the lower-indexed
 point; sign decisions map an exact zero L-value to bit 1.  The two rules
 can disagree only on that measure-zero set.
 
-All functions broadcast over ``y``; scalars in, scalars out.
+All functions broadcast over ``y``; scalars in, scalars out.  They
+reject a non-finite ``y`` with a ValueError.
 """
 
 from __future__ import annotations
@@ -60,12 +61,19 @@ class ChannelParams:
         return 1.0 / math.sqrt(2.0 * self.snr)
 
 
+def _observations(y) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    if not np.isfinite(y).all():
+        raise ValueError("observations y must be finite")
+    return y
+
+
 def nearest_point_index(y, constellation: Constellation) -> np.ndarray:
     """0-based index of the constellation point closest to each ``y``.
 
     Exact midpoints resolve to the lower-indexed point.
     """
-    y = np.asarray(y, dtype=float)
+    y = _observations(y)
     return np.searchsorted(constellation.midpoints(), y, side="left")
 
 
@@ -78,7 +86,7 @@ def sd_decide(y, labeling: Labeling, constellation: Constellation) -> np.ndarray
 
 
 def _split_squared_distances(y, bits: np.ndarray, points: np.ndarray):
-    y = np.asarray(y, dtype=float)
+    y = _observations(y)
     sq = (y[..., None] - points) ** 2
     ones = np.asarray(bits, dtype=bool)
     return sq[..., ones], sq[..., ~ones]
@@ -137,7 +145,7 @@ def pattern_maxlog_llr(
 def _stack_per_bit(y, labeling, constellation, params, kernel) -> np.ndarray:
     if constellation.size != labeling.size:
         raise ValueError("labeling and constellation sizes differ")
-    y_arr = np.asarray(y, dtype=float)
+    y_arr = _observations(y)
     sq = (y_arr[..., None] - constellation.points) ** 2
     out = np.empty(y_arr.shape + (labeling.n_bits,))
     for j in range(labeling.n_bits):

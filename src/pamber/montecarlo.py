@@ -36,8 +36,12 @@ class SimConfig:
         object.__setattr__(self, "snr_db_grid", tuple(float(s) for s in self.snr_db_grid))
         if self.trials < 10_000:
             raise ValueError("need at least 10^4 trials for a reportable estimate")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not self.snr_db_grid:
             raise ValueError("empty SNR grid")
+        if not all(math.isfinite(s) for s in self.snr_db_grid):
+            raise ValueError(f"SNR grid values must be finite, got {self.snr_db_grid}")
         if self.demodulator not in DEMODULATORS:
             raise ValueError(f"demodulator must be one of {DEMODULATORS}")
 

@@ -1,19 +1,33 @@
-"""Decision thresholds separating the bit-0 and bit-1 regions.
+"""Decision boundaries and the bit decided between them.
 
-For the max-log (ABD) demodulator the thresholds are simply the midpoints
-between adjacent constellation points.  For the exact bit-wise (BD)
-demodulator they are the zero crossings of the exact L-value and move
-with SNR; they approach the midpoints as SNR grows.
+A sign demodulator cuts the real line at its decision boundaries and
+decides one bit in each region.  For the max-log (ABD) demodulator the
+boundaries are the midpoints between adjacent points and each region
+decides the bit of its point.  For the exact bit-wise (BD) demodulator
+they are the zero crossings of the exact L-value.  They move with SNR and
+approach the midpoints as SNR grows; at low SNR pairs of them merge and
+vanish, so a region can hold several points.
 
-A threshold between two points that carry the same bit does not affect
-the error rate (its relevance column is all zeros), so such entries are
-filled with midpoints by convention.
+Two facts bound the BD boundaries of a pattern over points
+``s_0 < ... < s_{M-1}``:
+
+* **Count.**  ``S1 - S0`` (the two sums inside the L-value) equals a
+  positive factor times the exponential sum
+  ``sum_i (2*p_i - 1) * exp(2*snr*s_i*y - snr*s_i**2)``.  By Laguerre's
+  rule of signs it has at most as many real zeros as its coefficients
+  have sign changes, which is the number of bit transitions of the
+  pattern, and the same parity.
+* **Location.**  Beyond ``s_{M-1} + T`` the term of the top point
+  outweighs the M/2 terms of the other bit, with
+  ``T = ln(M/2) / (2*snr*dmin)`` and ``dmin`` the smallest gap between
+  points; likewise below ``s_0 - T``.  Every crossing therefore lies in
+  ``[s_0 - T, s_{M-1} + T]``, and the outer regions decide ``p_0`` and
+  ``p_{M-1}``.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,45 +35,62 @@ import numpy as np
 from .constellation import BitPattern, Constellation
 from .demod import ChannelParams, pattern_exact_llr
 
-
-class NoSignChangeError(RuntimeError):
-    """The exact L-value has no usable zero crossing for some threshold.
-
-    Happens at very low SNR where adjacent thresholds merge or vanish; the
-    solver reports this instead of inventing a boundary.
-    """
-
-
-class MultipleCrossingsWarning(UserWarning):
-    """More than one zero crossing found inside a single bracket."""
+# The scan is uniform across the points and geometric beyond them, its
+# step growing by _SCAN_GROWTH per sample out to the bound T.  Crossings
+# outside the points drift out like 1/snr, and an inner pair that
+# survives low SNR sits about 1/sqrt(snr) out; a step proportional to the
+# distance resolves both, where a uniform 1024-sample scan of the same
+# interval misses such pairs on 8-PAM at -55 dB.
+_SCAN_SAMPLES = 512
+_SCAN_GROWTH = 1.02
+# Illinois steps before the refinement falls back to halving; it needs at
+# most 5 on every 8-PAM pattern from -10 to 30 dB.
+_ILLINOIS_STEPS = 16
+_RTOL = 4 * np.finfo(float).eps
+# Far out, the exact L-value is a difference of large squared distances,
+# and rounding flips its sign where it is small: on 8-PAM, spurious
+# crossings appear from -74 dB down.  The solver rejects an SNR whose
+# bound T lies beyond 1e6 point gaps (-54 dB for 8-PAM, -47 dB for 16-PAM).
+_MAX_REACH_GAPS = 1e6
 
 
 @dataclass(frozen=True, eq=False)
 class ThresholdSet:
-    """M-1 ordered decision boundaries, optionally with a relevance mask.
+    """Sorted decision boundaries and the bit decided in each region.
 
-    ``relevant[k]`` is True when the bits of points k and k+1 differ, i.e.
-    when boundary k actually separates a 0-region from a 1-region.  It is
-    None for pattern-independent threshold sets (midpoints).
+    The K boundaries ``betas`` cut the real line into K+1 regions;
+    ``bits[k]`` is the bit decided in region k, counted from the left.
+    ``bits`` is None for pattern-independent sets (midpoints): there
+    region k is the decision region of point k and decides that point's
+    bit, see :meth:`region_bits`.
     """
 
     betas: np.ndarray
-    relevant: np.ndarray | None = None
+    bits: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         betas = np.array(self.betas, dtype=float)
         betas.setflags(write=False)
         object.__setattr__(self, "betas", betas)
-        if self.relevant is not None:
-            rel = np.array(self.relevant, dtype=bool)
-            rel.setflags(write=False)
-            object.__setattr__(self, "relevant", rel)
-            if rel.shape != betas.shape:
-                raise ValueError("relevance mask must match the threshold vector")
+        if self.bits is not None:
+            bits = np.array(self.bits, dtype=np.int8)
+            bits.setflags(write=False)
+            object.__setattr__(self, "bits", bits)
+            if bits.shape != (betas.size + 1,):
+                raise ValueError("need one region bit more than boundaries")
 
     @property
     def size(self) -> int:
+        """Number of boundaries K."""
         return int(self.betas.size)
+
+    def region_bits(self, pattern: BitPattern) -> np.ndarray:
+        """Bit decided in each of the K+1 regions when ``pattern`` is sent."""
+        if self.bits is not None:
+            return self.bits
+        if pattern.size != self.size + 1:
+            raise ValueError("need M-1 midpoint thresholds for an M-point pattern")
+        return pattern.as_array()
 
 
 def midpoint_thresholds(constellation: Constellation) -> ThresholdSet:
@@ -73,61 +104,62 @@ def transition_mask(pattern: BitPattern) -> np.ndarray:
     return bits[1:] != bits[:-1]
 
 
-def relevance_mask(pattern: BitPattern) -> np.ndarray:
-    """Signed relevance matrix with entries ``(p[k+1]-p[k]) * (1-2*p[i])``.
+def relevance_mask(pattern: BitPattern, region_bits=None) -> np.ndarray:
+    """Signed relevance matrix with entries ``(b[k+1]-b[k]) * (1-2*p[i])``.
 
-    Shape (M, M-1), integer entries in {0, +1, -1}.  Column k is all zero
-    exactly when threshold k sits between equal bits.
+    ``b`` holds the region bits of a threshold set and defaults to the
+    pattern's own bits (the midpoint rule).  Shape (M, len(b)-1), integer
+    entries in {0, +1, -1}.  Column k is all zero exactly when boundary k
+    sits between regions that decide the same bit.
     """
     bits = pattern.as_array().astype(np.int64)
-    return (bits[1:] - bits[:-1])[None, :] * (1 - 2 * bits)[:, None]
+    b = bits if region_bits is None else np.asarray(region_bits, dtype=np.int64)
+    return (b[1:] - b[:-1])[None, :] * (1 - 2 * bits)[:, None]
 
 
-def _crossing_brackets(grid: np.ndarray, values: np.ndarray) -> list[tuple[float, float]]:
-    sign = np.sign(values)
-    hits = np.nonzero((sign[:-1] * sign[1:]) < 0)[0]
-    brackets = [(grid[i], grid[i + 1]) for i in hits]
-    for i in np.nonzero(sign == 0)[0]:
-        brackets.append((grid[i], grid[i]))
-    return brackets
+def _scan_grid(points: np.ndarray, reach: float) -> np.ndarray:
+    inner = np.linspace(points[0], points[-1], _SCAN_SAMPLES)
+    if reach <= 0:
+        return inner
+    step = inner[1] - inner[0]
+    count = max(1, math.ceil(math.log(reach / step, _SCAN_GROWTH)) + 1)
+    outer = np.minimum(step * _SCAN_GROWTH ** np.arange(count), reach)
+    return np.concatenate((points[0] - outer[::-1], inner, points[-1] + outer))
 
 
-_RTOL = 4 * np.finfo(float).eps
-_MAXITER = 100
+def _illinois(f, lo, hi, flo, fhi, xtol: float) -> np.ndarray:
+    """Roots of ``f`` in every bracket ``[lo, hi]`` (ends of opposite sign) at once.
 
-
-def _value(f, x: float) -> float:
-    fx = float(f(x))
-    if math.isnan(fx):
-        raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
-    return fx
-
-
-def _bisect(f, xa: float, xb: float, xtol: float) -> float:
-    """Root of ``f`` in ``[xa, xb]``, step for step as ``scipy.optimize.bisect``."""
-    fa, fb = _value(f, xa), _value(f, xb)
-    if fa * fb > 0:
-        raise ValueError("f(a) and f(b) must have different signs")
-    if fa == 0:
-        return xa
-    if fb == 0:
-        return xb
-    dm = xb - xa
-    for _ in range(_MAXITER):
-        dm *= 0.5
-        xm = xa + dm
-        fm = _value(f, xm)
-        if fm * fa >= 0:
-            xa = xm
-        if fm == 0 or abs(dm) < xtol + _RTOL * abs(xm):
-            return xm
-    raise RuntimeError(f"bisection failed to converge after {_MAXITER} iterations")
-
-
-def _solve(f, lo: float, hi: float, xtol: float) -> float:
-    if lo == hi:
-        return lo
-    return _bisect(f, float(lo), float(hi), xtol)
+    Each step is a regula falsi step, clipped at least ``tol`` inside its
+    bracket, with ``tol = xtol + 4*eps*max(|lo|, |hi|)`` so that a clipped
+    step moves even where a float's spacing exceeds ``xtol``.  The Illinois rule
+    halves the value kept at an end that stayed put twice; after
+    ``_ILLINOIS_STEPS`` steps the refinement halves brackets instead.  A
+    bracket is done once it is narrower than ``2*tol``; its centre, the
+    returned root, is within ``tol`` of a sign change.
+    """
+    lo, hi, flo, fhi = (np.array(a, dtype=float) for a in (lo, hi, flo, fhi))
+    moved = np.zeros(lo.size, dtype=np.int8)  # -1: lo moved last, +1: hi
+    step = 0
+    while True:
+        tol = xtol + _RTOL * np.maximum(np.abs(lo), np.abs(hi))
+        act = np.nonzero(hi - lo >= 2 * tol)[0]
+        if act.size == 0:
+            return 0.5 * (lo + hi)
+        a, b, fa, fb, t = lo[act], hi[act], flo[act], fhi[act], tol[act]
+        if step < _ILLINOIS_STEPS:
+            x = b - fb * (b - a) / (fb - fa)
+        else:
+            x = 0.5 * (a + b)
+        x = np.clip(x, a + t, b - t)
+        fx = f(x)
+        left = (fx < 0) == (fa < 0)
+        fhi[act] = np.where(left, np.where(moved[act] == -1, 0.5 * fb, fb), fx)
+        flo[act] = np.where(left, fx, np.where(moved[act] == 1, 0.5 * fa, fa))
+        lo[act] = np.where(left | (fx == 0), x, a)
+        hi[act] = np.where(left & (fx != 0), b, x)
+        moved[act] = np.where(left, -1, 1)
+        step += 1
 
 
 def bd_thresholds(
@@ -135,70 +167,39 @@ def bd_thresholds(
     constellation: Constellation,
     params: ChannelParams,
     *,
-    bracket_samples: int = 1024,
     xtol: float = 1e-10,
 ) -> ThresholdSet:
-    """Zero crossings of the exact L-value, one per bit transition.
+    """Every zero crossing of the exact L-value, with the bit of each region.
 
-    Each relevant boundary is bracketed by a uniform scan of the interval
-    between the two adjacent points, then bisected to ``xtol``.  If several
-    crossings fall inside one bracket, the one closest to the midpoint is
-    kept and a :class:`MultipleCrossingsWarning` is emitted.
+    One scan of the L-value over ``[s_0 - T, s_{M-1} + T]`` (see the
+    module docstring) brackets the sign changes; all brackets are then
+    refined together to ``xtol``.  Region bits alternate from ``p_0`` at
+    the left.  The number of crossings is at most the number of bit
+    transitions; fewer means that crossings have merged and vanished.
 
-    At low SNR a crossing can migrate beyond its adjacent points.  When a
-    bracket scan comes up empty, all crossings are re-located by a wide
-    scan of the whole axis; this succeeds as long as the L-value still has
-    exactly one zero per bit transition.  Otherwise the threshold
-    structure has degenerated and :class:`NoSignChangeError` is raised.
-
-    Boundaries between equal bits are returned as midpoints; they carry no
-    probability of error and are marked not relevant.
+    Raises:
+        ValueError: if T exceeds 10^6 point gaps (below about -54 dB for
+            8-PAM), where rounding in the L-value makes spurious crossings.
     """
     if pattern.size != constellation.size:
         raise ValueError("pattern and constellation sizes differ")
     points = constellation.points
-    mids = constellation.midpoints()
-    relevant = transition_mask(pattern)
-
-    def llr(y):
-        return pattern_exact_llr(y, pattern, constellation, params)
-
-    betas = np.array(mids)
-    missing: list[int] = []
-    for k in np.nonzero(relevant)[0]:
-        grid = np.linspace(points[k], points[k + 1], bracket_samples)
-        brackets = _crossing_brackets(grid, llr(grid))
-        if not brackets:
-            missing.append(k)
-            continue
-        roots = [_solve(llr, lo, hi, xtol) for lo, hi in brackets]
-        if len(roots) > 1:
-            warnings.warn(
-                f"{len(roots)} zero crossings between points {k} and {k + 1}; "
-                "keeping the one nearest the midpoint",
-                MultipleCrossingsWarning,
-                stacklevel=2,
-            )
-        betas[k] = min(roots, key=lambda r: abs(r - mids[k]))
-
-    if missing:
-        n_rel = int(relevant.sum())
-        span = points[-1] - points[0]
-        grid = np.linspace(points[0] - span, points[-1] + span, 8 * bracket_samples)
-        brackets = _crossing_brackets(grid, llr(grid))
-        if len(brackets) != n_rel:
-            raise NoSignChangeError(
-                f"L-value of pattern {pattern.index} has {len(brackets)} zero "
-                f"crossings for {n_rel} bit transitions at snr={params.snr:g}; "
-                "thresholds merged or vanished"
-            )
-        roots = sorted(_solve(llr, lo, hi, xtol) for lo, hi in brackets)
-        betas[np.nonzero(relevant)[0]] = roots
-
-    order = betas[relevant]
-    if np.any(np.diff(order) <= 0):
-        raise NoSignChangeError(
-            f"solved thresholds for pattern {pattern.index} are not increasing "
-            f"at snr={params.snr:g}"
+    gap = float(np.diff(points).min())
+    reach = math.log(constellation.size / 2) / (2 * params.snr * gap)
+    if reach > _MAX_REACH_GAPS * gap:
+        raise ValueError(
+            f"snr={params.snr:g} is too low: the exact L-value cannot be "
+            f"resolved out to its bound T={reach:g}"
         )
-    return ThresholdSet(betas=betas, relevant=relevant)
+    grid = _scan_grid(points, reach)
+    values = pattern_exact_llr(grid, pattern, constellation, params)
+    # The ends are nonzero, so dropping exact zeros keeps every sign change.
+    nonzero = values != 0
+    grid, values = grid[nonzero], values[nonzero]
+    hits = np.nonzero((values[:-1] < 0) != (values[1:] < 0))[0]
+    roots = _illinois(
+        lambda y: pattern_exact_llr(y, pattern, constellation, params),
+        grid[hits], grid[hits + 1], values[hits], values[hits + 1], xtol,
+    )
+    first = int(values[0] > 0)
+    return ThresholdSet(betas=roots, bits=(first + np.arange(roots.size + 1)) % 2)

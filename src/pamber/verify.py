@@ -19,7 +19,7 @@ import numpy as np
 from . import analytic, labeling_space, montecarlo, pattern_classes
 from .constellation import Labeling, make_pam, named_labeling, pattern_from_index
 from .demod import ChannelParams, abd_decide, maxlog_llr, sd_decide
-from .thresholds import bd_thresholds, midpoint_thresholds
+from .thresholds import bd_thresholds, midpoint_thresholds, transition_mask
 
 # Frozen expected enumeration results: (representative index, members,
 # symmetry, coefficient vector), ordered best to worst at high SNR.
@@ -183,6 +183,7 @@ def _quadrature_pber(pattern, constellation, thresholds, params) -> float:
     from scipy.integrate import quad  # only this oracle needs scipy.integrate
 
     bits = pattern.bits
+    region_bits = thresholds.region_bits(pattern)
     edges = np.concatenate(([-np.inf], thresholds.betas, [np.inf]))
     snr = params.snr
     total = 0.0
@@ -190,8 +191,8 @@ def _quadrature_pber(pattern, constellation, thresholds, params) -> float:
         density = lambda t, s=point: math.sqrt(snr / math.pi) * math.exp(
             -snr * (t - s) ** 2
         )
-        for k in range(constellation.size):
-            if bits[k] != bits[i]:
+        for k in range(thresholds.size + 1):
+            if region_bits[k] != bits[i]:
                 part, _ = quad(density, edges[k], edges[k + 1], epsabs=1e-13)
                 total += part
     return total / constellation.size
@@ -270,7 +271,9 @@ def check_bd_abd_closeness() -> str:
     drift = 0.0
     for pattern in targets:
         thr = bd_thresholds(pattern, constellation, high)
-        gap = np.abs(thr.betas - mids.betas)[thr.relevant].max()
+        mids_here = mids.betas[transition_mask(pattern)]
+        _require(thr.size == mids_here.size, f"pattern {pattern.index}: {thr.size} crossings")
+        gap = np.abs(thr.betas - mids_here).max()
         drift = max(drift, float(gap))
     _require(drift <= 1e-4, f"high-SNR boundary drift {drift:.2e}")
     return f"max relative gap {worst:.2%}, boundary drift {drift:.1e}"

@@ -369,7 +369,7 @@ class TestArbitraryConstellation:
         pat = pattern_from_index(4, 5)
         params = ChannelParams.from_db(8.0)
         thr = bd_thresholds(pat, uneven, params)
-        residual = pattern_exact_llr(thr.betas[thr.relevant], pat, uneven, params)
+        residual = pattern_exact_llr(thr.betas, pat, uneven, params)
         assert np.abs(residual).max() <= 1e-8
 
     def test_rejects_unsorted_or_odd_points(self):

@@ -7,8 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pamber import ChannelParams
-from pamber.cli import build_parser, main, parse_grid, parse_labeling, parse_pattern
+from pamber import (
+    ChannelParams,
+    bd_thresholds,
+    make_pam,
+    pattern_from_index,
+    pber_general,
+)
+from pamber.cli import (
+    MAX_GRID_POINTS,
+    build_parser,
+    main,
+    parse_grid,
+    parse_labeling,
+    parse_pattern,
+)
 
 
 def run_cli(capsys, *argv):
@@ -28,6 +41,23 @@ class TestParsing:
 
         for bad in ("1:2", "0:-1:5", "5:1:0", "a:b:c"):
             with pytest.raises(argparse.ArgumentTypeError):
+                parse_grid(bad)
+
+    @pytest.mark.parametrize(
+        "bad", ["nan", "inf", "-inf", "0:1:nan", "nan:1:5", "0:inf:5", "-inf:1:0"]
+    )
+    def test_grid_rejects_non_finite(self, bad):
+        import argparse
+
+        with pytest.raises(argparse.ArgumentTypeError, match="finite"):
+            parse_grid(bad)
+
+    def test_grid_caps_the_point_count(self):
+        import argparse
+
+        assert parse_grid("0:1:999999").size == MAX_GRID_POINTS
+        for bad in ("0:1:1000000", "0:1e-7:1", "0:1e-300:1e300"):
+            with pytest.raises(argparse.ArgumentTypeError, match="points"):
                 parse_grid(bad)
 
     def test_pattern_forms_agree(self):
@@ -89,6 +119,21 @@ class TestSubcommands:
         assert len(rows) == 3  # one boundary per SNR point
         assert all(k == "4" for _, k, _beta in rows)
 
+    def test_thresholds_vanished_crossings_have_no_transition_index(self, capsys):
+        code, lines = run_cli(
+            capsys, "thresholds", "--M", "8", "--pattern", "102", "--snr=-5:5:0"
+        )
+        assert code == 0
+        assert lines[1] == "snr_db,k,beta"
+        rows = [line.split(",") for line in lines[2:]]
+        # two crossings survive at -5 dB; all four transitions keep theirs at 0 dB
+        assert [(snr, k) for snr, k, _ in rows] == [
+            ("-5", ""), ("-5", ""), ("0", "1"), ("0", "3"), ("0", "5"), ("0", "7")
+        ]
+        c, pat = make_pam(8), pattern_from_index(8, 102)
+        want = bd_thresholds(pat, c, ChannelParams.from_db(-5.0)).betas
+        assert [float(beta) for _, _, beta in rows[:2]] == list(want)
+
     def test_llr_header_per_bit(self, capsys):
         code, lines = run_cli(
             capsys, "llr", "--M", "8", "--labeling", "brgc", "--snr", "10",
@@ -149,12 +194,27 @@ class TestStabilityAndErrors:
         assert code == 1
         assert "weight" in err
 
-    def test_vanished_thresholds_fail_cleanly(self, capsys):
-        code = main(["ber", "--M", "8", "--pattern", "102", "--demod", "bd",
-                     "--snr=-5"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "crossings" in err
+    def test_vanished_thresholds_still_give_a_ber(self, capsys):
+        # two of the four crossings of pattern 102 have vanished at -5 dB
+        code, lines = run_cli(capsys, "ber", "--M", "8", "--pattern", "102",
+                              "--demod", "bd", "--snr=-5")
+        assert code == 0
+        c, pat = make_pam(8), pattern_from_index(8, 102)
+        params = ChannelParams.from_db(-5.0)
+        want = pber_general(pat, c, bd_thresholds(pat, c, params), params)
+        assert lines[2] == f"-5,{want:.17g}"
+
+    def test_bd_labeling_curve_with_vanished_thresholds(self, capsys):
+        args = ("ber", "--M", "8", "--labeling", "ag", "--snr", "0:1:20")
+        code, bd_lines = run_cli(capsys, *args, "--demod", "bd")
+        assert code == 0
+        _, abd_lines = run_cli(capsys, *args, "--demod", "abd")
+        assert len(bd_lines) == len(abd_lines) == 2 + 21
+        for bd_row, abd_row in zip(bd_lines[2:], abd_lines[2:]):
+            snr_bd, bd = bd_row.split(",")
+            snr_abd, abd = abd_row.split(",")
+            assert snr_bd == snr_abd
+            assert float(bd) <= float(abd) * (1 + 1e-12)
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -166,6 +226,12 @@ class TestStabilityAndErrors:
                      "--y", "0"])
         assert code == 2
         assert "single --snr" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("snr", ["nan", "0:1:inf", "a:b:c", "0:1e-7:1"])
+    def test_bad_grid_is_usage_error(self, capsys, snr):
+        code = main(["ber", "--M", "4", "--pattern", "3", "--snr", snr])
+        assert code == 2
+        assert snr in capsys.readouterr().err
 
     def test_unknown_labeling_name(self, capsys):
         code = main(["ber", "--M", "8", "--labeling", "gray!", "--snr", "1"])

@@ -160,6 +160,27 @@ class TestLabeling:
         with pytest.raises(ValueError):
             Labeling(np.zeros((4, 3), dtype=np.int8))
 
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (np.zeros(4, dtype=np.int8), "must be 2-D"),
+            (np.zeros((4, 3), dtype=np.int8), "need 2\\^3 = 8 rows"),
+            ([[0, 0], [0, 1], [1, 2], [1, 0]], "entries must be 0 or 1"),
+            ([[0, 0], [0, -1], [1, 1], [1, 0]], "entries must be 0 or 1"),
+            ([[0, 0], [0, 1], [0, 1], [1, 0]], "pairwise distinct"),
+        ],
+    )
+    def test_rejections_keep_their_messages(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            Labeling(matrix)
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 16, 64, 128])
+    def test_pattern_set_reads_columns_big_endian(self, m):
+        # 64 and more points need indices beyond 64-bit integers
+        for name in ("BRGC", "NBC"):
+            lab = named_labeling(name, m)
+            assert lab.pattern_set == frozenset(p.index for p in lab.columns())
+
     def test_from_indices_column_order(self):
         lab = Labeling.from_indices(8, [105, 60, 102])
         assert [p.index for p in lab.columns()] == [105, 60, 102]

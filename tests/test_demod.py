@@ -61,6 +61,28 @@ class TestChannelParams:
             ChannelParams(snr)
 
 
+class TestNonFiniteObservations:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_every_demodulator_rejects(self, bad):
+        c = make_pam(8)
+        lab = named_labeling("BRGC", 8)
+        pat = pattern_from_index(8, 102)
+        params = ChannelParams(2.0)
+        calls = (
+            lambda y: sd_decide(y, lab, c),
+            lambda y: nearest_point_index(y, c),
+            lambda y: exact_llr(y, lab, c, params),
+            lambda y: maxlog_llr(y, lab, c, params),
+            lambda y: pattern_exact_llr(y, pat, c, params),
+            lambda y: pattern_maxlog_llr(y, pat, c, params),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="finite"):
+                call(bad)
+            with pytest.raises(ValueError, match="finite"):
+                call(np.array([0.1, bad, -0.3]))
+
+
 class TestSdDecide:
     def test_noiseless_identity(self):
         c = make_pam(4)

@@ -9,6 +9,7 @@ from pamber import (
     ChannelParams,
     SimConfig,
     bd_thresholds,
+    labeling_ber,
     labeling_ber_pam,
     make_pam,
     named_labeling,
@@ -32,6 +33,15 @@ class TestSimConfig:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             SimConfig(trials=10_000, seed=1, snr_db_grid=())
+
+    @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_snr(self, snr_db):
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(trials=10_000, seed=1, snr_db_grid=(0.0, snr_db))
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            SimConfig(trials=10_000, seed=-1, snr_db_grid=(0.0,))
 
 
 class TestDeterminism:
@@ -133,3 +143,18 @@ class TestDemodulatorAgreement:
         assert abs(est.ber - exact) <= 3 * est.stderr
         # and the midpoint rule sits measurably higher at this SNR
         assert pber_pam(pat, params) - exact > 3 * est.stderr
+
+    def test_bd_simulation_where_crossings_vanish(self):
+        # at -5 dB pattern 102 keeps two of its four crossings, and every
+        # column of AG-8 has lost some of its crossings
+        c = make_pam(8)
+        config = SimConfig(trials=400_000, seed=8, snr_db_grid=(-5.0,),
+                           demodulator="bd")
+        params = ChannelParams.from_db(-5.0)
+        pat = pattern_from_index(8, 102)
+        est = simulate(pat, c, config)[0]
+        exact = pber_general(pat, c, bd_thresholds(pat, c, params), params)
+        assert abs(est.ber - exact) <= 3 * est.stderr
+        lab = named_labeling("AG", 8)
+        est = simulate(lab, c, config)[0]
+        assert abs(est.ber - labeling_ber(lab, c, params, "bd")) <= 3 * est.stderr

@@ -7,13 +7,15 @@ import pytest
 
 from pamber import (
     ChannelParams,
-    NoSignChangeError,
     bd_thresholds,
     enumerate_classes,
     make_pam,
     midpoint_thresholds,
     pattern_exact_llr,
     pattern_from_index,
+    pber_general,
+    pber_interval_form,
+    pber_pam,
     relevance_mask,
     transition_mask,
 )
@@ -23,6 +25,7 @@ from pamber.pattern_classes import invert, iter_patterns
 D4 = math.sqrt(0.2)
 
 FIG_PATTERNS = (15, 60, 102)
+CLASS_REPS = tuple(cls.representative for cls in enumerate_classes(8))
 
 
 def scan_roots(pattern, constellation, params, lo, hi, samples=2_000_001):
@@ -43,6 +46,33 @@ def scan_roots(pattern, constellation, params, lo, hi, samples=2_000_001):
                 b = mid
         roots.append(0.5 * (a + b))
     return roots
+
+
+def reach(constellation, params):
+    """The bound T: every crossing lies within T of the outer points."""
+    gap = np.diff(constellation.points).min()
+    return math.log(constellation.size / 2) / (2 * params.snr * gap)
+
+
+def sign_region_pber(pattern, constellation, params, samples=20_001):
+    """PBER of the rule 'bit 1 where L >= 0', from a dense scan of L.
+
+    The regions come from :func:`scan_roots`, their bits from the sign of
+    L at each region's centre, and the probabilities from ``math.erfc``.
+    """
+    t = reach(constellation, params)
+    lo, hi = constellation.points[0] - t, constellation.points[-1] + t
+    edges = [lo] + scan_roots(pattern, constellation, params, lo, hi, samples) + [hi]
+    inner = [0.5 * (a + b) for a, b in zip(edges[:-1], edges[1:])]
+    bits = [int(v >= 0) for v in pattern_exact_llr(np.array(inner), pattern, constellation, params)]
+    edges[0], edges[-1] = -math.inf, math.inf
+    scale = math.sqrt(params.snr)
+    total = 0.0
+    for s, p in zip(constellation.points, pattern.bits):
+        for a, b, bit in zip(edges[:-1], edges[1:], bits):
+            if bit != p:
+                total += 0.5 * (math.erfc((a - s) * scale) - math.erfc((b - s) * scale))
+    return total / constellation.size
 
 
 class TestMidpoints:
@@ -84,10 +114,9 @@ class TestBdThresholds:
         pat = pattern_from_index(8, 15)
         for snr_db in (-10.0, 0.0, 12.0):
             thr = bd_thresholds(pat, c, ChannelParams.from_db(snr_db))
-            assert abs(thr.betas[3]) <= 1e-10
-            np.testing.assert_array_equal(
-                thr.relevant, [False, False, False, True, False, False, False]
-            )
+            assert thr.size == 1
+            assert abs(thr.betas[0]) <= 1e-10
+            np.testing.assert_array_equal(thr.bits, [0, 1])
 
     def test_matches_dense_scan_oracle(self):
         c = make_pam(8)
@@ -96,27 +125,26 @@ class TestBdThresholds:
         thr = bd_thresholds(pat, c, params)
         span = c.points[-1] - c.points[0]
         oracle = scan_roots(pat, c, params, c.points[0] - span, c.points[-1] + span)
-        got = thr.betas[thr.relevant]
-        assert len(oracle) == len(got)
-        np.testing.assert_allclose(got, oracle, atol=1e-6)
+        assert len(oracle) == thr.size
+        np.testing.assert_allclose(thr.betas, oracle, atol=1e-6)
 
     @pytest.mark.parametrize("index", FIG_PATTERNS)
     def test_high_snr_limit_is_midpoints(self, index):
         c = make_pam(8)
         pat = pattern_from_index(8, index)
         thr = bd_thresholds(pat, c, ChannelParams(1e4))
-        gap = np.abs(thr.betas - c.midpoints())[thr.relevant]
+        gap = np.abs(thr.betas - c.midpoints()[transition_mask(pat)])
         assert gap.max() <= 1e-4
 
     @pytest.mark.parametrize("index", FIG_PATTERNS)
     def test_deviation_shrinks_with_snr(self, index):
         c = make_pam(8)
         pat = pattern_from_index(8, index)
-        mids = c.midpoints()
+        mids = c.midpoints()[transition_mask(pat)]
         devs = []
         for snr_db in np.arange(0.0, 30.5, 1.0):
             thr = bd_thresholds(pat, c, ChannelParams.from_db(snr_db))
-            devs.append(np.abs(thr.betas - mids)[thr.relevant])
+            devs.append(np.abs(thr.betas - mids))
         devs = np.array(devs)
         assert np.all(np.diff(devs, axis=0) <= 1e-9)
 
@@ -126,7 +154,7 @@ class TestBdThresholds:
         pat = pattern_from_index(8, index)
         params = ChannelParams.from_db(4.0)
         thr = bd_thresholds(pat, c, params)
-        residual = pattern_exact_llr(thr.betas[thr.relevant], pat, c, params)
+        residual = pattern_exact_llr(thr.betas, pat, c, params)
         assert np.abs(residual).max() <= 1e-8
 
     @pytest.mark.parametrize("index", FIG_PATTERNS)
@@ -135,8 +163,7 @@ class TestBdThresholds:
         c = make_pam(8)
         pat = pattern_from_index(8, index)
         thr = bd_thresholds(pat, c, ChannelParams.from_db(3.0))
-        rel = thr.betas[thr.relevant]
-        np.testing.assert_allclose(rel, -rel[::-1], atol=1e-9)
+        np.testing.assert_allclose(thr.betas, -thr.betas[::-1], atol=1e-9)
 
     def test_crossing_can_leave_its_bracket(self):
         # at 0 dB the outer boundaries of this pattern sit beyond the
@@ -144,65 +171,115 @@ class TestBdThresholds:
         c = make_pam(8)
         pat = pattern_from_index(8, 102)
         thr = bd_thresholds(pat, c, ChannelParams.from_db(0.0))
-        outer = thr.betas[6]
+        assert thr.size == 4
+        outer = thr.betas[-1]
         assert outer > c.points[-1]
         assert abs(pattern_exact_llr(outer, pat, c, ChannelParams.from_db(0.0))) <= 1e-8
 
-    def test_reports_vanished_thresholds(self):
+    def test_vanished_thresholds_leave_two_crossings(self):
         # at -5 dB the exact L-value of this pattern has only two zero
-        # crossings for four bit transitions
+        # crossings for four bit transitions; the middle region decides 1
         c = make_pam(8)
         pat = pattern_from_index(8, 102)
-        with pytest.raises(NoSignChangeError, match="crossings"):
-            bd_thresholds(pat, c, ChannelParams.from_db(-5.0))
+        params = ChannelParams.from_db(-5.0)
+        thr = bd_thresholds(pat, c, params)
+        t = reach(c, params)
+        oracle = scan_roots(pat, c, params, c.points[0] - t, c.points[-1] + t)
+        assert len(oracle) == thr.size == 2
+        np.testing.assert_allclose(thr.betas, oracle, atol=1e-9)
+        np.testing.assert_array_equal(thr.bits, [0, 1, 0])
 
     def test_relevant_entries_strictly_increasing(self):
         c = make_pam(8)
         for index in FIG_PATTERNS:
             pat = pattern_from_index(8, index)
             thr = bd_thresholds(pat, c, ChannelParams.from_db(2.0))
-            rel = thr.betas[thr.relevant]
-            assert np.all(np.diff(rel) > 0)
+            assert np.all(np.diff(thr.betas) > 0)
+
+    def test_rejects_snr_below_the_resolvable_range(self):
+        c = make_pam(8)
+        pat = pattern_from_index(8, 102)
+        assert bd_thresholds(pat, c, ChannelParams.from_db(-50.0)).size == 2
+        with pytest.raises(ValueError, match="too low"):
+            bd_thresholds(pat, c, ChannelParams.from_db(-60.0))
 
 
-class TestBisection:
-    """The package's bisection repeats ``scipy.optimize.bisect`` exactly."""
+class TestRefinement:
+    """The vectorised bracket refinement on functions with known roots."""
 
-    def test_matches_scipy_on_every_8pam_class(self):
-        from scipy.optimize import bisect
+    def test_refines_many_brackets_at_once(self):
+        lo = np.array([-2.0, 0.5, 3.0])
+        hi = np.array([-0.5, 2.0, 7.0])
+        f = np.cos
+        roots = thresholds._illinois(f, lo, hi, f(lo), f(hi), 1e-10)
+        np.testing.assert_allclose(roots, [-math.pi / 2, math.pi / 2, 3 * math.pi / 2],
+                                   rtol=0, atol=1e-10)
 
+    def test_triple_root_and_far_out_bracket(self):
+        # a triple root slows Illinois to a crawl, so halving takes over;
+        # far out, the tolerance must grow with the spacing of floats
+        f = lambda y: (y - 1e9) ** 3
+        lo, hi = np.array([1e9 - 3.0]), np.array([1e9 + 5.0])
+        root = thresholds._illinois(f, lo, hi, f(lo), f(hi), 1e-10)
+        assert abs(root[0] - 1e9) <= 1e-10 + 4 * np.finfo(float).eps * 1e9
+
+    def test_exact_zero_ends_the_bracket(self):
+        f = lambda y: y - 0.25
+        root = thresholds._illinois(f, np.array([0.0]), np.array([1.0]),
+                                    np.array([-0.25]), np.array([0.75]), 1e-10)
+        assert root[0] == 0.25
+
+
+class TestSignRegions:
+    """Every 8-PAM class, across the SNRs where crossings vanish."""
+
+    @pytest.mark.parametrize("pat", CLASS_REPS, ids=lambda p: str(p.index))
+    def test_bd_never_exceeds_abd(self, pat):
+        # BD is the per-bit MAP rule, so no boundary set does better.  The
+        # general form starts from 1/2, so it resolves a PBER to a few ulps
+        # of 1/2 (1e-15) and no finer.
+        c = make_pam(8)
+        for snr_db in np.arange(-10.0, 30.25, 0.5):
+            params = ChannelParams.from_db(snr_db)
+            bd = pber_general(pat, c, bd_thresholds(pat, c, params), params)
+            assert bd <= pber_pam(pat, params) * (1 + 1e-12) + 1e-15
+
+    @pytest.mark.parametrize("pat", CLASS_REPS, ids=lambda p: str(p.index))
+    def test_crossings_obey_count_and_location_bounds(self, pat):
+        c = make_pam(8)
+        transitions = int(transition_mask(pat).sum())
+        for snr_db in np.arange(-10.0, 30.25, 0.5):
+            params = ChannelParams.from_db(snr_db)
+            thr = bd_thresholds(pat, c, params)
+            assert thr.size <= transitions
+            assert (transitions - thr.size) % 2 == 0
+            assert (thr.bits[0], thr.bits[-1]) == (pat.bits[0], pat.bits[-1])
+            assert np.all(np.abs(np.diff(thr.bits)) == 1)
+            t = reach(c, params)
+            assert np.all((thr.betas > c.points[0] - t) & (thr.betas < c.points[-1] + t))
+
+    def test_interval_form_agrees_with_telescoped_form(self):
+        c = make_pam(8)
+        for pat in CLASS_REPS:
+            for snr_db in (-5.0, 0.0, 10.0):
+                params = ChannelParams.from_db(snr_db)
+                thr = bd_thresholds(pat, c, params)
+                a = pber_general(pat, c, thr, params)
+                b = pber_interval_form(pat, c, thr, params)
+                assert abs(a - b) <= 1e-12
+
+    def test_pber_matches_dense_oracle_where_crossings_vanish(self):
         c = make_pam(8)
         compared = 0
-        for cls in enumerate_classes(8):
-            pat = cls.representative
-            relevant = np.nonzero(transition_mask(pat))[0]
-            for snr_db in np.arange(-2.0, 24.5, 4.0):
+        for pat in CLASS_REPS:
+            transitions = int(transition_mask(pat).sum())
+            for snr_db in (-10.0, -5.0, -2.0, 1.0, 4.0):
                 params = ChannelParams.from_db(snr_db)
-
-                def llr(y):
-                    return pattern_exact_llr(y, pat, c, params)
-
-                for k in relevant:
-                    grid = np.linspace(c.points[k], c.points[k + 1], 1024)
-                    for lo, hi in thresholds._crossing_brackets(grid, llr(grid)):
-                        if lo == hi:
-                            continue
-                        want = bisect(llr, lo, hi, xtol=1e-10)
-                        assert thresholds._bisect(llr, float(lo), float(hi), 1e-10) == want
-                        compared += 1
-        assert compared > 500
-
-    def test_rejects_what_scipy_rejects(self):
-        from scipy.optimize import bisect
-
-        def same_sign(y):
-            return y * y + 1.0
-
-        def nan_inside(y):
-            return math.nan if 0.4 < y < 0.6 else y - 0.5
-
-        for f in (same_sign, nan_inside):
-            with pytest.raises(ValueError):
-                bisect(f, 0.0, 1.0, xtol=1e-10)
-            with pytest.raises(ValueError):
-                thresholds._bisect(f, 0.0, 1.0, 1e-10)
+                thr = bd_thresholds(pat, c, params)
+                if thr.size == transitions:
+                    continue
+                got = pber_general(pat, c, thr, params)
+                want = sign_region_pber(pat, c, params)
+                assert got == pytest.approx(want, rel=1e-12)
+                compared += 1
+        assert compared >= 40
