@@ -8,13 +8,11 @@ bit patterns and labelings that determine the BER of equally spaced PAM.
 from .analytic import (
     ber_from_coefficients,
     high_snr_bicm_parameter,
-    interval_probs,
     labeling_ber,
     labeling_ber_pam,
     labeling_coefficients,
     pattern_coefficients,
     pber_general,
-    pber_interval_form,
     pber_pam,
     qfunc,
 )
@@ -40,10 +38,8 @@ from .demod import (
 )
 from .labeling_space import (
     LabelingClass,
-    count_distinct_ber_labelings,
     enumerate_labelings,
     labeling_census,
-    order_labelings_high_snr,
     sample_labelings,
 )
 from .montecarlo import BerEstimate, SimConfig, simulate
@@ -82,13 +78,11 @@ __all__ = [
     "ber_from_coefficients",
     "class_count_closed_form",
     "classify",
-    "count_distinct_ber_labelings",
     "distinct_a1_count",
     "enumerate_classes",
     "enumerate_labelings",
     "exact_llr",
     "high_snr_bicm_parameter",
-    "interval_probs",
     "invert",
     "iter_patterns",
     "labeling_ber",
@@ -100,14 +94,12 @@ __all__ = [
     "midpoint_thresholds",
     "named_labeling",
     "nearest_point_index",
-    "order_labelings_high_snr",
     "pam_spacing",
     "pattern_coefficients",
     "pattern_exact_llr",
     "pattern_from_index",
     "pattern_maxlog_llr",
     "pber_general",
-    "pber_interval_form",
     "pber_pam",
     "qfunc",
     "reflect",

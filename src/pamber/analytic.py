@@ -11,9 +11,10 @@ with the relevance matrix ``g[i,k] = (b_k - b_{k-1}) * (1 - 2*p_i)`` from
 :func:`pamber.thresholds.relevance_mask` and
 ``c = (1/M) * sum_i [p_i + (1 - 2*p_i) * b_0]``.  A pattern has M/2 ones,
 so ``c = 1/2`` whatever ``b_0`` is.  For midpoint boundaries ``K = M-1``
-and ``b = p``.  An equivalent form accumulates region probabilities
-against the bit-disagreement matrix ``e[i,k] = p_i XOR b_k``; both are
-implemented and agree to machine precision, which the test suite asserts.
+and ``b = p``.  :func:`pber_general` is the one evaluator for any
+boundaries.  An equivalent form accumulates region probabilities against
+the bit-disagreement matrix ``e[i,k] = p_i XOR b_k``; it lives in
+:mod:`pamber.verify` as an oracle, and the two agree to machine precision.
 
 For equally spaced unit-energy M-PAM with midpoint boundaries the PBER
 collapses to a weighted sum of Q-functions at odd multiples of the half
@@ -32,7 +33,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .constellation import BitPattern, Constellation, Labeling, pam_spacing
-from .demod import ChannelParams
+from .demod import ChannelParams, _column_matrix
 from .thresholds import (
     ThresholdSet,
     bd_thresholds,
@@ -50,29 +51,6 @@ def qfunc(x):
     return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
 
 
-def _check_pair(pattern: BitPattern, constellation: Constellation) -> None:
-    if pattern.size != constellation.size:
-        raise ValueError("pattern and constellation sizes differ")
-
-
-def interval_probs(
-    constellation: Constellation, thresholds: ThresholdSet, params: ChannelParams
-) -> np.ndarray:
-    """Conditional probabilities of landing between consecutive boundaries.
-
-    Entry (i, k) is the probability that the observation falls in the k-th
-    of the K+1 regions of the real line given that point i was sent.  Rows
-    sum to one.
-    """
-    if thresholds.bits is None and thresholds.size != constellation.size - 1:
-        raise ValueError("need M-1 midpoint thresholds for an M-point constellation")
-    scale = math.sqrt(2.0 * params.snr)
-    tails = qfunc((thresholds.betas[None, :] - constellation.points[:, None]) * scale)
-    m_points = constellation.size
-    above = np.hstack((np.ones((m_points, 1)), tails, np.zeros((m_points, 1))))
-    return above[:, :-1] - above[:, 1:]
-
-
 def pber_general(
     pattern: BitPattern,
     constellation: Constellation,
@@ -80,29 +58,12 @@ def pber_general(
     params: ChannelParams,
 ) -> float:
     """PBER of a sign demodulator with the given decision boundaries."""
-    _check_pair(pattern, constellation)
+    if pattern.size != constellation.size:
+        raise ValueError("pattern and constellation sizes differ")
     scale = math.sqrt(2.0 * params.snr)
     tails = qfunc((thresholds.betas[None, :] - constellation.points[:, None]) * scale)
     g = relevance_mask(pattern, thresholds.region_bits(pattern))
     return 0.5 + float((g * tails).sum()) / constellation.size
-
-
-def pber_interval_form(
-    pattern: BitPattern,
-    constellation: Constellation,
-    thresholds: ThresholdSet,
-    params: ChannelParams,
-) -> float:
-    """Same PBER accumulated from interval probabilities.
-
-    Independent of :func:`pber_general` apart from the shared Q-function;
-    kept as a cross-check of the telescoped form.
-    """
-    _check_pair(pattern, constellation)
-    bits = pattern.as_array()
-    disagree = bits[:, None] != thresholds.region_bits(pattern)[None, :]
-    v = interval_probs(constellation, thresholds, params)
-    return float(v[disagree].sum()) / constellation.size
 
 
 def pattern_weights(bits) -> np.ndarray:
@@ -173,30 +134,29 @@ def labeling_ber_pam(labeling: Labeling, params: ChannelParams) -> float:
 
 
 def labeling_ber(
-    labeling: Labeling,
+    target,
     constellation: Constellation,
     params: ChannelParams,
     demod: str = "abd",
 ) -> float:
-    """Average BER over the labeling's bit positions.
+    """Average BER over the bit positions of ``target``.
 
-    ``demod`` selects the decision boundaries: ``"abd"`` (or ``"sd"``,
-    which decides identically) uses midpoints; ``"bd"`` solves the exact
-    L-value boundaries at this SNR for every column pattern.
+    ``target`` is a :class:`Labeling`, or a :class:`BitPattern`, whose BER
+    is its PBER.  ``demod`` selects the decision boundaries: ``"abd"`` (or
+    ``"sd"``, which decides identically) uses midpoints; ``"bd"`` solves
+    the exact L-value boundaries at this SNR for every column pattern.
     """
-    if constellation.size != labeling.size:
-        raise ValueError("labeling and constellation sizes differ")
+    cols = _column_matrix(target, constellation)
     kind = demod.lower()
     if kind not in ("abd", "sd", "bd"):
         raise ValueError(f"demod must be one of sd, abd, bd; got {demod!r}")
+    mids = midpoint_thresholds(constellation)
     total = 0.0
-    for pat in labeling.columns():
-        if kind == "bd":
-            thr = bd_thresholds(pat, constellation, params)
-        else:
-            thr = midpoint_thresholds(constellation)
+    for bits in cols.T:
+        pat = BitPattern(tuple(bits))
+        thr = bd_thresholds(pat, constellation, params) if kind == "bd" else mids
         total += pber_general(pat, constellation, thr, params)
-    return total / labeling.n_bits
+    return total / cols.shape[1]
 
 
 def high_snr_bicm_parameter(labeling: Labeling) -> int:

@@ -22,16 +22,15 @@ import numpy as np
 
 from . import __version__, analytic, labeling_space, montecarlo, pattern_classes, verify
 from .constellation import (
+    LABELING_NAMES,
     BitPattern,
     Labeling,
     make_pam,
     named_labeling,
     pattern_from_index,
 )
-from .demod import ChannelParams, exact_llr, maxlog_llr, pattern_exact_llr, pattern_maxlog_llr
-from .thresholds import bd_thresholds, midpoint_thresholds, transition_mask
-
-_NAMES = ("brgc", "nbc", "fbc", "bsgc", "ag")
+from .demod import ChannelParams, exact_llr, maxlog_llr
+from .thresholds import bd_thresholds, transition_mask
 
 MAX_GRID_POINTS = 1_000_000
 
@@ -87,7 +86,7 @@ def parse_pattern(text: str, m_points: int) -> BitPattern:
 def parse_labeling(text: str, m_points: int) -> Labeling:
     """Labeling name or comma-separated pattern indices."""
     text = text.strip()
-    if text.lower() in _NAMES:
+    if text.upper() in LABELING_NAMES:
         return named_labeling(text, m_points)
     indices = [int(p) for p in text.split(",")]
     return Labeling.from_indices(m_points, indices)
@@ -120,26 +119,21 @@ def _emit(args, header: list[str], rows) -> None:
             fh.write(",".join(row) + "\n")
 
 
+def _read_target(args) -> BitPattern | Labeling:
+    if args.labeling is not None:
+        return parse_labeling(args.labeling, args.M)
+    return parse_pattern(args.pattern, args.M)
+
+
 def _cmd_ber(args) -> int:
     grid = parse_grid(args.snr)
     constellation = make_pam(args.M)
+    target = _read_target(args)
     rows = []
-    if args.labeling is not None:
-        target = parse_labeling(args.labeling, args.M)
-        for snr_db in grid:
-            params = ChannelParams.from_db(snr_db)
-            value = analytic.labeling_ber(target, constellation, params, args.demod)
-            rows.append((_fmt(snr_db), _fmt(value)))
-    else:
-        pattern = parse_pattern(args.pattern, args.M)
-        for snr_db in grid:
-            params = ChannelParams.from_db(snr_db)
-            if args.demod == "bd":
-                thr = bd_thresholds(pattern, constellation, params)
-            else:
-                thr = midpoint_thresholds(constellation)
-            value = analytic.pber_general(pattern, constellation, thr, params)
-            rows.append((_fmt(snr_db), _fmt(value)))
+    for snr_db in grid:
+        params = ChannelParams.from_db(snr_db)
+        value = analytic.labeling_ber(target, constellation, params, args.demod)
+        rows.append((_fmt(snr_db), _fmt(value)))
     _emit(args, ["snr_db", "ber"], rows)
     return 0
 
@@ -152,29 +146,18 @@ def _cmd_llr(args) -> int:
     params = ChannelParams.from_db(float(grid[0]))
     constellation = make_pam(args.M)
     y = parse_grid(args.y)
-    rows = []
+    target = _read_target(args)
+    exact = exact_llr(y, target, constellation, params)
+    approx = maxlog_llr(y, target, constellation, params)
     if args.labeling is not None:
-        target = parse_labeling(args.labeling, args.M)
-        exact = exact_llr(y, target, constellation, params)
-        approx = maxlog_llr(y, target, constellation, params)
-        header = (
-            ["y"]
-            + [f"exact_{j + 1}" for j in range(target.n_bits)]
-            + [f"maxlog_{j + 1}" for j in range(target.n_bits)]
-        )
-        for i, yv in enumerate(y):
-            rows.append(
-                (_fmt(yv),)
-                + tuple(_fmt(v) for v in exact[i])
-                + tuple(_fmt(v) for v in approx[i])
-            )
+        bits = range(1, exact.shape[-1] + 1)
+        header = ["y"] + [f"exact_{j}" for j in bits] + [f"maxlog_{j}" for j in bits]
     else:
-        pattern = parse_pattern(args.pattern, args.M)
-        exact = pattern_exact_llr(y, pattern, constellation, params)
-        approx = pattern_maxlog_llr(y, pattern, constellation, params)
         header = ["y", "exact", "maxlog"]
-        for yv, e, a in zip(y, exact, approx):
-            rows.append((_fmt(yv), _fmt(e), _fmt(a)))
+    rows = [
+        (_fmt(yv),) + tuple(_fmt(v) for v in exact[i]) + tuple(_fmt(v) for v in approx[i])
+        for i, yv in enumerate(y)
+    ]
     _emit(args, header, rows)
     return 0
 
@@ -213,13 +196,13 @@ def _cmd_classes(args) -> int:
 def _cmd_labelings(args) -> int:
     census = labeling_space.labeling_census(args.M)
     named = {}
-    for name in _NAMES:
+    for name in LABELING_NAMES:
         try:
             lab = named_labeling(name, args.M)
         except ValueError:
             continue
         alpha = tuple(int(x) for x in analytic.labeling_coefficients(lab))
-        named.setdefault(alpha, name.upper())
+        named.setdefault(alpha, name)
     rows = []
     for rank, cls in enumerate(census, start=1):
         rows.append(
@@ -238,10 +221,7 @@ def _cmd_labelings(args) -> int:
 def _cmd_simulate(args) -> int:
     grid = parse_grid(args.snr)
     constellation = make_pam(args.M)
-    if args.labeling is not None:
-        target = parse_labeling(args.labeling, args.M)
-    else:
-        target = parse_pattern(args.pattern, args.M)
+    target = _read_target(args)
     config = montecarlo.SimConfig(
         trials=args.trials,
         seed=args.seed,

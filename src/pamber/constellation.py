@@ -19,15 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-EQUALLY_SPACED_PAM = "equally-spaced-pam"
-ARBITRARY = "arbitrary"
-
-#: Named labelings with a generic construction, see :func:`named_labeling`.
-CONSTRUCTIVE_LABELINGS = ("BRGC", "NBC")
+#: Every name :func:`named_labeling` knows, in the order ``pamber labelings``
+#: tries them: the first name whose weight vector matches a class labels it.
+LABELING_NAMES = ("BRGC", "NBC", "FBC", "BSGC", "AG")
 
 # Pattern-index sets for named labelings that are only defined here for
 # specific sizes (column order is the conventional one).
@@ -51,15 +49,13 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Constellation:
-    """Ordered real amplitudes with unit-average-energy scaling metadata.
+    """Ordered real amplitudes.
 
     Attributes:
         points: strictly increasing float64 array of the M amplitudes.
-        spacing: ``EQUALLY_SPACED_PAM`` or ``ARBITRARY``.
     """
 
     points: np.ndarray
-    spacing: str = ARBITRARY
 
     def __post_init__(self) -> None:
         pts = _readonly(np.array(self.points, dtype=float))
@@ -70,14 +66,6 @@ class Constellation:
             raise ValueError(f"number of points must be even, got {pts.size}")
         if not np.all(np.diff(pts) > 0):
             raise ValueError("points must be strictly increasing")
-        if self.spacing not in (EQUALLY_SPACED_PAM, ARBITRARY):
-            raise ValueError(f"unknown spacing kind {self.spacing!r}")
-        if self.spacing == EQUALLY_SPACED_PAM:
-            energy = float(np.mean(pts**2))
-            if abs(energy - 1.0) > 1e-12:
-                raise ValueError(
-                    f"equally spaced PAM must have unit mean energy, got {energy!r}"
-                )
 
     @property
     def size(self) -> int:
@@ -106,7 +94,7 @@ def make_pam(m_points: int) -> Constellation:
         raise ValueError(f"M must be an even integer >= 2, got {m_points}")
     d = pam_spacing(m_points)
     pts = np.array([-d * (m_points - 2 * i + 1) for i in range(1, m_points + 1)])
-    return Constellation(points=pts, spacing=EQUALLY_SPACED_PAM)
+    return Constellation(points=pts)
 
 
 @dataclass(frozen=True)
@@ -214,14 +202,6 @@ class Labeling:
         """Label bits of point ``point_index`` (0-based)."""
         return tuple(int(b) for b in self.matrix[point_index])
 
-    def point_of(self, label: Sequence[int]) -> int:
-        """Inverse map: 0-based index of the point carrying ``label``."""
-        target = tuple(int(b) for b in label)
-        for i in range(self.size):
-            if self.label_of(i) == target:
-                return i
-        raise KeyError(f"label {target} not in labeling")
-
     @classmethod
     def from_patterns(cls, patterns: Iterable[BitPattern]) -> "Labeling":
         """Stack patterns as columns, in the order given."""
@@ -272,8 +252,7 @@ def named_labeling(name: str, m_points: int) -> Labeling:
     try:
         indices = _FIXED_LABELINGS[(key, m_points)]
     except KeyError:
-        known = {k for k, _ in _FIXED_LABELINGS} | set(CONSTRUCTIVE_LABELINGS)
-        if key not in known:
+        if key not in LABELING_NAMES:
             raise ValueError(f"unknown labeling name {name!r}") from None
         raise ValueError(f"labeling {key} is not defined for M={m_points}") from None
     return Labeling.from_indices(m_points, indices)

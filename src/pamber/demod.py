@@ -14,6 +14,10 @@ Tie rules: the SD resolves an exact midpoint toward the lower-indexed
 point; sign decisions map an exact zero L-value to bit 1.  The two rules
 can disagree only on that measure-zero set.
 
+The demodulators act on a *target*: a :class:`Labeling`, or a
+:class:`BitPattern` as one column.  One per-bit loop gives every L-value;
+the ``pattern_*`` functions read its column 0.
+
 All functions broadcast over ``y``; scalars in, scalars out.  They
 reject a non-finite ``y`` with a ValueError.
 """
@@ -77,19 +81,27 @@ def nearest_point_index(y, constellation: Constellation) -> np.ndarray:
     return np.searchsorted(constellation.midpoints(), y, side="left")
 
 
-def sd_decide(y, labeling: Labeling, constellation: Constellation) -> np.ndarray:
-    """Hard symbol decision: label of the nearest point, shape ``y.shape + (m,)``."""
-    if constellation.size != labeling.size:
-        raise ValueError("labeling and constellation sizes differ")
-    idx = nearest_point_index(y, constellation)
-    return labeling.matrix[idx]
+def _column_matrix(target, constellation: Constellation) -> np.ndarray:
+    """Bit columns of a target: a labeling's matrix, or a pattern as one column."""
+    if isinstance(target, Labeling):
+        cols = target.matrix
+    elif isinstance(target, BitPattern):
+        cols = target.as_array()[:, None]
+    else:
+        raise TypeError(f"target must be a Labeling or BitPattern, got {type(target)!r}")
+    if cols.shape[0] != constellation.size:
+        raise ValueError("target and constellation sizes differ")
+    return cols
 
 
-def _split_squared_distances(y, bits: np.ndarray, points: np.ndarray):
-    y = _observations(y)
-    sq = (y[..., None] - points) ** 2
-    ones = np.asarray(bits, dtype=bool)
-    return sq[..., ones], sq[..., ~ones]
+def sd_decide(y, target, constellation: Constellation) -> np.ndarray:
+    """Hard symbol decision: label of the nearest point, shape ``y.shape + (m,)``.
+
+    ``target`` is a :class:`Labeling`, or a :class:`BitPattern` read as a
+    one-column labeling.
+    """
+    cols = _column_matrix(target, constellation)
+    return cols[nearest_point_index(y, constellation)]
 
 
 def _maxlog_from_splits(sq_one, sq_zero, snr: float):
@@ -112,62 +124,62 @@ def _exact_from_splits(sq_one, sq_zero, snr: float):
     return snr * (m0 - m1) + (c1 - c0)
 
 
-def _as_input_shape(out: np.ndarray, y):
-    if np.ndim(y) == 0:
-        return float(out)
-    return out
-
-
-def pattern_exact_llr(
-    y, pattern: BitPattern, constellation: Constellation, params: ChannelParams
-):
-    """Exact L-value of the single bit governed by ``pattern``.
-
-    Equals ``log(sum_1 exp(-snr*(y-x)^2) / sum_0 exp(-snr*(y-x)^2))`` with
-    the sums running over the points labeled 1 and 0 by the pattern.
-    """
-    if pattern.size != constellation.size:
-        raise ValueError("pattern and constellation sizes differ")
-    sq1, sq0 = _split_squared_distances(y, pattern.as_array(), constellation.points)
-    return _as_input_shape(_exact_from_splits(sq1, sq0, params.snr), y)
-
-
-def pattern_maxlog_llr(
-    y, pattern: BitPattern, constellation: Constellation, params: ChannelParams
-):
-    """Max-log L-value: ``snr * (min_0 (y-x)^2 - min_1 (y-x)^2)``."""
-    if pattern.size != constellation.size:
-        raise ValueError("pattern and constellation sizes differ")
-    sq1, sq0 = _split_squared_distances(y, pattern.as_array(), constellation.points)
-    return _as_input_shape(_maxlog_from_splits(sq1, sq0, params.snr), y)
-
-
-def _stack_per_bit(y, labeling, constellation, params, kernel) -> np.ndarray:
-    if constellation.size != labeling.size:
-        raise ValueError("labeling and constellation sizes differ")
+def _per_bit(y, target, constellation, params, kernel) -> np.ndarray:
+    cols = _column_matrix(target, constellation)
     y_arr = _observations(y)
     sq = (y_arr[..., None] - constellation.points) ** 2
-    out = np.empty(y_arr.shape + (labeling.n_bits,))
-    for j in range(labeling.n_bits):
-        ones = labeling.matrix[:, j].astype(bool)
+    out = np.empty(y_arr.shape + (cols.shape[1],))
+    for j in range(cols.shape[1]):
+        ones = cols[:, j].astype(bool)
         out[..., j] = kernel(sq[..., ones], sq[..., ~ones], params.snr)
     return out
 
 
 def exact_llr(
-    y, labeling: Labeling, constellation: Constellation, params: ChannelParams
+    y, target, constellation: Constellation, params: ChannelParams
 ) -> np.ndarray:
-    """Exact L-values for all m bit positions, shape ``y.shape + (m,)``."""
-    return _stack_per_bit(y, labeling, constellation, params, _exact_from_splits)
+    """Exact L-values for all m bit positions, shape ``y.shape + (m,)``.
+
+    Column j equals ``log(sum_1 exp(-snr*(y-x)^2) / sum_0 exp(-snr*(y-x)^2))``
+    with the sums running over the points whose bit j is 1 and 0.  A
+    :class:`BitPattern` target gives one column.
+    """
+    return _per_bit(y, target, constellation, params, _exact_from_splits)
 
 
 def maxlog_llr(
-    y, labeling: Labeling, constellation: Constellation, params: ChannelParams
+    y, target, constellation: Constellation, params: ChannelParams
 ) -> np.ndarray:
-    """Max-log L-values for all m bit positions, shape ``y.shape + (m,)``."""
-    return _stack_per_bit(y, labeling, constellation, params, _maxlog_from_splits)
+    """Max-log L-values, shape ``y.shape + (m,)``.
+
+    Column j equals ``snr * (min_0 (y-x)^2 - min_1 (y-x)^2)``.
+    """
+    return _per_bit(y, target, constellation, params, _maxlog_from_splits)
+
+
+def _pattern_llr(llr, y, pattern, constellation, params):
+    # Column 0 of the one per-bit loop, shaped like y.  Without the type
+    # check a labeling would pass and yield its first bit's L-value.
+    if not isinstance(pattern, BitPattern):
+        raise TypeError(f"pattern must be a BitPattern, got {type(pattern)!r}")
+    out = llr(y, pattern, constellation, params)[..., 0]
+    return float(out) if np.ndim(y) == 0 else out
+
+
+def pattern_exact_llr(
+    y, pattern: BitPattern, constellation: Constellation, params: ChannelParams
+):
+    """Exact L-value of the single bit governed by ``pattern``."""
+    return _pattern_llr(exact_llr, y, pattern, constellation, params)
+
+
+def pattern_maxlog_llr(
+    y, pattern: BitPattern, constellation: Constellation, params: ChannelParams
+):
+    """Max-log L-value of the single bit governed by ``pattern``."""
+    return _pattern_llr(maxlog_llr, y, pattern, constellation, params)
 
 
 def abd_decide(llr) -> np.ndarray:
     """Sign decision on L-values: bit 1 when the L-value is >= 0."""
-    return np.where(np.asarray(llr) >= 0, 1, 0).astype(np.int8)
+    return np.asarray(np.asarray(llr) >= 0, dtype=np.int8)

@@ -118,17 +118,3 @@ def labeling_census(m_points: int) -> list[LabelingClass]:
         )
         for alpha, i, count in zip(unique.tolist(), first, population)
     ]
-
-
-def order_labelings_high_snr(classes: list[LabelingClass]) -> list[LabelingClass]:
-    """Ascending lexicographic order of weight vectors.
-
-    The leading weight dominates at high SNR; ties fall through to the
-    next weight, and so on.
-    """
-    return sorted(classes, key=lambda c: c.alpha)
-
-
-def count_distinct_ber_labelings(m_points: int) -> int:
-    """Number of labelings with pairwise different BER curves."""
-    return len(labeling_census(m_points))

@@ -5,7 +5,9 @@ root seed (``numpy.random.SeedSequence(seed).spawn``), so runs are
 reproducible for a fixed seed and numpy version regardless of how many
 grid points are simulated, and per-point streams never overlap.
 Gaussian samples come from ``Generator.standard_normal`` (PCG64 +
-ziggurat); symbols are drawn equiprobably.
+ziggurat); symbols are drawn equiprobably.  Each chunk of observations is
+decided by the public demodulators of :mod:`pamber.demod`: ``sd_decide``,
+or ``abd_decide`` on ``maxlog_llr`` (ABD) or ``exact_llr`` (BD).
 """
 
 from __future__ import annotations
@@ -15,8 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constellation import BitPattern, Constellation, Labeling
-from .demod import ChannelParams, _exact_from_splits, _maxlog_from_splits
+from .constellation import Constellation
+from .demod import (
+    ChannelParams,
+    _column_matrix,
+    abd_decide,
+    exact_llr,
+    maxlog_llr,
+    sd_decide,
+)
 
 _CHUNK = 1 << 18
 
@@ -59,27 +68,6 @@ class BerEstimate:
     per_bit: tuple[float, ...] = field(default=())
 
 
-def _column_matrix(target) -> np.ndarray:
-    if isinstance(target, Labeling):
-        return np.asarray(target.matrix)
-    if isinstance(target, BitPattern):
-        return target.as_array()[:, None]
-    raise TypeError(f"target must be a Labeling or BitPattern, got {type(target)!r}")
-
-
-def _decide(y: np.ndarray, cols: np.ndarray, points: np.ndarray,
-            mids: np.ndarray, snr: float, demod: str) -> np.ndarray:
-    if demod == "sd":
-        return cols[np.searchsorted(mids, y, side="left")]
-    kernel = _exact_from_splits if demod == "bd" else _maxlog_from_splits
-    sq = (y[:, None] - points[None, :]) ** 2
-    out = np.empty((y.size, cols.shape[1]), dtype=np.int8)
-    for j in range(cols.shape[1]):
-        ones = cols[:, j].astype(bool)
-        out[:, j] = kernel(sq[:, ones], sq[:, ~ones], snr) >= 0
-    return out
-
-
 def simulate(
     target, constellation: Constellation, config: SimConfig
 ) -> list[BerEstimate]:
@@ -88,11 +76,8 @@ def simulate(
     Returns one estimate per grid point, in grid order.  Identical
     (target, constellation, config) inputs reproduce identical estimates.
     """
-    cols = _column_matrix(target)
-    if cols.shape[0] != constellation.size:
-        raise ValueError("target and constellation sizes differ")
+    cols = _column_matrix(target, constellation)
     points = constellation.points
-    mids = constellation.midpoints()
     n_bits = cols.shape[1]
     children = np.random.SeedSequence(config.seed).spawn(len(config.snr_db_grid))
     out = []
@@ -105,7 +90,11 @@ def simulate(
             n = min(_CHUNK, config.trials - done)
             sent = rng.integers(0, constellation.size, n)
             y = points[sent] + params.noise_std * rng.standard_normal(n)
-            decided = _decide(y, cols, points, mids, params.snr, config.demodulator)
+            if config.demodulator == "sd":
+                decided = sd_decide(y, target, constellation)
+            else:
+                llr = exact_llr if config.demodulator == "bd" else maxlog_llr
+                decided = abd_decide(llr(y, target, constellation, params))
             errors_per_bit += (decided != cols[sent]).sum(axis=0)
             done += n
         bits_sent = config.trials * n_bits

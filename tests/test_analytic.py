@@ -12,7 +12,6 @@ from pamber import (
     abd_decide,
     ber_from_coefficients,
     high_snr_bicm_parameter,
-    interval_probs,
     labeling_ber,
     labeling_ber_pam,
     labeling_coefficients,
@@ -25,7 +24,6 @@ from pamber import (
     pattern_exact_llr,
     pattern_from_index,
     pber_general,
-    pber_interval_form,
     pber_pam,
     qfunc,
     sd_decide,
@@ -33,6 +31,7 @@ from pamber import (
 from pamber.analytic import pattern_weights
 from pamber.pattern_classes import invert, iter_patterns, pattern_indices, reflect
 from pamber.thresholds import bd_thresholds
+from pamber.verify import interval_probs, pber_interval_form
 
 
 def gauss_tail(x):
@@ -283,6 +282,12 @@ class TestLabelingBer:
         assert labeling_ber(lab, c, params, "sd") == labeling_ber(
             lab, c, params, "abd"
         )
+        # a single pattern is a one-column target: its BER is its PBER
+        pat = pattern_from_index(8, 102)
+        mids = midpoint_thresholds(c)
+        for demod, thr in (("sd", mids), ("abd", mids),
+                           ("bd", bd_thresholds(pat, c, params))):
+            assert labeling_ber(pat, c, params, demod) == pber_general(pat, c, thr, params)
 
     def test_exact_boundaries_stay_close_above_zero_db(self):
         c = make_pam(8)
@@ -377,8 +382,6 @@ class TestArbitraryConstellation:
             Constellation(points=[0.0, -1.0, 1.0, 2.0])
         with pytest.raises(ValueError, match="even"):
             Constellation(points=[-1.0, 0.0, 1.0])
-        with pytest.raises(ValueError, match="unit mean energy"):
-            Constellation(points=[-2.0, -1.0, 1.0, 2.0], spacing="equally-spaced-pam")
 
 
 class TestBerFromCoefficients:

@@ -146,11 +146,6 @@ class TestLabeling:
         assert lab.label_of(1) == (0, 1)
         assert lab.label_of(3) == (1, 0)
 
-    def test_point_of_inverts_label_of(self):
-        lab = named_labeling("NBC", 8)
-        for i in range(8):
-            assert lab.point_of(lab.label_of(i)) == i
-
     def test_rejects_complementary_columns(self):
         # columns 3 and 12 are complements; rows repeat
         with pytest.raises(ValueError, match="distinct"):

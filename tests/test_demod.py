@@ -81,6 +81,20 @@ class TestNonFiniteObservations:
                 call(bad)
             with pytest.raises(ValueError, match="finite"):
                 call(np.array([0.1, bad, -0.3]))
+        # a target of the wrong size or type is rejected before y is read
+        for target, error in ((named_labeling("BRGC", 4), ValueError),
+                              (pattern_from_index(4, 5), ValueError),
+                              (lab.matrix, TypeError),
+                              (102, TypeError)):
+            for call in (lambda: sd_decide(bad, target, c),
+                         lambda: exact_llr(bad, target, c, params),
+                         lambda: maxlog_llr(bad, target, c, params)):
+                with pytest.raises(error, match="target"):
+                    call()
+        # the single-pattern functions take a pattern, not a labeling
+        for call in (pattern_exact_llr, pattern_maxlog_llr):
+            with pytest.raises(TypeError, match="BitPattern"):
+                call(0.1, lab, c, params)
 
 
 class TestSdDecide:
@@ -129,6 +143,16 @@ class TestExactLlr:
         np.testing.assert_allclose(
             got, [0.7216877203916647, 1.3415057547523557], rtol=1e-13
         )
+        # the single-pattern L-value is column j of the labeling's, bit for bit
+        c8 = make_pam(8)
+        y = np.linspace(-2.0, 2.0, 161)
+        for name in ("AG", "BRGC"):
+            lab = named_labeling(name, 8)
+            cols = exact_llr(y, lab, c8, params)
+            at = exact_llr(0.3, lab, c8, params)
+            for j, pat in enumerate(lab.columns()):
+                assert (pattern_exact_llr(y, pat, c8, params) == cols[:, j]).all()
+                assert pattern_exact_llr(0.3, pat, c8, params) == at[j]
 
     def test_sign_far_beyond_top_point(self):
         c = make_pam(8)
@@ -197,6 +221,16 @@ class TestMaxlogLlr:
         got = pattern_maxlog_llr(0.5, pat, c, ChannelParams(1.0))
         assert got == pytest.approx(naive_maxlog_llr(0.5, pat, c, 1.0), rel=1e-14)
         assert got == pytest.approx(0.325468981432777, rel=1e-12)
+        # the single-pattern L-value is column j of the labeling's, bit for bit
+        y = np.linspace(-2.0, 2.0, 161)
+        params = ChannelParams(1.0)
+        for name in ("AG", "BRGC"):
+            lab = named_labeling(name, 8)
+            cols = maxlog_llr(y, lab, c, params)
+            at = maxlog_llr(0.5, lab, c, params)
+            for j, col in enumerate(lab.columns()):
+                assert (pattern_maxlog_llr(y, col, c, params) == cols[:, j]).all()
+                assert pattern_maxlog_llr(0.5, col, c, params) == at[j]
 
     def test_converges_to_exact_llr(self):
         # away from every pairwise midpoint the max-log error shrinks like

@@ -14,13 +14,13 @@ from pamber import (
     pattern_exact_llr,
     pattern_from_index,
     pber_general,
-    pber_interval_form,
     pber_pam,
     relevance_mask,
     transition_mask,
 )
 from pamber import thresholds
 from pamber.pattern_classes import invert, iter_patterns
+from pamber.verify import pber_interval_form
 
 D4 = math.sqrt(0.2)
 
