@@ -19,6 +19,7 @@ import sys
 from contextlib import contextmanager
 
 import numpy as np
+import scipy
 
 from . import __version__, analytic, labeling_space, montecarlo, pattern_classes, verify
 from .constellation import (
@@ -84,11 +85,22 @@ def parse_pattern(text: str, m_points: int) -> BitPattern:
 
 
 def parse_labeling(text: str, m_points: int) -> Labeling:
-    """Labeling name or comma-separated pattern indices."""
+    """Labeling name or comma-separated pattern indices.
+
+    Raises:
+        argparse.ArgumentTypeError: if ``text`` is neither a name in
+            ``LABELING_NAMES`` nor comma-separated integers.
+    """
     text = text.strip()
     if text.upper() in LABELING_NAMES:
         return named_labeling(text, m_points)
-    indices = [int(p) for p in text.split(",")]
+    try:
+        indices = [int(p) for p in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"unknown labeling {text!r}: expected one of "
+            f"{', '.join(LABELING_NAMES)} or comma-separated pattern indices"
+        ) from None
     return Labeling.from_indices(m_points, indices)
 
 
@@ -102,13 +114,19 @@ def _open_out(path: str | None):
 
 
 def _provenance(args: argparse.Namespace) -> str:
+    """The subcommand, its parameters, and the versions the output depends on.
+
+    Seeded Monte-Carlo streams and the last bits of L-values can change
+    with the numpy release, so the header names it with pamber and scipy.
+    """
     skip = {"func", "out", "command"}
-    fields = " ".join(
+    fields = [
         f"{key}={value}"
         for key, value in sorted(vars(args).items())
         if key not in skip and value is not None
-    )
-    return f"# pamber {args.command} {fields}".rstrip()
+    ]
+    fields += [f"pamber={__version__}", f"numpy={np.__version__}", f"scipy={scipy.__version__}"]
+    return f"# pamber {args.command} {' '.join(fields)}"
 
 
 def _emit(args, header: list[str], rows) -> None:

@@ -15,15 +15,37 @@ point; sign decisions map an exact zero L-value to bit 1.  The two rules
 can disagree only on that measure-zero set.
 
 The demodulators act on a *target*: a :class:`Labeling`, or a
-:class:`BitPattern` as one column.  One per-bit loop gives every L-value;
-the ``pattern_*`` functions read its column 0.
+:class:`BitPattern` as one column.  One kernel loop, ``_per_bit``, gives
+every L-value; the ``pattern_*`` functions read its column 0.
+
+The L-value kernels are point-major.  For a block of samples they hold
+one row of squared distances ``(y - x)**2`` per point ``x`` and gather,
+for every bit at once, the rows of the points whose bit is 0 and those
+whose bit is 1.  A subset minimum is an elementwise minimum over its
+rows.  The exact L-value needs each subset's terms in ascending order, so
+that its sum is fixed and mirror-symmetric subsets give an exactly
+antisymmetric L-value (zero at the symmetry centre).  Over ascending
+points the squared distances fall and then rise, rounding included, so
+each subset's rows form a bitonic sequence, and a bitonic merger (a
+network of elementwise minima and maxima) sorts it value for value.  The
+terms ``exp(-snr*(d - d_min))`` are then added left to right, smallest
+distance first.  Every sample gets the same value whatever the size and
+shape of ``y``.
 
 All functions broadcast over ``y``; scalars in, scalars out.  They
-reject a non-finite ``y`` with a ValueError.
+reject a non-finite ``y`` with a ValueError.  The L-value functions
+also reject a ``y`` far enough out that rounding hides the differences
+between squared distances: an L-value compares squared distances of
+neighbouring points, which differ by about ``2*dmin*|y - x|``, while each
+is rounded by up to about ``1.5*eps*(y - x)**2``.  They therefore require
+``|y| + max|x| <= dmin / (8*eps)``, with ``dmin`` the smallest gap between
+points and ``eps`` the float64 machine epsilon: about 2.5e14 for
+unit-energy 8-PAM, 3e13 for 64-PAM.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -104,35 +126,102 @@ def sd_decide(y, target, constellation: Constellation) -> np.ndarray:
     return cols[nearest_point_index(y, constellation)]
 
 
-def _maxlog_from_splits(sq_one, sq_zero, snr: float):
-    return snr * (sq_zero.min(axis=-1) - sq_one.min(axis=-1))
+# Samples times bit columns times points per block of the L-value
+# kernels: the block's gathered rows of squared distances, 1 MB, stay in a
+# core's 2 MB cache through the kernel's dozens of passes over them.
+_BLOCK = 1 << 17
+_EPS = float(np.finfo(float).eps)
 
 
-def _exact_from_splits(sq_one, sq_zero, snr: float):
+def _llr_observations(y, constellation: Constellation) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    peak = float(np.abs(y).max(initial=0.0))
+    if not math.isfinite(peak):
+        raise ValueError("observations y must be finite")
+    points = constellation.points
+    limit = float((points[1:] - points[:-1]).min()) / (8 * _EPS)
+    if peak + max(-points[0], points[-1]) > limit:
+        raise ValueError(
+            f"|y| = {peak:g} is too large for L-values on this constellation: "
+            f"need |y| + max|x| <= dmin/(8*eps) = {limit:g}"
+        )
+    return y
+
+
+@functools.lru_cache(maxsize=None)
+def _bitonic_merger(size: int) -> tuple[tuple[int, int], ...]:
+    """Comparators ``(i, j)``, i < j, that sort any bitonic sequence of ``size``.
+
+    The merger of the next power of two, less every comparator that
+    touches a position past ``size``: those positions would hold +inf,
+    which a comparator leaves where it is.
+    """
+    width = 1 << (size - 1).bit_length()
+    pairs = []
+    half = width // 2
+    while half:
+        pairs.extend(
+            (i, i + half) for i in range(width) if not i & half and i + half < size
+        )
+        half //= 2
+    return tuple(pairs)
+
+
+# The kernels take rows[i, j, b]: the squared distances to the i-th lowest
+# point whose bit j is b, shape (M/2, m, 2, samples).  They may overwrite
+# rows, and write the (m, samples) L-values to out.
+
+
+def _maxlog_from_rows(rows, snr: float, out) -> None:
+    mins = np.minimum.reduce(rows, axis=0)
+    np.subtract(mins[:, 0], mins[:, 1], out=out)
+    out *= snr
+
+
+def _exact_from_rows(rows, snr: float, out) -> None:
     # Max-log term plus log-domain corrections.  Extracting the subset
     # minimum first keeps every exponent <= 0, so nothing overflows no
     # matter how large snr*(y-x)^2 gets; far-away terms underflow to 0.
-    # Sorting fixes the summation order, so mirror-symmetric subsets give
-    # an exactly antisymmetric L-value (zero at the symmetry center).
-    s1 = np.sort(sq_one, axis=-1)
-    s0 = np.sort(sq_zero, axis=-1)
-    m1 = s1[..., 0]
-    m0 = s0[..., 0]
-    c1 = np.log(np.exp(-snr * (s1 - m1[..., None])).sum(axis=-1))
-    c0 = np.log(np.exp(-snr * (s0 - m0[..., None])).sum(axis=-1))
+    shape = rows.shape[1:]
+    rows = list(rows.reshape(len(rows), -1))  # flat rows take numpy's fastest loops
+    spare = np.empty_like(rows[0])
+    for i, j in _bitonic_merger(len(rows)):
+        low, high = rows[i], rows[j]
+        np.minimum(low, high, out=spare)
+        np.maximum(low, high, out=high)
+        rows[i], spare = spare, low
+    nearest = rows[0]
+    corr = spare  # no longer a row
+    corr.fill(1.0)  # the nearest point's term, exp(-0.0)
+    for term in rows[1:]:
+        np.subtract(term, nearest, out=term)
+        np.multiply(term, -snr, out=term)
+        np.exp(term, out=term)
+        corr += term
+    np.log(corr, out=corr)
+    nearest, corr = nearest.reshape(shape), corr.reshape(shape)
     # grouped so that swapping the subsets negates the result exactly
-    return snr * (m0 - m1) + (c1 - c0)
+    np.subtract(nearest[:, 0], nearest[:, 1], out=out)
+    out *= snr
+    out += corr[:, 1] - corr[:, 0]
 
 
 def _per_bit(y, target, constellation, params, kernel) -> np.ndarray:
     cols = _column_matrix(target, constellation)
-    y_arr = _observations(y)
-    sq = (y_arr[..., None] - constellation.points) ** 2
-    out = np.empty(y_arr.shape + (cols.shape[1],))
-    for j in range(cols.shape[1]):
-        ones = cols[:, j].astype(bool)
-        out[..., j] = kernel(sq[..., ones], sq[..., ~ones], params.snr)
-    return out
+    y_arr = _llr_observations(y, constellation)
+    n_bits = cols.shape[1]
+    # subsets[i, j, b]: the i-th lowest point whose bit j is b.  Every
+    # column holds M/2 ones, so a stable sort splits it in two halves.
+    halves = cols.T.argsort(axis=1, kind="stable").reshape(n_bits, 2, -1)
+    subsets = halves.transpose(2, 0, 1)
+    samples = y_arr.reshape(-1)
+    points = constellation.points[:, None]
+    out = np.empty((n_bits, samples.size))
+    step = max(1, _BLOCK // cols.size)
+    for lo in range(0, samples.size, step):
+        sq = np.square(samples[lo : lo + step] - points)
+        kernel(sq[subsets], params.snr, out[:, lo : lo + step])
+    return out.reshape((n_bits,) + y_arr.shape).transpose(*range(1, y_arr.ndim + 1), 0)
 
 
 def exact_llr(
@@ -142,9 +231,14 @@ def exact_llr(
 
     Column j equals ``log(sum_1 exp(-snr*(y-x)^2) / sum_0 exp(-snr*(y-x)^2))``
     with the sums running over the points whose bit j is 1 and 0.  A
-    :class:`BitPattern` target gives one column.
+    :class:`BitPattern` target gives one column.  The array is a view of
+    a bit-major ``(m,) + y.shape`` array, so each column is contiguous.
+
+    Raises:
+        ValueError: if ``y`` is not finite or ``|y| + max|x|`` exceeds
+            ``dmin/(8*eps)`` (see the module docstring).
     """
-    return _per_bit(y, target, constellation, params, _exact_from_splits)
+    return _per_bit(y, target, constellation, params, _exact_from_rows)
 
 
 def maxlog_llr(
@@ -152,9 +246,10 @@ def maxlog_llr(
 ) -> np.ndarray:
     """Max-log L-values, shape ``y.shape + (m,)``.
 
-    Column j equals ``snr * (min_0 (y-x)^2 - min_1 (y-x)^2)``.
+    Column j equals ``snr * (min_0 (y-x)^2 - min_1 (y-x)^2)``.  Layout and
+    input bound as for :func:`exact_llr`.
     """
-    return _per_bit(y, target, constellation, params, _maxlog_from_splits)
+    return _per_bit(y, target, constellation, params, _maxlog_from_rows)
 
 
 def _pattern_llr(llr, y, pattern, constellation, params):

@@ -77,6 +77,7 @@ def simulate(
     (target, constellation, config) inputs reproduce identical estimates.
     """
     cols = _column_matrix(target, constellation)
+    bit_rows = np.ascontiguousarray(cols.T)  # row j: bit j of every point's label
     points = constellation.points
     n_bits = cols.shape[1]
     children = np.random.SeedSequence(config.seed).spawn(len(config.snr_db_grid))
@@ -95,7 +96,10 @@ def simulate(
             else:
                 llr = exact_llr if config.demodulator == "bd" else maxlog_llr
                 decided = abd_decide(llr(y, target, constellation, params))
-            errors_per_bit += (decided != cols[sent]).sum(axis=0)
+            # Counted one bit at a time on contiguous rows; the L-value
+            # decisions are bit-major, so their transpose has such rows.
+            for j, (got, labels) in enumerate(zip(decided.T, bit_rows)):
+                errors_per_bit[j] += np.count_nonzero(got != labels[sent])
             done += n
         bits_sent = config.trials * n_bits
         bit_errors = int(errors_per_bit.sum())

@@ -161,6 +161,21 @@ class TestSubcommands:
         assert len(lines) == 2 + 3
         assert lines[2].split(",")[1] == "BRGC"
 
+    def test_provenance_header_names_parameters_and_versions(self, capsys):
+        import scipy
+
+        from pamber import __version__
+
+        code, lines = run_cli(capsys, "ber", "--M", "8", "--labeling", "brgc",
+                              "--snr", "0:1:2")
+        assert code == 0
+        assert lines[0] == (
+            "# pamber ber M=8 demod=abd labeling=brgc snr=0:1:2 "
+            f"pamber={__version__} numpy={np.__version__} scipy={scipy.__version__}"
+        )
+        # the header is a comment line; the body below it is unchanged
+        assert lines[1] == "snr_db,ber"
+
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "curve.csv"
         code, _ = run_cli(
@@ -234,5 +249,13 @@ class TestStabilityAndErrors:
         assert snr in capsys.readouterr().err
 
     def test_unknown_labeling_name(self, capsys):
-        code = main(["ber", "--M", "8", "--labeling", "gray!", "--snr", "1"])
-        assert code == 1
+        # neither a known name nor comma-separated integers: a usage error
+        # that lists the names
+        for text in ("gray!", "foo", "15,sixty", "15;60;102"):
+            code = main(["ber", "--M", "8", "--labeling", text, "--snr", "1"])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert repr(text) in err and "BRGC, NBC, FBC, BSGC, AG" in err
+        # a known name without a definition at this size stays a value error
+        assert main(["ber", "--M", "16", "--labeling", "fbc", "--snr", "1"]) == 1
+        assert "not defined for M=16" in capsys.readouterr().err

@@ -41,6 +41,43 @@ def naive_maxlog_llr(y, pattern, constellation, snr):
     return snr * (best0 - best1)
 
 
+def _maxlog_from_splits(sq_one, sq_zero, snr):
+    return snr * (sq_zero.min(axis=-1) - sq_one.min(axis=-1))
+
+
+def _exact_from_splits(sq_one, sq_zero, snr):
+    s1 = np.sort(sq_one, axis=-1)
+    s0 = np.sort(sq_zero, axis=-1)
+    m1 = s1[..., 0]
+    m0 = s0[..., 0]
+    c1 = np.log(np.exp(-snr * (s1 - m1[..., None])).sum(axis=-1))
+    c0 = np.log(np.exp(-snr * (s0 - m0[..., None])).sum(axis=-1))
+    return snr * (m0 - m1) + (c1 - c0)
+
+
+def sort_oracle(split_kernel, y, labeling, constellation, snr):
+    """Reference L-values from per-bit splits of a sample-major array, np.sort.
+
+    For two or more samples each split is an F-ordered copy, so the sum in
+    ``_exact_from_splits`` adds the sorted terms left to right; for a
+    single sample numpy sums a contiguous row in its own order
+    instead, so only multi-sample calls serve as the reference.
+    """
+    y = np.asarray(y, dtype=float)
+    sq = (y[..., None] - constellation.points) ** 2
+    out = np.empty(y.shape + (labeling.n_bits,))
+    for j in range(labeling.n_bits):
+        ones = labeling.matrix[:, j].astype(bool)
+        out[..., j] = split_kernel(sq[..., ones], sq[..., ~ones], snr)
+    return out
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert (got.view(np.int64) == want.view(np.int64)).all()
+
+
 class TestChannelParams:
     def test_db_round_trip(self):
         for db in (-7.5, 0.0, 3.0, 21.7):
@@ -95,6 +132,104 @@ class TestNonFiniteObservations:
         for call in (pattern_exact_llr, pattern_maxlog_llr):
             with pytest.raises(TypeError, match="BitPattern"):
                 call(0.1, lab, c, params)
+
+
+class TestHugeObservations:
+    """The L-value kernels need ``|y| + max|x| <= dmin/(8*eps)``."""
+
+    def test_values_up_to_1e12_are_unchanged(self):
+        c = make_pam(8)
+        lab = named_labeling("BRGC", 8)
+        params = ChannelParams.from_db(10.0)
+        y = np.array([-1e12, -3e11, 3e11, 1e12])
+        for new, split in ((exact_llr, _exact_from_splits),
+                           (maxlog_llr, _maxlog_from_splits)):
+            got = new(y, lab, c, params)
+            assert_same_bits(got, sort_oracle(split, y, lab, c, params.snr))
+            np.testing.assert_array_equal(abd_decide(got), sd_decide(y, lab, c))
+            for i, yv in enumerate(y):
+                assert_same_bits(new(yv, lab, c, params), got[i])
+
+    @pytest.mark.parametrize("far", [1e16, -1e16, 1e200, -1e200])
+    def test_rejected_beyond_the_bound(self, far):
+        c = make_pam(8)
+        lab = named_labeling("BRGC", 8)
+        pat = pattern_from_index(8, 102)
+        params = ChannelParams.from_db(10.0)
+        calls = (
+            lambda y: exact_llr(y, lab, c, params),
+            lambda y: maxlog_llr(y, lab, c, params),
+            lambda y: pattern_exact_llr(y, pat, c, params),
+            lambda y: pattern_maxlog_llr(y, pat, c, params),
+        )
+        with np.errstate(all="raise"):
+            for call in calls:
+                for y in (far, np.array([0.1, far])):
+                    with pytest.raises(ValueError, match="too large"):
+                        call(y)
+        # the hard decision stays total: the label of the end point
+        end = lab.matrix[-1] if far > 0 else lab.matrix[0]
+        np.testing.assert_array_equal(sd_decide(far, lab, c), end)
+
+    def test_bound_is_dmin_over_8_eps(self):
+        eps = np.finfo(float).eps
+        for m_points in (2, 8, 64):
+            c = make_pam(m_points)
+            lab = named_labeling("NBC", m_points)
+            params = ChannelParams.from_db(0.0)
+            edge = np.diff(c.points).min() / (8 * eps) - c.points[-1]
+            y = np.array([-edge, edge])
+            # ABD still decides as SD at the edge; one step past it is refused
+            decided = abd_decide(maxlog_llr(y, lab, c, params))
+            np.testing.assert_array_equal(decided, sd_decide(y, lab, c))
+            with pytest.raises(ValueError, match="too large"):
+                exact_llr(edge * (1 + 4 * eps), lab, c, params)
+
+
+class TestSortOracle:
+    """The point-major kernels reproduce the sort-based L-values bit for bit."""
+
+    @pytest.mark.parametrize("m_points", [2, 4, 8, 16, 32, 64])
+    def test_bit_identical(self, m_points):
+        c = make_pam(m_points)
+        y = np.concatenate(
+            (np.linspace(-40.0, 40.0, 321), np.linspace(-3.0, 3.0, 241),
+             c.points, c.midpoints(), [-1e12, 1e12])
+        )
+        grid = y[: 24 * (y.size // 24)].reshape(24, -1)
+        for name in ("BRGC", "NBC"):
+            lab = named_labeling(name, m_points)
+            for snr_db in range(-30, 51, 5):
+                params = ChannelParams.from_db(snr_db)
+                for new, split in ((exact_llr, _exact_from_splits),
+                                   (maxlog_llr, _maxlog_from_splits)):
+                    want = sort_oracle(split, y, lab, c, params.snr)
+                    assert_same_bits(new(y, lab, c, params), want)
+                    assert_same_bits(new(grid, lab, c, params),
+                                     sort_oracle(split, grid, lab, c, params.snr))
+                    # a single sample gets the bits it gets inside a batch
+                    for i in range(0, y.size, 37):
+                        assert_same_bits(new(float(y[i]), lab, c, params), want[i])
+
+    def test_antisymmetric_patterns_vanish_at_the_centre(self):
+        # reflect(p) == invert(p): the L-value is odd in y, and the sorted
+        # sums make it exactly 0 at y = 0
+        c = make_pam(8)
+        odd = [w for w in pattern_indices(8)
+               if reflect(pattern_from_index(8, w)) == invert(pattern_from_index(8, w))]
+        assert len(odd) == 16
+        for snr_db in (-30.0, 0.0, 10.0, 50.0):
+            params = ChannelParams.from_db(snr_db)
+            for w in odd:
+                assert pattern_exact_llr(0.0, pattern_from_index(8, w), c, params) == 0.0
+        # pattern 102 reads the same reflected, so its L-value is even in y
+        # instead: equal bit for bit at y and -y (nonzero at the centre)
+        pat = pattern_from_index(8, 102)
+        y = np.linspace(0.0, 3.0, 151)
+        for snr_db in (-30.0, 0.0, 10.0, 50.0):
+            params = ChannelParams.from_db(snr_db)
+            assert_same_bits(pattern_exact_llr(-y, pat, c, params),
+                             pattern_exact_llr(y, pat, c, params))
 
 
 class TestSdDecide:
