@@ -11,10 +11,19 @@ with the relevance matrix ``g[i,k] = (b_k - b_{k-1}) * (1 - 2*p_i)`` from
 :func:`pamber.thresholds.relevance_mask` and
 ``c = (1/M) * sum_i [p_i + (1 - 2*p_i) * b_0]``.  A pattern has M/2 ones,
 so ``c = 1/2`` whatever ``b_0`` is.  For midpoint boundaries ``K = M-1``
-and ``b = p``.  :func:`pber_general` is the one evaluator for any
-boundaries.  An equivalent form accumulates region probabilities against
+and ``b = p``.  An equivalent form accumulates region probabilities against
 the bit-disagreement matrix ``e[i,k] = p_i XOR b_k``; it lives in
 :mod:`pamber.verify` as an oracle, and the two agree to machine precision.
+
+One evaluator core, ``_gq_sums``, sums ``g*Q`` for every row of an
+``(n, M)`` bit matrix against one set of boundaries in one array pass.
+:func:`pber_general` is its one-row case, and :func:`labeling_ber` with
+midpoints hands it all m columns at once, so the Q-functions of the
+midpoint tails are evaluated once per call, not once per column.  The bit
+matrix must be C-contiguous: numpy's summation order follows the memory
+layout, and only with C order does each row's sum add its ``M*K`` terms in
+the order of the one-pattern sum, so that a labeling's BER is
+bit-identical to the average of its columns' PBERs.
 
 For equally spaced unit-energy M-PAM with midpoint boundaries the PBER
 collapses to a weighted sum of Q-functions at odd multiples of the half
@@ -34,12 +43,7 @@ from scipy.special import erfc
 
 from .constellation import BitPattern, Constellation, Labeling, pam_spacing
 from .demod import ChannelParams, _column_matrix
-from .thresholds import (
-    ThresholdSet,
-    bd_thresholds,
-    midpoint_thresholds,
-    relevance_mask,
-)
+from .thresholds import ThresholdSet, _relevance, bd_thresholds
 
 
 def qfunc(x):
@@ -51,6 +55,20 @@ def qfunc(x):
     return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
 
 
+def _gq_sums(bits, region_bits, betas, constellation, params) -> np.ndarray:
+    """Sum of ``g*Q`` over the points and boundaries, for each row of ``bits``.
+
+    ``bits`` is a C-contiguous int64 ``(n, M)`` matrix of patterns, and
+    ``region_bits`` the ``(n, K+1)`` integer bits the K boundaries
+    ``betas`` decide for each of them.  Row r's terms are those of the
+    one-pattern sum, added in the same order (see the module docstring).
+    """
+    scale = math.sqrt(2.0 * params.snr)
+    tails = qfunc((betas[None, :] - constellation.points[:, None]) * scale)
+    g = _relevance(bits, region_bits)
+    return (g * tails).reshape(len(bits), -1).sum(axis=1)
+
+
 def pber_general(
     pattern: BitPattern,
     constellation: Constellation,
@@ -60,10 +78,10 @@ def pber_general(
     """PBER of a sign demodulator with the given decision boundaries."""
     if pattern.size != constellation.size:
         raise ValueError("pattern and constellation sizes differ")
-    scale = math.sqrt(2.0 * params.snr)
-    tails = qfunc((thresholds.betas[None, :] - constellation.points[:, None]) * scale)
-    g = relevance_mask(pattern, thresholds.region_bits(pattern))
-    return 0.5 + float((g * tails).sum()) / constellation.size
+    bits = np.array([pattern.bits], dtype=np.int64)
+    region = thresholds.region_bits(pattern)[None, :]
+    s = _gq_sums(bits, region, thresholds.betas, constellation, params)
+    return 0.5 + float(s[0]) / constellation.size
 
 
 def pattern_weights(bits) -> np.ndarray:
@@ -150,12 +168,19 @@ def labeling_ber(
     kind = demod.lower()
     if kind not in ("abd", "sd", "bd"):
         raise ValueError(f"demod must be one of sd, abd, bd; got {demod!r}")
-    mids = midpoint_thresholds(constellation)
+    if kind == "bd":
+        pbers = []
+        for bits in cols.T:
+            pat = BitPattern(tuple(bits))
+            thr = bd_thresholds(pat, constellation, params)
+            pbers.append(pber_general(pat, constellation, thr, params))
+    else:
+        bits = np.ascontiguousarray(cols.T, dtype=np.int64)  # see the module docstring
+        sums = _gq_sums(bits, bits, constellation.midpoints(), constellation, params)
+        pbers = 0.5 + sums / constellation.size
     total = 0.0
-    for bits in cols.T:
-        pat = BitPattern(tuple(bits))
-        thr = bd_thresholds(pat, constellation, params) if kind == "bd" else mids
-        total += pber_general(pat, constellation, thr, params)
+    for pber in pbers:  # in column order, as a sum of Python floats
+        total += float(pber)
     return total / cols.shape[1]
 
 

@@ -133,13 +133,19 @@ _BLOCK = 1 << 17
 _EPS = float(np.finfo(float).eps)
 
 
+def _llr_limit(constellation: Constellation) -> float:
+    """The bound ``dmin/(8*eps)`` on ``|y| + max|x|`` of the L-value functions."""
+    points = constellation.points
+    return float((points[1:] - points[:-1]).min()) / (8 * _EPS)
+
+
 def _llr_observations(y, constellation: Constellation) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     peak = float(np.abs(y).max(initial=0.0))
     if not math.isfinite(peak):
         raise ValueError("observations y must be finite")
     points = constellation.points
-    limit = float((points[1:] - points[:-1]).min()) / (8 * _EPS)
+    limit = _llr_limit(constellation)
     if peak + max(-points[0], points[-1]) > limit:
         raise ValueError(
             f"|y| = {peak:g} is too large for L-values on this constellation: "

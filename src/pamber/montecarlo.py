@@ -21,6 +21,7 @@ from .constellation import Constellation
 from .demod import (
     ChannelParams,
     _column_matrix,
+    _llr_limit,
     abd_decide,
     exact_llr,
     maxlog_llr,
@@ -28,6 +29,11 @@ from .demod import (
 )
 
 _CHUNK = 1 << 18
+# Noise reach, in standard deviations, that an L-value demodulator must
+# tolerate at every grid point.  A sample beyond 10 sigma has probability
+# 1.5e-23, so no feasible run meets one, and a grid point that passes the
+# check up front cannot fail mid-run on the L-value bound.
+_NOISE_SIGMAS = 10.0
 
 DEMODULATORS = ("sd", "bd", "abd")
 
@@ -68,6 +74,19 @@ class BerEstimate:
     per_bit: tuple[float, ...] = field(default=())
 
 
+def _check_noise_reach(constellation: Constellation, snr_db_grid) -> None:
+    limit = _llr_limit(constellation)
+    peak = max(-constellation.points[0], constellation.points[-1])
+    for snr_db in snr_db_grid:
+        reach = peak + _NOISE_SIGMAS * ChannelParams.from_db(snr_db).noise_std
+        if reach > limit:
+            raise ValueError(
+                f"snr_db={snr_db:g} is too low for L-value demodulation: max|x| plus "
+                f"{_NOISE_SIGMAS:g} noise standard deviations is {reach:g}, past the "
+                f"L-value bound dmin/(8*eps) = {limit:g}; the sd demodulator has no such bound"
+            )
+
+
 def simulate(
     target, constellation: Constellation, config: SimConfig
 ) -> list[BerEstimate]:
@@ -75,8 +94,16 @@ def simulate(
 
     Returns one estimate per grid point, in grid order.  Identical
     (target, constellation, config) inputs reproduce identical estimates.
+
+    Raises:
+        ValueError: for "abd" or "bd", before any work, if at some grid
+            point ``max|x|`` plus 10 noise standard deviations exceeds the
+            L-value bound ``dmin/(8*eps)`` of :mod:`pamber.demod` (below
+            about -271 dB for unit-energy 8-PAM).  "sd" has no such bound.
     """
     cols = _column_matrix(target, constellation)
+    if config.demodulator != "sd":
+        _check_noise_reach(constellation, config.snr_db_grid)
     bit_rows = np.ascontiguousarray(cols.T)  # row j: bit j of every point's label
     points = constellation.points
     n_bits = cols.shape[1]

@@ -46,7 +46,7 @@ _SCAN_GROWTH = 1.02
 # Illinois steps before the refinement falls back to halving; it needs at
 # most 5 on every 8-PAM pattern from -10 to 30 dB.
 _ILLINOIS_STEPS = 16
-_RTOL = 4 * np.finfo(float).eps
+_RTOL = 4 * float(np.finfo(float).eps)
 # Far out, the exact L-value is a difference of large squared distances,
 # and rounding flips its sign where it is small: on 8-PAM, spurious
 # crossings appear from -74 dB down.  The solver rejects an SNR whose
@@ -114,7 +114,14 @@ def relevance_mask(pattern: BitPattern, region_bits=None) -> np.ndarray:
     """
     bits = pattern.as_array().astype(np.int64)
     b = bits if region_bits is None else np.asarray(region_bits, dtype=np.int64)
-    return (b[1:] - b[:-1])[None, :] * (1 - 2 * bits)[:, None]
+    return _relevance(bits, b)
+
+
+def _relevance(bits, region_bits) -> np.ndarray:
+    # The relevance matrix of every row of a bit matrix at once, shape
+    # (..., M, K); bits must be a signed integer type.
+    step = region_bits[..., 1:] - region_bits[..., :-1]
+    return step[..., None, :] * (1 - 2 * bits)[..., :, None]
 
 
 def _scan_grid(points: np.ndarray, reach: float) -> np.ndarray:
@@ -137,28 +144,42 @@ def _illinois(f, lo, hi, flo, fhi, xtol: float) -> np.ndarray:
     ``_ILLINOIS_STEPS`` steps the refinement halves brackets instead.  A
     bracket is done once it is narrower than ``2*tol``; its centre, the
     returned root, is within ``tol`` of a sign change.
+
+    The few brackets' state is kept in Python floats, whose arithmetic is
+    the same IEEE double arithmetic as numpy's element-wise operations, and
+    ``f`` is called once per step on an array of every active bracket's
+    next point.
     """
-    lo, hi, flo, fhi = (np.array(a, dtype=float) for a in (lo, hi, flo, fhi))
-    moved = np.zeros(lo.size, dtype=np.int8)  # -1: lo moved last, +1: hi
+    lo, hi, flo, fhi = (np.asarray(a, dtype=float).tolist() for a in (lo, hi, flo, fhi))
+    moved = [0] * len(lo)  # -1: lo moved last, +1: hi
+    active = range(len(lo))
     step = 0
     while True:
-        tol = xtol + _RTOL * np.maximum(np.abs(lo), np.abs(hi))
-        act = np.nonzero(hi - lo >= 2 * tol)[0]
-        if act.size == 0:
-            return 0.5 * (lo + hi)
-        a, b, fa, fb, t = lo[act], hi[act], flo[act], fhi[act], tol[act]
-        if step < _ILLINOIS_STEPS:
-            x = b - fb * (b - a) / (fb - fa)
-        else:
-            x = 0.5 * (a + b)
-        x = np.clip(x, a + t, b - t)
-        fx = f(x)
-        left = (fx < 0) == (fa < 0)
-        fhi[act] = np.where(left, np.where(moved[act] == -1, 0.5 * fb, fb), fx)
-        flo[act] = np.where(left, fx, np.where(moved[act] == 1, 0.5 * fa, fa))
-        lo[act] = np.where(left | (fx == 0), x, a)
-        hi[act] = np.where(left & (fx != 0), b, x)
-        moved[act] = np.where(left, -1, 1)
+        xs = []
+        for i in active:
+            a, b = lo[i], hi[i]
+            t = xtol + _RTOL * max(abs(a), abs(b))
+            if b - a < 2 * t:
+                continue
+            fa, fb = flo[i], fhi[i]
+            x = b - fb * (b - a) / (fb - fa) if step < _ILLINOIS_STEPS else 0.5 * (a + b)
+            xs.append((i, min(max(x, a + t), b - t)))
+        if not xs:
+            return np.array([0.5 * (a + b) for a, b in zip(lo, hi)])
+        active = [i for i, _ in xs]
+        for (i, x), fx in zip(xs, f(np.array([x for _, x in xs])).tolist()):
+            if (fx < 0) == (flo[i] < 0):
+                if moved[i] == -1:
+                    fhi[i] *= 0.5
+                flo[i], lo[i], moved[i] = fx, x, -1
+                if fx == 0:
+                    hi[i] = x
+            else:
+                if moved[i] == 1:
+                    flo[i] *= 0.5
+                fhi[i], hi[i], moved[i] = fx, x, 1
+                if fx == 0:
+                    lo[i] = x
         step += 1
 
 

@@ -7,8 +7,10 @@ import pytest
 from scipy.integrate import quad
 
 from pamber import (
+    BitPattern,
     ChannelParams,
     Constellation,
+    Labeling,
     abd_decide,
     ber_from_coefficients,
     high_snr_bicm_parameter,
@@ -26,9 +28,11 @@ from pamber import (
     pber_general,
     pber_pam,
     qfunc,
+    relevance_mask,
     sd_decide,
 )
 from pamber.analytic import pattern_weights
+from pamber.constellation import LABELING_NAMES
 from pamber.pattern_classes import invert, iter_patterns, pattern_indices, reflect
 from pamber.thresholds import bd_thresholds
 from pamber.verify import interval_probs, pber_interval_form
@@ -304,6 +308,77 @@ class TestLabelingBer:
             labeling_ber(
                 named_labeling("BRGC", 4), make_pam(4), ChannelParams(1.0), "zf"
             )
+
+
+def column_masks(target):
+    """Relevance matrix of each column pattern under the midpoint rule."""
+    cols = target.matrix if isinstance(target, Labeling) else target.as_array()[:, None]
+    return [relevance_mask(BitPattern(tuple(bits))) for bits in cols.T]
+
+
+def per_column_abd_ber(masks, constellation, params):
+    """The per-column ABD BER loop, kept as an oracle.
+
+    One one-pattern general-form sum per column, ``0.5 + (g*Q).sum()/M``,
+    added up in column order; ``masks`` come from :func:`column_masks`.
+    """
+    scale = math.sqrt(2.0 * params.snr)
+    tails = qfunc((constellation.midpoints()[None, :] - constellation.points[:, None]) * scale)
+    total = 0.0
+    for g in masks:
+        total += 0.5 + float((g * tails).sum()) / constellation.size
+    return total / len(masks)
+
+
+def named_labelings():
+    for m_points in (2, 4, 8, 16, 32):
+        for name in LABELING_NAMES:
+            try:
+                yield named_labeling(name, m_points)
+            except ValueError:  # not defined at this size
+                pass
+
+
+class TestBatchedColumns:
+    """All of a labeling's columns in one pass, bit-identical to the column loop."""
+
+    GRID_DB = np.arange(-10.0, 40.25, 0.5)
+
+    def targets(self):
+        targets = list(named_labelings())
+        assert len(targets) == 14
+        targets += list(iter_patterns(8))
+        rng = np.random.default_rng(2012)
+        nbc = named_labeling("NBC", 8).matrix
+        targets += [Labeling(nbc[rng.permutation(8)]) for _ in range(200)]
+        # Numpy's summation order follows memory layout, so pin both: a
+        # labeling's matrix is C-ordered (its transpose is not), and this
+        # one is Fortran-ordered (its transpose is).
+        fortran = Labeling(np.asfortranarray(named_labeling("AG", 8).matrix))
+        assert fortran.matrix.flags.f_contiguous and not fortran.matrix.flags.c_contiguous
+        return targets + [fortran]
+
+    def test_abd_ber_is_bit_identical_to_the_column_loop(self):
+        pams = {m: make_pam(m) for m in (2, 4, 8, 16, 32)}
+        targets = [(t, column_masks(t)) for t in self.targets()]
+        compared = 0
+        for snr_db in self.GRID_DB:
+            params = ChannelParams.from_db(snr_db)
+            for target, masks in targets:
+                c = pams[target.size]
+                got = labeling_ber(target, c, params, "abd")
+                assert got == per_column_abd_ber(masks, c, params), (target, snr_db)
+                compared += 1
+        assert compared == len(targets) * 101
+
+    def test_pber_general_is_the_one_column_case(self):
+        c = make_pam(8)
+        mids = midpoint_thresholds(c)
+        for snr_db in self.GRID_DB[::4]:
+            params = ChannelParams.from_db(snr_db)
+            for pat in iter_patterns(8):
+                want = per_column_abd_ber(column_masks(pat), c, params)
+                assert pber_general(pat, c, mids, params) == want
 
 
 class TestHighSnrParameter:

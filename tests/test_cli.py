@@ -231,6 +231,24 @@ class TestStabilityAndErrors:
             assert snr_bd == snr_abd
             assert float(bd) <= float(abd) * (1 + 1e-12)
 
+    def test_simulate_at_unresolvable_snr_fails_with_the_snr(self, capsys):
+        code = main(["simulate", "--M", "8", "--labeling", "brgc", "--snr=-300",
+                     "--demod", "abd", "--trials", "10000"])
+        assert code != 0
+        assert "snr_db=-300 is too low" in capsys.readouterr().err
+
+    def test_verify_exits_nonzero_when_a_check_fails(self, capsys, monkeypatch):
+        from pamber import verify
+
+        def failing():
+            raise AssertionError("deliberately false")
+
+        monkeypatch.setattr(verify, "ALL_CHECKS",
+                            (("passing", lambda: "ok"), ("failing", failing)))
+        assert main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  failing" in out and "1/2 checks passed" in out
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["ber", "--M", "8"])

@@ -178,3 +178,35 @@ class TestDemodulatorAgreement:
         lab = named_labeling("AG", 8)
         est = simulate(lab, c, config)[0]
         assert abs(est.ber - labeling_ber(lab, c, params, "bd")) <= 3 * est.stderr
+
+
+class TestExtremeSnr:
+    """L-value demodulators need the noise inside the L-value bound."""
+
+    def test_unresolvable_snr_is_rejected_before_any_work(self, monkeypatch):
+        from pamber import montecarlo
+
+        def no_work(*args):
+            raise AssertionError("a chunk was demodulated")
+
+        monkeypatch.setattr(montecarlo, "maxlog_llr", no_work)
+        monkeypatch.setattr(montecarlo, "exact_llr", no_work)
+        lab, c = named_labeling("BRGC", 8), make_pam(8)
+        for demod in ("abd", "bd"):
+            config = SimConfig(trials=10_000, seed=0, snr_db_grid=(0.0, -300.0),
+                               demodulator=demod)
+            with pytest.raises(ValueError, match="snr_db=-300 is too low"):
+                simulate(lab, c, config)
+
+    @pytest.mark.parametrize("demod", ["sd", "abd", "bd"])
+    def test_far_but_resolvable_snr_still_runs(self, demod):
+        config = SimConfig(trials=10_000, seed=0, snr_db_grid=(-250.0,),
+                           demodulator=demod)
+        est = simulate(named_labeling("BRGC", 8), make_pam(8), config)[0]
+        assert abs(est.ber - 0.5) <= 5 * est.stderr
+
+    def test_sd_stays_total(self):
+        config = SimConfig(trials=10_000, seed=0, snr_db_grid=(0.0, -300.0),
+                           demodulator="sd")
+        est = simulate(named_labeling("BRGC", 8), make_pam(8), config)[1]
+        assert abs(est.ber - 0.5) <= 5 * est.stderr

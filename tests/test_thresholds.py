@@ -48,6 +48,43 @@ def scan_roots(pattern, constellation, params, lo, hi, samples=2_000_001):
     return roots
 
 
+def vector_illinois(f, lo, hi, flo, fhi, xtol):
+    """The bracket refinement with numpy array state, kept as an oracle.
+
+    Same rules as :func:`pamber.thresholds._illinois`, each step a handful
+    of element-wise array operations over the active brackets.
+    """
+    lo, hi, flo, fhi = (np.array(a, dtype=float) for a in (lo, hi, flo, fhi))
+    moved = np.zeros(lo.size, dtype=np.int8)  # -1: lo moved last, +1: hi
+    step = 0
+    while True:
+        tol = xtol + thresholds._RTOL * np.maximum(np.abs(lo), np.abs(hi))
+        act = np.nonzero(hi - lo >= 2 * tol)[0]
+        if act.size == 0:
+            return 0.5 * (lo + hi)
+        a, b, fa, fb, t = lo[act], hi[act], flo[act], fhi[act], tol[act]
+        if step < thresholds._ILLINOIS_STEPS:
+            x = b - fb * (b - a) / (fb - fa)
+        else:
+            x = 0.5 * (a + b)
+        x = np.clip(x, a + t, b - t)
+        fx = f(x)
+        left = (fx < 0) == (fa < 0)
+        fhi[act] = np.where(left, np.where(moved[act] == -1, 0.5 * fb, fb), fx)
+        flo[act] = np.where(left, fx, np.where(moved[act] == 1, 0.5 * fa, fa))
+        lo[act] = np.where(left | (fx == 0), x, a)
+        hi[act] = np.where(left & (fx != 0), b, x)
+        moved[act] = np.where(left, -1, 1)
+        step += 1
+
+
+def assert_same_roots(f, lo, hi, flo, fhi, xtol=1e-10, refine=thresholds._illinois):
+    got = refine(f, lo, hi, flo, fhi, xtol)
+    want = vector_illinois(f, lo, hi, flo, fhi, xtol)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    return got
+
+
 def reach(constellation, params):
     """The bound T: every crossing lies within T of the outer points."""
     gap = np.diff(constellation.points).min()
@@ -228,6 +265,57 @@ class TestRefinement:
         root = thresholds._illinois(f, np.array([0.0]), np.array([1.0]),
                                     np.array([-0.25]), np.array([0.75]), 1e-10)
         assert root[0] == 0.25
+
+
+class TestRefinementOracle:
+    """The scalar-state refinement against the array-state oracle, bit for bit."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        # Every refinement bd_thresholds runs is also run by the oracle on
+        # the same brackets.
+        brackets = []
+
+        def both(f, lo, hi, flo, fhi, xtol):
+            brackets.append(len(lo))
+            return assert_same_roots(f, lo, hi, flo, fhi, xtol)
+
+        monkeypatch.setattr(thresholds, "_illinois", both)
+        return brackets
+
+    def test_every_8pam_class_from_minus_50_to_40_db(self, checked):
+        c = make_pam(8)
+        for pat in CLASS_REPS:
+            for snr_db in np.arange(-50.0, 40.25, 1.0):
+                bd_thresholds(pat, c, ChannelParams.from_db(snr_db))
+        assert len(checked) == len(CLASS_REPS) * 91
+        assert sum(checked) > 0
+
+    def test_16pam_sample(self, checked):
+        c = make_pam(16)
+        for pat in list(iter_patterns(16))[::643]:
+            for snr_db in np.arange(-40.0, 40.25, 5.0):
+                bd_thresholds(pat, c, ChannelParams.from_db(snr_db))
+        assert sum(checked) > 0
+
+    def test_triple_root_past_the_illinois_steps(self):
+        f = lambda y: (y - 0.3) ** 3
+        lo, hi = np.array([-1.0]), np.array([2.0])
+        assert_same_roots(f, lo, hi, f(lo), f(hi))
+
+    def test_far_out_bracket(self):
+        f = lambda y: (y - 1e9) ** 3
+        lo, hi = np.array([1e9 - 3.0]), np.array([1e9 + 5.0])
+        assert_same_roots(f, lo, hi, f(lo), f(hi))
+
+    def test_exact_zero(self):
+        assert_same_roots(lambda y: y - 0.25, np.array([0.0]), np.array([1.0]),
+                          np.array([-0.25]), np.array([0.75]))
+
+    def test_several_brackets_and_none(self):
+        lo, hi = np.array([-2.0, 0.5, 3.0]), np.array([-0.5, 2.0, 7.0])
+        assert_same_roots(np.cos, lo, hi, np.cos(lo), np.cos(hi))
+        assert thresholds._illinois(np.cos, [], [], [], [], 1e-10).shape == (0,)
 
 
 class TestSignRegions:
