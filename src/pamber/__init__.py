@@ -24,16 +24,13 @@ from .constellation import (
     named_labeling,
     pam_spacing,
     pattern_from_index,
-    subconstellation,
 )
 from .demod import (
     ChannelParams,
     abd_decide,
     exact_llr,
     maxlog_llr,
-    nearest_point_index,
     pattern_exact_llr,
-    pattern_maxlog_llr,
     sd_decide,
 )
 from .labeling_space import (
@@ -53,13 +50,7 @@ from .pattern_classes import (
     iter_patterns,
     reflect,
 )
-from .thresholds import (
-    ThresholdSet,
-    bd_thresholds,
-    midpoint_thresholds,
-    relevance_mask,
-    transition_mask,
-)
+from .thresholds import ThresholdSet, bd_thresholds
 
 __version__ = "0.1.0"
 
@@ -91,21 +82,15 @@ __all__ = [
     "labeling_coefficients",
     "make_pam",
     "maxlog_llr",
-    "midpoint_thresholds",
     "named_labeling",
-    "nearest_point_index",
     "pam_spacing",
     "pattern_coefficients",
     "pattern_exact_llr",
     "pattern_from_index",
-    "pattern_maxlog_llr",
     "pber_general",
     "pber_pam",
     "qfunc",
     "reflect",
-    "relevance_mask",
     "sd_decide",
     "simulate",
-    "subconstellation",
-    "transition_mask",
 ]

@@ -7,8 +7,8 @@ is
 
     P = c + (1/M) * sum_{i,k} g[i,k] * Q((beta_k - s_i) * sqrt(2*snr))
 
-with the relevance matrix ``g[i,k] = (b_k - b_{k-1}) * (1 - 2*p_i)`` from
-:func:`pamber.thresholds.relevance_mask` and
+with the relevance matrix ``g[i,k] = (b_k - b_{k-1}) * (1 - 2*p_i)``
+(``_relevance`` in :mod:`pamber.thresholds`) and
 ``c = (1/M) * sum_i [p_i + (1 - 2*p_i) * b_0]``.  A pattern has M/2 ones,
 so ``c = 1/2`` whatever ``b_0`` is.  For midpoint boundaries ``K = M-1``
 and ``b = p``.  An equivalent form accumulates region probabilities against
@@ -42,7 +42,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .constellation import BitPattern, Constellation, Labeling, pam_spacing
-from .demod import ChannelParams, _column_matrix
+from .demod import DEMODULATORS, ChannelParams, _column_matrix
 from .thresholds import ThresholdSet, _relevance, bd_thresholds
 
 
@@ -75,12 +75,11 @@ def pber_general(
     thresholds: ThresholdSet,
     params: ChannelParams,
 ) -> float:
-    """PBER of a sign demodulator with the given decision boundaries."""
+    """PBER of a sign demodulator with the boundaries and region bits given."""
     if pattern.size != constellation.size:
         raise ValueError("pattern and constellation sizes differ")
     bits = np.array([pattern.bits], dtype=np.int64)
-    region = thresholds.region_bits(pattern)[None, :]
-    s = _gq_sums(bits, region, thresholds.betas, constellation, params)
+    s = _gq_sums(bits, thresholds.bits[None, :], thresholds.betas, constellation, params)
     return 0.5 + float(s[0]) / constellation.size
 
 
@@ -166,8 +165,8 @@ def labeling_ber(
     """
     cols = _column_matrix(target, constellation)
     kind = demod.lower()
-    if kind not in ("abd", "sd", "bd"):
-        raise ValueError(f"demod must be one of sd, abd, bd; got {demod!r}")
+    if kind not in DEMODULATORS:
+        raise ValueError(f"demod must be one of {', '.join(DEMODULATORS)}; got {demod!r}")
     if kind == "bd":
         pbers = []
         for bits in cols.T:

@@ -30,8 +30,8 @@ from .constellation import (
     named_labeling,
     pattern_from_index,
 )
-from .demod import ChannelParams, exact_llr, maxlog_llr
-from .thresholds import bd_thresholds, transition_mask
+from .demod import DEMODULATORS, ChannelParams, exact_llr, maxlog_llr
+from .thresholds import bd_thresholds
 
 MAX_GRID_POINTS = 1_000_000
 
@@ -74,14 +74,26 @@ def parse_grid(text: str) -> np.ndarray:
 
 
 def parse_pattern(text: str, m_points: int) -> BitPattern:
-    """Decimal index, contiguous bit string, or comma-separated bits."""
+    """Decimal index, contiguous bit string, or comma-separated bits.
+
+    Raises:
+        argparse.ArgumentTypeError: if ``text`` is none of the three forms.
+        ValueError: if the pattern has the wrong weight, or its index or
+            bits are out of range.
+    """
     text = text.strip()
-    if "," in text:
-        bits = tuple(int(b) for b in text.split(","))
-        return BitPattern(bits)
     if len(text) == m_points and set(text) <= {"0", "1"}:
         return BitPattern(tuple(int(c) for c in text))
-    return pattern_from_index(m_points, int(text))
+    try:
+        numbers = [int(p) for p in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid pattern {text!r}: expected a decimal index, a bit "
+            f"string, or comma-separated bits"
+        ) from None
+    if "," in text:
+        return BitPattern(tuple(numbers))
+    return pattern_from_index(m_points, numbers[0])
 
 
 def parse_labeling(text: str, m_points: int) -> Labeling:
@@ -184,7 +196,7 @@ def _cmd_thresholds(args) -> int:
     grid = parse_grid(args.snr)
     constellation = make_pam(args.M)
     pattern = parse_pattern(args.pattern, args.M)
-    transitions = [str(k + 1) for k in np.nonzero(transition_mask(pattern))[0]]
+    transitions = [str(k + 1) for k in np.nonzero(np.diff(pattern.bits) != 0)[0]]
     rows = []
     for snr_db in grid:
         params = ChannelParams.from_db(snr_db)
@@ -297,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_target(p)
     p.add_argument("--snr", required=True, help="dB grid start:step:stop")
-    p.add_argument("--demod", choices=("sd", "abd", "bd"), default="abd")
+    p.add_argument("--demod", choices=DEMODULATORS, default="abd")
     p.set_defaults(func=_cmd_ber)
 
     p = sub.add_parser("llr", help="exact and max-log L-values over a y grid")
@@ -335,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_target(p)
     p.add_argument("--snr", required=True, help="dB grid start:step:stop")
-    p.add_argument("--demod", choices=("sd", "abd", "bd"), default="abd")
+    p.add_argument("--demod", choices=DEMODULATORS, default="abd")
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_simulate)

@@ -203,16 +203,11 @@ class Labeling:
         return tuple(int(b) for b in self.matrix[point_index])
 
     @classmethod
-    def from_patterns(cls, patterns: Iterable[BitPattern]) -> "Labeling":
-        """Stack patterns as columns, in the order given."""
-        cols = [p.as_array() for p in patterns]
-        return cls(np.column_stack(cols))
-
-    @classmethod
     def from_indices(cls, m_points: int, indices: Iterable[int]) -> "Labeling":
-        return cls.from_patterns(
-            pattern_from_index(m_points, w) for w in indices
-        )
+        """Stack the patterns of ``indices`` as columns, in the order given."""
+        return cls(np.column_stack(
+            [pattern_from_index(m_points, w).as_array() for w in indices]
+        ))
 
 
 def _brgc_rows(n_bits: int) -> list[list[int]]:
@@ -257,21 +252,3 @@ def named_labeling(name: str, m_points: int) -> Labeling:
         raise ValueError(f"labeling {key} is not defined for M={m_points}") from None
     return Labeling.from_indices(m_points, indices)
 
-
-def subconstellation(
-    labeling: Labeling,
-    constellation: Constellation,
-    bit_position: int,
-    bit_value: int,
-) -> np.ndarray:
-    """Points whose label bit ``bit_position`` (1-based) equals ``bit_value``."""
-    if constellation.size != labeling.size:
-        raise ValueError("labeling and constellation sizes differ")
-    if not 1 <= bit_position <= labeling.n_bits:
-        raise ValueError(
-            f"bit position must be in 1..{labeling.n_bits}, got {bit_position}"
-        )
-    if bit_value not in (0, 1):
-        raise ValueError("bit value must be 0 or 1")
-    mask = labeling.matrix[:, bit_position - 1] == bit_value
-    return constellation.points[mask]

@@ -16,7 +16,7 @@ can disagree only on that measure-zero set.
 
 The demodulators act on a *target*: a :class:`Labeling`, or a
 :class:`BitPattern` as one column.  One kernel loop, ``_per_bit``, gives
-every L-value; the ``pattern_*`` functions read its column 0.
+every L-value; :func:`pattern_exact_llr` reads its column 0.
 
 The L-value kernels are point-major.  For a block of samples they hold
 one row of squared distances ``(y - x)**2`` per point ``x`` and gather,
@@ -53,6 +53,9 @@ import numpy as np
 
 from .constellation import BitPattern, Constellation, Labeling
 
+#: The demodulator names every entry point accepts.
+DEMODULATORS = ("sd", "abd", "bd")
+
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -87,22 +90,6 @@ class ChannelParams:
         return 1.0 / math.sqrt(2.0 * self.snr)
 
 
-def _observations(y) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    if not np.isfinite(y).all():
-        raise ValueError("observations y must be finite")
-    return y
-
-
-def nearest_point_index(y, constellation: Constellation) -> np.ndarray:
-    """0-based index of the constellation point closest to each ``y``.
-
-    Exact midpoints resolve to the lower-indexed point.
-    """
-    y = _observations(y)
-    return np.searchsorted(constellation.midpoints(), y, side="left")
-
-
 def _column_matrix(target, constellation: Constellation) -> np.ndarray:
     """Bit columns of a target: a labeling's matrix, or a pattern as one column."""
     if isinstance(target, Labeling):
@@ -120,10 +107,14 @@ def sd_decide(y, target, constellation: Constellation) -> np.ndarray:
     """Hard symbol decision: label of the nearest point, shape ``y.shape + (m,)``.
 
     ``target`` is a :class:`Labeling`, or a :class:`BitPattern` read as a
-    one-column labeling.
+    one-column labeling.  An exact midpoint resolves to the lower-indexed
+    point.
     """
     cols = _column_matrix(target, constellation)
-    return cols[nearest_point_index(y, constellation)]
+    y = np.asarray(y, dtype=float)
+    if not np.isfinite(y).all():
+        raise ValueError("observations y must be finite")
+    return cols[np.searchsorted(constellation.midpoints(), y, side="left")]
 
 
 # Samples times bit columns times points per block of the L-value
@@ -258,27 +249,15 @@ def maxlog_llr(
     return _per_bit(y, target, constellation, params, _maxlog_from_rows)
 
 
-def _pattern_llr(llr, y, pattern, constellation, params):
-    # Column 0 of the one per-bit loop, shaped like y.  Without the type
-    # check a labeling would pass and yield its first bit's L-value.
-    if not isinstance(pattern, BitPattern):
-        raise TypeError(f"pattern must be a BitPattern, got {type(pattern)!r}")
-    out = llr(y, pattern, constellation, params)[..., 0]
-    return float(out) if np.ndim(y) == 0 else out
-
-
 def pattern_exact_llr(
     y, pattern: BitPattern, constellation: Constellation, params: ChannelParams
 ):
-    """Exact L-value of the single bit governed by ``pattern``."""
-    return _pattern_llr(exact_llr, y, pattern, constellation, params)
-
-
-def pattern_maxlog_llr(
-    y, pattern: BitPattern, constellation: Constellation, params: ChannelParams
-):
-    """Max-log L-value of the single bit governed by ``pattern``."""
-    return _pattern_llr(maxlog_llr, y, pattern, constellation, params)
+    """Column 0 of :func:`exact_llr` for one ``pattern``, shaped like ``y``."""
+    # a labeling would otherwise pass and yield its first bit's L-value
+    if not isinstance(pattern, BitPattern):
+        raise TypeError(f"pattern must be a BitPattern, got {type(pattern)!r}")
+    out = exact_llr(y, pattern, constellation, params)[..., 0]
+    return float(out) if np.ndim(y) == 0 else out
 
 
 def abd_decide(llr) -> np.ndarray:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .constellation import Constellation
 from .demod import (
+    DEMODULATORS,
     ChannelParams,
     _column_matrix,
     _llr_limit,
@@ -34,8 +35,6 @@ _CHUNK = 1 << 18
 # 1.5e-23, so no feasible run meets one, and a grid point that passes the
 # check up front cannot fail mid-run on the L-value bound.
 _NOISE_SIGMAS = 10.0
-
-DEMODULATORS = ("sd", "bd", "abd")
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,7 @@ class SimConfig:
         if not all(math.isfinite(s) for s in self.snr_db_grid):
             raise ValueError(f"SNR grid values must be finite, got {self.snr_db_grid}")
         if self.demodulator not in DEMODULATORS:
-            raise ValueError(f"demodulator must be one of {DEMODULATORS}")
+            raise ValueError(f"demodulator must be one of {', '.join(DEMODULATORS)}")
 
 
 @dataclass(frozen=True)

@@ -60,66 +60,36 @@ class ThresholdSet:
 
     The K boundaries ``betas`` cut the real line into K+1 regions;
     ``bits[k]`` is the bit decided in region k, counted from the left.
-    ``bits`` is None for pattern-independent sets (midpoints): there
-    region k is the decision region of point k and decides that point's
-    bit, see :meth:`region_bits`.
+    The midpoint (ABD) set of a pattern is
+    ``ThresholdSet(constellation.midpoints(), pattern.bits)``: region k is
+    the decision region of point k and decides that point's bit.
     """
 
     betas: np.ndarray
-    bits: np.ndarray | None = None
+    bits: np.ndarray
 
     def __post_init__(self) -> None:
         betas = np.array(self.betas, dtype=float)
-        betas.setflags(write=False)
-        object.__setattr__(self, "betas", betas)
-        if self.bits is not None:
-            bits = np.array(self.bits, dtype=np.int8)
-            bits.setflags(write=False)
-            object.__setattr__(self, "bits", bits)
-            if bits.shape != (betas.size + 1,):
-                raise ValueError("need one region bit more than boundaries")
+        bits = np.array(self.bits, dtype=np.int8)
+        if bits.shape != (betas.size + 1,):
+            raise ValueError("need one region bit more than boundaries")
+        for name, arr in (("betas", betas), ("bits", bits)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def size(self) -> int:
         """Number of boundaries K."""
         return int(self.betas.size)
 
-    def region_bits(self, pattern: BitPattern) -> np.ndarray:
-        """Bit decided in each of the K+1 regions when ``pattern`` is sent."""
-        if self.bits is not None:
-            return self.bits
-        if pattern.size != self.size + 1:
-            raise ValueError("need M-1 midpoint thresholds for an M-point pattern")
-        return pattern.as_array()
-
-
-def midpoint_thresholds(constellation: Constellation) -> ThresholdSet:
-    """ABD thresholds: midpoints between adjacent points, SNR independent."""
-    return ThresholdSet(betas=constellation.midpoints())
-
-
-def transition_mask(pattern: BitPattern) -> np.ndarray:
-    """Boolean vector of length M-1, True where adjacent bits differ."""
-    bits = pattern.as_array()
-    return bits[1:] != bits[:-1]
-
-
-def relevance_mask(pattern: BitPattern, region_bits=None) -> np.ndarray:
-    """Signed relevance matrix with entries ``(b[k+1]-b[k]) * (1-2*p[i])``.
-
-    ``b`` holds the region bits of a threshold set and defaults to the
-    pattern's own bits (the midpoint rule).  Shape (M, len(b)-1), integer
-    entries in {0, +1, -1}.  Column k is all zero exactly when boundary k
-    sits between regions that decide the same bit.
-    """
-    bits = pattern.as_array().astype(np.int64)
-    b = bits if region_bits is None else np.asarray(region_bits, dtype=np.int64)
-    return _relevance(bits, b)
-
 
 def _relevance(bits, region_bits) -> np.ndarray:
-    # The relevance matrix of every row of a bit matrix at once, shape
-    # (..., M, K); bits must be a signed integer type.
+    """Relevance matrices ``(b[k+1]-b[k]) * (1-2*p[i])``, shape (..., M, K).
+
+    ``p`` is each row of the signed-integer bit matrix ``bits`` and ``b``
+    the region bits of K boundaries.  Column k is all zero exactly when
+    boundary k sits between regions that decide the same bit.
+    """
     step = region_bits[..., 1:] - region_bits[..., :-1]
     return step[..., None, :] * (1 - 2 * bits)[..., :, None]
 

@@ -23,7 +23,7 @@ from .constellation import (
     BitPattern, Constellation, make_pam, named_labeling, pattern_from_index,
 )
 from .demod import ChannelParams, abd_decide, maxlog_llr, sd_decide
-from .thresholds import ThresholdSet, bd_thresholds, midpoint_thresholds, transition_mask
+from .thresholds import ThresholdSet, bd_thresholds
 
 # Frozen expected enumeration results: (representative index, members,
 # symmetry, coefficient vector), ordered best to worst at high SNR.
@@ -179,19 +179,17 @@ def check_sd_abd_equivalence() -> str:
 
 
 def interval_probs(
-    constellation: Constellation, thresholds: ThresholdSet, params: ChannelParams
+    constellation: Constellation, betas: np.ndarray, params: ChannelParams
 ) -> np.ndarray:
     """Conditional probabilities of landing between consecutive boundaries.
 
     Entry (i, k) is the probability that the observation falls in the k-th
-    of the K+1 regions of the real line given that point i was sent.  Rows
-    sum to one.
+    of the K+1 regions cut by the sorted boundaries ``betas``, given that
+    point i was sent.  Rows sum to one.
     """
-    if thresholds.bits is None and thresholds.size != constellation.size - 1:
-        raise ValueError("need M-1 midpoint thresholds for an M-point constellation")
     scale = math.sqrt(2.0 * params.snr)
     tails = analytic.qfunc(
-        (thresholds.betas[None, :] - constellation.points[:, None]) * scale
+        (np.asarray(betas)[None, :] - constellation.points[:, None]) * scale
     )
     m_points = constellation.size
     above = np.hstack((np.ones((m_points, 1)), tails, np.zeros((m_points, 1))))
@@ -212,8 +210,8 @@ def pber_interval_form(
     if pattern.size != constellation.size:
         raise ValueError("pattern and constellation sizes differ")
     bits = pattern.as_array()
-    disagree = bits[:, None] != thresholds.region_bits(pattern)[None, :]
-    v = interval_probs(constellation, thresholds, params)
+    disagree = bits[:, None] != thresholds.bits[None, :]
+    v = interval_probs(constellation, thresholds.betas, params)
     return float(v[disagree].sum()) / constellation.size
 
 
@@ -222,7 +220,6 @@ def _quadrature_pber(pattern, constellation, thresholds, params) -> float:
     from scipy.integrate import quad  # only this oracle needs scipy.integrate
 
     bits = pattern.bits
-    region_bits = thresholds.region_bits(pattern)
     edges = np.concatenate(([-np.inf], thresholds.betas, [np.inf]))
     snr = params.snr
     total = 0.0
@@ -231,7 +228,7 @@ def _quadrature_pber(pattern, constellation, thresholds, params) -> float:
             -snr * (t - s) ** 2
         )
         for k in range(thresholds.size + 1):
-            if region_bits[k] != bits[i]:
+            if thresholds.bits[k] != bits[i]:
                 part, _ = quad(density, edges[k], edges[k + 1], epsabs=1e-13)
                 total += part
     return total / constellation.size
@@ -240,9 +237,10 @@ def _quadrature_pber(pattern, constellation, thresholds, params) -> float:
 def check_dual_form_and_quadrature() -> str:
     """Telescoped and interval forms agree; quadrature oracle concurs."""
     constellation = make_pam(8)
-    thresholds = midpoint_thresholds(constellation)
+    mids = constellation.midpoints()
     worst = 0.0
     for pattern in pattern_classes.iter_patterns(8):
+        thresholds = ThresholdSet(mids, pattern.bits)
         for snr in (0.1, 1.0, 10.0):
             params = ChannelParams(snr)
             a = analytic.pber_general(pattern, constellation, thresholds, params)
@@ -255,6 +253,7 @@ def check_dual_form_and_quadrature() -> str:
     for index, snr in spots:
         pattern = pattern_from_index(8, index)
         params = ChannelParams(snr)
+        thresholds = ThresholdSet(mids, pattern.bits)
         a = analytic.pber_general(pattern, constellation, thresholds, params)
         q = _quadrature_pber(pattern, constellation, thresholds, params)
         worst_quad = max(worst_quad, abs(a - q))
@@ -284,7 +283,6 @@ def check_leading_weight_grouping() -> str:
 def check_bd_abd_closeness() -> str:
     """Exact-boundary and midpoint BERs differ by at most 2% over 0-20 dB."""
     constellation = make_pam(8)
-    mids = midpoint_thresholds(constellation)
     grid_db = np.arange(0.0, 20.0 + 0.25, 0.5)
     targets = [pattern_from_index(8, w) for w in (15, 60, 102)]
     worst = 0.0
@@ -303,7 +301,7 @@ def check_bd_abd_closeness() -> str:
     drift = 0.0
     for pattern in targets:
         thr = bd_thresholds(pattern, constellation, high)
-        mids_here = mids.betas[transition_mask(pattern)]
+        mids_here = constellation.midpoints()[np.diff(pattern.bits) != 0]
         _require(thr.size == mids_here.size, f"pattern {pattern.index}: {thr.size} crossings")
         gap = np.abs(thr.betas - mids_here).max()
         drift = max(drift, float(gap))

@@ -7,10 +7,10 @@ import pytest
 from scipy.integrate import quad
 
 from pamber import (
-    BitPattern,
     ChannelParams,
     Constellation,
     Labeling,
+    ThresholdSet,
     abd_decide,
     ber_from_coefficients,
     high_snr_bicm_parameter,
@@ -19,7 +19,6 @@ from pamber import (
     labeling_coefficients,
     make_pam,
     maxlog_llr,
-    midpoint_thresholds,
     named_labeling,
     pam_spacing,
     pattern_coefficients,
@@ -28,13 +27,12 @@ from pamber import (
     pber_general,
     pber_pam,
     qfunc,
-    relevance_mask,
     sd_decide,
 )
 from pamber.analytic import pattern_weights
 from pamber.constellation import LABELING_NAMES
 from pamber.pattern_classes import invert, iter_patterns, pattern_indices, reflect
-from pamber.thresholds import bd_thresholds
+from pamber.thresholds import _relevance, bd_thresholds
 from pamber.verify import interval_probs, pber_interval_form
 
 
@@ -48,6 +46,11 @@ def gauss_tail(x):
         epsrel=1e-13,
     )
     return val
+
+
+def mids(constellation, pattern):
+    """The midpoint (ABD) boundaries of a pattern, each region deciding its point's bit."""
+    return ThresholdSet(constellation.midpoints(), pattern.bits)
 
 
 def loop_coefficients(bits):
@@ -89,18 +92,18 @@ class TestIntervalProbs:
     @pytest.mark.parametrize("snr", [0.01, 1.0, 25.0])
     def test_rows_sum_to_one(self, snr):
         c = make_pam(8)
-        v = interval_probs(c, midpoint_thresholds(c), ChannelParams(snr))
+        v = interval_probs(c, c.midpoints(), ChannelParams(snr))
         np.testing.assert_allclose(v.sum(axis=1), 1.0, atol=1e-12)
 
     def test_entries_are_probabilities(self):
         c = make_pam(8)
-        v = interval_probs(c, midpoint_thresholds(c), ChannelParams(2.0))
+        v = interval_probs(c, c.midpoints(), ChannelParams(2.0))
         assert np.all(v >= 0) and np.all(v <= 1)
 
     def test_first_slice_against_quadrature(self):
         c = make_pam(4)
         snr = 1.0
-        v = interval_probs(c, midpoint_thresholds(c), ChannelParams(snr))
+        v = interval_probs(c, c.midpoints(), ChannelParams(snr))
         beta1 = c.midpoints()[0]
         oracle, _ = quad(
             lambda t: math.sqrt(snr / math.pi) * math.exp(-snr * (t - c.points[0]) ** 2),
@@ -117,7 +120,7 @@ class TestPberGeneral:
         c = make_pam(2)
         pat = pattern_from_index(2, 1)
         for snr in (0.5, 1.0, 4.0):
-            got = pber_general(pat, c, midpoint_thresholds(c), ChannelParams(snr))
+            got = pber_general(pat, c, mids(c, pat), ChannelParams(snr))
             assert got == pytest.approx(float(qfunc(math.sqrt(2 * snr))), rel=1e-14)
 
     def test_zero_snr_limit_is_half(self):
@@ -129,7 +132,7 @@ class TestPberGeneral:
         c = make_pam(8)
         pat = pattern_from_index(8, 15)
         snr = 10.0
-        got = pber_general(pat, c, midpoint_thresholds(c), ChannelParams(snr))
+        got = pber_general(pat, c, mids(c, pat), ChannelParams(snr))
         edges = np.concatenate(([-np.inf], c.midpoints(), [np.inf]))
         oracle = 0.0
         for i, s in enumerate(c.points):
@@ -148,20 +151,19 @@ class TestPberGeneral:
     @pytest.mark.parametrize("snr", [0.1, 1.0, 10.0])
     def test_dual_forms_agree_exhaustively(self, snr):
         c = make_pam(8)
-        thr = midpoint_thresholds(c)
         params = ChannelParams(snr)
         for pat in iter_patterns(8):
-            a = pber_general(pat, c, thr, params)
-            b = pber_interval_form(pat, c, thr, params)
+            a = pber_general(pat, c, mids(c, pat), params)
+            b = pber_interval_form(pat, c, mids(c, pat), params)
             assert abs(a - b) <= 1e-12
 
     def test_probability_bounds_at_extremes(self):
         c = make_pam(8)
-        thr = midpoint_thresholds(c)
         for snr in (1e-9, 1e4):
             params = ChannelParams(snr)
             for w in (15, 85, 102):
-                val = pber_general(pattern_from_index(8, w), c, thr, params)
+                pat = pattern_from_index(8, w)
+                val = pber_general(pat, c, mids(c, pat), params)
                 assert 0.0 <= val <= 1.0
 
 
@@ -221,12 +223,11 @@ class TestPberPam:
     @pytest.mark.parametrize("m", [4, 8])
     def test_equals_general_form_with_midpoints(self, m):
         c = make_pam(m)
-        thr = midpoint_thresholds(c)
         for pat in iter_patterns(m):
             for snr in (0.2, 1.0, 15.0):
                 params = ChannelParams(snr)
                 assert abs(
-                    pber_pam(pat, params) - pber_general(pat, c, thr, params)
+                    pber_pam(pat, params) - pber_general(pat, c, mids(c, pat), params)
                 ) <= 1e-12
 
     def test_strictly_decreasing_at_high_snr(self):
@@ -288,8 +289,7 @@ class TestLabelingBer:
         )
         # a single pattern is a one-column target: its BER is its PBER
         pat = pattern_from_index(8, 102)
-        mids = midpoint_thresholds(c)
-        for demod, thr in (("sd", mids), ("abd", mids),
+        for demod, thr in (("sd", mids(c, pat)), ("abd", mids(c, pat)),
                            ("bd", bd_thresholds(pat, c, params))):
             assert labeling_ber(pat, c, params, demod) == pber_general(pat, c, thr, params)
 
@@ -304,7 +304,7 @@ class TestLabelingBer:
             assert bd <= abd  # the exact rule is optimal per bit
 
     def test_rejects_unknown_demodulator(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="one of sd, abd, bd; got 'zf'"):
             labeling_ber(
                 named_labeling("BRGC", 4), make_pam(4), ChannelParams(1.0), "zf"
             )
@@ -313,7 +313,7 @@ class TestLabelingBer:
 def column_masks(target):
     """Relevance matrix of each column pattern under the midpoint rule."""
     cols = target.matrix if isinstance(target, Labeling) else target.as_array()[:, None]
-    return [relevance_mask(BitPattern(tuple(bits))) for bits in cols.T]
+    return [_relevance(bits, bits) for bits in cols.T.astype(np.int64)]
 
 
 def per_column_abd_ber(masks, constellation, params):
@@ -373,12 +373,11 @@ class TestBatchedColumns:
 
     def test_pber_general_is_the_one_column_case(self):
         c = make_pam(8)
-        mids = midpoint_thresholds(c)
         for snr_db in self.GRID_DB[::4]:
             params = ChannelParams.from_db(snr_db)
             for pat in iter_patterns(8):
                 want = per_column_abd_ber(column_masks(pat), c, params)
-                assert pber_general(pat, c, mids, params) == want
+                assert pber_general(pat, c, mids(c, pat), params) == want
 
 
 class TestHighSnrParameter:
@@ -407,7 +406,7 @@ class TestArbitraryConstellation:
     def test_pber_matches_quadrature(self, uneven):
         pat = pattern_from_index(4, 5)
         snr = 2.0
-        got = pber_general(pat, uneven, midpoint_thresholds(uneven), ChannelParams(snr))
+        got = pber_general(pat, uneven, mids(uneven, pat), ChannelParams(snr))
         edges = np.concatenate(([-np.inf], uneven.midpoints(), [np.inf]))
         oracle = 0.0
         for i, s in enumerate(uneven.points):
@@ -424,9 +423,9 @@ class TestArbitraryConstellation:
         assert got == pytest.approx(oracle / 4.0, abs=1e-9)
 
     def test_dual_forms_agree(self, uneven):
-        thr = midpoint_thresholds(uneven)
         for w in (3, 5, 6, 9, 10, 12):
             pat = pattern_from_index(4, w)
+            thr = mids(uneven, pat)
             for snr in (0.4, 3.0):
                 params = ChannelParams(snr)
                 a = pber_general(pat, uneven, thr, params)
@@ -434,7 +433,7 @@ class TestArbitraryConstellation:
                 assert abs(a - b) <= 1e-12
 
     def test_interval_rows_sum_to_one(self, uneven):
-        v = interval_probs(uneven, midpoint_thresholds(uneven), ChannelParams(1.3))
+        v = interval_probs(uneven, uneven.midpoints(), ChannelParams(1.3))
         np.testing.assert_allclose(v.sum(axis=1), 1.0, atol=1e-12)
 
     def test_demodulator_equivalence_holds(self, uneven):

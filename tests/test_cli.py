@@ -209,6 +209,19 @@ class TestStabilityAndErrors:
         assert code == 1
         assert "weight" in err
 
+    def test_unreadable_pattern_is_usage_error(self, capsys):
+        # neither an index, a bit string nor comma-separated integers: a
+        # usage error that names the three forms
+        for text in ("foo", "1,0,x"):
+            code = main(["ber", "--M", "8", "--pattern", text, "--snr", "0"])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith("usage: pamber ber:") and repr(text) in err
+            assert "decimal index, a bit string, or comma-separated bits" in err
+        # an index out of range stays a value error
+        assert main(["ber", "--M", "8", "--pattern", "256", "--snr", "0"]) == 1
+        assert "out of range" in capsys.readouterr().err
+
     def test_vanished_thresholds_still_give_a_ber(self, capsys):
         # two of the four crossings of pattern 102 have vanished at -5 dB
         code, lines = run_cli(capsys, "ber", "--M", "8", "--pattern", "102",

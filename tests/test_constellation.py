@@ -13,7 +13,6 @@ from pamber import (
     named_labeling,
     pam_spacing,
     pattern_from_index,
-    subconstellation,
 )
 from pamber.pattern_classes import pattern_indices
 
@@ -190,35 +189,3 @@ class TestLabeling:
                 continue
             assert np.all(lab.matrix.sum(axis=0) == 2)
 
-
-class TestSubconstellation:
-    def test_brgc4_first_bit_zero(self):
-        c = make_pam(4)
-        lab = named_labeling("BRGC", 4)
-        np.testing.assert_array_equal(
-            subconstellation(lab, c, 1, 0), c.points[:2]
-        )
-
-    def test_union_is_partition(self):
-        c = make_pam(8)
-        lab = named_labeling("NBC", 8)
-        for j in range(1, 4):
-            lo = subconstellation(lab, c, j, 0)
-            hi = subconstellation(lab, c, j, 1)
-            both = np.sort(np.concatenate([lo, hi]))
-            np.testing.assert_array_equal(both, c.points)
-
-    def test_brgc8_third_bit_one(self):
-        c = make_pam(8)
-        lab = named_labeling("BRGC", 8)
-        np.testing.assert_array_equal(
-            subconstellation(lab, c, 3, 1), c.points[[1, 2, 5, 6]]
-        )
-
-    def test_position_out_of_range(self):
-        c = make_pam(4)
-        lab = named_labeling("BRGC", 4)
-        with pytest.raises(ValueError):
-            subconstellation(lab, c, 0, 0)
-        with pytest.raises(ValueError):
-            subconstellation(lab, c, 3, 0)

@@ -14,10 +14,8 @@ from pamber import (
     make_pam,
     maxlog_llr,
     named_labeling,
-    nearest_point_index,
     pattern_exact_llr,
     pattern_from_index,
-    pattern_maxlog_llr,
     sample_labelings,
     sd_decide,
 )
@@ -107,11 +105,11 @@ class TestNonFiniteObservations:
         params = ChannelParams(2.0)
         calls = (
             lambda y: sd_decide(y, lab, c),
-            lambda y: nearest_point_index(y, c),
+            lambda y: sd_decide(y, pat, c),
             lambda y: exact_llr(y, lab, c, params),
             lambda y: maxlog_llr(y, lab, c, params),
             lambda y: pattern_exact_llr(y, pat, c, params),
-            lambda y: pattern_maxlog_llr(y, pat, c, params),
+            lambda y: maxlog_llr(y, pat, c, params)[..., 0],
         )
         for call in calls:
             with pytest.raises(ValueError, match="finite"):
@@ -128,10 +126,9 @@ class TestNonFiniteObservations:
                          lambda: maxlog_llr(bad, target, c, params)):
                 with pytest.raises(error, match="target"):
                     call()
-        # the single-pattern functions take a pattern, not a labeling
-        for call in (pattern_exact_llr, pattern_maxlog_llr):
-            with pytest.raises(TypeError, match="BitPattern"):
-                call(0.1, lab, c, params)
+        # the single-pattern function takes a pattern, not a labeling
+        with pytest.raises(TypeError, match="BitPattern"):
+            pattern_exact_llr(0.1, lab, c, params)
 
 
 class TestHugeObservations:
@@ -160,7 +157,7 @@ class TestHugeObservations:
             lambda y: exact_llr(y, lab, c, params),
             lambda y: maxlog_llr(y, lab, c, params),
             lambda y: pattern_exact_llr(y, pat, c, params),
-            lambda y: pattern_maxlog_llr(y, pat, c, params),
+            lambda y: maxlog_llr(y, pat, c, params)[..., 0],
         )
         with np.errstate(all="raise"):
             for call in calls:
@@ -246,8 +243,8 @@ class TestSdDecide:
     def test_midpoint_tie_goes_low(self):
         c = make_pam(8)
         lab = named_labeling("NBC", 8)
-        # exact center is the midpoint between points 4 and 5
-        assert nearest_point_index(0.0, c) == 3
+        # exact center is the midpoint between points 4 and 5, whose NBC
+        # labels differ in every bit
         np.testing.assert_array_equal(sd_decide(0.0, lab, c), lab.matrix[3])
 
     def test_vectorized_matches_scalar(self):
@@ -353,7 +350,7 @@ class TestMaxlogLlr:
     def test_matches_subset_minimization(self):
         c = make_pam(8)
         pat = pattern_from_index(8, 60)
-        got = pattern_maxlog_llr(0.5, pat, c, ChannelParams(1.0))
+        got = maxlog_llr(0.5, pat, c, ChannelParams(1.0))[..., 0]
         assert got == pytest.approx(naive_maxlog_llr(0.5, pat, c, 1.0), rel=1e-14)
         assert got == pytest.approx(0.325468981432777, rel=1e-12)
         # the single-pattern L-value is column j of the labeling's, bit for bit
@@ -364,8 +361,8 @@ class TestMaxlogLlr:
             cols = maxlog_llr(y, lab, c, params)
             at = maxlog_llr(0.5, lab, c, params)
             for j, col in enumerate(lab.columns()):
-                assert (pattern_maxlog_llr(y, col, c, params) == cols[:, j]).all()
-                assert pattern_maxlog_llr(0.5, col, c, params) == at[j]
+                assert (maxlog_llr(y, col, c, params)[..., 0] == cols[:, j]).all()
+                assert maxlog_llr(0.5, col, c, params)[..., 0] == at[j]
 
     def test_converges_to_exact_llr(self):
         # away from every pairwise midpoint the max-log error shrinks like
@@ -382,7 +379,7 @@ class TestMaxlogLlr:
             pat = pattern_from_index(8, w)
             gap = np.abs(
                 pattern_exact_llr(y, pat, c, params)
-                - pattern_maxlog_llr(y, pat, c, params)
+                - maxlog_llr(y, pat, c, params)[..., 0]
             )
             assert gap.max() / params.snr <= 1e-6
 

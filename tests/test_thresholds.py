@@ -7,16 +7,14 @@ import pytest
 
 from pamber import (
     ChannelParams,
+    ThresholdSet,
     bd_thresholds,
     enumerate_classes,
     make_pam,
-    midpoint_thresholds,
     pattern_exact_llr,
     pattern_from_index,
     pber_general,
     pber_pam,
-    relevance_mask,
-    transition_mask,
 )
 from pamber import thresholds
 from pamber.pattern_classes import invert, iter_patterns
@@ -112,36 +110,57 @@ def sign_region_pber(pattern, constellation, params, samples=20_001):
     return total / constellation.size
 
 
+def bit_changes(pattern):
+    """True between adjacent points whose bits differ."""
+    return np.diff(pattern.bits) != 0
+
+
+def relevance(pattern):
+    """Relevance matrix of a pattern under the midpoint rule."""
+    bits = pattern.as_array().astype(np.int64)
+    return thresholds._relevance(bits, bits)
+
+
 class TestMidpoints:
     def test_four_point_values(self):
-        thr = midpoint_thresholds(make_pam(4))
-        np.testing.assert_allclose(thr.betas, [-2 * D4, 0.0, 2 * D4], atol=1e-15)
+        mids = make_pam(4).midpoints()
+        np.testing.assert_allclose(mids, [-2 * D4, 0.0, 2 * D4], atol=1e-15)
 
     def test_bpsk_single_zero(self):
-        np.testing.assert_array_equal(midpoint_thresholds(make_pam(2)).betas, [0.0])
+        np.testing.assert_array_equal(make_pam(2).midpoints(), [0.0])
 
     def test_eight_point_center(self):
-        assert midpoint_thresholds(make_pam(8)).betas[3] == 0.0
+        assert make_pam(8).midpoints()[3] == 0.0
+
+    def test_threshold_set_needs_one_region_bit_more(self):
+        pat = pattern_from_index(4, 5)
+        thr = ThresholdSet(make_pam(4).midpoints(), pat.bits)
+        np.testing.assert_array_equal(thr.bits, [0, 1, 0, 1])
+        assert thr.size == 3 and not thr.bits.flags.writeable
+        with pytest.raises(TypeError):
+            ThresholdSet(make_pam(4).midpoints())
+        with pytest.raises(ValueError, match="one region bit more"):
+            ThresholdSet(make_pam(4).midpoints(), [0, 1, 0])
 
 
 class TestRelevanceMask:
     def test_hand_evaluated_columns(self):
-        g = relevance_mask(pattern_from_index(4, 3))
+        g = relevance(pattern_from_index(4, 3))
         np.testing.assert_array_equal(g[:, 1], [1, 1, -1, -1])
         np.testing.assert_array_equal(g[:, 0], 0)
         np.testing.assert_array_equal(g[:, 2], 0)
 
     def test_zero_columns_match_equal_neighbors(self):
         for pat in iter_patterns(8):
-            g = relevance_mask(pat)
+            g = relevance(pat)
             zero_cols = ~np.any(g, axis=0)
-            np.testing.assert_array_equal(zero_cols, ~transition_mask(pat))
+            np.testing.assert_array_equal(zero_cols, ~bit_changes(pat))
 
     def test_invariant_under_inversion(self):
         # both factors flip sign, so the product is unchanged
         for pat in iter_patterns(8):
             np.testing.assert_array_equal(
-                relevance_mask(pat), relevance_mask(invert(pat))
+                relevance(pat), relevance(invert(pat))
             )
 
 
@@ -170,14 +189,14 @@ class TestBdThresholds:
         c = make_pam(8)
         pat = pattern_from_index(8, index)
         thr = bd_thresholds(pat, c, ChannelParams(1e4))
-        gap = np.abs(thr.betas - c.midpoints()[transition_mask(pat)])
+        gap = np.abs(thr.betas - c.midpoints()[bit_changes(pat)])
         assert gap.max() <= 1e-4
 
     @pytest.mark.parametrize("index", FIG_PATTERNS)
     def test_deviation_shrinks_with_snr(self, index):
         c = make_pam(8)
         pat = pattern_from_index(8, index)
-        mids = c.midpoints()[transition_mask(pat)]
+        mids = c.midpoints()[bit_changes(pat)]
         devs = []
         for snr_db in np.arange(0.0, 30.5, 1.0):
             thr = bd_thresholds(pat, c, ChannelParams.from_db(snr_db))
@@ -335,7 +354,7 @@ class TestSignRegions:
     @pytest.mark.parametrize("pat", CLASS_REPS, ids=lambda p: str(p.index))
     def test_crossings_obey_count_and_location_bounds(self, pat):
         c = make_pam(8)
-        transitions = int(transition_mask(pat).sum())
+        transitions = int(bit_changes(pat).sum())
         for snr_db in np.arange(-10.0, 30.25, 0.5):
             params = ChannelParams.from_db(snr_db)
             thr = bd_thresholds(pat, c, params)
@@ -360,7 +379,7 @@ class TestSignRegions:
         c = make_pam(8)
         compared = 0
         for pat in CLASS_REPS:
-            transitions = int(transition_mask(pat).sum())
+            transitions = int(bit_changes(pat).sum())
             for snr_db in (-10.0, -5.0, -2.0, 1.0, 4.0):
                 params = ChannelParams.from_db(snr_db)
                 thr = bd_thresholds(pat, c, params)
