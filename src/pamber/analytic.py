@@ -8,12 +8,12 @@ is
     P = c + (1/M) * sum_{i,k} g[i,k] * Q((beta_k - s_i) * sqrt(2*snr))
 
 with the relevance matrix ``g[i,k] = (b_k - b_{k-1}) * (1 - 2*p_i)``
-(``_relevance`` in :mod:`pamber.thresholds`) and
-``c = (1/M) * sum_i [p_i + (1 - 2*p_i) * b_0]``.  A pattern has M/2 ones,
-so ``c = 1/2`` whatever ``b_0`` is.  For midpoint boundaries ``K = M-1``
-and ``b = p``.  An equivalent form accumulates region probabilities against
-the bit-disagreement matrix ``e[i,k] = p_i XOR b_k``; it lives in
-:mod:`pamber.verify` as an oracle, and the two agree to machine precision.
+(``_relevance``) and ``c = (1/M) * sum_i [p_i + (1 - 2*p_i) * b_0]``.  A
+pattern has M/2 ones, so ``c = 1/2`` whatever ``b_0`` is.  For midpoint
+boundaries ``K = M-1`` and ``b = p``.  An equivalent form accumulates region
+probabilities against the bit-disagreement matrix ``e[i,k] = p_i XOR b_k``;
+it lives in :mod:`pamber.verify` as an oracle, and the two agree to machine
+precision.  :mod:`pamber.thresholds` only finds the boundaries.
 
 One evaluator core, ``_gq_sums``, sums ``g*Q`` for every row of an
 ``(n, M)`` bit matrix against one set of boundaries in one array pass.
@@ -43,7 +43,7 @@ from scipy.special import erfc
 
 from .constellation import BitPattern, Constellation, Labeling, pam_spacing
 from .demod import DEMODULATORS, ChannelParams, _column_matrix
-from .thresholds import ThresholdSet, _relevance, bd_thresholds
+from .thresholds import ThresholdSet, bd_thresholds
 
 
 def qfunc(x):
@@ -53,6 +53,17 @@ def qfunc(x):
     is a few ULP well past x = 8, and values underflow gracefully.
     """
     return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+
+
+def _relevance(bits, region_bits) -> np.ndarray:
+    """Relevance matrices ``(b[k+1]-b[k]) * (1-2*p[i])``, shape (..., M, K).
+
+    ``p`` is each row of the signed-integer bit matrix ``bits`` and ``b``
+    the region bits of K boundaries.  Column k is all zero exactly when
+    boundary k sits between regions that decide the same bit.
+    """
+    step = region_bits[..., 1:] - region_bits[..., :-1]
+    return step[..., None, :] * (1 - 2 * bits)[..., :, None]
 
 
 def _gq_sums(bits, region_bits, betas, constellation, params) -> np.ndarray:
@@ -76,6 +87,8 @@ def pber_general(
     params: ChannelParams,
 ) -> float:
     """PBER of a sign demodulator with the boundaries and region bits given."""
+    if not isinstance(pattern, BitPattern):
+        raise TypeError(f"pattern must be a BitPattern, got {type(pattern)!r}")
     if pattern.size != constellation.size:
         raise ValueError("pattern and constellation sizes differ")
     bits = np.array([pattern.bits], dtype=np.int64)
@@ -164,10 +177,9 @@ def labeling_ber(
     the exact L-value boundaries at this SNR for every column pattern.
     """
     cols = _column_matrix(target, constellation)
-    kind = demod.lower()
-    if kind not in DEMODULATORS:
+    if demod not in DEMODULATORS:
         raise ValueError(f"demod must be one of {', '.join(DEMODULATORS)}; got {demod!r}")
-    if kind == "bd":
+    if demod == "bd":
         pbers = []
         for bits in cols.T:
             pat = BitPattern(tuple(bits))

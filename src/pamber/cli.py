@@ -285,9 +285,8 @@ def _cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-def _add_common(parser, *, m_default=None) -> None:
-    parser.add_argument("--M", type=int, default=m_default, required=m_default is None,
-                        help="constellation size")
+def _add_common(parser) -> None:
+    parser.add_argument("--M", type=int, required=True, help="constellation size")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
 
 

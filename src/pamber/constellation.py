@@ -72,10 +72,6 @@ class Constellation:
         """Number of points M."""
         return int(self.points.size)
 
-    @property
-    def mean_energy(self) -> float:
-        return float(np.mean(self.points**2))
-
     def midpoints(self) -> np.ndarray:
         """The M-1 midpoints between adjacent points."""
         return 0.5 * (self.points[:-1] + self.points[1:])
@@ -175,10 +171,7 @@ class Labeling:
         row_codes = mat @ (1 << np.arange(n_bits - 1, -1, -1))
         if len(set(row_codes.tolist())) != m_points:
             raise ValueError("labeling rows must be pairwise distinct (bijection)")
-        # Holds automatically for a bijection on 2^m points; checked anyway
-        # because everything downstream relies on it.
-        if not np.all(mat.sum(axis=0) == m_points // 2):
-            raise ValueError("every labeling column must have weight M/2")
+        # Distinct rows are every m-bit label once: each column has weight M/2.
         # Pattern indices read each column big-endian; Python ints keep
         # them exact past 63 points.
         place = np.array([1 << k for k in range(m_points - 1, -1, -1)], dtype=object)
@@ -198,31 +191,12 @@ class Labeling:
         """The m column patterns, in bit-position order."""
         return tuple(BitPattern(tuple(col)) for col in self.matrix.T)
 
-    def label_of(self, point_index: int) -> tuple[int, ...]:
-        """Label bits of point ``point_index`` (0-based)."""
-        return tuple(int(b) for b in self.matrix[point_index])
-
     @classmethod
     def from_indices(cls, m_points: int, indices: Iterable[int]) -> "Labeling":
         """Stack the patterns of ``indices`` as columns, in the order given."""
         return cls(np.column_stack(
             [pattern_from_index(m_points, w).as_array() for w in indices]
         ))
-
-
-def _brgc_rows(n_bits: int) -> list[list[int]]:
-    # reflect-and-prefix recursion
-    rows = [[0], [1]]
-    for _ in range(n_bits - 1):
-        rows = [[0] + r for r in rows] + [[1] + r for r in reversed(rows)]
-    return rows
-
-
-def _nbc_rows(n_bits: int) -> list[list[int]]:
-    return [
-        [(i >> (n_bits - 1 - j)) & 1 for j in range(n_bits)]
-        for i in range(1 << n_bits)
-    ]
 
 
 def named_labeling(name: str, m_points: int) -> Labeling:
@@ -240,10 +214,11 @@ def named_labeling(name: str, m_points: int) -> Labeling:
         raise ValueError(f"M must be a power of two >= 2, got {m_points}")
     key = name.strip().upper()
     n_bits = m_points.bit_length() - 1
-    if key == "BRGC":
-        return Labeling(np.array(_brgc_rows(n_bits)))
-    if key == "NBC":
-        return Labeling(np.array(_nbc_rows(n_bits)))
+    if key in ("BRGC", "NBC"):  # point i gets code i, or its Gray code i ^ (i >> 1)
+        codes = np.arange(m_points)
+        if key == "BRGC":
+            codes ^= codes >> 1
+        return Labeling((codes[:, None] >> np.arange(n_bits - 1, -1, -1)) & 1)
     try:
         indices = _FIXED_LABELINGS[(key, m_points)]
     except KeyError:

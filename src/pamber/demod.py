@@ -74,15 +74,12 @@ class ChannelParams:
 
     @classmethod
     def from_db(cls, snr_db: float) -> "ChannelParams":
-        return cls(snr=10.0 ** (snr_db / 10.0))
-
-    @property
-    def snr_db(self) -> float:
-        return 10.0 * math.log10(self.snr)
-
-    @property
-    def n0(self) -> float:
-        return 1.0 / self.snr
+        """The channel at ``snr_db`` dB, whose linear SNR must be a positive finite float."""
+        snr_db = float(snr_db)
+        try:
+            return cls(snr=10.0 ** (snr_db / 10.0))
+        except (OverflowError, ValueError):
+            raise ValueError(f"snr_db={snr_db:g} has no positive finite linear SNR") from None
 
     @property
     def noise_std(self) -> float:

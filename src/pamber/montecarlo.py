@@ -13,7 +13,7 @@ or ``abd_decide`` on ``maxlog_llr`` (ABD) or ``exact_llr`` (BD).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,14 +48,17 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "snr_db_grid", tuple(float(s) for s in self.snr_db_grid))
+        for name in ("trials", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.trials < 10_000:
             raise ValueError("need at least 10^4 trials for a reportable estimate")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not self.snr_db_grid:
             raise ValueError("empty SNR grid")
-        if not all(math.isfinite(s) for s in self.snr_db_grid):
-            raise ValueError(f"SNR grid values must be finite, got {self.snr_db_grid}")
+        for snr_db in self.snr_db_grid:  # rejects a non-finite or out-of-range value
+            ChannelParams.from_db(snr_db)
         if self.demodulator not in DEMODULATORS:
             raise ValueError(f"demodulator must be one of {', '.join(DEMODULATORS)}")
 
@@ -70,7 +73,7 @@ class BerEstimate:
     bit_errors: int
     bits_sent: int
     demodulator: str
-    per_bit: tuple[float, ...] = field(default=())
+    per_bit: tuple[float, ...]
 
 
 def _check_noise_reach(constellation: Constellation, snr_db_grid) -> None:

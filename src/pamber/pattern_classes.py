@@ -106,10 +106,14 @@ class PatternClass:
     coefficients: tuple[int, ...]
 
 
+def _check_class_size(m_points: int) -> None:
+    if m_points < 4 or m_points % 4 != 0:
+        raise ValueError(f"M must be a positive multiple of 4, got {m_points}")
+
+
 def class_count_closed_form(m_points: int) -> int:
     """Number of classes: (C(M,M/2) + C(M/2,M/4) + 2^(M/2)) / 4."""
-    if m_points % 4 != 0:
-        raise ValueError(f"class counting needs M divisible by 4, got {m_points}")
+    _check_class_size(m_points)
     half = m_points // 2
     return (comb(m_points, half) + comb(half, half // 2) + (1 << half)) // 4
 
@@ -122,8 +126,7 @@ def enumerate_classes(m_points: int) -> list[PatternClass]:
     expected to have distinct coefficient vectors; a warning is emitted
     if that ever fails for some M.
     """
-    if m_points % 4 != 0:
-        raise ValueError(f"class enumeration needs M divisible by 4, got {m_points}")
+    _check_class_size(m_points)
     seen: set[int] = set()
     orbits: list[list[int]] = []
     for w in pattern_indices(m_points):
@@ -160,8 +163,7 @@ def distinct_a1_count(m_points: int) -> int:
     Equals M-1 for equally spaced PAM: the leading coefficient is twice
     the count of adjacent bit disagreements, which ranges over 1..M-1.
     """
-    if m_points % 4 != 0:
-        raise ValueError(f"grouping count needs M divisible by 4, got {m_points}")
+    _check_class_size(m_points)
     firsts = set()
     for w in pattern_indices(m_points):
         # adjacent disagreements of the mask, doubled

@@ -46,6 +46,7 @@ _SCAN_GROWTH = 1.02
 # Illinois steps before the refinement falls back to halving; it needs at
 # most 5 on every 8-PAM pattern from -10 to 30 dB.
 _ILLINOIS_STEPS = 16
+_XTOL = 1e-10
 _RTOL = 4 * float(np.finfo(float).eps)
 # Far out, the exact L-value is a difference of large squared distances,
 # and rounding flips its sign where it is small: on 8-PAM, spurious
@@ -81,17 +82,6 @@ class ThresholdSet:
     def size(self) -> int:
         """Number of boundaries K."""
         return int(self.betas.size)
-
-
-def _relevance(bits, region_bits) -> np.ndarray:
-    """Relevance matrices ``(b[k+1]-b[k]) * (1-2*p[i])``, shape (..., M, K).
-
-    ``p`` is each row of the signed-integer bit matrix ``bits`` and ``b``
-    the region bits of K boundaries.  Column k is all zero exactly when
-    boundary k sits between regions that decide the same bit.
-    """
-    step = region_bits[..., 1:] - region_bits[..., :-1]
-    return step[..., None, :] * (1 - 2 * bits)[..., :, None]
 
 
 def _scan_grid(points: np.ndarray, reach: float) -> np.ndarray:
@@ -154,17 +144,13 @@ def _illinois(f, lo, hi, flo, fhi, xtol: float) -> np.ndarray:
 
 
 def bd_thresholds(
-    pattern: BitPattern,
-    constellation: Constellation,
-    params: ChannelParams,
-    *,
-    xtol: float = 1e-10,
+    pattern: BitPattern, constellation: Constellation, params: ChannelParams
 ) -> ThresholdSet:
     """Every zero crossing of the exact L-value, with the bit of each region.
 
     One scan of the L-value over ``[s_0 - T, s_{M-1} + T]`` (see the
     module docstring) brackets the sign changes; all brackets are then
-    refined together to ``xtol``.  Region bits alternate from ``p_0`` at
+    refined together to within 1e-10.  Region bits alternate from ``p_0`` at
     the left.  The number of crossings is at most the number of bit
     transitions; fewer means that crossings have merged and vanished.
 
@@ -190,7 +176,7 @@ def bd_thresholds(
     hits = np.nonzero((values[:-1] < 0) != (values[1:] < 0))[0]
     roots = _illinois(
         lambda y: pattern_exact_llr(y, pattern, constellation, params),
-        grid[hits], grid[hits + 1], values[hits], values[hits + 1], xtol,
+        grid[hits], grid[hits + 1], values[hits], values[hits + 1], _XTOL,
     )
     first = int(values[0] > 0)
     return ThresholdSet(betas=roots, bits=(first + np.arange(roots.size + 1)) % 2)

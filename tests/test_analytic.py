@@ -29,10 +29,10 @@ from pamber import (
     qfunc,
     sd_decide,
 )
-from pamber.analytic import pattern_weights
+from pamber.analytic import _relevance, pattern_weights
 from pamber.constellation import LABELING_NAMES
 from pamber.pattern_classes import invert, iter_patterns, pattern_indices, reflect
-from pamber.thresholds import _relevance, bd_thresholds
+from pamber.thresholds import bd_thresholds
 from pamber.verify import interval_probs, pber_interval_form
 
 
@@ -156,6 +156,12 @@ class TestPberGeneral:
             a = pber_general(pat, c, mids(c, pat), params)
             b = pber_interval_form(pat, c, mids(c, pat), params)
             assert abs(a - b) <= 1e-12
+
+    def test_rejects_a_labeling(self):
+        c = make_pam(8)
+        lab = named_labeling("BRGC", 8)
+        with pytest.raises(TypeError, match="BitPattern"):
+            pber_general(lab, c, mids(c, lab.columns()[0]), ChannelParams(1.0))
 
     def test_probability_bounds_at_extremes(self):
         c = make_pam(8)
@@ -307,6 +313,14 @@ class TestLabelingBer:
         with pytest.raises(ValueError, match="one of sd, abd, bd; got 'zf'"):
             labeling_ber(
                 named_labeling("BRGC", 4), make_pam(4), ChannelParams(1.0), "zf"
+            )
+
+    @pytest.mark.parametrize("demod", ["BD", "Abd", " sd", None])
+    def test_demodulator_names_are_exact(self, demod):
+        # the same names SimConfig and the --demod choices accept
+        with pytest.raises(ValueError, match="one of sd, abd, bd"):
+            labeling_ber(
+                named_labeling("BRGC", 8), make_pam(8), ChannelParams(2.0), demod
             )
 
 

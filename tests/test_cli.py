@@ -73,7 +73,7 @@ class TestParsing:
     @given(db=st.floats(-30.0, 50.0))
     @settings(max_examples=50, deadline=None)
     def test_db_conversion_round_trip(self, db):
-        assert ChannelParams.from_db(db).snr_db == pytest.approx(db, abs=1e-12)
+        assert 10 * math.log10(ChannelParams.from_db(db).snr) == pytest.approx(db, abs=1e-12)
 
 
 class TestSubcommands:
@@ -249,6 +249,17 @@ class TestStabilityAndErrors:
                      "--demod", "abd", "--trials", "10000"])
         assert code != 0
         assert "snr_db=-300 is too low" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["llr", "--M", "8", "--labeling", "brgc", "--snr", "4000", "--y", "0"],
+        ["simulate", "--M", "8", "--labeling", "brgc", "--snr", "4000", "--demod", "sd"],
+        ["simulate", "--M", "8", "--labeling", "brgc", "--snr=-4000", "--demod", "bd"],
+        ["ber", "--M", "8", "--labeling", "brgc", "--snr", "4000"],
+    ])
+    def test_snr_past_the_float_range_fails_cleanly(self, capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pamber: error: snr_db=") and "Traceback" not in err
 
     def test_verify_exits_nonzero_when_a_check_fails(self, capsys, monkeypatch):
         from pamber import verify

@@ -42,7 +42,7 @@ class TestMakePam:
     def test_invariants(self, m):
         c = make_pam(m)
         assert np.all(np.diff(c.points) > 0)
-        assert abs(c.mean_energy - 1.0) <= 1e-12
+        assert abs(np.mean(c.points**2) - 1.0) <= 1e-12
         np.testing.assert_allclose(c.points, -c.points[::-1], atol=0)
 
     @pytest.mark.parametrize("m", [0, 1, 3, 7, -4])
@@ -123,6 +123,18 @@ class TestNamedLabeling:
         # constructor enforces bijectivity and balanced columns already
         assert np.all(lab.matrix.sum(axis=0) == m // 2)
 
+    @pytest.mark.parametrize("m", [2 << k for k in range(12)])
+    def test_code_tables_match_their_definitions(self, m):
+        n_bits = m.bit_length() - 1
+        gray = [[0], [1]]  # reflect-and-prefix recursion
+        for _ in range(n_bits - 1):
+            gray = [[0] + r for r in gray] + [[1] + r for r in reversed(gray)]
+        binary = [[(i >> (n_bits - 1 - j)) & 1 for j in range(n_bits)] for i in range(m)]
+        for name, rows in (("BRGC", gray), ("NBC", binary)):
+            lab = named_labeling(name, m)
+            assert lab.matrix.dtype == np.int8
+            np.testing.assert_array_equal(lab.matrix, np.array(rows, dtype=np.int8))
+
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown"):
             named_labeling("XYZ", 8)
@@ -141,9 +153,9 @@ class TestNamedLabeling:
 class TestLabeling:
     def test_rows_are_distinct_labels(self):
         lab = named_labeling("BRGC", 4)
-        assert lab.label_of(0) == (0, 0)
-        assert lab.label_of(1) == (0, 1)
-        assert lab.label_of(3) == (1, 0)
+        assert tuple(lab.matrix[0]) == (0, 0)
+        assert tuple(lab.matrix[1]) == (0, 1)
+        assert tuple(lab.matrix[3]) == (1, 0)
 
     def test_rejects_complementary_columns(self):
         # columns 3 and 12 are complements; rows repeat

@@ -79,7 +79,8 @@ def assert_same_bits(got, want):
 class TestChannelParams:
     def test_db_round_trip(self):
         for db in (-7.5, 0.0, 3.0, 21.7):
-            assert ChannelParams.from_db(db).snr_db == pytest.approx(db, abs=1e-12)
+            snr = ChannelParams.from_db(db).snr
+            assert 10 * math.log10(snr) == pytest.approx(db, abs=1e-12)
 
     def test_db_examples(self):
         assert ChannelParams.from_db(10.0).snr == pytest.approx(10.0, rel=1e-15)
@@ -87,13 +88,19 @@ class TestChannelParams:
 
     def test_noise_variance(self):
         p = ChannelParams(4.0)
-        assert p.n0 == 0.25
+        assert p.noise_std**2 == pytest.approx(1 / (2 * p.snr), rel=1e-15)
         assert p.noise_std == pytest.approx(math.sqrt(0.125), rel=1e-15)
 
     @pytest.mark.parametrize("snr", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_snr(self, snr):
         with pytest.raises(ValueError):
             ChannelParams(snr)
+
+    @pytest.mark.parametrize("db", [4000.0, -4000.0, np.float64(4000.0), 5000])
+    def test_from_db_rejects_out_of_range_db(self, db):
+        # 10^(db/10) overflows or underflows a float
+        with pytest.raises(ValueError, match=f"snr_db={float(db):g} has no positive finite"):
+            ChannelParams.from_db(db)
 
 
 class TestNonFiniteObservations:

@@ -39,6 +39,28 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="finite"):
             SimConfig(trials=10_000, seed=1, snr_db_grid=(0.0, snr_db))
 
+    @pytest.mark.parametrize("demod", ["sd", "abd", "bd"])
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0])
+    def test_rejects_snr_past_the_float_range_up_front(self, demod, snr_db):
+        with pytest.raises(ValueError, match=f"snr_db={snr_db:g}"):
+            SimConfig(trials=10_000, seed=1, snr_db_grid=(0.0, snr_db), demodulator=demod)
+
+    def test_demodulator_names_are_exact(self):
+        with pytest.raises(ValueError, match="one of sd, abd, bd"):
+            SimConfig(trials=10_000, seed=1, snr_db_grid=(0.0,), demodulator="BD")
+
+    @pytest.mark.parametrize("field, value", [
+        ("trials", 1e5), ("trials", "100000"), ("seed", 1.5), ("seed", 2.0),
+    ])
+    def test_rejects_non_integer_counts(self, field, value):
+        kwargs = {"trials": 10_000, "seed": 1, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SimConfig(snr_db_grid=(0.0,), **kwargs)
+
+    def test_accepts_numpy_integers(self):
+        config = SimConfig(trials=np.int64(10_000), seed=np.uint32(3), snr_db_grid=(0.0,))
+        assert simulate(named_labeling("BRGC", 4), make_pam(4), config)[0].bits_sent == 20_000
+
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="non-negative"):
             SimConfig(trials=10_000, seed=-1, snr_db_grid=(0.0,))

@@ -130,6 +130,13 @@ class TestEnumerateClasses:
         with pytest.raises(ValueError):
             class_count_closed_form(10)
 
+    @pytest.mark.parametrize("func", [enumerate_classes, class_count_closed_form,
+                                      distinct_a1_count])
+    @pytest.mark.parametrize("m", [0, -4, 2, 6])
+    def test_one_class_size_rule(self, func, m):
+        with pytest.raises(ValueError, match=f"positive multiple of 4, got {m}"):
+            func(m)
+
 
 class TestLeadingWeightGroups:
     @pytest.mark.parametrize(("m", "expected"), [(4, 3), (8, 7), (16, 15)])

@@ -16,7 +16,7 @@ from pamber import (
     pber_general,
     pber_pam,
 )
-from pamber import thresholds
+from pamber import analytic, thresholds
 from pamber.pattern_classes import invert, iter_patterns
 from pamber.verify import pber_interval_form
 
@@ -118,7 +118,7 @@ def bit_changes(pattern):
 def relevance(pattern):
     """Relevance matrix of a pattern under the midpoint rule."""
     bits = pattern.as_array().astype(np.int64)
-    return thresholds._relevance(bits, bits)
+    return analytic._relevance(bits, bits)
 
 
 class TestMidpoints:
