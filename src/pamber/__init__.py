@@ -3,94 +3,81 @@
 Closed-form and simulated error rates under three demodulators (nearest
 point, exact per-bit L-value, max-log L-value), plus enumeration of the
 bit patterns and labelings that determine the BER of equally spaced PAM.
+
+The public names are exported lazily (PEP 562): ``import pamber`` loads no
+submodule, and ``pamber.<name>`` imports the one module that defines it on
+first access.  Only :mod:`pamber.analytic` evaluates the Q-function, and it
+imports ``scipy.special`` (about 0.3 s of a cold start), so a program that
+only counts classes, demodulates or simulates never pays for it.
 """
 
-from .analytic import (
-    ber_from_coefficients,
-    high_snr_bicm_parameter,
-    labeling_ber,
-    labeling_ber_pam,
-    labeling_coefficients,
-    pattern_coefficients,
-    pber_general,
-    pber_pam,
-    qfunc,
-)
-from .constellation import (
-    BitPattern,
-    Constellation,
-    Labeling,
-    make_pam,
-    named_labeling,
-    pam_spacing,
-    pattern_from_index,
-)
-from .demod import (
-    ChannelParams,
-    abd_decide,
-    exact_llr,
-    maxlog_llr,
-    pattern_exact_llr,
-    sd_decide,
-)
-from .labeling_space import (
-    LabelingClass,
-    enumerate_labelings,
-    labeling_census,
-    sample_labelings,
-)
-from .montecarlo import BerEstimate, SimConfig, simulate
-from .pattern_classes import (
-    PatternClass,
-    class_count_closed_form,
-    classify,
-    distinct_a1_count,
-    enumerate_classes,
-    invert,
-    iter_patterns,
-    reflect,
-)
-from .thresholds import ThresholdSet, bd_thresholds
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BerEstimate",
-    "BitPattern",
-    "ChannelParams",
-    "Constellation",
-    "Labeling",
-    "LabelingClass",
-    "PatternClass",
-    "SimConfig",
-    "ThresholdSet",
-    "abd_decide",
-    "bd_thresholds",
-    "ber_from_coefficients",
-    "class_count_closed_form",
-    "classify",
-    "distinct_a1_count",
-    "enumerate_classes",
-    "enumerate_labelings",
-    "exact_llr",
-    "high_snr_bicm_parameter",
-    "invert",
-    "iter_patterns",
-    "labeling_ber",
-    "labeling_ber_pam",
-    "labeling_census",
-    "labeling_coefficients",
-    "make_pam",
-    "maxlog_llr",
-    "named_labeling",
-    "pam_spacing",
-    "pattern_coefficients",
-    "pattern_exact_llr",
-    "pattern_from_index",
-    "pber_general",
-    "pber_pam",
-    "qfunc",
-    "reflect",
-    "sd_decide",
-    "simulate",
-]
+# Each public name, under the module that defines it.
+_EXPORTS = {
+    "analytic": (
+        "ber_from_coefficients",
+        "labeling_ber",
+        "labeling_ber_pam",
+        "pber_general",
+        "pber_pam",
+        "qfunc",
+    ),
+    "constellation": (
+        "BitPattern",
+        "Constellation",
+        "Labeling",
+        "make_pam",
+        "named_labeling",
+        "pam_spacing",
+        "pattern_from_index",
+    ),
+    "demod": (
+        "ChannelParams",
+        "abd_decide",
+        "exact_llr",
+        "maxlog_llr",
+        "pattern_exact_llr",
+        "sd_decide",
+    ),
+    "labeling_space": (
+        "LabelingClass",
+        "enumerate_labelings",
+        "labeling_census",
+        "sample_labelings",
+    ),
+    "montecarlo": ("BerEstimate", "SimConfig", "simulate"),
+    "pattern_classes": (
+        "PatternClass",
+        "class_count_closed_form",
+        "classify",
+        "distinct_a1_count",
+        "enumerate_classes",
+        "high_snr_bicm_parameter",
+        "invert",
+        "iter_patterns",
+        "labeling_coefficients",
+        "pattern_coefficients",
+        "reflect",
+    ),
+    "thresholds": ("ThresholdSet", "bd_thresholds"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+# ``sample_labelings`` resolves as an attribute but stays out of
+# ``from pamber import *``, as it always has.
+__all__ = sorted(_MODULE_OF.keys() - {"sample_labelings"})
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _MODULE_OF.keys())

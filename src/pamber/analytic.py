@@ -27,11 +27,9 @@ bit-identical to the average of its columns' PBERs.
 
 For equally spaced unit-energy M-PAM with midpoint boundaries the PBER
 collapses to a weighted sum of Q-functions at odd multiples of the half
-spacing; the integer weight vector depends only on the pattern and fully
-determines the curve.  It is bilinear in the pattern bits, so
-:func:`pattern_weights` evaluates it for many patterns in one array pass.
-Summing the weight vectors of a labeling's column patterns gives the
-labeling's BER the same way.
+spacing, which :func:`ber_from_coefficients` evaluates.  The integer
+weight vectors themselves need no Q-function and live in
+:mod:`pamber.pattern_classes`.
 """
 
 from __future__ import annotations
@@ -43,6 +41,7 @@ from scipy.special import erfc
 
 from .constellation import BitPattern, Constellation, Labeling, pam_spacing
 from .demod import DEMODULATORS, ChannelParams, _column_matrix
+from .pattern_classes import labeling_coefficients, pattern_coefficients
 from .thresholds import ThresholdSet, bd_thresholds
 
 
@@ -96,40 +95,6 @@ def pber_general(
     return 0.5 + float(s[0]) / constellation.size
 
 
-def pattern_weights(bits) -> np.ndarray:
-    """Integer Q-function weight vectors of many patterns in one array pass.
-
-    ``bits`` holds one length-M 0/1 pattern per row; row n of the result
-    is the weight vector of pattern n (see :func:`pattern_coefficients`).
-    With ``step[j] = p[j+1] - p[j]`` and ``sign[i] = 1 - 2*p[i]`` the
-    weight at lag ``a = 0..M-2`` is the bilinear form
-
-        sum_j step[j] * (sign[j-a] - sign[j+a+1]),
-
-    where sign entries outside ``0..M-1`` count as zero.
-    """
-    bits = np.asarray(bits, dtype=np.int64)
-    m_points = bits.shape[1]
-    step = np.diff(bits, axis=1)
-    # Zero-pad sign by M-1 on both sides so every lagged index is in range.
-    sign = np.zeros((bits.shape[0], 3 * m_points - 2), dtype=np.int64)
-    sign[:, m_points - 1 : 2 * m_points - 1] = 1 - 2 * bits
-    lag = np.arange(m_points - 1)[:, None]
-    j = np.arange(m_points - 1)[None, :] + (m_points - 1)
-    return np.einsum("naj,nj->na", sign[:, j - lag] - sign[:, j + lag + 1], step)
-
-
-def pattern_coefficients(pattern: BitPattern) -> np.ndarray:
-    """Integer Q-function weights of a pattern for equally spaced PAM.
-
-    Entry n-1 (n = 1..M-1) weights Q((2n-1)*d*sqrt(2*snr)) in the PBER.
-    The first entry is twice the number of adjacent points whose bits
-    differ; the vector is invariant under reflection and inversion of the
-    pattern.
-    """
-    return pattern_weights(pattern.as_array()[None, :])[0]
-
-
 def ber_from_coefficients(
     coefficients: np.ndarray, m_points: int, params: ChannelParams
 ) -> float:
@@ -148,11 +113,6 @@ def pber_pam(pattern: BitPattern, params: ChannelParams) -> float:
     return ber_from_coefficients(
         pattern_coefficients(pattern), pattern.size, params
     )
-
-
-def labeling_coefficients(labeling: Labeling) -> np.ndarray:
-    """Sum of the column patterns' Q-function weight vectors."""
-    return pattern_weights(labeling.matrix.T).sum(axis=0)
 
 
 def labeling_ber_pam(labeling: Labeling, params: ChannelParams) -> float:
@@ -193,13 +153,3 @@ def labeling_ber(
     for pber in pbers:  # in column order, as a sum of Python floats
         total += float(pber)
     return total / cols.shape[1]
-
-
-def high_snr_bicm_parameter(labeling: Labeling) -> int:
-    """``2*m*(M-1)`` minus the first labeling weight.
-
-    Equals twice the number of adjacent label pairs agreeing per bit
-    position summed over positions; non-negative for every labeling.
-    """
-    alpha1 = int(labeling_coefficients(labeling)[0])
-    return 2 * labeling.n_bits * (labeling.size - 1) - alpha1

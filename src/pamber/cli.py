@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from contextlib import contextmanager
 
 import numpy as np
 import scipy
 
-from . import __version__, analytic, labeling_space, montecarlo, pattern_classes, verify
+from . import __version__, labeling_space, montecarlo, pattern_classes
 from .constellation import (
     LABELING_NAMES,
     BitPattern,
@@ -156,6 +157,8 @@ def _read_target(args) -> BitPattern | Labeling:
 
 
 def _cmd_ber(args) -> int:
+    from . import analytic  # loads scipy.special: only this command evaluates Q
+
     grid = parse_grid(args.snr)
     constellation = make_pam(args.M)
     target = _read_target(args)
@@ -231,7 +234,7 @@ def _cmd_labelings(args) -> int:
             lab = named_labeling(name, args.M)
         except ValueError:
             continue
-        alpha = tuple(int(x) for x in analytic.labeling_coefficients(lab))
+        alpha = tuple(int(x) for x in pattern_classes.labeling_coefficients(lab))
         named.setdefault(alpha, name)
     rows = []
     for rank, cls in enumerate(census, start=1):
@@ -274,6 +277,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     results = verify.run_all()
     width = max(len(r.name) for r in results)
     failures = 0
@@ -360,7 +365,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader of stdout went away (``pamber ... | head``).  Point
+        # stdout at devnull so that the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except argparse.ArgumentTypeError as exc:
         print(f"usage: pamber {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import analytic
+from . import pattern_classes
 from .constellation import Labeling, pattern_from_index
 from .pattern_classes import pattern_indices
 
@@ -103,7 +103,7 @@ def labeling_census(m_points: int) -> list[LabelingClass]:
     sets = np.array(_bijective_sets(m_points), dtype=np.int64)
     pool = np.fromiter(pattern_indices(m_points), dtype=np.int64)
     table = np.array([
-        analytic.pattern_coefficients(pattern_from_index(m_points, int(w)))
+        pattern_classes.pattern_coefficients(pattern_from_index(m_points, int(w)))
         for w in pool
     ])
     alphas = table[np.searchsorted(pool, sets)].sum(axis=1)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .constellation import Constellation
 from .demod import (
+    _EPS,
     DEMODULATORS,
     ChannelParams,
     _column_matrix,
@@ -89,6 +90,22 @@ def _check_noise_reach(constellation: Constellation, snr_db_grid) -> None:
             )
 
 
+def _check_bd_floor(constellation: Constellation, snr_db_grid) -> None:
+    # The exact L-value adds log-domain corrections of about ln(M/2), each
+    # rounded by about eps*ln(M/2), to an inner bit's L-value of about
+    # snr*dmin^2.  Below this SNR its sign is rounding noise.
+    gap = float((constellation.points[1:] - constellation.points[:-1]).min())
+    floor = _EPS * math.log(constellation.size / 2) / gap**2
+    for snr_db in snr_db_grid:
+        if ChannelParams.from_db(snr_db).snr < floor:
+            raise ValueError(
+                f"snr_db={snr_db:g} is too low for the bd demodulator: below "
+                f"{10 * math.log10(floor):.1f} dB the rounding of the exact L-value, "
+                f"eps*ln(M/2), exceeds the L-value itself, about snr*dmin^2; "
+                f"the sd and abd demodulators have no such floor"
+            )
+
+
 def simulate(
     target, constellation: Constellation, config: SimConfig
 ) -> list[BerEstimate]:
@@ -102,10 +119,17 @@ def simulate(
             point ``max|x|`` plus 10 noise standard deviations exceeds the
             L-value bound ``dmin/(8*eps)`` of :mod:`pamber.demod` (below
             about -271 dB for unit-energy 8-PAM).  "sd" has no such bound.
+        ValueError: for "bd", before any work, if some grid point lies
+            below ``snr = eps*ln(M/2)/dmin^2``, where the rounding of the
+            exact L-value's log-domain corrections exceeds an inner bit's
+            L-value and its sign becomes noise (-147.9 dB for unit-energy
+            8-PAM).
     """
     cols = _column_matrix(target, constellation)
     if config.demodulator != "sd":
         _check_noise_reach(constellation, config.snr_db_grid)
+    if config.demodulator == "bd":
+        _check_bd_floor(constellation, config.snr_db_grid)
     bit_rows = np.ascontiguousarray(cols.T)  # row j: bit j of every point's label
     points = constellation.points
     n_bits = cols.shape[1]

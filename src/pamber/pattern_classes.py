@@ -6,6 +6,15 @@ patterns group into classes of size 2 or 4 under the two operations.  A
 pattern can never equal its own inversion; it may equal its reflection
 (RE), its inverted reflection (ARE), or neither (ASY).
 
+For equally spaced unit-energy M-PAM with midpoint boundaries the PBER
+is a weighted sum of Q-functions at odd multiples of the half spacing;
+the integer weight vector depends only on the pattern and fully
+determines the curve.  It is bilinear in the pattern bits, so
+:func:`pattern_weights` evaluates it for many patterns in one array pass.
+Summing the weight vectors of a labeling's column patterns gives the
+labeling's BER the same way.  This is integer algebra: the module needs
+no Q-function, and neither does anything that only counts classes.
+
 Enumeration walks the orbits on integer bitmasks and computes the weight
 vectors of all class representatives in one array pass; a
 :class:`~pamber.constellation.BitPattern` is built only for each
@@ -21,8 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .analytic import pattern_weights
-from .constellation import BitPattern, pattern_from_index
+from .constellation import BitPattern, Labeling, pattern_from_index
 
 RE = "RE"
 ARE = "ARE"
@@ -90,6 +98,55 @@ def iter_patterns(m_points: int) -> Iterator[BitPattern]:
     """All balanced patterns of length M, ascending by index."""
     for w in pattern_indices(m_points):
         yield pattern_from_index(m_points, w)
+
+
+def pattern_weights(bits) -> np.ndarray:
+    """Integer Q-function weight vectors of many patterns in one array pass.
+
+    ``bits`` holds one length-M 0/1 pattern per row; row n of the result
+    is the weight vector of pattern n (see :func:`pattern_coefficients`).
+    With ``step[j] = p[j+1] - p[j]`` and ``sign[i] = 1 - 2*p[i]`` the
+    weight at lag ``a = 0..M-2`` is the bilinear form
+
+        sum_j step[j] * (sign[j-a] - sign[j+a+1]),
+
+    where sign entries outside ``0..M-1`` count as zero.
+    """
+    bits = np.asarray(bits, dtype=np.int64)
+    m_points = bits.shape[1]
+    step = np.diff(bits, axis=1)
+    # Zero-pad sign by M-1 on both sides so every lagged index is in range.
+    sign = np.zeros((bits.shape[0], 3 * m_points - 2), dtype=np.int64)
+    sign[:, m_points - 1 : 2 * m_points - 1] = 1 - 2 * bits
+    lag = np.arange(m_points - 1)[:, None]
+    j = np.arange(m_points - 1)[None, :] + (m_points - 1)
+    return np.einsum("naj,nj->na", sign[:, j - lag] - sign[:, j + lag + 1], step)
+
+
+def pattern_coefficients(pattern: BitPattern) -> np.ndarray:
+    """Integer Q-function weights of a pattern for equally spaced PAM.
+
+    Entry n-1 (n = 1..M-1) weights Q((2n-1)*d*sqrt(2*snr)) in the PBER.
+    The first entry is twice the number of adjacent points whose bits
+    differ; the vector is invariant under reflection and inversion of the
+    pattern.
+    """
+    return pattern_weights(pattern.as_array()[None, :])[0]
+
+
+def labeling_coefficients(labeling: Labeling) -> np.ndarray:
+    """Sum of the column patterns' Q-function weight vectors."""
+    return pattern_weights(labeling.matrix.T).sum(axis=0)
+
+
+def high_snr_bicm_parameter(labeling: Labeling) -> int:
+    """``2*m*(M-1)`` minus the first labeling weight.
+
+    Equals twice the number of adjacent label pairs agreeing per bit
+    position summed over positions; non-negative for every labeling.
+    """
+    alpha1 = int(labeling_coefficients(labeling)[0])
+    return 2 * labeling.n_bits * (labeling.size - 1) - alpha1
 
 
 @dataclass(frozen=True)

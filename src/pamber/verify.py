@@ -125,11 +125,11 @@ def check_named_labeling_coefficients() -> str:
             lab.pattern_set == frozenset(indices),
             f"{name} {m_points}: pattern set {sorted(lab.pattern_set)}",
         )
-        got = tuple(int(x) for x in analytic.labeling_coefficients(lab))
+        got = tuple(int(x) for x in pattern_classes.labeling_coefficients(lab))
         _require(got == alpha, f"{name} {m_points}: weights {got}")
         by_hand = np.sum(
             [
-                analytic.pattern_coefficients(pattern_from_index(m_points, w))
+                pattern_classes.pattern_coefficients(pattern_from_index(m_points, w))
                 for w in indices
             ],
             axis=0,
@@ -271,7 +271,7 @@ def check_leading_weight_grouping() -> str:
             transitions = sum(
                 pattern.bits[i] != pattern.bits[i + 1] for i in range(m_points - 1)
             )
-            lead = int(analytic.pattern_coefficients(pattern)[0])
+            lead = int(pattern_classes.pattern_coefficients(pattern)[0])
             _require(
                 lead == 2 * transitions,
                 f"pattern {pattern.index}: leading weight {lead}, "
@@ -358,7 +358,7 @@ def check_curve_population() -> str:
     }
     _require(len(curves) == 460, f"{len(curves)} distinct curves")
     best = census[0]
-    brgc = tuple(int(x) for x in analytic.labeling_coefficients(named_labeling("BRGC", 8)))
+    brgc = tuple(int(x) for x in pattern_classes.labeling_coefficients(named_labeling("BRGC", 8)))
     _require(best.alpha == brgc, f"best class {best.alpha}")
     _require(best.alpha[0] == 14, f"best leading weight {best.alpha[0]}")
     return "460 distinct curves; best class is the Gray-code class (leading 14)"

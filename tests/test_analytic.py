@@ -29,9 +29,9 @@ from pamber import (
     qfunc,
     sd_decide,
 )
-from pamber.analytic import _relevance, pattern_weights
+from pamber.analytic import _relevance
 from pamber.constellation import LABELING_NAMES
-from pamber.pattern_classes import invert, iter_patterns, pattern_indices, reflect
+from pamber.pattern_classes import invert, iter_patterns, pattern_indices, pattern_weights, reflect
 from pamber.thresholds import bd_thresholds
 from pamber.verify import interval_probs, pber_interval_form
 

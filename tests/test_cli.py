@@ -1,12 +1,17 @@
 """Command-line interface tests."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pamber
 from pamber import (
     ChannelParams,
     bd_thresholds,
@@ -301,3 +306,30 @@ class TestStabilityAndErrors:
         # a known name without a definition at this size stays a value error
         assert main(["ber", "--M", "16", "--labeling", "fbc", "--snr", "1"]) == 1
         assert "not defined for M=16" in capsys.readouterr().err
+
+
+class TestClosedPipe:
+    """``pamber ... | head -1``: the reader leaves before the output ends."""
+
+    @pytest.mark.parametrize("argv", [
+        ["classes", "--M", "4"],
+        # about 0.8 MB, far past a pipe buffer, so the write always fails
+        ["llr", "--M", "8", "--labeling", "brgc", "--snr", "10", "--y=-3:0.0005:3"],
+    ])
+    def test_closed_stdout_gives_no_traceback(self, argv):
+        src = str(Path(pamber.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pamber.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        code = proc.wait(timeout=120)
+        assert first.startswith(b"# pamber " + argv[0].encode())
+        assert "Traceback" not in err and "Error" not in err, err
+        if argv[0] == "llr":
+            assert code == 1

@@ -1,0 +1,88 @@
+"""What a fresh interpreter loads: only the Q-function path pays for scipy.special."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import pamber
+
+SRC = str(Path(pamber.__file__).resolve().parents[1])
+Q_FREE_MODULES = (
+    "constellation",
+    "demod",
+    "thresholds",
+    "pattern_classes",
+    "labeling_space",
+    "montecarlo",
+)
+
+
+def fresh(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports pamber from this tree."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def loaded_after(code: str) -> set[str]:
+    """The modules of interest in ``sys.modules`` once ``code`` has run."""
+    out = fresh(
+        code
+        + "\nimport sys"
+        + "\nprint(*sorted(m for m in sys.modules"
+        + " if m == 'scipy.special' or m.startswith('pamber.')))"
+    )
+    return set(out.splitlines()[-1].split())
+
+
+def test_import_pamber_loads_no_submodule():
+    assert loaded_after("import pamber") == set()
+
+
+@pytest.mark.parametrize("module", ["cli", *Q_FREE_MODULES])
+def test_q_free_modules_leave_out_scipy_special(module):
+    loaded = loaded_after(f"import pamber.{module}")
+    assert f"pamber.{module}" in loaded
+    assert "scipy.special" not in loaded
+    assert "pamber.analytic" not in loaded
+
+
+def test_cli_classes_run_leaves_out_scipy_special():
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['pamber', 'classes', '--M', '4']\n"
+        "try:\n"
+        "    runpy.run_module('pamber.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code"
+    )
+    loaded = loaded_after(code)
+    assert "pamber.pattern_classes" in loaded
+    assert "scipy.special" not in loaded
+
+
+def test_analytic_loads_scipy_special_when_imported():
+    # The curves and simulate workloads import analytic during their set-up,
+    # so the first Q evaluation must not pay for the import.
+    assert "scipy.special" in loaded_after("import pamber.analytic")
+
+
+def test_star_import_binds_every_public_name():
+    out = fresh(
+        "import pamber\n"
+        "names = {}\n"
+        "exec('from pamber import *', names)\n"
+        "assert set(pamber.__all__) <= names.keys()\n"
+        "assert set(pamber.__all__) <= set(dir(pamber))\n"
+        "print(len(pamber.__all__))"
+    )
+    assert out.split() == ["38"]

@@ -220,12 +220,34 @@ class TestExtremeSnr:
             with pytest.raises(ValueError, match="snr_db=-300 is too low"):
                 simulate(lab, c, config)
 
-    @pytest.mark.parametrize("demod", ["sd", "abd", "bd"])
+    @pytest.mark.parametrize("demod", ["sd", "abd"])
     def test_far_but_resolvable_snr_still_runs(self, demod):
         config = SimConfig(trials=10_000, seed=0, snr_db_grid=(-250.0,),
                            demodulator=demod)
         est = simulate(named_labeling("BRGC", 8), make_pam(8), config)[0]
         assert abs(est.ber - 0.5) <= 5 * est.stderr
+
+    def test_bd_below_its_rounding_floor_is_rejected_before_any_work(self, monkeypatch):
+        # At -250 dB the exact L-value's sign is rounding noise, not a decision.
+        from pamber import montecarlo
+
+        def no_work(*args):
+            raise AssertionError("a chunk was demodulated")
+
+        monkeypatch.setattr(montecarlo, "exact_llr", no_work)
+        config = SimConfig(trials=10_000, seed=0, snr_db_grid=(0.0, -250.0),
+                           demodulator="bd")
+        with pytest.raises(ValueError, match=r"snr_db=-250 is too low for the bd .* -147\.9 dB"):
+            simulate(named_labeling("BRGC", 8), make_pam(8), config)
+
+    def test_bd_above_its_rounding_floor_agrees_with_sd(self):
+        lab, c = named_labeling("BRGC", 8), make_pam(8)
+        bd, sd = (
+            simulate(lab, c, SimConfig(trials=10_000, seed=0, snr_db_grid=(-100.0,),
+                                       demodulator=demod))[0]
+            for demod in ("bd", "sd")
+        )
+        assert abs(bd.ber - sd.ber) <= 5 * math.hypot(bd.stderr, sd.stderr)
 
     def test_sd_stays_total(self):
         config = SimConfig(trials=10_000, seed=0, snr_db_grid=(0.0, -300.0),
