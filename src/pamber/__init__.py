@@ -39,14 +39,12 @@ _EXPORTS = {
         "abd_decide",
         "exact_llr",
         "maxlog_llr",
-        "pattern_exact_llr",
         "sd_decide",
     ),
     "labeling_space": (
         "LabelingClass",
         "enumerate_labelings",
         "labeling_census",
-        "sample_labelings",
     ),
     "montecarlo": ("BerEstimate", "SimConfig", "simulate"),
     "pattern_classes": (
@@ -66,9 +64,7 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-# ``sample_labelings`` resolves as an attribute but stays out of
-# ``from pamber import *``, as it always has.
-__all__ = sorted(_MODULE_OF.keys() - {"sample_labelings"})
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):

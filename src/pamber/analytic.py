@@ -92,7 +92,7 @@ def pber_general(
         raise ValueError("pattern and constellation sizes differ")
     bits = np.array([pattern.bits], dtype=np.int64)
     s = _gq_sums(bits, thresholds.bits[None, :], thresholds.betas, constellation, params)
-    return 0.5 + float(s[0]) / constellation.size
+    return 0.5 + s.item() / pattern.size
 
 
 def ber_from_coefficients(
@@ -148,8 +148,8 @@ def labeling_ber(
     else:
         bits = np.ascontiguousarray(cols.T, dtype=np.int64)  # see the module docstring
         sums = _gq_sums(bits, bits, constellation.midpoints(), constellation, params)
-        pbers = 0.5 + sums / constellation.size
+        pbers = [0.5 + s / cols.shape[0] for s in sums.tolist()]
     total = 0.0
     for pber in pbers:  # in column order, as a sum of Python floats
-        total += float(pber)
+        total += pber
     return total / cols.shape[1]

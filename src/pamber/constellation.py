@@ -49,13 +49,16 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Constellation:
-    """Ordered real amplitudes.
+    """Ordered real amplitudes and the geometry derived from them once.
 
     Attributes:
         points: strictly increasing float64 array of the M amplitudes.
+        dmin: the smallest gap between adjacent points.
     """
 
     points: np.ndarray
+    dmin: float = field(init=False)
+    _midpoints: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         pts = _readonly(np.array(self.points, dtype=float))
@@ -64,8 +67,11 @@ class Constellation:
             raise ValueError("need a 1-D array of at least two points")
         if pts.size % 2 != 0:
             raise ValueError(f"number of points must be even, got {pts.size}")
-        if not np.all(np.diff(pts) > 0):
+        gaps = np.diff(pts)
+        if not np.all(gaps > 0):
             raise ValueError("points must be strictly increasing")
+        object.__setattr__(self, "dmin", float(gaps.min()))
+        object.__setattr__(self, "_midpoints", _readonly(0.5 * (pts[:-1] + pts[1:])))
 
     @property
     def size(self) -> int:
@@ -73,8 +79,8 @@ class Constellation:
         return int(self.points.size)
 
     def midpoints(self) -> np.ndarray:
-        """The M-1 midpoints between adjacent points."""
-        return 0.5 * (self.points[:-1] + self.points[1:])
+        """The M-1 midpoints between adjacent points, a read-only array."""
+        return self._midpoints
 
 
 def make_pam(m_points: int) -> Constellation:

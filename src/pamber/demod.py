@@ -15,8 +15,9 @@ point; sign decisions map an exact zero L-value to bit 1.  The two rules
 can disagree only on that measure-zero set.
 
 The demodulators act on a *target*: a :class:`Labeling`, or a
-:class:`BitPattern` as one column.  One kernel loop, ``_per_bit``, gives
-every L-value; :func:`pattern_exact_llr` reads its column 0.
+:class:`BitPattern` as one column.  One sample loop, ``_llr_rows``, gives
+every L-value; its set-up (checks, the gather index ``_subsets``) runs
+once per :func:`exact_llr` or :func:`maxlog_llr` call and once per BD solve.
 
 The L-value kernels are point-major.  For a block of samples they hold
 one row of squared distances ``(y - x)**2`` per point ``x`` and gather,
@@ -123,8 +124,7 @@ _EPS = float(np.finfo(float).eps)
 
 def _llr_limit(constellation: Constellation) -> float:
     """The bound ``dmin/(8*eps)`` on ``|y| + max|x|`` of the L-value functions."""
-    points = constellation.points
-    return float((points[1:] - points[:-1]).min()) / (8 * _EPS)
+    return constellation.dmin / (8 * _EPS)
 
 
 def _llr_observations(y, constellation: Constellation) -> np.ndarray:
@@ -200,22 +200,28 @@ def _exact_from_rows(rows, snr: float, out) -> None:
     out += corr[:, 1] - corr[:, 0]
 
 
-def _per_bit(y, target, constellation, params, kernel) -> np.ndarray:
-    cols = _column_matrix(target, constellation)
-    y_arr = _llr_observations(y, constellation)
-    n_bits = cols.shape[1]
-    # subsets[i, j, b]: the i-th lowest point whose bit j is b.  Every
-    # column holds M/2 ones, so a stable sort splits it in two halves.
-    halves = cols.T.argsort(axis=1, kind="stable").reshape(n_bits, 2, -1)
-    subsets = halves.transpose(2, 0, 1)
-    samples = y_arr.reshape(-1)
-    points = constellation.points[:, None]
-    out = np.empty((n_bits, samples.size))
-    step = max(1, _BLOCK // cols.size)
+def _subsets(cols) -> np.ndarray:
+    """Gather index ``subsets[i, j, b]``: the i-th lowest point whose bit j is b."""
+    # Every column holds M/2 ones, so a stable sort splits it in two halves.
+    halves = cols.T.argsort(axis=1, kind="stable").reshape(cols.shape[1], 2, -1)
+    return np.ascontiguousarray(halves.transpose(2, 0, 1))
+
+
+def _llr_rows(samples, subsets, points, snr: float, kernel) -> np.ndarray:
+    """The ``(m, n)`` L-values of ``n`` checked samples; ``points`` is ``(M, 1)``."""
+    out = np.empty((subsets.shape[1], samples.size))
+    step = max(1, _BLOCK // subsets.size)  # subsets.size is M*m
     for lo in range(0, samples.size, step):
         sq = np.square(samples[lo : lo + step] - points)
-        kernel(sq[subsets], params.snr, out[:, lo : lo + step])
-    return out.reshape((n_bits,) + y_arr.shape).transpose(*range(1, y_arr.ndim + 1), 0)
+        kernel(sq[subsets], snr, out[:, lo : lo + step])
+    return out
+
+
+def _per_bit(y, target, constellation, params, kernel) -> np.ndarray:
+    subsets = _subsets(_column_matrix(target, constellation))
+    y_arr = _llr_observations(y, constellation)
+    out = _llr_rows(y_arr.reshape(-1), subsets, constellation.points[:, None], params.snr, kernel)
+    return out.reshape(out.shape[:1] + y_arr.shape).transpose(*range(1, y_arr.ndim + 1), 0)
 
 
 def exact_llr(
@@ -244,17 +250,6 @@ def maxlog_llr(
     input bound as for :func:`exact_llr`.
     """
     return _per_bit(y, target, constellation, params, _maxlog_from_rows)
-
-
-def pattern_exact_llr(
-    y, pattern: BitPattern, constellation: Constellation, params: ChannelParams
-):
-    """Column 0 of :func:`exact_llr` for one ``pattern``, shaped like ``y``."""
-    # a labeling would otherwise pass and yield its first bit's L-value
-    if not isinstance(pattern, BitPattern):
-        raise TypeError(f"pattern must be a BitPattern, got {type(pattern)!r}")
-    out = exact_llr(y, pattern, constellation, params)[..., 0]
-    return float(out) if np.ndim(y) == 0 else out
 
 
 def abd_decide(llr) -> np.ndarray:

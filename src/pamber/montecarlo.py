@@ -94,8 +94,7 @@ def _check_bd_floor(constellation: Constellation, snr_db_grid) -> None:
     # The exact L-value adds log-domain corrections of about ln(M/2), each
     # rounded by about eps*ln(M/2), to an inner bit's L-value of about
     # snr*dmin^2.  Below this SNR its sign is rounding noise.
-    gap = float((constellation.points[1:] - constellation.points[:-1]).min())
-    floor = _EPS * math.log(constellation.size / 2) / gap**2
+    floor = _EPS * math.log(constellation.size / 2) / constellation.dmin**2
     for snr_db in snr_db_grid:
         if ChannelParams.from_db(snr_db).snr < floor:
             raise ValueError(

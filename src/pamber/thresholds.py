@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import BitPattern, Constellation
-from .demod import ChannelParams, pattern_exact_llr
+from .demod import ChannelParams, _exact_from_rows, _llr_observations, _llr_rows, _subsets
 
 # The scan is uniform across the points and geometric beyond them, its
 # step growing by _SCAN_GROWTH per sample out to the bound T.  Crossings
@@ -154,29 +154,35 @@ def bd_thresholds(
     the left.  The number of crossings is at most the number of bit
     transitions; fewer means that crossings have merged and vanished.
 
+    The scan grid is checked once against the L-value bound of
+    :mod:`pamber.demod`; every refinement point lies between its ends.
+
     Raises:
+        TypeError: if ``pattern`` is not a :class:`BitPattern`.
         ValueError: if T exceeds 10^6 point gaps (below about -54 dB for
             8-PAM), where rounding in the L-value makes spurious crossings.
     """
+    if not isinstance(pattern, BitPattern):  # not a labeling's first column
+        raise TypeError(f"pattern must be a BitPattern, got {type(pattern)!r}")
     if pattern.size != constellation.size:
         raise ValueError("pattern and constellation sizes differ")
-    points = constellation.points
-    gap = float(np.diff(points).min())
-    reach = math.log(constellation.size / 2) / (2 * params.snr * gap)
-    if reach > _MAX_REACH_GAPS * gap:
+    reach = math.log(constellation.size / 2) / (2 * params.snr * constellation.dmin)
+    if reach > _MAX_REACH_GAPS * constellation.dmin:
         raise ValueError(
             f"snr={params.snr:g} is too low: the exact L-value cannot be "
             f"resolved out to its bound T={reach:g}"
         )
-    grid = _scan_grid(points, reach)
-    values = pattern_exact_llr(grid, pattern, constellation, params)
+    grid = _llr_observations(_scan_grid(constellation.points, reach), constellation)
+    subsets, column = _subsets(pattern.as_array()[:, None]), constellation.points[:, None]
+
+    def llr(y):
+        return _llr_rows(y, subsets, column, params.snr, _exact_from_rows)[0]
+
+    values = llr(grid)
     # The ends are nonzero, so dropping exact zeros keeps every sign change.
     nonzero = values != 0
     grid, values = grid[nonzero], values[nonzero]
     hits = np.nonzero((values[:-1] < 0) != (values[1:] < 0))[0]
-    roots = _illinois(
-        lambda y: pattern_exact_llr(y, pattern, constellation, params),
-        grid[hits], grid[hits + 1], values[hits], values[hits + 1], _XTOL,
-    )
+    roots = _illinois(llr, grid[hits], grid[hits + 1], values[hits], values[hits + 1], _XTOL)
     first = int(values[0] > 0)
     return ThresholdSet(betas=roots, bits=(first + np.arange(roots.size + 1)) % 2)

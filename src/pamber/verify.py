@@ -389,12 +389,5 @@ def run_all() -> list[CheckResult]:
         except AssertionError as exc:
             detail = str(exc)
             passed = False
-        results.append(
-            CheckResult(
-                name=name,
-                passed=passed,
-                detail=detail,
-                seconds=time.perf_counter() - start,
-            )
-        )
+        results.append(CheckResult(name, passed, detail, time.perf_counter() - start))
     return results

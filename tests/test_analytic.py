@@ -13,6 +13,7 @@ from pamber import (
     ThresholdSet,
     abd_decide,
     ber_from_coefficients,
+    exact_llr,
     high_snr_bicm_parameter,
     labeling_ber,
     labeling_ber_pam,
@@ -22,7 +23,6 @@ from pamber import (
     named_labeling,
     pam_spacing,
     pattern_coefficients,
-    pattern_exact_llr,
     pattern_from_index,
     pber_general,
     pber_pam,
@@ -462,7 +462,7 @@ class TestArbitraryConstellation:
         pat = pattern_from_index(4, 5)
         params = ChannelParams.from_db(8.0)
         thr = bd_thresholds(pat, uneven, params)
-        residual = pattern_exact_llr(thr.betas, pat, uneven, params)
+        residual = exact_llr(thr.betas, pat, uneven, params)[..., 0]
         assert np.abs(residual).max() <= 1e-8
 
     def test_rejects_unsorted_or_odd_points(self):
@@ -470,6 +470,30 @@ class TestArbitraryConstellation:
             Constellation(points=[0.0, -1.0, 1.0, 2.0])
         with pytest.raises(ValueError, match="even"):
             Constellation(points=[-1.0, 0.0, 1.0])
+
+
+class TestPinnedBits:
+    """``float.hex()`` of curve points as first committed, kept bit for bit."""
+
+    @pytest.mark.parametrize("demod, snr_db, want", [
+        ("abd", 0.0, "0x1.cf8f97b7cecc0p-2"),
+        ("abd", 15.0, "0x1.fbe6144ef09d3p-5"),
+        ("bd", 0.0, "0x1.b129a0d74b1c5p-2"),
+        ("bd", 15.0, "0x1.fbe6144ee2795p-5"),
+    ])
+    def test_ag8(self, demod, snr_db, want):
+        params = ChannelParams.from_db(snr_db)
+        got = labeling_ber(named_labeling("AG", 8), make_pam(8), params, demod)
+        assert got.hex() == want
+
+    @pytest.mark.parametrize("demod, want", [
+        ("abd", "0x1.dbe651aaeb80cp-4"),
+        ("bd", "0x1.dbe5e859551d4p-4"),
+    ])
+    def test_uneven_nbc4(self, demod, want):
+        uneven = Constellation(points=[-1.9, -0.35, 0.1, 1.1])
+        got = labeling_ber(named_labeling("NBC", 4), uneven, ChannelParams.from_db(8.0), demod)
+        assert got.hex() == want
 
 
 class TestBerFromCoefficients:

@@ -8,6 +8,7 @@ import pytest
 
 from pamber import (
     BitPattern,
+    Constellation,
     Labeling,
     make_pam,
     named_labeling,
@@ -201,3 +202,20 @@ class TestLabeling:
                 continue
             assert np.all(lab.matrix.sum(axis=0) == 2)
 
+
+class TestGeometry:
+    @pytest.mark.parametrize("points", [make_pam(8).points, [-1.9, -0.35, 0.1, 1.1],
+                                        [-3.0, -2.9, 0.0, 0.25, 0.3, 7.0]])
+    def test_computed_once_from_the_points(self, points):
+        c = Constellation(points=points)
+        p = c.points
+        assert c.dmin == np.diff(p).min()
+        assert isinstance(c.dmin, float)
+        mids = c.midpoints()
+        np.testing.assert_array_equal(mids, 0.5 * (p[:-1] + p[1:]))
+        assert mids is c.midpoints()
+
+    def test_midpoints_are_read_only(self):
+        mids = make_pam(4).midpoints()
+        with pytest.raises(ValueError, match="read-only"):
+            mids[0] = 1.0

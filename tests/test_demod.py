@@ -14,11 +14,10 @@ from pamber import (
     make_pam,
     maxlog_llr,
     named_labeling,
-    pattern_exact_llr,
     pattern_from_index,
-    sample_labelings,
     sd_decide,
 )
+from pamber.labeling_space import sample_labelings
 from pamber.pattern_classes import invert, pattern_indices, reflect
 
 
@@ -115,7 +114,7 @@ class TestNonFiniteObservations:
             lambda y: sd_decide(y, pat, c),
             lambda y: exact_llr(y, lab, c, params),
             lambda y: maxlog_llr(y, lab, c, params),
-            lambda y: pattern_exact_llr(y, pat, c, params),
+            lambda y: exact_llr(y, pat, c, params)[..., 0],
             lambda y: maxlog_llr(y, pat, c, params)[..., 0],
         )
         for call in calls:
@@ -133,9 +132,6 @@ class TestNonFiniteObservations:
                          lambda: maxlog_llr(bad, target, c, params)):
                 with pytest.raises(error, match="target"):
                     call()
-        # the single-pattern function takes a pattern, not a labeling
-        with pytest.raises(TypeError, match="BitPattern"):
-            pattern_exact_llr(0.1, lab, c, params)
 
 
 class TestHugeObservations:
@@ -163,7 +159,7 @@ class TestHugeObservations:
         calls = (
             lambda y: exact_llr(y, lab, c, params),
             lambda y: maxlog_llr(y, lab, c, params),
-            lambda y: pattern_exact_llr(y, pat, c, params),
+            lambda y: exact_llr(y, pat, c, params)[..., 0],
             lambda y: maxlog_llr(y, pat, c, params)[..., 0],
         )
         with np.errstate(all="raise"):
@@ -225,15 +221,15 @@ class TestSortOracle:
         for snr_db in (-30.0, 0.0, 10.0, 50.0):
             params = ChannelParams.from_db(snr_db)
             for w in odd:
-                assert pattern_exact_llr(0.0, pattern_from_index(8, w), c, params) == 0.0
+                assert exact_llr(0.0, pattern_from_index(8, w), c, params)[..., 0] == 0.0
         # pattern 102 reads the same reflected, so its L-value is even in y
         # instead: equal bit for bit at y and -y (nonzero at the centre)
         pat = pattern_from_index(8, 102)
         y = np.linspace(0.0, 3.0, 151)
         for snr_db in (-30.0, 0.0, 10.0, 50.0):
             params = ChannelParams.from_db(snr_db)
-            assert_same_bits(pattern_exact_llr(-y, pat, c, params),
-                             pattern_exact_llr(y, pat, c, params))
+            assert_same_bits(exact_llr(-y, pat, c, params)[..., 0],
+                             exact_llr(y, pat, c, params)[..., 0])
 
 
 class TestSdDecide:
@@ -267,7 +263,7 @@ class TestExactLlr:
     def test_symmetric_pattern_zero_at_center(self):
         c = make_pam(8)
         p15 = pattern_from_index(8, 15)
-        assert pattern_exact_llr(0.0, p15, c, ChannelParams(3.7)) == 0.0
+        assert exact_llr(0.0, p15, c, ChannelParams(3.7))[..., 0] == 0.0
 
     def test_matches_naive_sums(self):
         c = make_pam(4)
@@ -290,15 +286,15 @@ class TestExactLlr:
             cols = exact_llr(y, lab, c8, params)
             at = exact_llr(0.3, lab, c8, params)
             for j, pat in enumerate(lab.columns()):
-                assert (pattern_exact_llr(y, pat, c8, params) == cols[:, j]).all()
-                assert pattern_exact_llr(0.3, pat, c8, params) == at[j]
+                assert (exact_llr(y, pat, c8, params)[..., 0] == cols[:, j]).all()
+                assert exact_llr(0.3, pat, c8, params)[..., 0] == at[j]
 
     def test_sign_far_beyond_top_point(self):
         c = make_pam(8)
         params = ChannelParams(2.0)
         for w in pattern_indices(8):
             pat = pattern_from_index(8, w)
-            val = pattern_exact_llr(10.0, pat, c, params)
+            val = exact_llr(10.0, pat, c, params)[..., 0]
             assert (val > 0) == bool(pat.bits[-1])
 
     def test_no_overflow_at_huge_exponents(self):
@@ -306,7 +302,7 @@ class TestExactLlr:
         pat = pattern_from_index(8, 102)
         params = ChannelParams(2500.0)
         with np.errstate(over="raise"):
-            val = pattern_exact_llr(c.points[-1] + 20.0, pat, c, params)
+            val = exact_llr(c.points[-1] + 20.0, pat, c, params)[..., 0]
         assert math.isfinite(val)
         assert params.snr * (c.points[-1] + 20.0 - c.points[0]) ** 2 > 1e6
 
@@ -320,8 +316,8 @@ class TestExactLlr:
         c = make_pam(8)
         params = ChannelParams(snr)
         pat = pattern_from_index(8, w)
-        a = pattern_exact_llr(y, pat, c, params)
-        b = pattern_exact_llr(y, invert(pat), c, params)
+        a = exact_llr(y, pat, c, params)[..., 0]
+        b = exact_llr(y, invert(pat), c, params)[..., 0]
         assert a == -b  # numerator and denominator swap exactly
 
     @given(
@@ -334,8 +330,8 @@ class TestExactLlr:
         c = make_pam(8)
         params = ChannelParams(snr)
         pat = pattern_from_index(8, w)
-        a = pattern_exact_llr(y, pat, c, params)
-        b = pattern_exact_llr(-y, reflect(pat), c, params)
+        a = exact_llr(y, pat, c, params)[..., 0]
+        b = exact_llr(-y, reflect(pat), c, params)[..., 0]
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
@@ -385,7 +381,7 @@ class TestMaxlogLlr:
         for w in (15, 60, 102, 43, 85):
             pat = pattern_from_index(8, w)
             gap = np.abs(
-                pattern_exact_llr(y, pat, c, params)
+                exact_llr(y, pat, c, params)[..., 0]
                 - maxlog_llr(y, pat, c, params)[..., 0]
             )
             assert gap.max() / params.snr <= 1e-6

@@ -16,9 +16,8 @@ from pamber import (
     named_labeling,
     pattern_coefficients,
     pattern_from_index,
-    sample_labelings,
 )
-from pamber.labeling_space import is_bijective_set
+from pamber.labeling_space import is_bijective_set, sample_labelings
 from pamber.pattern_classes import invert_index, pattern_indices
 
 

@@ -7,11 +7,13 @@ import pytest
 
 from pamber import (
     ChannelParams,
+    Constellation,
     ThresholdSet,
     bd_thresholds,
     enumerate_classes,
+    exact_llr,
     make_pam,
-    pattern_exact_llr,
+    named_labeling,
     pattern_from_index,
     pber_general,
     pber_pam,
@@ -29,15 +31,15 @@ CLASS_REPS = tuple(cls.representative for cls in enumerate_classes(8))
 def scan_roots(pattern, constellation, params, lo, hi, samples=2_000_001):
     """Independent dense sign-scan refined by interval halving."""
     grid = np.linspace(lo, hi, samples)
-    vals = pattern_exact_llr(grid, pattern, constellation, params)
+    vals = exact_llr(grid, pattern, constellation, params)[..., 0]
     hits = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
     roots = []
     for i in hits:
         a, b = grid[i], grid[i + 1]
-        fa = pattern_exact_llr(a, pattern, constellation, params)
+        fa = exact_llr(a, pattern, constellation, params)[..., 0]
         for _ in range(60):
             mid = 0.5 * (a + b)
-            fm = pattern_exact_llr(mid, pattern, constellation, params)
+            fm = exact_llr(mid, pattern, constellation, params)[..., 0]
             if (fa < 0) == (fm < 0):
                 a, fa = mid, fm
             else:
@@ -99,7 +101,8 @@ def sign_region_pber(pattern, constellation, params, samples=20_001):
     lo, hi = constellation.points[0] - t, constellation.points[-1] + t
     edges = [lo] + scan_roots(pattern, constellation, params, lo, hi, samples) + [hi]
     inner = [0.5 * (a + b) for a, b in zip(edges[:-1], edges[1:])]
-    bits = [int(v >= 0) for v in pattern_exact_llr(np.array(inner), pattern, constellation, params)]
+    llr = exact_llr(np.array(inner), pattern, constellation, params)[..., 0]
+    bits = [int(v >= 0) for v in llr]
     edges[0], edges[-1] = -math.inf, math.inf
     scale = math.sqrt(params.snr)
     total = 0.0
@@ -210,7 +213,7 @@ class TestBdThresholds:
         pat = pattern_from_index(8, index)
         params = ChannelParams.from_db(4.0)
         thr = bd_thresholds(pat, c, params)
-        residual = pattern_exact_llr(thr.betas, pat, c, params)
+        residual = exact_llr(thr.betas, pat, c, params)[..., 0]
         assert np.abs(residual).max() <= 1e-8
 
     @pytest.mark.parametrize("index", FIG_PATTERNS)
@@ -230,7 +233,7 @@ class TestBdThresholds:
         assert thr.size == 4
         outer = thr.betas[-1]
         assert outer > c.points[-1]
-        assert abs(pattern_exact_llr(outer, pat, c, ChannelParams.from_db(0.0))) <= 1e-8
+        assert abs(exact_llr(outer, pat, c, ChannelParams.from_db(0.0))[..., 0]) <= 1e-8
 
     def test_vanished_thresholds_leave_two_crossings(self):
         # at -5 dB the exact L-value of this pattern has only two zero
@@ -258,6 +261,88 @@ class TestBdThresholds:
         assert bd_thresholds(pat, c, ChannelParams.from_db(-50.0)).size == 2
         with pytest.raises(ValueError, match="too low"):
             bd_thresholds(pat, c, ChannelParams.from_db(-60.0))
+
+
+# float.hex() of the crossings as first committed; the solver must keep
+# every bit of them, not merely stay within its 1e-10 tolerance.
+PINNED_BETAS = {
+    (102, -5.0): (
+        "-0x1.c9276c599197ep+0",
+        "0x1.c9276c599197ep+0",
+    ),
+    (102, 0.0): (
+        "-0x1.9bf0bd6d5e02bp+0",
+        "-0x1.6eddc9987188cp-2",
+        "0x1.6eddc9987188bp-2",
+        "0x1.9bf0bd6d5e02bp+0",
+    ),
+    (102, 10.0): (
+        "-0x1.4fcfc9cc93dccp+0",
+        "-0x1.bee905705d6dcp-2",
+        "0x1.bee905705d6dcp-2",
+        "0x1.4fcfc9cc93dccp+0",
+    ),
+    (102, 20.0): (
+        "-0x1.4f2ec413cb52ap+0",
+        "-0x1.bee9056fb9c38p-2",
+        "0x1.bee9056fb9c38p-2",
+        "0x1.4f2ec413cb52ap+0",
+    ),
+    (105, -5.0): (
+        "-0x1.3572174be8156p+1",
+        "-0x1.b7cd49a163c20p-35",
+        "0x1.3572174be8156p+1",
+    ),
+    (105, 0.0): (
+        "-0x1.a9f3f280a01f4p+0",
+        "0x1.b7ce0ee163c20p-35",
+        "0x1.a9f3f280a01f4p+0",
+    ),
+    (105, 10.0): (
+        "-0x1.4fcfc9cd3a177p+0",
+        "-0x1.b9b3e0e75464ep-2",
+        "-0x1.0000000000000p-59",
+        "0x1.b9b3e0e75464ep-2",
+        "0x1.4fcfc9cd3a177p+0",
+    ),
+    (105, 20.0): (
+        "-0x1.4f2ec413cb52ap+0",
+        "-0x1.bee9056fb9c38p-2",
+        "-0x1.2000000000000p-58",
+        "0x1.bee9056fb9c38p-2",
+        "0x1.4f2ec413cb52ap+0",
+    ),
+}
+PINNED_UNEVEN_BETAS = (
+    "-0x1.1ff484080f233p+0",
+    "-0x1.ffec5bf188b88p-4",
+    "0x1.328748da5bb8ap-1",
+)
+
+
+class TestPinnedBits:
+    @pytest.mark.parametrize("index, snr_db", sorted(PINNED_BETAS))
+    def test_8pam_crossings_keep_their_bits(self, index, snr_db):
+        thr = bd_thresholds(pattern_from_index(8, index), make_pam(8),
+                            ChannelParams.from_db(snr_db))
+        assert [float(b).hex() for b in thr.betas] == list(PINNED_BETAS[index, snr_db])
+
+    def test_uneven_crossings_keep_their_bits(self):
+        uneven = Constellation(points=[-1.9, -0.35, 0.1, 1.1])
+        thr = bd_thresholds(pattern_from_index(4, 5), uneven, ChannelParams.from_db(8.0))
+        assert [float(b).hex() for b in thr.betas] == list(PINNED_UNEVEN_BETAS)
+
+
+class TestTargetType:
+    def test_labeling_is_rejected(self):
+        # a labeling is not read as its first column
+        lab = named_labeling("BRGC", 8)
+        with pytest.raises(TypeError, match="BitPattern"):
+            bd_thresholds(lab, make_pam(8), ChannelParams.from_db(10.0))
+
+    def test_bit_tuple_is_rejected(self):
+        with pytest.raises(TypeError, match="BitPattern"):
+            bd_thresholds((0, 0, 1, 1), make_pam(4), ChannelParams.from_db(10.0))
 
 
 class TestRefinement:
