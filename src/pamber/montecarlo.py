@@ -5,9 +5,16 @@ root seed (``numpy.random.SeedSequence(seed).spawn``), so runs are
 reproducible for a fixed seed and numpy version regardless of how many
 grid points are simulated, and per-point streams never overlap.
 Gaussian samples come from ``Generator.standard_normal`` (PCG64 +
-ziggurat); symbols are drawn equiprobably.  Each chunk of observations is
-decided by the public demodulators of :mod:`pamber.demod`: ``sd_decide``,
-or ``abd_decide`` on ``maxlog_llr`` (ABD) or ``exact_llr`` (BD).
+ziggurat); symbols are drawn equiprobably.
+
+SD is tallied by transition.  Each sample adds one to the count of its
+(sent point, decided point) pair, the decided point coming from the
+nearest-point rule that ``sd_decide`` also uses.  Per grid point, the
+errors of bit j are the sum of that M x M tally weighted by whether bit
+j differs between the two points' labels: the paper's sum over
+transitions, in exact integers.  ABD and BD decide each chunk by the sign
+of ``maxlog_llr`` or ``exact_llr`` (``abd_decide``) and count errors one
+bit at a time.
 """
 
 from __future__ import annotations
@@ -24,10 +31,10 @@ from .demod import (
     ChannelParams,
     _column_matrix,
     _llr_limit,
+    _nearest,
     abd_decide,
     exact_llr,
     maxlog_llr,
-    sd_decide,
 )
 
 _CHUNK = 1 << 18
@@ -50,8 +57,9 @@ class SimConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "snr_db_grid", tuple(float(s) for s in self.snr_db_grid))
         for name in ("trials", "seed"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 10_000:
             raise ValueError("need at least 10^4 trials for a reportable estimate")
         if self.seed < 0:
@@ -131,28 +139,38 @@ def simulate(
         _check_bd_floor(constellation, config.snr_db_grid)
     bit_rows = np.ascontiguousarray(cols.T)  # row j: bit j of every point's label
     points = constellation.points
+    size = constellation.size
     n_bits = cols.shape[1]
+    # flips[j, s, d]: whether bit j differs between the labels of s and d
+    flips = bit_rows[:, :, None] != bit_rows[:, None, :]
     children = np.random.SeedSequence(config.seed).spawn(len(config.snr_db_grid))
     out = []
     for snr_db, child in zip(config.snr_db_grid, children):
         params = ChannelParams.from_db(snr_db)
         rng = np.random.default_rng(child)
         errors_per_bit = np.zeros(n_bits, dtype=np.int64)
+        tally = np.zeros(size * size, dtype=np.int64)  # SD: (sent, decided) counts
         done = 0
         while done < config.trials:
             n = min(_CHUNK, config.trials - done)
-            sent = rng.integers(0, constellation.size, n)
-            y = points[sent] + params.noise_std * rng.standard_normal(n)
+            sent = rng.integers(0, size, n)
+            y = rng.standard_normal(n)  # y = points[sent] + noise_std * z, in place
+            y *= params.noise_std
+            y += points[sent]
             if config.demodulator == "sd":
-                decided = sd_decide(y, target, constellation)
+                sent *= size  # becomes the transition index sent*M + decided
+                sent += _nearest(y, constellation)
+                tally += np.bincount(sent, minlength=size * size)
             else:
                 llr = exact_llr if config.demodulator == "bd" else maxlog_llr
                 decided = abd_decide(llr(y, target, constellation, params))
-            # Counted one bit at a time on contiguous rows; the L-value
-            # decisions are bit-major, so their transpose has such rows.
-            for j, (got, labels) in enumerate(zip(decided.T, bit_rows)):
-                errors_per_bit[j] += np.count_nonzero(got != labels[sent])
+                # Counted one bit at a time on contiguous rows; the L-value
+                # decisions are bit-major, so their transpose has such rows.
+                for j, (got, labels) in enumerate(zip(decided.T, bit_rows)):
+                    errors_per_bit[j] += np.count_nonzero(got != labels[sent])
             done += n
+        if config.demodulator == "sd":
+            errors_per_bit = (flips * tally.reshape(size, size)).sum(axis=(1, 2))
         bits_sent = config.trials * n_bits
         bit_errors = int(errors_per_bit.sum())
         ber = bit_errors / bits_sent
@@ -164,7 +182,7 @@ def simulate(
                 bit_errors=bit_errors,
                 bits_sent=bits_sent,
                 demodulator=config.demodulator,
-                per_bit=tuple(errors_per_bit / config.trials),
+                per_bit=tuple((errors_per_bit / config.trials).tolist()),
             )
         )
     return out

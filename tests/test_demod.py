@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from pamber import (
     ChannelParams,
+    Constellation,
     abd_decide,
     exact_llr,
     make_pam,
@@ -17,6 +18,7 @@ from pamber import (
     pattern_from_index,
     sd_decide,
 )
+from pamber.demod import _nearest
 from pamber.labeling_space import sample_labelings
 from pamber.pattern_classes import invert, pattern_indices, reflect
 
@@ -257,6 +259,54 @@ class TestSdDecide:
         batch = sd_decide(y, lab, c)
         for i, yv in enumerate(y):
             np.testing.assert_array_equal(batch[i], sd_decide(yv, lab, c))
+
+
+def _tie_inputs(c):
+    """Every midpoint, its neighbouring floats on both sides, zeros, far values.
+
+    4M + 2 values, so that they also fill two rows.
+    """
+    mids = c.midpoints()
+    return np.concatenate([
+        mids, np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf),
+        c.points, [0.0, -0.0, 1e300, -1e300, 0.25],
+    ])
+
+
+NEAREST_CASES = [
+    (make_pam(m), named_labeling("NBC", m)) for m in (2, 4, 8, 16, 64)
+] + [(Constellation([-1.9, -0.35, 0.1, 1.1]), named_labeling("BRGC", 4))]
+
+
+class TestNearestPoint:
+    """The SD rule as a midpoint count equals a binary search, ties included."""
+
+    @pytest.mark.parametrize("c, lab", NEAREST_CASES,
+                             ids=["M2", "M4", "M8", "M16", "M64", "uneven4"])
+    def test_matches_searchsorted(self, c, lab):
+        y = _tie_inputs(c)
+        shapes = [(), (), (), (y.size,), (2, y.size // 2)]
+        samples = [np.float64(0.0), np.float64(-0.0), y[len(y) // 3], y, y.reshape(2, -1)]
+        for want_shape, sample in zip(shapes, samples):
+            oracle = np.searchsorted(c.midpoints(), sample, side="left")
+            got = _nearest(sample, c)
+            assert got.shape == want_shape
+            assert got.dtype == np.min_scalar_type(c.size - 1)
+            np.testing.assert_array_equal(got, oracle)
+            np.testing.assert_array_equal(sd_decide(sample, lab, c), lab.matrix[oracle])
+        for scalar in y:  # each input alone, as a Python float
+            assert _nearest(float(scalar), c) == np.searchsorted(
+                c.midpoints(), scalar, side="left")
+
+    def test_signed_zeros_decide_alike(self):
+        c = make_pam(8)  # 0.0 is the centre midpoint
+        assert _nearest(-0.0, c) == _nearest(0.0, c) == 3
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        for y in (bad, np.array([[0.1, bad], [0.0, 2.0]])):
+            with pytest.raises(ValueError, match="finite"):
+                _nearest(y, make_pam(8))
 
 
 class TestExactLlr:

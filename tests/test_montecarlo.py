@@ -7,6 +7,7 @@ import pytest
 
 from pamber import (
     ChannelParams,
+    Constellation,
     SimConfig,
     bd_thresholds,
     labeling_ber,
@@ -17,8 +18,11 @@ from pamber import (
     pber_general,
     pber_pam,
     qfunc,
+    sd_decide,
     simulate,
 )
+from pamber.demod import _column_matrix
+from pamber.montecarlo import _CHUNK
 
 
 class TestSimConfig:
@@ -51,6 +55,7 @@ class TestSimConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("trials", 1e5), ("trials", "100000"), ("seed", 1.5), ("seed", 2.0),
+        ("seed", True), ("seed", False), ("seed", np.True_), ("trials", True),
     ])
     def test_rejects_non_integer_counts(self, field, value):
         kwargs = {"trials": 10_000, "seed": 1, field: value}
@@ -103,6 +108,22 @@ class TestDeterminism:
         pat = pattern_from_index(8, 102)
         assert [e.bit_errors for e in simulate(pat, c, config)] == [48081, 32501]
 
+    def test_multi_chunk_streams_are_pinned(self):
+        # one full chunk and a partial one; per-bit errors frozen per demodulator
+        c = make_pam(8)
+        lab = named_labeling("BRGC", 8)
+        trials = (1 << 18) + 12_345
+        frozen = {
+            "sd": [23707, 47378, 89665],
+            "abd": [23707, 47378, 89665],
+            "bd": [23707, 47351, 89215],
+        }
+        for demod, errors in frozen.items():
+            config = SimConfig(trials=trials, seed=3, snr_db_grid=(5.0,), demodulator=demod)
+            est = simulate(lab, c, config)[0]
+            assert [round(p * trials) for p in est.per_bit] == errors
+            assert est.bit_errors == sum(errors)
+
     def test_grid_points_use_independent_streams(self):
         # estimate at 5 dB must not depend on whether 0 dB ran before it
         c = make_pam(4)
@@ -111,6 +132,49 @@ class TestDeterminism:
         # same root seed, same position in the grid
         again = simulate(lab, c, SimConfig(trials=20_000, seed=9, snr_db_grid=(0.0, 5.0)))
         assert pair[1].bit_errors == again[1].bit_errors
+
+
+def _sd_errors_per_sample(target, c, config):
+    """Per-bit SD error rates of ``simulate``'s stream, compared one sample at a time."""
+    cols = _column_matrix(target, c)  # the label of every point
+    per_point = []
+    children = np.random.SeedSequence(config.seed).spawn(len(config.snr_db_grid))
+    for snr_db, child in zip(config.snr_db_grid, children):
+        rng = np.random.default_rng(child)
+        noise_std = ChannelParams.from_db(snr_db).noise_std
+        errors = np.zeros(cols.shape[1], dtype=np.int64)
+        done = 0
+        while done < config.trials:
+            n = min(_CHUNK, config.trials - done)
+            sent = rng.integers(0, c.size, n)
+            y = c.points[sent] + noise_std * rng.standard_normal(n)
+            errors += (sd_decide(y, target, c) != cols[sent]).sum(axis=0)
+            done += n
+        per_point.append(tuple(e / config.trials for e in errors.tolist()))
+    return per_point
+
+
+class TestSdTally:
+    """The SD transition tally equals counting label bits sample by sample."""
+
+    @pytest.mark.parametrize("target, c", [
+        (named_labeling("BRGC", 8), make_pam(8)),
+        (pattern_from_index(8, 102), make_pam(8)),
+        (named_labeling("NBC", 4), Constellation([-1.9, -0.35, 0.1, 1.1])),
+    ], ids=["brgc8", "pattern102", "uneven4"])
+    def test_matches_per_sample_oracle(self, target, c):
+        trials = (1 << 18) + 12_345
+        config = SimConfig(trials=trials, seed=21, snr_db_grid=(0.0, 7.0),
+                           demodulator="sd")
+        got = [est.per_bit for est in simulate(target, c, config)]
+        assert got == _sd_errors_per_sample(target, c, config)
+
+    def test_per_bit_holds_python_floats(self):
+        for demod in ("sd", "abd", "bd"):
+            config = SimConfig(trials=10_000, seed=1, snr_db_grid=(3.0,), demodulator=demod)
+            est = simulate(named_labeling("BRGC", 8), make_pam(8), config)[0]
+            assert all(type(p) is float for p in est.per_bit)
+            assert "np.float64" not in repr(est)
 
 
 class TestAccuracy:
