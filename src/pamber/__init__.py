@@ -54,11 +54,9 @@ _EXPORTS = {
         "distinct_a1_count",
         "enumerate_classes",
         "high_snr_bicm_parameter",
-        "invert",
-        "iter_patterns",
         "labeling_coefficients",
         "pattern_coefficients",
-        "reflect",
+        "pattern_indices",
     ),
     "thresholds": ("ThresholdSet", "bd_thresholds"),
 }

@@ -102,6 +102,8 @@ def ber_from_coefficients(
     coefficients = np.asarray(coefficients)
     if coefficients.shape != (m_points - 1,):
         raise ValueError(f"need {m_points - 1} coefficients, got {coefficients.shape}")
+    if not np.all(np.isfinite(coefficients)):
+        raise ValueError("coefficients must be finite")
     d = pam_spacing(m_points)
     n = np.arange(1, m_points)
     args = (2 * n - 1) * d * math.sqrt(2.0 * params.snr)

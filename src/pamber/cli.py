@@ -1,4 +1,4 @@
-"""Command line front end; every subcommand emits CSV.
+"""Command line front end; every subcommand emits CSV on stdout.
 
 Numbers are printed with 17 significant digits so curves can be compared
 byte for byte between runs.  Each output starts with a ``#`` comment line
@@ -17,7 +17,6 @@ import argparse
 import math
 import os
 import sys
-from contextlib import contextmanager
 
 import numpy as np
 import scipy
@@ -117,22 +116,13 @@ def parse_labeling(text: str, m_points: int) -> Labeling:
     return Labeling.from_indices(m_points, indices)
 
 
-@contextmanager
-def _open_out(path: str | None):
-    if path in (None, "-"):
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-
-
 def _provenance(args: argparse.Namespace) -> str:
     """The subcommand, its parameters, and the versions the output depends on.
 
     Seeded Monte-Carlo streams and the last bits of L-values can change
     with the numpy release, so the header names it with pamber and scipy.
     """
-    skip = {"func", "out", "command"}
+    skip = {"func", "command"}
     fields = [
         f"{key}={value}"
         for key, value in sorted(vars(args).items())
@@ -143,11 +133,10 @@ def _provenance(args: argparse.Namespace) -> str:
 
 
 def _emit(args, header: list[str], rows) -> None:
-    with _open_out(args.out) as fh:
-        fh.write(_provenance(args) + "\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+    sys.stdout.write(_provenance(args) + "\n")
+    sys.stdout.write(",".join(header) + "\n")
+    for row in rows:
+        sys.stdout.write(",".join(row) + "\n")
 
 
 def _read_target(args) -> BitPattern | Labeling:
@@ -292,7 +281,6 @@ def _cmd_verify(args) -> int:
 
 def _add_common(parser) -> None:
     parser.add_argument("--M", type=int, required=True, help="constellation size")
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
 
 
 def _add_target(parser) -> None:

@@ -67,11 +67,17 @@ class Constellation:
             raise ValueError("need a 1-D array of at least two points")
         if pts.size % 2 != 0:
             raise ValueError(f"number of points must be even, got {pts.size}")
-        gaps = np.diff(pts)
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("points must be finite")
+        with np.errstate(over="ignore"):  # an overflow is rejected just below
+            gaps = np.diff(pts)
+            mids = 0.5 * (pts[:-1] + pts[1:])
         if not np.all(gaps > 0):
             raise ValueError("points must be strictly increasing")
+        if not (np.all(np.isfinite(gaps)) and np.all(np.isfinite(mids))):
+            raise ValueError("gaps and midpoints between points must be finite")
         object.__setattr__(self, "dmin", float(gaps.min()))
-        object.__setattr__(self, "_midpoints", _readonly(0.5 * (pts[:-1] + pts[1:])))
+        object.__setattr__(self, "_midpoints", _readonly(mids))
 
     @property
     def size(self) -> int:
@@ -106,13 +112,14 @@ class BitPattern:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        bits = tuple(int(b) for b in self.bits)
-        object.__setattr__(self, "bits", bits)
+        bits = tuple(self.bits)
         m = len(bits)
         if m < 2 or m % 2 != 0:
             raise ValueError(f"pattern length must be even and >= 2, got {m}")
-        if any(b not in (0, 1) for b in bits):
+        if any(b not in (0, 1) for b in bits):  # before int(), which truncates 1.5
             raise ValueError("pattern entries must be 0 or 1")
+        bits = tuple(int(b) for b in bits)
+        object.__setattr__(self, "bits", bits)
         if sum(bits) != m // 2:
             raise ValueError(
                 f"pattern of length {m} must have weight {m // 2}, got {sum(bits)}"
@@ -192,10 +199,6 @@ class Labeling:
     def n_bits(self) -> int:
         """Bits per label m = log2(M)."""
         return int(self.matrix.shape[1])
-
-    def columns(self) -> tuple[BitPattern, ...]:
-        """The m column patterns, in bit-position order."""
-        return tuple(BitPattern(tuple(col)) for col in self.matrix.T)
 
     @classmethod
     def from_indices(cls, m_points: int, indices: Iterable[int]) -> "Labeling":

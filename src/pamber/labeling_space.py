@@ -25,7 +25,7 @@ import numpy as np
 
 from . import pattern_classes
 from .constellation import Labeling, pattern_from_index
-from .pattern_classes import pattern_indices
+from .pattern_classes import _check_enumerable, pattern_indices
 
 _EXHAUSTIVE_SIZES = (2, 4, 8)
 
@@ -73,6 +73,7 @@ def sample_labelings(
     """Random labelings for sizes too large to enumerate; NOT exhaustive."""
     if m_points < 4 or m_points & (m_points - 1):
         raise ValueError(f"M must be a power of two >= 4, got {m_points}")
+    _check_enumerable(m_points)  # the pool holds every pattern
     n_bits = m_points.bit_length() - 1
     pool = np.fromiter(pattern_indices(m_points), dtype=np.int64)
     rng = np.random.default_rng(seed)

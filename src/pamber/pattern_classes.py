@@ -37,16 +37,6 @@ ARE = "ARE"
 ASY = "ASY"
 
 
-def reflect(pattern: BitPattern) -> BitPattern:
-    """Pattern read back to front."""
-    return BitPattern(pattern.bits[::-1])
-
-
-def invert(pattern: BitPattern) -> BitPattern:
-    """Pattern with every bit flipped."""
-    return BitPattern(tuple(1 - b for b in pattern.bits))
-
-
 def classify(pattern: BitPattern) -> str:
     """Symmetry type of a pattern: RE, ARE, or ASY."""
     return _symmetry(pattern.index, pattern.size)
@@ -92,12 +82,6 @@ def pattern_indices(m_points: int) -> Iterator[int]:
         low = word & -word
         ripple = word + low
         word = (((ripple ^ word) >> 2) // low) | ripple
-
-
-def iter_patterns(m_points: int) -> Iterator[BitPattern]:
-    """All balanced patterns of length M, ascending by index."""
-    for w in pattern_indices(m_points):
-        yield pattern_from_index(m_points, w)
 
 
 def pattern_weights(bits) -> np.ndarray:
@@ -163,9 +147,21 @@ class PatternClass:
     coefficients: tuple[int, ...]
 
 
+#: Largest M the enumerating functions accept: C(20, 10) patterns take about
+#: 2 s, and at M = 24 the class weight pass alone would gather 2.9 GB arrays.
+MAX_ENUMERATED_POINTS = 20
+
+
 def _check_class_size(m_points: int) -> None:
     if m_points < 4 or m_points % 4 != 0:
         raise ValueError(f"M must be a positive multiple of 4, got {m_points}")
+
+
+def _check_enumerable(m_points: int) -> None:
+    _check_class_size(m_points)
+    if m_points > MAX_ENUMERATED_POINTS:
+        raise ValueError(f"enumeration walks C(M, M/2) patterns and supports "
+                         f"M <= {MAX_ENUMERATED_POINTS}, got {m_points}")
 
 
 def class_count_closed_form(m_points: int) -> int:
@@ -183,7 +179,7 @@ def enumerate_classes(m_points: int) -> list[PatternClass]:
     expected to have distinct coefficient vectors; a warning is emitted
     if that ever fails for some M.
     """
-    _check_class_size(m_points)
+    _check_enumerable(m_points)
     seen: set[int] = set()
     orbits: list[list[int]] = []
     for w in pattern_indices(m_points):
@@ -220,7 +216,7 @@ def distinct_a1_count(m_points: int) -> int:
     Equals M-1 for equally spaced PAM: the leading coefficient is twice
     the count of adjacent bit disagreements, which ranges over 1..M-1.
     """
-    _check_class_size(m_points)
+    _check_enumerable(m_points)
     firsts = set()
     for w in pattern_indices(m_points):
         # adjacent disagreements of the mask, doubled

@@ -64,6 +64,10 @@ class ThresholdSet:
     The midpoint (ABD) set of a pattern is
     ``ThresholdSet(constellation.midpoints(), pattern.bits)``: region k is
     the decision region of point k and decides that point's bit.
+
+    Raises:
+        ValueError: unless ``betas`` is 1-D, finite and non-decreasing, and
+            ``bits`` holds one 0 or 1 per region.
     """
 
     betas: np.ndarray
@@ -71,9 +75,15 @@ class ThresholdSet:
 
     def __post_init__(self) -> None:
         betas = np.array(self.betas, dtype=float)
-        bits = np.array(self.bits, dtype=np.int8)
-        if bits.shape != (betas.size + 1,):
-            raise ValueError("need one region bit more than boundaries")
+        bits = np.array(self.bits)
+        if betas.ndim != 1 or bits.shape != (betas.size + 1,):
+            raise ValueError("need 1-D boundaries and one region bit more than boundaries")
+        values = betas.tolist()  # a few boundaries: Python beats numpy's call overhead
+        if not all(map(math.isfinite, values)) or values != sorted(values):
+            raise ValueError("boundaries must be finite and non-decreasing")
+        if not set(bits.tolist()) <= {0, 1}:
+            raise ValueError("region bits must be 0 or 1")
+        bits = bits.astype(np.int8)
         for name, arr in (("betas", betas), ("bits", bits)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

@@ -239,7 +239,8 @@ def check_dual_form_and_quadrature() -> str:
     constellation = make_pam(8)
     mids = constellation.midpoints()
     worst = 0.0
-    for pattern in pattern_classes.iter_patterns(8):
+    for index in pattern_classes.pattern_indices(8):
+        pattern = pattern_from_index(8, index)
         thresholds = ThresholdSet(mids, pattern.bits)
         for snr in (0.1, 1.0, 10.0):
             params = ChannelParams(snr)
@@ -267,15 +268,15 @@ def check_leading_weight_grouping() -> str:
     for m_points, count in expected.items():
         got = pattern_classes.distinct_a1_count(m_points)
         _require(got == count, f"M={m_points}: {got} leading weights")
-        for pattern in pattern_classes.iter_patterns(m_points):
+        for index in pattern_classes.pattern_indices(m_points):
+            pattern = pattern_from_index(m_points, index)
             transitions = sum(
                 pattern.bits[i] != pattern.bits[i + 1] for i in range(m_points - 1)
             )
             lead = int(pattern_classes.pattern_coefficients(pattern)[0])
             _require(
                 lead == 2 * transitions,
-                f"pattern {pattern.index}: leading weight {lead}, "
-                f"{transitions} transitions",
+                f"pattern {index}: leading weight {lead}, {transitions} transitions",
             )
     return "3, 7, 15 groups; leading weight = 2 x transitions everywhere"
 

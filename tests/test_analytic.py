@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from pamber import (
+    BitPattern,
     ChannelParams,
     Constellation,
     Labeling,
@@ -31,7 +32,7 @@ from pamber import (
 )
 from pamber.analytic import _relevance
 from pamber.constellation import LABELING_NAMES
-from pamber.pattern_classes import invert, iter_patterns, pattern_indices, pattern_weights, reflect
+from pamber.pattern_classes import invert_index, pattern_indices, pattern_weights, reflect_index
 from pamber.thresholds import bd_thresholds
 from pamber.verify import interval_probs, pber_interval_form
 
@@ -51,6 +52,11 @@ def gauss_tail(x):
 def mids(constellation, pattern):
     """The midpoint (ABD) boundaries of a pattern, each region deciding its point's bit."""
     return ThresholdSet(constellation.midpoints(), pattern.bits)
+
+
+def all_patterns(m):
+    """Every balanced pattern of length m, ascending by index."""
+    return [pattern_from_index(m, w) for w in pattern_indices(m)]
 
 
 def loop_coefficients(bits):
@@ -152,7 +158,7 @@ class TestPberGeneral:
     def test_dual_forms_agree_exhaustively(self, snr):
         c = make_pam(8)
         params = ChannelParams(snr)
-        for pat in iter_patterns(8):
+        for pat in all_patterns(8):
             a = pber_general(pat, c, mids(c, pat), params)
             b = pber_interval_form(pat, c, mids(c, pat), params)
             assert abs(a - b) <= 1e-12
@@ -161,7 +167,7 @@ class TestPberGeneral:
         c = make_pam(8)
         lab = named_labeling("BRGC", 8)
         with pytest.raises(TypeError, match="BitPattern"):
-            pber_general(lab, c, mids(c, lab.columns()[0]), ChannelParams(1.0))
+            pber_general(lab, c, mids(c, pattern_from_index(8, 15)), ChannelParams(1.0))
 
     def test_probability_bounds_at_extremes(self):
         c = make_pam(8)
@@ -192,22 +198,22 @@ class TestPatternCoefficients:
     @pytest.mark.parametrize("m", [4, 8])
     def test_coefficients_sum_to_m(self, m):
         # forces the zero-SNR limit of the PBER to 1/2
-        for pat in iter_patterns(m):
+        for pat in all_patterns(m):
             assert int(pattern_coefficients(pat).sum()) == m
 
     @pytest.mark.parametrize("m", [4, 8])
     def test_leading_coefficient_range(self, m):
-        for pat in iter_patterns(m):
+        for pat in all_patterns(m):
             lead = int(pattern_coefficients(pat)[0])
             assert lead % 2 == 0
             assert 2 <= lead <= 2 * (m - 1)
 
     @pytest.mark.parametrize("m", [4, 8])
     def test_invariant_under_symmetries(self, m):
-        for pat in iter_patterns(m):
-            a = pattern_coefficients(pat)
-            np.testing.assert_array_equal(a, pattern_coefficients(invert(pat)))
-            np.testing.assert_array_equal(a, pattern_coefficients(reflect(pat)))
+        for w in pattern_indices(m):
+            a = pattern_coefficients(pattern_from_index(m, w))
+            for image in (invert_index(w, m), reflect_index(w, m)):
+                np.testing.assert_array_equal(a, pattern_coefficients(pattern_from_index(m, image)))
 
 
 class TestPberPam:
@@ -229,7 +235,7 @@ class TestPberPam:
     @pytest.mark.parametrize("m", [4, 8])
     def test_equals_general_form_with_midpoints(self, m):
         c = make_pam(m)
-        for pat in iter_patterns(m):
+        for pat in all_patterns(m):
             for snr in (0.2, 1.0, 15.0):
                 params = ChannelParams(snr)
                 assert abs(
@@ -238,7 +244,7 @@ class TestPberPam:
 
     def test_strictly_decreasing_at_high_snr(self):
         grid = np.logspace(0.0, 2.0, 15)
-        for pat in iter_patterns(8):
+        for pat in all_patterns(8):
             vals = [pber_pam(pat, ChannelParams(s)) for s in grid]
             assert np.all(np.diff(vals) < 0)
 
@@ -261,7 +267,7 @@ class TestLabelingBer:
 
     def test_column_sum_identity(self):
         lab = named_labeling("BRGC", 4)
-        parts = [pattern_coefficients(p) for p in lab.columns()]
+        parts = [pattern_coefficients(BitPattern(tuple(col))) for col in lab.matrix.T]
         np.testing.assert_array_equal(parts[0], [2, 2, 0])
         np.testing.assert_array_equal(parts[1], [4, 2, -2])
         np.testing.assert_array_equal(sum(parts), labeling_coefficients(lab))
@@ -361,7 +367,7 @@ class TestBatchedColumns:
     def targets(self):
         targets = list(named_labelings())
         assert len(targets) == 14
-        targets += list(iter_patterns(8))
+        targets += list(all_patterns(8))
         rng = np.random.default_rng(2012)
         nbc = named_labeling("NBC", 8).matrix
         targets += [Labeling(nbc[rng.permutation(8)]) for _ in range(200)]
@@ -389,7 +395,7 @@ class TestBatchedColumns:
         c = make_pam(8)
         for snr_db in self.GRID_DB[::4]:
             params = ChannelParams.from_db(snr_db)
-            for pat in iter_patterns(8):
+            for pat in all_patterns(8):
                 want = per_column_abd_ber(column_masks(pat), c, params)
                 assert pber_general(pat, c, mids(c, pat), params) == want
 
@@ -500,6 +506,11 @@ class TestBerFromCoefficients:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             ber_from_coefficients(np.array([1, 2]), 4, ChannelParams(1.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ber_from_coefficients(np.array([2.0, bad, 0.0]), 4, ChannelParams(1.0))
 
     def test_bd_boundaries_in_general_form(self):
         # the general expression accepts SNR-dependent boundaries

@@ -181,17 +181,6 @@ class TestSubcommands:
         # the header is a comment line; the body below it is unchanged
         assert lines[1] == "snr_db,ber"
 
-    def test_output_file(self, tmp_path, capsys):
-        target = tmp_path / "curve.csv"
-        code, _ = run_cli(
-            capsys, "ber", "--M", "4", "--pattern", "5", "--snr", "0:1:2",
-            "--out", str(target),
-        )
-        assert code == 0
-        content = target.read_text()
-        assert content.startswith("# pamber ber")
-        assert content.endswith("\n")
-
 
 class TestStabilityAndErrors:
     def test_byte_stable_reruns(self, capsys):
@@ -207,6 +196,10 @@ class TestStabilityAndErrors:
         value = lines[2].split(",")[1]
         assert float(value) == float(format(float(value), ".17g"))
         assert len(value.replace(".", "").replace("-", "").lstrip("0")) >= 16
+
+    def test_classes_beyond_the_size_limit_fails_cleanly(self, capsys):
+        assert main(["classes", "--M", "40"]) == 1
+        assert "M <= 20, got 40" in capsys.readouterr().err
 
     def test_invalid_pattern_weight_fails_cleanly(self, capsys):
         code = main(["ber", "--M", "8", "--pattern", "3", "--snr", "0:1:2"])
@@ -281,6 +274,12 @@ class TestStabilityAndErrors:
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["ber", "--M", "8"])
+        assert exc.value.code == 2
+
+    def test_out_option_is_gone(self):
+        # output goes to stdout only; redirect it with the shell
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["classes", "--M", "4", "--out", "x.csv"])
         assert exc.value.code == 2
 
     def test_llr_with_snr_grid_is_usage_error(self, capsys):

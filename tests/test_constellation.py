@@ -92,6 +92,20 @@ class TestBitPattern:
         with pytest.raises(ValueError):
             BitPattern((0, 2, 1, 1))
 
+    @pytest.mark.parametrize("bits", [(1.5, 0, 1, 0), (0.5, 1, 1, 0),
+                                      (np.float64(0.5), 1, 1, 0), (float("nan"), 1, 1, 0)])
+    def test_rejects_fractional_entries(self, bits):
+        # int() would truncate the first three to valid patterns
+        with pytest.raises(ValueError, match="0 or 1"):
+            BitPattern(bits)
+
+    @pytest.mark.parametrize("bits", [(1, 0, 1, 0), (True, False, True, False),
+                                      tuple(np.array([1, 0, 1, 0], dtype=np.int8)),
+                                      tuple(np.array([1, 0, 1, 0], dtype=np.int64))])
+    def test_integer_entries_keep_working(self, bits):
+        pat = BitPattern(bits)
+        assert pat.bits == (1, 0, 1, 0) and all(type(b) is int for b in pat.bits)
+
     def test_str(self):
         assert str(pattern_from_index(8, 102)) == "01100110"
 
@@ -186,11 +200,12 @@ class TestLabeling:
         # 64 and more points need indices beyond 64-bit integers
         for name in ("BRGC", "NBC"):
             lab = named_labeling(name, m)
-            assert lab.pattern_set == frozenset(p.index for p in lab.columns())
+            columns = (BitPattern(tuple(col)) for col in lab.matrix.T)
+            assert lab.pattern_set == frozenset(p.index for p in columns)
 
     def test_from_indices_column_order(self):
         lab = Labeling.from_indices(8, [105, 60, 102])
-        assert [p.index for p in lab.columns()] == [105, 60, 102]
+        assert [BitPattern(tuple(col)).index for col in lab.matrix.T] == [105, 60, 102]
 
     def test_every_two_column_bijection_is_balanced(self):
         # weight M/2 per column is a consequence of bijectivity; spot-check
@@ -219,3 +234,16 @@ class TestGeometry:
         mids = make_pam(4).midpoints()
         with pytest.raises(ValueError, match="read-only"):
             mids[0] = 1.0
+
+    @pytest.mark.parametrize("points", [[0.0, 1.0, 2.0, np.inf], [-np.inf, 0.0],
+                                        [0.0, np.nan, 1.0, 2.0], [np.nan, 0.0]])
+    def test_rejects_non_finite_points(self, points):
+        with pytest.raises(ValueError, match="points must be finite"):
+            Constellation(points)
+
+    @pytest.mark.parametrize("points", [[-1e308, 1e308], [1e308, 1.7e308]])
+    def test_rejects_gaps_and_midpoints_past_the_float_range(self, points):
+        # the suite turns numpy's overflow warning into an error, so this
+        # also checks that the rejection emits no warning
+        with pytest.raises(ValueError, match="must be finite"):
+            Constellation(points)

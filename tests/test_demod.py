@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pamber import (
+    BitPattern,
     ChannelParams,
     Constellation,
     abd_decide,
@@ -20,7 +21,7 @@ from pamber import (
 )
 from pamber.demod import _nearest
 from pamber.labeling_space import sample_labelings
-from pamber.pattern_classes import invert, pattern_indices, reflect
+from pamber.pattern_classes import invert_index, pattern_indices, reflect_index
 
 
 def naive_exact_llr(y, pattern, constellation, snr):
@@ -214,11 +215,10 @@ class TestSortOracle:
                         assert_same_bits(new(float(y[i]), lab, c, params), want[i])
 
     def test_antisymmetric_patterns_vanish_at_the_centre(self):
-        # reflect(p) == invert(p): the L-value is odd in y, and the sorted
-        # sums make it exactly 0 at y = 0
+        # reflection equals inversion: the L-value is odd in y, and the
+        # sorted sums make it exactly 0 at y = 0
         c = make_pam(8)
-        odd = [w for w in pattern_indices(8)
-               if reflect(pattern_from_index(8, w)) == invert(pattern_from_index(8, w))]
+        odd = [w for w in pattern_indices(8) if reflect_index(w, 8) == invert_index(w, 8)]
         assert len(odd) == 16
         for snr_db in (-30.0, 0.0, 10.0, 50.0):
             params = ChannelParams.from_db(snr_db)
@@ -321,7 +321,7 @@ class TestExactLlr:
         params = ChannelParams(1.0)
         got = exact_llr(0.3, lab, c, params)
         expected = [
-            naive_exact_llr(0.3, pat, c, 1.0) for pat in lab.columns()
+            naive_exact_llr(0.3, BitPattern(tuple(col)), c, 1.0) for col in lab.matrix.T
         ]
         np.testing.assert_allclose(got, expected, rtol=1e-13)
         # frozen values for this exact case
@@ -335,7 +335,8 @@ class TestExactLlr:
             lab = named_labeling(name, 8)
             cols = exact_llr(y, lab, c8, params)
             at = exact_llr(0.3, lab, c8, params)
-            for j, pat in enumerate(lab.columns()):
+            for j, col in enumerate(lab.matrix.T):
+                pat = BitPattern(tuple(col))
                 assert (exact_llr(y, pat, c8, params)[..., 0] == cols[:, j]).all()
                 assert exact_llr(0.3, pat, c8, params)[..., 0] == at[j]
 
@@ -367,7 +368,7 @@ class TestExactLlr:
         params = ChannelParams(snr)
         pat = pattern_from_index(8, w)
         a = exact_llr(y, pat, c, params)[..., 0]
-        b = exact_llr(y, invert(pat), c, params)[..., 0]
+        b = exact_llr(y, pattern_from_index(8, invert_index(w, 8)), c, params)[..., 0]
         assert a == -b  # numerator and denominator swap exactly
 
     @given(
@@ -381,7 +382,7 @@ class TestExactLlr:
         params = ChannelParams(snr)
         pat = pattern_from_index(8, w)
         a = exact_llr(y, pat, c, params)[..., 0]
-        b = exact_llr(-y, reflect(pat), c, params)[..., 0]
+        b = exact_llr(-y, pattern_from_index(8, reflect_index(w, 8)), c, params)[..., 0]
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
@@ -413,7 +414,8 @@ class TestMaxlogLlr:
             lab = named_labeling(name, 8)
             cols = maxlog_llr(y, lab, c, params)
             at = maxlog_llr(0.5, lab, c, params)
-            for j, col in enumerate(lab.columns()):
+            for j, bits in enumerate(lab.matrix.T):
+                col = BitPattern(tuple(bits))
                 assert (maxlog_llr(y, col, c, params)[..., 0] == cols[:, j]).all()
                 assert maxlog_llr(0.5, col, c, params)[..., 0] == at[j]
 

@@ -1,4 +1,8 @@
-"""What a fresh interpreter loads: only the Q-function path pays for scipy.special."""
+"""What a fresh interpreter loads: only the Q-function path pays for scipy.special.
+
+The README example runs in a fresh interpreter too, so that a removed or
+renamed name cannot linger in the docs.
+"""
 
 import os
 import subprocess
@@ -85,4 +89,12 @@ def test_star_import_binds_every_public_name():
         "assert set(pamber.__all__) <= set(dir(pamber))\n"
         "print(len(pamber.__all__))"
     )
-    assert out.split() == ["37"]
+    assert out.split() == ["35"]
+
+
+def test_readme_example_runs():
+    readme = (Path(SRC).parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library in one minute", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "simulate(gray, pam8, cfg)" in code
+    fresh(code)

@@ -128,6 +128,11 @@ class TestSampling:
         b = sample_labelings(8, 4, seed=5)
         assert [x.pattern_set for x in a] == [y.pattern_set for y in b]
 
+    @pytest.mark.parametrize("m", [32, 64])
+    def test_size_limit_raises_before_the_pool_is_built(self, m):
+        with pytest.raises(ValueError, match=f"M <= 20, got {m}"):
+            sample_labelings(m, 1, seed=0)
+
     def test_large_size_sampling_works(self):
         labs = sample_labelings(16, 3, seed=1)
         assert len(labs) == 3

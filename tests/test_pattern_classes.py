@@ -8,17 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pamber import (
+    BitPattern,
     class_count_closed_form,
     classify,
     distinct_a1_count,
     enumerate_classes,
-    invert,
-    iter_patterns,
     pattern_coefficients,
     pattern_from_index,
-    reflect,
+    pattern_indices,
 )
-from pamber.pattern_classes import invert_index, pattern_indices, reflect_index
+from pamber.pattern_classes import invert_index, reflect_index
 
 
 def patterns_strategy(m):
@@ -29,33 +28,33 @@ def patterns_strategy(m):
 
 class TestSymmetryOps:
     def test_reflect_example(self):
-        assert reflect(pattern_from_index(4, 3)).bits == (1, 1, 0, 0)
+        assert pattern_from_index(4, reflect_index(3, 4)).bits == (1, 1, 0, 0)
 
     def test_invert_pairs_5_and_10(self):
-        p5 = pattern_from_index(4, 5)
-        assert invert(p5).index == 10
-        assert invert(p5).bits == (1, 0, 1, 0)
+        assert invert_index(5, 4) == 10
+        assert pattern_from_index(4, invert_index(5, 4)).bits == (1, 0, 1, 0)
 
     def test_operations_commute_exhaustively(self):
-        for pat in iter_patterns(8):
-            assert reflect(invert(pat)) == invert(reflect(pat))
+        for w in pattern_indices(8):
+            assert reflect_index(invert_index(w, 8), 8) == invert_index(reflect_index(w, 8), 8)
 
-    @given(pat=patterns_strategy(8))
+    @given(w=st.sampled_from(sorted(pattern_indices(8))))
     @settings(max_examples=70, deadline=None)
-    def test_self_inverse(self, pat):
-        assert reflect(reflect(pat)) == pat
-        assert invert(invert(pat)) == pat
+    def test_self_inverse(self, w):
+        assert reflect_index(reflect_index(w, 8), 8) == w
+        assert invert_index(invert_index(w, 8), 8) == w
 
     @given(pat=patterns_strategy(12))
     @settings(max_examples=60, deadline=None)
     def test_index_helpers_agree(self, pat):
-        assert reflect_index(pat.index, 12) == reflect(pat).index
-        assert invert_index(pat.index, 12) == invert(pat).index
+        assert reflect_index(pat.index, 12) == BitPattern(pat.bits[::-1]).index
+        flipped = BitPattern(tuple(1 - b for b in pat.bits))
+        assert invert_index(pat.index, 12) == flipped.index
 
     def test_no_pattern_is_its_own_inversion(self):
         for m in (4, 8):
-            for pat in iter_patterns(m):
-                assert invert(pat) != pat
+            for w in pattern_indices(m):
+                assert invert_index(w, m) != w
 
 
 class TestClassify:
@@ -87,8 +86,8 @@ class TestEnumerateClasses:
     @pytest.mark.parametrize("m", [4, 8, 12, 16])
     def test_symmetry_population_counts(self, m):
         tally = {"RE": 0, "ARE": 0, "ASY": 0}
-        for pat in iter_patterns(m):
-            tally[classify(pat)] += 1
+        for w in pattern_indices(m):
+            tally[classify(pattern_from_index(m, w))] += 1
         assert tally["RE"] == math.comb(m // 2, m // 4)
         assert tally["ARE"] == 2 ** (m // 2)
         assert tally["ASY"] == math.comb(m, m // 2) - tally["RE"] - tally["ARE"]
@@ -137,6 +136,15 @@ class TestEnumerateClasses:
         with pytest.raises(ValueError, match=f"positive multiple of 4, got {m}"):
             func(m)
 
+    @pytest.mark.parametrize("func", [enumerate_classes, distinct_a1_count])
+    @pytest.mark.parametrize("m", [24, 40])
+    def test_size_limit_raises_before_the_walk(self, func, m):
+        with pytest.raises(ValueError, match=f"M <= 20, got {m}"):
+            func(m)
+
+    def test_closed_form_count_has_no_size_limit(self):
+        assert class_count_closed_form(40) == (math.comb(40, 20) + math.comb(20, 10) + 2**20) // 4
+
 
 class TestLeadingWeightGroups:
     @pytest.mark.parametrize(("m", "expected"), [(4, 3), (8, 7), (16, 15)])
@@ -144,5 +152,7 @@ class TestLeadingWeightGroups:
         assert distinct_a1_count(m) == expected
 
     def test_four_point_values(self):
-        leads = {int(pattern_coefficients(p)[0]) for p in iter_patterns(4)}
+        leads = {
+            int(pattern_coefficients(pattern_from_index(4, w))[0]) for w in pattern_indices(4)
+        }
         assert leads == {2, 4, 6}

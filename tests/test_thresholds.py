@@ -19,7 +19,7 @@ from pamber import (
     pber_pam,
 )
 from pamber import analytic, thresholds
-from pamber.pattern_classes import invert, iter_patterns
+from pamber.pattern_classes import invert_index, pattern_indices
 from pamber.verify import pber_interval_form
 
 D4 = math.sqrt(0.2)
@@ -145,6 +145,24 @@ class TestMidpoints:
         with pytest.raises(ValueError, match="one region bit more"):
             ThresholdSet(make_pam(4).midpoints(), [0, 1, 0])
 
+    @pytest.mark.parametrize(("betas", "bits", "message"), [
+        ([np.nan], [0, 1], "finite"),
+        ([0.0, np.inf], [0, 1, 0], "finite"),
+        ([-np.inf, 0.0], [0, 1, 0], "finite"),
+        ([0.5, -0.5], [0, 1, 0], "non-decreasing"),
+        ([[-0.5, 0.5]], [0, 1, 0], "1-D"),
+        ([0.0], [5, 7], "0 or 1"),
+        ([0.0], [0.5, 1], "0 or 1"),
+        ([0.0], [-1, 0], "0 or 1"),
+    ])
+    def test_threshold_set_rejects_what_it_cannot_represent(self, betas, bits, message):
+        with pytest.raises(ValueError, match=message):
+            ThresholdSet(betas, bits)
+
+    def test_threshold_set_accepts_equal_boundaries(self):
+        thr = ThresholdSet([0.0, 0.0], [True, False, True])
+        np.testing.assert_array_equal(thr.bits, [1, 0, 1])
+
 
 class TestRelevanceMask:
     def test_hand_evaluated_columns(self):
@@ -154,16 +172,18 @@ class TestRelevanceMask:
         np.testing.assert_array_equal(g[:, 2], 0)
 
     def test_zero_columns_match_equal_neighbors(self):
-        for pat in iter_patterns(8):
+        for w in pattern_indices(8):
+            pat = pattern_from_index(8, w)
             g = relevance(pat)
             zero_cols = ~np.any(g, axis=0)
             np.testing.assert_array_equal(zero_cols, ~bit_changes(pat))
 
     def test_invariant_under_inversion(self):
         # both factors flip sign, so the product is unchanged
-        for pat in iter_patterns(8):
+        for w in pattern_indices(8):
             np.testing.assert_array_equal(
-                relevance(pat), relevance(invert(pat))
+                relevance(pattern_from_index(8, w)),
+                relevance(pattern_from_index(8, invert_index(w, 8))),
             )
 
 
@@ -397,7 +417,8 @@ class TestRefinementOracle:
 
     def test_16pam_sample(self, checked):
         c = make_pam(16)
-        for pat in list(iter_patterns(16))[::643]:
+        for w in list(pattern_indices(16))[::643]:
+            pat = pattern_from_index(16, w)
             for snr_db in np.arange(-40.0, 40.25, 5.0):
                 bd_thresholds(pat, c, ChannelParams.from_db(snr_db))
         assert sum(checked) > 0
