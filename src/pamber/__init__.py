@@ -51,7 +51,6 @@ _EXPORTS = {
         "PatternClass",
         "class_count_closed_form",
         "classify",
-        "distinct_a1_count",
         "enumerate_classes",
         "high_snr_bicm_parameter",
         "labeling_coefficients",

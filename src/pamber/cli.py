@@ -1,8 +1,10 @@
 """Command line front end; every subcommand emits CSV on stdout.
 
-Numbers are printed with 17 significant digits so curves can be compared
-byte for byte between runs.  Each output starts with a ``#`` comment line
-echoing the subcommand and its full parameter set.
+Subcommands hand plain values to ``_emit``, which owns the cell format:
+floats are printed with 17 significant digits so curves can be compared
+byte for byte between runs, sequences as space-separated values.  Each
+output starts with a ``#`` comment line echoing the subcommand and its
+full parameter set.
 
 SNR grids are given in dB as ``start:step:stop`` (stop inclusive) or as a
 single value.  Patterns are accepted as a decimal index (``102``), a bit
@@ -34,10 +36,6 @@ from .demod import DEMODULATORS, ChannelParams, exact_llr, maxlog_llr
 from .thresholds import bd_thresholds
 
 MAX_GRID_POINTS = 1_000_000
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def parse_grid(text: str) -> np.ndarray:
@@ -133,10 +131,19 @@ def _provenance(args: argparse.Namespace) -> str:
 
 
 def _emit(args, header: list[str], rows) -> None:
+    """Write the provenance line, the header and one CSV line per row."""
+
+    def cell(value) -> str:
+        if isinstance(value, (float, np.floating)):
+            return format(float(value), ".17g")
+        if isinstance(value, (tuple, list)):
+            return " ".join(map(cell, value))
+        return str(value)
+
     sys.stdout.write(_provenance(args) + "\n")
     sys.stdout.write(",".join(header) + "\n")
     for row in rows:
-        sys.stdout.write(",".join(row) + "\n")
+        sys.stdout.write(",".join(map(cell, row)) + "\n")
 
 
 def _read_target(args) -> BitPattern | Labeling:
@@ -154,8 +161,7 @@ def _cmd_ber(args) -> int:
     rows = []
     for snr_db in grid:
         params = ChannelParams.from_db(snr_db)
-        value = analytic.labeling_ber(target, constellation, params, args.demod)
-        rows.append((_fmt(snr_db), _fmt(value)))
+        rows.append((snr_db, analytic.labeling_ber(target, constellation, params, args.demod)))
     _emit(args, ["snr_db", "ber"], rows)
     return 0
 
@@ -176,10 +182,7 @@ def _cmd_llr(args) -> int:
         header = ["y"] + [f"exact_{j}" for j in bits] + [f"maxlog_{j}" for j in bits]
     else:
         header = ["y", "exact", "maxlog"]
-    rows = [
-        (_fmt(yv),) + tuple(_fmt(v) for v in exact[i]) + tuple(_fmt(v) for v in approx[i])
-        for i, yv in enumerate(y)
-    ]
+    rows = [(yv, *e, *a) for yv, e, a in zip(y, exact, approx)]
     _emit(args, header, rows)
     return 0
 
@@ -188,29 +191,23 @@ def _cmd_thresholds(args) -> int:
     grid = parse_grid(args.snr)
     constellation = make_pam(args.M)
     pattern = parse_pattern(args.pattern, args.M)
-    transitions = [str(k + 1) for k in np.nonzero(np.diff(pattern.bits) != 0)[0]]
+    transitions = (np.nonzero(np.diff(pattern.bits) != 0)[0] + 1).tolist()
     rows = []
     for snr_db in grid:
         params = ChannelParams.from_db(snr_db)
         thr = bd_thresholds(pattern, constellation, params)
         keys = transitions if thr.size == len(transitions) else [""] * thr.size
         for k, beta in zip(keys, thr.betas):
-            rows.append((_fmt(snr_db), k, _fmt(beta)))
+            rows.append((snr_db, k, beta))
     _emit(args, ["snr_db", "k", "beta"], rows)
     return 0
 
 
 def _cmd_classes(args) -> int:
-    rows = []
-    for cls in pattern_classes.enumerate_classes(args.M):
-        rows.append(
-            (
-                str(cls.representative.index),
-                " ".join(str(w) for w in cls.members),
-                cls.symmetry,
-                " ".join(str(a) for a in cls.coefficients),
-            )
-        )
+    rows = [
+        (cls.representative.index, cls.members, cls.symmetry, cls.coefficients)
+        for cls in pattern_classes.enumerate_classes(args.M)
+    ]
     _emit(args, ["representative", "members", "symmetry", "coefficients"], rows)
     return 0
 
@@ -225,17 +222,11 @@ def _cmd_labelings(args) -> int:
             continue
         alpha = tuple(int(x) for x in pattern_classes.labeling_coefficients(lab))
         named.setdefault(alpha, name)
-    rows = []
-    for rank, cls in enumerate(census, start=1):
-        rows.append(
-            (
-                str(rank),
-                named.get(cls.alpha, ""),
-                " ".join(str(w) for w in sorted(cls.witness.pattern_set)),
-                " ".join(str(a) for a in cls.alpha),
-                str(cls.population),
-            )
-        )
+    rows = [
+        (rank, named.get(cls.alpha, ""), sorted(cls.witness.pattern_set), cls.alpha,
+         cls.population)
+        for rank, cls in enumerate(census, start=1)
+    ]
     _emit(args, ["rank", "name", "witness_patterns", "coefficients", "population"], rows)
     return 0
 
@@ -251,14 +242,7 @@ def _cmd_simulate(args) -> int:
         demodulator=args.demod,
     )
     rows = [
-        (
-            _fmt(est.snr_db),
-            est.demodulator,
-            _fmt(est.ber),
-            _fmt(est.stderr),
-            str(args.trials),
-            str(args.seed),
-        )
+        (est.snr_db, est.demodulator, est.ber, est.stderr, args.trials, args.seed)
         for est in montecarlo.simulate(target, constellation, config)
     ]
     _emit(args, ["snr_db", "demod", "ber", "stderr", "trials", "seed"], rows)

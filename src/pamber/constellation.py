@@ -170,17 +170,18 @@ class Labeling:
     pattern_set: frozenset[int] = field(init=False)
 
     def __post_init__(self) -> None:
-        mat = _readonly(np.array(self.matrix, dtype=np.int8))
-        object.__setattr__(self, "matrix", mat)
-        if mat.ndim != 2:
+        raw = np.asarray(self.matrix)
+        if raw.ndim != 2:
             raise ValueError("labeling matrix must be 2-D")
-        m_points, n_bits = mat.shape
+        m_points, n_bits = raw.shape
         if m_points != 1 << n_bits:
             raise ValueError(
                 f"matrix is {m_points}x{n_bits}; need 2^{n_bits} = {1 << n_bits} rows"
             )
-        if not np.all((mat == 0) | (mat == 1)):
+        if not np.all((raw == 0) | (raw == 1)):  # before the cast, which truncates 0.4
             raise ValueError("labeling matrix entries must be 0 or 1")
+        mat = _readonly(raw.astype(np.int8))
+        object.__setattr__(self, "matrix", mat)
         row_codes = mat @ (1 << np.arange(n_bits - 1, -1, -1))
         if len(set(row_codes.tolist())) != m_points:
             raise ValueError("labeling rows must be pairwise distinct (bijection)")

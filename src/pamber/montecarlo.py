@@ -14,7 +14,8 @@ errors of bit j are the sum of that M x M tally weighted by whether bit
 j differs between the two points' labels: the paper's sum over
 transitions, in exact integers.  ABD and BD decide each chunk by the sign
 of ``maxlog_llr`` or ``exact_llr`` (``abd_decide``) and count errors one
-bit at a time.
+bit at a time.  Their SNR grid is checked in one pass, ``_check_grid``,
+before any noise is drawn.
 """
 
 from __future__ import annotations
@@ -85,26 +86,24 @@ class BerEstimate:
     per_bit: tuple[float, ...]
 
 
-def _check_noise_reach(constellation: Constellation, snr_db_grid) -> None:
+def _check_grid(constellation: Constellation, config: SimConfig) -> None:
+    """Reject the first grid point an L-value demodulator cannot handle."""
     limit = _llr_limit(constellation)
     peak = max(-constellation.points[0], constellation.points[-1])
-    for snr_db in snr_db_grid:
-        reach = peak + _NOISE_SIGMAS * ChannelParams.from_db(snr_db).noise_std
+    # The exact L-value adds log-domain corrections of about ln(M/2), each
+    # rounded by about eps*ln(M/2), to an inner bit's L-value of about
+    # snr*dmin^2.  Below this SNR its sign is rounding noise.
+    floor = _EPS * math.log(constellation.size / 2) / constellation.dmin**2
+    for snr_db in config.snr_db_grid:
+        params = ChannelParams.from_db(snr_db)
+        reach = peak + _NOISE_SIGMAS * params.noise_std
         if reach > limit:
             raise ValueError(
                 f"snr_db={snr_db:g} is too low for L-value demodulation: max|x| plus "
                 f"{_NOISE_SIGMAS:g} noise standard deviations is {reach:g}, past the "
                 f"L-value bound dmin/(8*eps) = {limit:g}; the sd demodulator has no such bound"
             )
-
-
-def _check_bd_floor(constellation: Constellation, snr_db_grid) -> None:
-    # The exact L-value adds log-domain corrections of about ln(M/2), each
-    # rounded by about eps*ln(M/2), to an inner bit's L-value of about
-    # snr*dmin^2.  Below this SNR its sign is rounding noise.
-    floor = _EPS * math.log(constellation.size / 2) / constellation.dmin**2
-    for snr_db in snr_db_grid:
-        if ChannelParams.from_db(snr_db).snr < floor:
+        if config.demodulator == "bd" and params.snr < floor:
             raise ValueError(
                 f"snr_db={snr_db:g} is too low for the bd demodulator: below "
                 f"{10 * math.log10(floor):.1f} dB the rounding of the exact L-value, "
@@ -130,13 +129,11 @@ def simulate(
             below ``snr = eps*ln(M/2)/dmin^2``, where the rounding of the
             exact L-value's log-domain corrections exceeds an inner bit's
             L-value and its sign becomes noise (-147.9 dB for unit-energy
-            8-PAM).
+            8-PAM).  The error names the first failing point in grid order.
     """
     cols = _column_matrix(target, constellation)
     if config.demodulator != "sd":
-        _check_noise_reach(constellation, config.snr_db_grid)
-    if config.demodulator == "bd":
-        _check_bd_floor(constellation, config.snr_db_grid)
+        _check_grid(constellation, config)
     bit_rows = np.ascontiguousarray(cols.T)  # row j: bit j of every point's label
     points = constellation.points
     size = constellation.size

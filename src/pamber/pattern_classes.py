@@ -70,11 +70,18 @@ def pattern_indices(m_points: int) -> Iterator[int]:
 
     Gosper's hack walks the fixed-popcount masks ascending without
     touching the other 2^M - C(M, M/2) words.
+
+    Raises:
+        ValueError: at the call, unless M is even and 2 <= M <= 62.
     """
     if m_points < 2 or m_points % 2 != 0:
         raise ValueError(f"M must be an even integer >= 2, got {m_points}")
     if m_points > 62:
         raise ValueError("bitmask enumeration supports M <= 62")
+    return _gosper(m_points)
+
+
+def _gosper(m_points: int) -> Iterator[int]:
     word = (1 << (m_points // 2)) - 1
     top = 1 << m_points
     while word < top:
@@ -209,17 +216,3 @@ def enumerate_classes(m_points: int) -> list[PatternClass]:
         )
     return classes
 
-
-def distinct_a1_count(m_points: int) -> int:
-    """Number of distinct leading coefficients over all patterns.
-
-    Equals M-1 for equally spaced PAM: the leading coefficient is twice
-    the count of adjacent bit disagreements, which ranges over 1..M-1.
-    """
-    _check_enumerable(m_points)
-    firsts = set()
-    for w in pattern_indices(m_points):
-        # adjacent disagreements of the mask, doubled
-        transitions = bin((w ^ (w >> 1)) & ((1 << (m_points - 1)) - 1)).count("1")
-        firsts.add(2 * transitions)
-    return len(firsts)

@@ -169,6 +169,11 @@ class TestPberGeneral:
         with pytest.raises(TypeError, match="BitPattern"):
             pber_general(lab, c, mids(c, pattern_from_index(8, 15)), ChannelParams(1.0))
 
+    def test_rejects_a_pattern_of_another_size(self):
+        c, pat = make_pam(8), pattern_from_index(4, 3)
+        with pytest.raises(ValueError, match="sizes differ"):
+            pber_general(pat, c, mids(c, pattern_from_index(8, 15)), ChannelParams(1.0))
+
     def test_probability_bounds_at_extremes(self):
         c = make_pam(8)
         for snr in (1e-9, 1e4):

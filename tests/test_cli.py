@@ -265,11 +265,17 @@ class TestStabilityAndErrors:
         def failing():
             raise AssertionError("deliberately false")
 
-        monkeypatch.setattr(verify, "ALL_CHECKS",
-                            (("passing", lambda: "ok"), ("failing", failing)))
+        def crashing():
+            raise ValueError("boom")
+
+        monkeypatch.setattr(verify, "ALL_CHECKS", (
+            ("passing", lambda: "ok"), ("failing", failing), ("crashing", crashing)))
         assert main(["verify"]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL  failing" in out and "1/2 checks passed" in out
+        captured = capsys.readouterr()
+        out = captured.out
+        assert "FAIL  failing " in out and "deliberately false" in out
+        assert "FAIL  crashing" in out and "ValueError: boom" in out
+        assert "1/3 checks passed" in out and captured.err == ""
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:

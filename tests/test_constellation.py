@@ -106,6 +106,11 @@ class TestBitPattern:
         pat = BitPattern(bits)
         assert pat.bits == (1, 0, 1, 0) and all(type(b) is int for b in pat.bits)
 
+    @pytest.mark.parametrize("bits", [(0, 1, 1), (1,)])
+    def test_rejects_odd_length(self, bits):
+        with pytest.raises(ValueError, match="even and >= 2"):
+            BitPattern(bits)
+
     def test_str(self):
         assert str(pattern_from_index(8, 102)) == "01100110"
 
@@ -189,11 +194,29 @@ class TestLabeling:
             ([[0, 0], [0, 1], [1, 2], [1, 0]], "entries must be 0 or 1"),
             ([[0, 0], [0, -1], [1, 1], [1, 0]], "entries must be 0 or 1"),
             ([[0, 0], [0, 1], [0, 1], [1, 0]], "pairwise distinct"),
+            # checked before the int8 cast, which would truncate 0.4 and 1.9
+            # to NBC-4, wrap 256.0 to 0, and raise OverflowError for 300
+            ([[0.4, 0], [0, 1.9], [1, 0], [1, 1]], "entries must be 0 or 1"),
+            ([[256.0, 0], [0, 1], [1, 0], [1, 1]], "entries must be 0 or 1"),
+            ([[300, 0], [0, 1], [1, 0], [1, 1]], "entries must be 0 or 1"),
+            ([[-255, 0], [0, 1], [1, 0], [1, 1]], "entries must be 0 or 1"),
         ],
     )
     def test_rejections_keep_their_messages(self, matrix, message):
         with pytest.raises(ValueError, match=message):
             Labeling(matrix)
+
+    @pytest.mark.parametrize("matrix", [
+        [[0, 0], [0, 1], [1, 0], [1, 1]],
+        [[False, False], [False, True], [True, False], [True, True]],
+        np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.int64),
+        [[np.uint8(0), np.int16(0)], [0, 1], [1, 0], [np.int64(1), 1]],
+        named_labeling("NBC", 4).matrix,
+    ])
+    def test_integer_and_bool_entries_keep_working(self, matrix):
+        lab = Labeling(matrix)
+        assert lab.matrix.dtype == np.int8
+        np.testing.assert_array_equal(lab.matrix, named_labeling("NBC", 4).matrix)
 
     @pytest.mark.parametrize("m", [2, 4, 8, 16, 64, 128])
     def test_pattern_set_reads_columns_big_endian(self, m):
@@ -229,6 +252,11 @@ class TestGeometry:
         mids = c.midpoints()
         np.testing.assert_array_equal(mids, 0.5 * (p[:-1] + p[1:]))
         assert mids is c.midpoints()
+
+    @pytest.mark.parametrize("points", [[0.0], [[0.0, 1.0], [2.0, 3.0]]])
+    def test_rejects_one_point_or_2d_points(self, points):
+        with pytest.raises(ValueError, match="1-D array of at least two points"):
+            Constellation(points)
 
     def test_midpoints_are_read_only(self):
         mids = make_pam(4).midpoints()

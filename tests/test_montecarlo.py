@@ -304,6 +304,24 @@ class TestExtremeSnr:
         with pytest.raises(ValueError, match=r"snr_db=-250 is too low for the bd .* -147\.9 dB"):
             simulate(named_labeling("BRGC", 8), make_pam(8), config)
 
+    @pytest.mark.parametrize(("grid", "message"), [
+        ((-200.0, -300.0), r"snr_db=-200 is too low for the bd demodulator"),
+        ((0.0, -300.0), r"snr_db=-300 is too low for L-value demodulation"),
+    ], ids=["floor-at-the-first-point", "bound-before-floor"])
+    def test_bd_names_the_first_failing_point_in_grid_order(self, monkeypatch, grid,
+                                                            message):
+        # -200 dB fails only the BD floor; -300 dB fails the L-value bound
+        # too, which is checked first at each point.
+        from pamber import montecarlo
+
+        def no_work(*args):
+            raise AssertionError("a chunk was demodulated")
+
+        monkeypatch.setattr(montecarlo, "exact_llr", no_work)
+        config = SimConfig(trials=10_000, seed=0, snr_db_grid=grid, demodulator="bd")
+        with pytest.raises(ValueError, match=message):
+            simulate(named_labeling("BRGC", 8), make_pam(8), config)
+
     def test_bd_above_its_rounding_floor_agrees_with_sd(self):
         lab, c = named_labeling("BRGC", 8), make_pam(8)
         bd, sd = (

@@ -11,7 +11,6 @@ from pamber import (
     BitPattern,
     class_count_closed_form,
     classify,
-    distinct_a1_count,
     enumerate_classes,
     pattern_coefficients,
     pattern_from_index,
@@ -20,10 +19,28 @@ from pamber import (
 from pamber.pattern_classes import invert_index, reflect_index
 
 
+def distinct_a1_count(m):
+    """Number of distinct leading weights, read off the class table."""
+    return len({cls.coefficients[0] for cls in enumerate_classes(m)})
+
+
 def patterns_strategy(m):
     return st.sampled_from(sorted(pattern_indices(m))).map(
         lambda w: pattern_from_index(m, w)
     )
+
+
+class TestPatternIndices:
+    @pytest.mark.parametrize("m", [3, 0, 64])
+    def test_rejects_a_bad_size_at_the_call(self, m):
+        with pytest.raises(ValueError, match=f"got {m}|M <= 62"):
+            pattern_indices(m)  # never iterated
+
+    @pytest.mark.parametrize("m", range(2, 21, 2))
+    def test_walks_every_balanced_mask_ascending(self, m):
+        words = np.arange(1 << m)
+        expected = words[np.bitwise_count(words) == m // 2]
+        np.testing.assert_array_equal(np.fromiter(pattern_indices(m), dtype=np.int64), expected)
 
 
 class TestSymmetryOps:
@@ -136,7 +153,7 @@ class TestEnumerateClasses:
         with pytest.raises(ValueError, match=f"positive multiple of 4, got {m}"):
             func(m)
 
-    @pytest.mark.parametrize("func", [enumerate_classes, distinct_a1_count])
+    @pytest.mark.parametrize("func", [enumerate_classes])
     @pytest.mark.parametrize("m", [24, 40])
     def test_size_limit_raises_before_the_walk(self, func, m):
         with pytest.raises(ValueError, match=f"M <= 20, got {m}"):
@@ -147,7 +164,7 @@ class TestEnumerateClasses:
 
 
 class TestLeadingWeightGroups:
-    @pytest.mark.parametrize(("m", "expected"), [(4, 3), (8, 7), (16, 15)])
+    @pytest.mark.parametrize(("m", "expected"), [(4, 3), (8, 7), (12, 11), (16, 15)])
     def test_group_counts(self, m, expected):
         assert distinct_a1_count(m) == expected
 

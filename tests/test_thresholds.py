@@ -275,6 +275,27 @@ class TestBdThresholds:
             thr = bd_thresholds(pat, c, ChannelParams.from_db(2.0))
             assert np.all(np.diff(thr.betas) > 0)
 
+    @pytest.mark.parametrize("index", [1, 2])
+    def test_bpsk_has_one_crossing_at_zero_at_every_snr(self, index):
+        # For M = 2 the bound T = ln(M/2)/(2*snr*dmin) is 0: the scan stays
+        # between the two points.  The closed form 1/2 + sum(g*Q)/M rounds at
+        # 1/2, so a BER of Q(sqrt(2*snr)) holds to 2^-54 absolute there, and
+        # to 1e-15 relative only where Q is not small (below about 3 dB).
+        c, pat = make_pam(2), pattern_from_index(2, index)
+        for snr_db in np.arange(-100.0, 100.5, 0.5):
+            params = ChannelParams.from_db(snr_db)
+            thr = bd_thresholds(pat, c, params)
+            assert thr.size == 1 and abs(thr.betas[0]) <= thresholds._XTOL
+            assert thr.bits.tolist() == [pat.bits[0], 1 - pat.bits[0]]
+            bd = analytic.labeling_ber(pat, c, params, "bd")
+            q = float(analytic.qfunc(math.sqrt(2 * params.snr)))
+            assert bd == analytic.labeling_ber(pat, c, params, "abd")
+            assert math.isclose(bd, q, rel_tol=1e-15, abs_tol=2**-54)
+
+    def test_rejects_a_pattern_of_another_size(self):
+        with pytest.raises(ValueError, match="sizes differ"):
+            bd_thresholds(pattern_from_index(4, 3), make_pam(8), ChannelParams.from_db(10.0))
+
     def test_rejects_snr_below_the_resolvable_range(self):
         c = make_pam(8)
         pat = pattern_from_index(8, 102)
