@@ -17,12 +17,12 @@ precision.  :mod:`pamber.thresholds` only finds the boundaries.
 
 One evaluator core, ``_gq_sums``, sums ``g*Q`` for every row of an
 ``(n, M)`` bit matrix against one set of boundaries in one array pass.
-:func:`pber_general` is its one-row case, and :func:`labeling_ber` with
-midpoints hands it all m columns at once, so the Q-functions of the
-midpoint tails are evaluated once per call, not once per column.  The bit
-matrix must be C-contiguous: numpy's summation order follows the memory
-layout, and only with C order does each row's sum add its ``M*K`` terms in
-the order of the one-pattern sum, so that a labeling's BER is
+:func:`pber_general` is its one-row case.  :func:`labeling_ber` hands it
+the m columns as rows: all at once against the midpoints, so that their
+tails are evaluated once per call, or each against its own BD crossings.
+The bit matrix must be C-contiguous: numpy's summation order follows the
+memory layout, and only with C order does each row's sum add its ``M*K``
+terms in the order of the one-pattern sum, so that a labeling's BER is
 bit-identical to the average of its columns' PBERs.
 
 For equally spaced unit-energy M-PAM with midpoint boundaries the PBER
@@ -42,7 +42,7 @@ from scipy.special import erfc
 from .constellation import BitPattern, Constellation, Labeling, pam_spacing
 from .demod import DEMODULATORS, ChannelParams, _column_matrix
 from .pattern_classes import labeling_coefficients, pattern_coefficients
-from .thresholds import ThresholdSet, bd_thresholds
+from .thresholds import ThresholdSet, _crossings
 
 
 def qfunc(x):
@@ -88,6 +88,8 @@ def pber_general(
     """PBER of a sign demodulator with the boundaries and region bits given."""
     if not isinstance(pattern, BitPattern):
         raise TypeError(f"pattern must be a BitPattern, got {type(pattern)!r}")
+    if not isinstance(thresholds, ThresholdSet):
+        raise TypeError(f"thresholds must be a ThresholdSet, got {type(thresholds)!r}")
     if pattern.size != constellation.size:
         raise ValueError("pattern and constellation sizes differ")
     bits = np.array([pattern.bits], dtype=np.int64)
@@ -98,13 +100,18 @@ def pber_general(
 def ber_from_coefficients(
     coefficients: np.ndarray, m_points: int, params: ChannelParams
 ) -> float:
-    """Evaluate a Q-function weight vector for unit-energy M-PAM."""
+    """Evaluate a Q-function weight vector for unit-energy M-PAM.
+
+    Raises:
+        ValueError: if M is odd or smaller than 2, or the M-1 weights are
+            not all finite.
+    """
+    d = pam_spacing(m_points)
     coefficients = np.asarray(coefficients)
     if coefficients.shape != (m_points - 1,):
         raise ValueError(f"need {m_points - 1} coefficients, got {coefficients.shape}")
     if not np.all(np.isfinite(coefficients)):
         raise ValueError("coefficients must be finite")
-    d = pam_spacing(m_points)
     n = np.arange(1, m_points)
     args = (2 * n - 1) * d * math.sqrt(2.0 * params.snr)
     return float(coefficients @ qfunc(args)) / m_points
@@ -136,22 +143,21 @@ def labeling_ber(
     ``target`` is a :class:`Labeling`, or a :class:`BitPattern`, whose BER
     is its PBER.  ``demod`` selects the decision boundaries: ``"abd"`` (or
     ``"sd"``, which decides identically) uses midpoints; ``"bd"`` solves
-    the exact L-value boundaries at this SNR for every column pattern.
+    the exact L-value crossings at this SNR for each column.  The columns
+    are rows of one bit matrix for ``_gq_sums`` (see the module docstring).
     """
     cols = _column_matrix(target, constellation)
     if demod not in DEMODULATORS:
         raise ValueError(f"demod must be one of {', '.join(DEMODULATORS)}; got {demod!r}")
+    bits = np.ascontiguousarray(cols.T, dtype=np.int64)  # see the module docstring
     if demod == "bd":
-        pbers = []
-        for bits in cols.T:
-            pat = BitPattern(tuple(bits))
-            thr = bd_thresholds(pat, constellation, params)
-            pbers.append(pber_general(pat, constellation, thr, params))
+        sums = []
+        for row in bits:
+            betas, region_bits = _crossings(row, constellation, params)
+            sums += _gq_sums(row[None], region_bits[None], betas, constellation, params).tolist()
     else:
-        bits = np.ascontiguousarray(cols.T, dtype=np.int64)  # see the module docstring
-        sums = _gq_sums(bits, bits, constellation.midpoints(), constellation, params)
-        pbers = [0.5 + s / cols.shape[0] for s in sums.tolist()]
+        sums = _gq_sums(bits, bits, constellation.midpoints(), constellation, params).tolist()
     total = 0.0
-    for pber in pbers:  # in column order, as a sum of Python floats
-        total += pber
+    for s in sums:  # in column order, as a sum of Python floats
+        total += 0.5 + s / cols.shape[0]
     return total / cols.shape[1]

@@ -38,7 +38,13 @@ _FIXED_LABELINGS = {
 
 
 def pam_spacing(m_points: int) -> float:
-    """Half the distance between adjacent points of unit-energy PAM."""
+    """Half the distance between adjacent points of unit-energy M-PAM.
+
+    Raises:
+        ValueError: if M is odd or smaller than 2.
+    """
+    if m_points < 2 or m_points % 2 != 0:
+        raise ValueError(f"M must be an even integer >= 2, got {m_points}")
     return math.sqrt(3.0 / (m_points * m_points - 1.0))
 
 
@@ -98,8 +104,6 @@ def make_pam(m_points: int) -> Constellation:
     Raises:
         ValueError: if M is odd or smaller than 2.
     """
-    if m_points < 2 or m_points % 2 != 0:
-        raise ValueError(f"M must be an even integer >= 2, got {m_points}")
     d = pam_spacing(m_points)
     pts = np.array([-d * (m_points - 2 * i + 1) for i in range(1, m_points + 1)])
     return Constellation(points=pts)
@@ -174,6 +178,8 @@ class Labeling:
         if raw.ndim != 2:
             raise ValueError("labeling matrix must be 2-D")
         m_points, n_bits = raw.shape
+        if n_bits < 1:
+            raise ValueError("labeling matrix needs at least one bit column")
         if m_points != 1 << n_bits:
             raise ValueError(
                 f"matrix is {m_points}x{n_bits}; need 2^{n_bits} = {1 << n_bits} rows"

@@ -7,15 +7,15 @@ grid points are simulated, and per-point streams never overlap.
 Gaussian samples come from ``Generator.standard_normal`` (PCG64 +
 ziggurat); symbols are drawn equiprobably.
 
-SD is tallied by transition.  Each sample adds one to the count of its
-(sent point, decided point) pair, the decided point coming from the
-nearest-point rule that ``sd_decide`` also uses.  Per grid point, the
-errors of bit j are the sum of that M x M tally weighted by whether bit
-j differs between the two points' labels: the paper's sum over
-transitions, in exact integers.  ABD and BD decide each chunk by the sign
-of ``maxlog_llr`` or ``exact_llr`` (``abd_decide``) and count errors one
-bit at a time.  Their SNR grid is checked in one pass, ``_check_grid``,
-before any noise is drawn.
+Errors are tallied by transition, whatever the demodulator.  Each
+sample adds one to the count of its (sent point, decision) pair.  SD
+decides a point, by the nearest-point rule that ``sd_decide`` also uses;
+ABD and BD decide a label code, first bit highest, from the signs
+(``abd_decide``) of ``maxlog_llr`` or ``exact_llr``.  Per grid point, the
+errors of bit j are the sum of that tally weighted by whether bit j
+differs between the sent label and the decided one: the paper's sum over
+transitions, in exact integers.  The SNR grid of ABD and BD is checked in
+one pass, ``_check_grid``, before any noise is drawn.
 """
 
 from __future__ import annotations
@@ -132,42 +132,38 @@ def simulate(
             8-PAM).  The error names the first failing point in grid order.
     """
     cols = _column_matrix(target, constellation)
-    if config.demodulator != "sd":
+    sd = config.demodulator == "sd"
+    if not sd:
         _check_grid(constellation, config)
-    bit_rows = np.ascontiguousarray(cols.T)  # row j: bit j of every point's label
-    points = constellation.points
-    size = constellation.size
-    n_bits = cols.shape[1]
-    # flips[j, s, d]: whether bit j differs between the labels of s and d
-    flips = bit_rows[:, :, None] != bit_rows[:, None, :]
+    size, n_bits = cols.shape
+    width = size if sd else 1 << n_bits
+    decided = cols.T if sd else (np.arange(width) >> np.arange(n_bits)[::-1, None]) & 1
+    # flips[j, s, d]: whether bit j differs between the label of s and decision d
+    flips = cols.T[:, :, None] != decided[:, None, :]
+    llr = exact_llr if config.demodulator == "bd" else maxlog_llr
     children = np.random.SeedSequence(config.seed).spawn(len(config.snr_db_grid))
     out = []
     for snr_db, child in zip(config.snr_db_grid, children):
         params = ChannelParams.from_db(snr_db)
         rng = np.random.default_rng(child)
-        errors_per_bit = np.zeros(n_bits, dtype=np.int64)
-        tally = np.zeros(size * size, dtype=np.int64)  # SD: (sent, decided) counts
+        tally = np.zeros(size * width, dtype=np.int64)  # (sent, decision) counts
         done = 0
         while done < config.trials:
             n = min(_CHUNK, config.trials - done)
             sent = rng.integers(0, size, n)
             y = rng.standard_normal(n)  # y = points[sent] + noise_std * z, in place
             y *= params.noise_std
-            y += points[sent]
-            if config.demodulator == "sd":
-                sent *= size  # becomes the transition index sent*M + decided
+            y += constellation.points[sent]
+            if sd:  # sent becomes the transition index sent*width + decision
+                sent *= size
                 sent += _nearest(y, constellation)
-                tally += np.bincount(sent, minlength=size * size)
-            else:
-                llr = exact_llr if config.demodulator == "bd" else maxlog_llr
-                decided = abd_decide(llr(y, target, constellation, params))
-                # Counted one bit at a time on contiguous rows; the L-value
-                # decisions are bit-major, so their transpose has such rows.
-                for j, (got, labels) in enumerate(zip(decided.T, bit_rows)):
-                    errors_per_bit[j] += np.count_nonzero(got != labels[sent])
+            else:  # one contiguous row per bit: the L-values are bit-major
+                for row in llr(y, target, constellation, params).T:
+                    sent <<= 1
+                    sent |= abd_decide(row)
+            tally += np.bincount(sent, minlength=size * width)
             done += n
-        if config.demodulator == "sd":
-            errors_per_bit = (flips * tally.reshape(size, size)).sum(axis=(1, 2))
+        errors_per_bit = (flips * tally.reshape(size, width)).sum(axis=(1, 2))
         bits_sent = config.trials * n_bits
         bit_errors = int(errors_per_bit.sum())
         ber = bit_errors / bits_sent

@@ -176,6 +176,11 @@ def bd_thresholds(
         raise TypeError(f"pattern must be a BitPattern, got {type(pattern)!r}")
     if pattern.size != constellation.size:
         raise ValueError("pattern and constellation sizes differ")
+    return ThresholdSet(*_crossings(pattern.as_array(), constellation, params))
+
+
+def _crossings(bits, constellation: Constellation, params: ChannelParams):
+    """The ``(betas, region_bits)`` of :func:`bd_thresholds` for a 0/1 row ``bits``."""
     reach = math.log(constellation.size / 2) / (2 * params.snr * constellation.dmin)
     if reach > _MAX_REACH_GAPS * constellation.dmin:
         raise ValueError(
@@ -183,7 +188,7 @@ def bd_thresholds(
             f"resolved out to its bound T={reach:g}"
         )
     grid = _llr_observations(_scan_grid(constellation.points, reach), constellation)
-    subsets, column = _subsets(pattern.as_array()[:, None]), constellation.points[:, None]
+    subsets, column = _subsets(bits[:, None]), constellation.points[:, None]
 
     def llr(y):
         return _llr_rows(y, subsets, column, params.snr, _exact_from_rows)[0]
@@ -195,4 +200,4 @@ def bd_thresholds(
     hits = np.nonzero((values[:-1] < 0) != (values[1:] < 0))[0]
     roots = _illinois(llr, grid[hits], grid[hits + 1], values[hits], values[hits + 1], _XTOL)
     first = int(values[0] > 0)
-    return ThresholdSet(betas=roots, bits=(first + np.arange(roots.size + 1)) % 2)
+    return roots, (first + np.arange(roots.size + 1)) % 2

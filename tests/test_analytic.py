@@ -32,7 +32,13 @@ from pamber import (
 )
 from pamber.analytic import _relevance
 from pamber.constellation import LABELING_NAMES
-from pamber.pattern_classes import invert_index, pattern_indices, pattern_weights, reflect_index
+from pamber.pattern_classes import (
+    enumerate_classes,
+    invert_index,
+    pattern_indices,
+    pattern_weights,
+    reflect_index,
+)
 from pamber.thresholds import bd_thresholds
 from pamber.verify import interval_probs, pber_interval_form
 
@@ -168,6 +174,11 @@ class TestPberGeneral:
         lab = named_labeling("BRGC", 8)
         with pytest.raises(TypeError, match="BitPattern"):
             pber_general(lab, c, mids(c, pattern_from_index(8, 15)), ChannelParams(1.0))
+
+    def test_rejects_boundaries_that_are_not_a_threshold_set(self):
+        c, pat = make_pam(8), pattern_from_index(8, 15)
+        with pytest.raises(TypeError, match="ThresholdSet, got <class 'tuple'>"):
+            pber_general(pat, c, (c.midpoints(), pat.bits), ChannelParams(1.0))
 
     def test_rejects_a_pattern_of_another_size(self):
         c, pat = make_pam(8), pattern_from_index(4, 3)
@@ -405,6 +416,42 @@ class TestBatchedColumns:
                 assert pber_general(pat, c, mids(c, pat), params) == want
 
 
+def per_column_bd_ber(target, constellation, params):
+    """The per-column BD BER loop, kept as an oracle.
+
+    One ``BitPattern``, ``bd_thresholds`` and ``pber_general`` per column,
+    the PBERs added up in column order.
+    """
+    cols = target.matrix if isinstance(target, Labeling) else target.as_array()[:, None]
+    total = 0.0
+    for col in cols.T:
+        pat = BitPattern(tuple(col))
+        total += pber_general(pat, constellation, bd_thresholds(pat, constellation, params),
+                              params)
+    return total / cols.shape[1]
+
+
+class TestBdColumns:
+    """BD columns handed to the evaluator as bit rows, bit-identical to the column loop."""
+
+    GRID_DB = np.arange(-10.0, 40.25, 2.5)
+
+    def test_bd_ber_is_bit_identical_to_the_column_loop(self):
+        cases = [(t, make_pam(t.size)) for t in named_labelings() if t.size <= 16]
+        cases.append((named_labeling("NBC", 4), Constellation([-1.9, -0.35, 0.1, 1.1])))
+        classes = enumerate_classes(8)
+        assert len(classes) == 23
+        cases += [(cls.representative, make_pam(8)) for cls in classes]
+        compared = 0
+        for snr_db in self.GRID_DB:
+            params = ChannelParams.from_db(snr_db)
+            for target, c in cases:
+                got = labeling_ber(target, c, params, "bd")
+                assert got == per_column_bd_ber(target, c, params), (target, snr_db)
+                compared += 1
+        assert compared == len(cases) * 21
+
+
 class TestHighSnrParameter:
     def test_brgc8_value(self):
         assert high_snr_bicm_parameter(named_labeling("BRGC", 8)) == 28
@@ -516,6 +563,19 @@ class TestBerFromCoefficients:
     def test_rejects_non_finite_weights(self, bad):
         with pytest.raises(ValueError, match="finite"):
             ber_from_coefficients(np.array([2.0, bad, 0.0]), 4, ChannelParams(1.0))
+
+    @pytest.mark.parametrize("m_points", [0, 1, 3, -8])
+    def test_pam_size_rule_is_the_same_everywhere(self, m_points):
+        # pam_spacing holds the rule; the size is checked before the weights
+        weights = np.zeros(max(m_points - 1, 0))
+        calls = (
+            lambda: pam_spacing(m_points),
+            lambda: make_pam(m_points),
+            lambda: ber_from_coefficients(weights, m_points, ChannelParams(1.0)),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=f"M must be an even integer >= 2, got {m_points}"):
+                call()
 
     def test_bd_boundaries_in_general_form(self):
         # the general expression accepts SNR-dependent boundaries

@@ -200,6 +200,8 @@ class TestLabeling:
             ([[256.0, 0], [0, 1], [1, 0], [1, 1]], "entries must be 0 or 1"),
             ([[300, 0], [0, 1], [1, 0], [1, 1]], "entries must be 0 or 1"),
             ([[-255, 0], [0, 1], [1, 0], [1, 1]], "entries must be 0 or 1"),
+            # one point and no bits: 1 == 2^0 rows, but not a labeling
+            (np.zeros((1, 0), dtype=np.int8), "at least one bit column"),
         ],
     )
     def test_rejections_keep_their_messages(self, matrix, message):

@@ -9,10 +9,13 @@ from pamber import (
     ChannelParams,
     Constellation,
     SimConfig,
+    abd_decide,
     bd_thresholds,
+    exact_llr,
     labeling_ber,
     labeling_ber_pam,
     make_pam,
+    maxlog_llr,
     named_labeling,
     pattern_from_index,
     pber_general,
@@ -134,40 +137,51 @@ class TestDeterminism:
         assert pair[1].bit_errors == again[1].bit_errors
 
 
-def _sd_errors_per_sample(target, c, config):
-    """Per-bit SD error rates of ``simulate``'s stream, compared one sample at a time."""
+def _errors_per_sample(target, c, config):
+    """Per-bit error rates of ``simulate``'s stream, compared one sample at a time.
+
+    Each chunk is decided by ``sd_decide``, or by the sign of ``maxlog_llr``
+    (ABD) or ``exact_llr`` (BD), and every decided label bit is compared
+    with the sent one.
+    """
     cols = _column_matrix(target, c)  # the label of every point
+    decide = {
+        "sd": lambda y, params: sd_decide(y, target, c),
+        "abd": lambda y, params: abd_decide(maxlog_llr(y, target, c, params)),
+        "bd": lambda y, params: abd_decide(exact_llr(y, target, c, params)),
+    }[config.demodulator]
     per_point = []
     children = np.random.SeedSequence(config.seed).spawn(len(config.snr_db_grid))
     for snr_db, child in zip(config.snr_db_grid, children):
         rng = np.random.default_rng(child)
-        noise_std = ChannelParams.from_db(snr_db).noise_std
+        params = ChannelParams.from_db(snr_db)
         errors = np.zeros(cols.shape[1], dtype=np.int64)
         done = 0
         while done < config.trials:
             n = min(_CHUNK, config.trials - done)
             sent = rng.integers(0, c.size, n)
-            y = c.points[sent] + noise_std * rng.standard_normal(n)
-            errors += (sd_decide(y, target, c) != cols[sent]).sum(axis=0)
+            y = c.points[sent] + params.noise_std * rng.standard_normal(n)
+            errors += (decide(y, params) != cols[sent]).sum(axis=0)
             done += n
         per_point.append(tuple(e / config.trials for e in errors.tolist()))
     return per_point
 
 
-class TestSdTally:
-    """The SD transition tally equals counting label bits sample by sample."""
+class TestTransitionTally:
+    """The transition tally equals counting label bits sample by sample."""
 
+    @pytest.mark.parametrize("demod", ["sd", "abd", "bd"])
     @pytest.mark.parametrize("target, c", [
         (named_labeling("BRGC", 8), make_pam(8)),
         (pattern_from_index(8, 102), make_pam(8)),
         (named_labeling("NBC", 4), Constellation([-1.9, -0.35, 0.1, 1.1])),
     ], ids=["brgc8", "pattern102", "uneven4"])
-    def test_matches_per_sample_oracle(self, target, c):
+    def test_matches_per_sample_oracle(self, target, c, demod):
         trials = (1 << 18) + 12_345
         config = SimConfig(trials=trials, seed=21, snr_db_grid=(0.0, 7.0),
-                           demodulator="sd")
+                           demodulator=demod)
         got = [est.per_bit for est in simulate(target, c, config)]
-        assert got == _sd_errors_per_sample(target, c, config)
+        assert got == _errors_per_sample(target, c, config)
 
     def test_per_bit_holds_python_floats(self):
         for demod in ("sd", "abd", "bd"):
