@@ -103,8 +103,8 @@ def ber_from_coefficients(
     """Evaluate a Q-function weight vector for unit-energy M-PAM.
 
     Raises:
-        ValueError: if M is odd or smaller than 2, or the M-1 weights are
-            not all finite.
+        ValueError: if M is not an integer, is odd or is smaller than 2,
+            or the M-1 weights are not all finite.
     """
     d = pam_spacing(m_points)
     coefficients = np.asarray(coefficients)

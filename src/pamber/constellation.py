@@ -37,14 +37,20 @@ _FIXED_LABELINGS = {
 }
 
 
+def _is_integer(value) -> bool:
+    """True for an int or a numpy integer; a bool or a float is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def pam_spacing(m_points: int) -> float:
     """Half the distance between adjacent points of unit-energy M-PAM.
 
     Raises:
-        ValueError: if M is odd or smaller than 2.
+        ValueError: if M is not an integer, is odd or is smaller than 2.
     """
-    if m_points < 2 or m_points % 2 != 0:
+    if not _is_integer(m_points) or m_points < 2 or m_points % 2 != 0:
         raise ValueError(f"M must be an even integer >= 2, got {m_points}")
+    m_points = int(m_points)  # M*M would wrap in a narrow numpy integer
     return math.sqrt(3.0 / (m_points * m_points - 1.0))
 
 
@@ -102,9 +108,10 @@ def make_pam(m_points: int) -> Constellation:
     ``d = sqrt(3/(M^2-1))``, which makes ``mean(points**2) == 1``.
 
     Raises:
-        ValueError: if M is odd or smaller than 2.
+        ValueError: if M is not an integer, is odd or is smaller than 2.
     """
     d = pam_spacing(m_points)
+    m_points = int(m_points)
     pts = np.array([-d * (m_points - 2 * i + 1) for i in range(1, m_points + 1)])
     return Constellation(points=pts)
 
@@ -120,13 +127,18 @@ class BitPattern:
         m = len(bits)
         if m < 2 or m % 2 != 0:
             raise ValueError(f"pattern length must be even and >= 2, got {m}")
-        if any(b not in (0, 1) for b in bits):  # before int(), which truncates 1.5
+        # An entry passes only if int() maps it to an equal 0 or 1, so 1.5
+        # (which int() would truncate), NaN and "1" are rejected.
+        try:
+            ints = tuple(map(int, bits))
+        except (TypeError, ValueError, OverflowError):
+            ints = None
+        if ints != bits or not {0, 1}.issuperset(ints):
             raise ValueError("pattern entries must be 0 or 1")
-        bits = tuple(int(b) for b in bits)
-        object.__setattr__(self, "bits", bits)
-        if sum(bits) != m // 2:
+        object.__setattr__(self, "bits", ints)
+        if sum(ints) != m // 2:
             raise ValueError(
-                f"pattern of length {m} must have weight {m // 2}, got {sum(bits)}"
+                f"pattern of length {m} must have weight {m // 2}, got {sum(ints)}"
             )
 
     @property

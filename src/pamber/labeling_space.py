@@ -31,16 +31,25 @@ _EXHAUSTIVE_SIZES = (2, 4, 8)
 
 
 def is_bijective_set(m_points: int, indices: Sequence[int]) -> bool:
-    """True when stacking the patterns as columns yields M distinct rows."""
-    codes = set()
-    for shift in range(m_points):
-        code = 0
-        for w in indices:
-            code = (code << 1) | ((w >> shift) & 1)
-        if code in codes:
-            return False
-        codes.add(code)
-    return True
+    """True when stacking the patterns as columns yields M distinct rows.
+
+    The rows are kept as M-bit masks of cells, rows whose labels agree on
+    the columns so far; each column splits every cell into its rows with
+    a 1 and its rows with a 0.  The labels are distinct exactly when M
+    non-empty cells remain.
+    """
+    cells = [(1 << m_points) - 1] if m_points else []
+    for w in indices:
+        split = []
+        for cell in cells:
+            ones = cell & w
+            zeros = cell ^ ones
+            if ones:
+                split.append(ones)
+            if zeros:
+                split.append(zeros)
+        cells = split
+    return len(cells) == m_points
 
 
 def _bijective_sets(m_points: int) -> list[tuple[int, ...]]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import Constellation
+from .constellation import Constellation, _is_integer
 from .demod import (
     _EPS,
     DEMODULATORS,
@@ -59,7 +59,7 @@ class SimConfig:
         object.__setattr__(self, "snr_db_grid", tuple(float(s) for s in self.snr_db_grid))
         for name in ("trials", "seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 10_000:
             raise ValueError("need at least 10^4 trials for a reportable estimate")

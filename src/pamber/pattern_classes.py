@@ -15,10 +15,12 @@ Summing the weight vectors of a labeling's column patterns gives the
 labeling's BER the same way.  This is integer algebra: the module needs
 no Q-function, and neither does anything that only counts classes.
 
-Enumeration walks the orbits on integer bitmasks and computes the weight
-vectors of all class representatives in one array pass; a
-:class:`~pamber.constellation.BitPattern` is built only for each
-representative, at the public surface.
+Enumeration works on int64 arrays of bitmasks: it takes the balanced
+masks from one Gosper walk, reflects and inverts them all at once, sorts
+each four-mask orbit and keeps the orbits whose smallest member is the
+mask itself.  The weight vectors of all representatives come from one
+array pass, and a :class:`~pamber.constellation.BitPattern` is built only
+for each representative, at the public surface.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ from math import comb
 from typing import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .constellation import BitPattern, Labeling, pattern_from_index
+from .constellation import BitPattern, Labeling, _is_integer
 
 RE = "RE"
 ARE = "ARE"
@@ -52,16 +55,16 @@ def _symmetry(index: int, m_points: int) -> str:
 
 
 def reflect_index(index: int, m_points: int) -> int:
-    """Bit-reversal of an M-bit pattern index."""
+    """Bit-reversal of an M-bit pattern index, or of each entry of an int64 array."""
     out = 0
     for _ in range(m_points):
         out = (out << 1) | (index & 1)
-        index >>= 1
+        index = index >> 1  # not >>=, which would shift the caller's array
     return out
 
 
 def invert_index(index: int, m_points: int) -> int:
-    """Complement of an M-bit pattern index."""
+    """Complement of an M-bit pattern index, or of each entry of an int64 array."""
     return index ^ ((1 << m_points) - 1)
 
 
@@ -72,13 +75,13 @@ def pattern_indices(m_points: int) -> Iterator[int]:
     touching the other 2^M - C(M, M/2) words.
 
     Raises:
-        ValueError: at the call, unless M is even and 2 <= M <= 62.
+        ValueError: at the call, unless M is an even integer and 2 <= M <= 62.
     """
-    if m_points < 2 or m_points % 2 != 0:
+    if not _is_integer(m_points) or m_points < 2 or m_points % 2 != 0:
         raise ValueError(f"M must be an even integer >= 2, got {m_points}")
     if m_points > 62:
         raise ValueError("bitmask enumeration supports M <= 62")
-    return _gosper(m_points)
+    return _gosper(int(m_points))
 
 
 def _gosper(m_points: int) -> Iterator[int]:
@@ -101,7 +104,9 @@ def pattern_weights(bits) -> np.ndarray:
 
         sum_j step[j] * (sign[j-a] - sign[j+a+1]),
 
-    where sign entries outside ``0..M-1`` count as zero.
+    where sign entries outside ``0..M-1`` count as zero.  The lagged sign
+    rows are read through a sliding-window view, so no ``(n, M-1, M-1)``
+    array is built and every temporary is a few times the size of ``bits``.
     """
     bits = np.asarray(bits, dtype=np.int64)
     m_points = bits.shape[1]
@@ -109,9 +114,10 @@ def pattern_weights(bits) -> np.ndarray:
     # Zero-pad sign by M-1 on both sides so every lagged index is in range.
     sign = np.zeros((bits.shape[0], 3 * m_points - 2), dtype=np.int64)
     sign[:, m_points - 1 : 2 * m_points - 1] = 1 - 2 * bits
-    lag = np.arange(m_points - 1)[:, None]
-    j = np.arange(m_points - 1)[None, :] + (m_points - 1)
-    return np.einsum("naj,nj->na", sign[:, j - lag] - sign[:, j + lag + 1], step)
+    # corr[:, k] = sum_j step[j] * sign[j + k - (M-1)]
+    corr = np.einsum("nkj,nj->nk", sliding_window_view(sign, m_points - 1, axis=1), step)
+    # Lag a pairs k = M-1-a (sign[j-a]) with k = M+a (sign[j+a+1]).
+    return corr[:, m_points - 1 : 0 : -1] - corr[:, m_points : 2 * m_points - 1]
 
 
 def pattern_coefficients(pattern: BitPattern) -> np.ndarray:
@@ -154,13 +160,14 @@ class PatternClass:
     coefficients: tuple[int, ...]
 
 
-#: Largest M the enumerating functions accept: C(20, 10) patterns take about
-#: 2 s, and at M = 24 the class weight pass alone would gather 2.9 GB arrays.
+#: Largest M the enumerating functions accept.  M = 20 (46,508 classes)
+#: takes about 0.5 s; M = 24 (677,294 classes) took about 10 s and 1.4 GB,
+#: three quarters of it building one Python object per class.
 MAX_ENUMERATED_POINTS = 20
 
 
 def _check_class_size(m_points: int) -> None:
-    if m_points < 4 or m_points % 4 != 0:
+    if not _is_integer(m_points) or m_points < 4 or m_points % 4 != 0:
         raise ValueError(f"M must be a positive multiple of 4, got {m_points}")
 
 
@@ -174,7 +181,7 @@ def _check_enumerable(m_points: int) -> None:
 def class_count_closed_form(m_points: int) -> int:
     """Number of classes: (C(M,M/2) + C(M/2,M/4) + 2^(M/2)) / 4."""
     _check_class_size(m_points)
-    half = m_points // 2
+    half = int(m_points) // 2
     return (comb(m_points, half) + comb(half, half // 2) + (1 << half)) // 4
 
 
@@ -187,32 +194,36 @@ def enumerate_classes(m_points: int) -> list[PatternClass]:
     if that ever fails for some M.
     """
     _check_enumerable(m_points)
-    seen: set[int] = set()
-    orbits: list[list[int]] = []
-    for w in pattern_indices(m_points):
-        if w in seen:
-            continue
-        r = reflect_index(w, m_points)
-        orbit = sorted({w, r, invert_index(w, m_points), invert_index(r, m_points)})
-        seen.update(orbit)
-        orbits.append(orbit)
-    reps = np.array([orbit[0] for orbit in orbits], dtype=np.int64)
-    shifts = np.arange(m_points - 1, -1, -1)
-    weights = pattern_weights((reps[:, None] >> shifts) & 1).tolist()
-    classes = [
-        PatternClass(
-            representative=pattern_from_index(m_points, orbit[0]),
-            members=tuple(orbit),
-            symmetry=_symmetry(orbit[0], m_points),
-            coefficients=tuple(coeffs),
-        )
-        for orbit, coeffs in zip(orbits, weights)
-    ]
-    classes.sort(key=lambda c: c.coefficients)
-    if len({c.coefficients for c in classes}) != len(classes):
+    m_points = int(m_points)  # a narrow numpy integer would wrap 1 << M
+    words = np.fromiter(pattern_indices(m_points), np.int64,
+                        count=comb(m_points, m_points // 2))
+    flipped = reflect_index(words, m_points)
+    inverted = invert_index(words, m_points)
+    orbits = np.sort(np.stack(
+        [words, flipped, inverted, invert_index(flipped, m_points)], axis=1), axis=1)
+    # Every member meets its orbit; only the smallest one keeps it.
+    rep = orbits[:, 0] == words
+    words, flipped, inverted, orbits = words[rep], flipped[rep], inverted[rep], orbits[rep]
+    symmetry = np.where(flipped == words, 0, np.where(flipped == inverted, 1, 2))
+    bits = (words[:, None] >> np.arange(m_points - 1, -1, -1)) & 1
+    weights = pattern_weights(bits)
+    order = np.lexsort(weights.T[::-1])  # stable: ties keep ascending representatives
+    weights = weights[order]
+    if np.any(np.all(weights[1:] == weights[:-1], axis=1)):
         warnings.warn(
             f"distinct classes share a coefficient vector for M={m_points}",
             stacklevel=2,
         )
-    return classes
-
+    names = (RE, ARE, ASY)
+    # A symmetric orbit sorts as [a, a, b, b]; its members are every other entry.
+    return [
+        PatternClass(
+            representative=BitPattern(tuple(row)),
+            members=tuple(orbit[:: 1 if kind == 2 else 2]),
+            symmetry=names[kind],
+            coefficients=tuple(coeffs),
+        )
+        for row, orbit, kind, coeffs in zip(
+            bits[order].tolist(), orbits[order].tolist(),
+            symmetry[order].tolist(), weights.tolist())
+    ]

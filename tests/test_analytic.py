@@ -564,10 +564,12 @@ class TestBerFromCoefficients:
         with pytest.raises(ValueError, match="finite"):
             ber_from_coefficients(np.array([2.0, bad, 0.0]), 4, ChannelParams(1.0))
 
-    @pytest.mark.parametrize("m_points", [0, 1, 3, -8])
+    # 4.0 must neither reach range() in make_pam nor be evaluated as 4 by
+    # ber_from_coefficients
+    @pytest.mark.parametrize("m_points", [0, 1, 3, -8, 4.0, np.float64(4), True])
     def test_pam_size_rule_is_the_same_everywhere(self, m_points):
         # pam_spacing holds the rule; the size is checked before the weights
-        weights = np.zeros(max(m_points - 1, 0))
+        weights = np.zeros(max(int(m_points) - 1, 0))
         calls = (
             lambda: pam_spacing(m_points),
             lambda: make_pam(m_points),
@@ -576,6 +578,12 @@ class TestBerFromCoefficients:
         for call in calls:
             with pytest.raises(ValueError, match=f"M must be an even integer >= 2, got {m_points}"):
                 call()
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int8, np.uint8])
+    def test_numpy_integer_sizes_keep_working(self, kind):
+        weights, params = np.array([2, 2, 0]), ChannelParams(1.0)
+        assert ber_from_coefficients(weights, kind(4), params) == ber_from_coefficients(
+            weights, 4, params)
 
     def test_bd_boundaries_in_general_form(self):
         # the general expression accepts SNR-dependent boundaries

@@ -51,6 +51,12 @@ class TestMakePam:
         with pytest.raises(ValueError):
             make_pam(m)
 
+    @pytest.mark.parametrize("kind", [np.int64, np.int8, np.uint8, np.uint64])
+    def test_numpy_integer_sizes_give_the_same_points(self, kind):
+        # M*M and M - 2*i + 1 would wrap in a narrow or unsigned numpy integer
+        assert pam_spacing(kind(16)) == pam_spacing(16)
+        np.testing.assert_array_equal(make_pam(kind(8)).points, make_pam(8).points)
+
     def test_points_are_readonly(self):
         c = make_pam(4)
         with pytest.raises(ValueError):
@@ -105,6 +111,23 @@ class TestBitPattern:
     def test_integer_entries_keep_working(self, bits):
         pat = BitPattern(bits)
         assert pat.bits == (1, 0, 1, 0) and all(type(b) is int for b in pat.bits)
+
+    @pytest.mark.parametrize("entry", [
+        0, 1, 2, -1, True, False, np.True_, np.False_, np.int8(1), np.uint64(0), np.int64(2),
+        1.0, 0.0, np.float64(1.0), 0.5, 1.5, np.float32(0.5), float("nan"), np.nan,
+        float("inf"), 1e300, "1", "0", "a", b"1", None, 1 + 0j,
+    ])
+    def test_accepts_exactly_the_entries_equal_to_0_or_1(self, entry):
+        # An entry is kept iff it compares equal to 0 or 1 and int() maps it
+        # there; a complex 1 compares equal but has no int().
+        bits = (entry, 0, 1, 0) if entry == 1 else (entry, 1, 1, 0)
+        if isinstance(entry, complex) or not any(entry == b for b in (0, 1)):
+            with pytest.raises(ValueError, match="0 or 1"):
+                BitPattern(bits)
+        else:
+            pat = BitPattern(bits)
+            assert pat.bits == tuple(int(b) for b in bits)
+            assert all(type(b) is int for b in pat.bits)
 
     @pytest.mark.parametrize("bits", [(0, 1, 1), (1,)])
     def test_rejects_odd_length(self, bits):

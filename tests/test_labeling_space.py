@@ -21,6 +21,54 @@ from pamber.labeling_space import is_bijective_set, sample_labelings
 from pamber.pattern_classes import invert_index, pattern_indices
 
 
+def shift_by_shift_bijective(m_points, indices):
+    """Reference: build each row's label code bit by bit and look for a repeat."""
+    codes = set()
+    for shift in range(m_points):
+        code = 0
+        for w in indices:
+            code = (code << 1) | ((w >> shift) & 1)
+        if code in codes:
+            return False
+        codes.add(code)
+    return True
+
+
+class TestBijectivity:
+    def test_matches_the_row_codes_on_every_eight_point_candidate(self):
+        combos = list(itertools.combinations(pattern_indices(8), 3))
+        assert len(combos) == 54740
+        got = [is_bijective_set(8, c) for c in combos]
+        assert got == [shift_by_shift_bijective(8, c) for c in combos]
+        assert sum(got) == 6720
+
+    @pytest.mark.parametrize(("m", "indices"), [
+        (4, ()),                      # no columns: every row reads the empty label
+        (2, ()),
+        (1, ()),
+        (0, ()),
+        (0, (5, 3)),
+        (1, (0,)),
+        (1, (1,)),
+        (2, (1,)),
+        (2, (3,)),
+        (4, (3, 3)),                  # a repeated column adds nothing
+        (4, (3, 5, 3)),
+        (8, (15, 15, 60)),
+        (4, (3 | 1 << 4, 5)),         # bits above M are not rows
+        (4, (3 | 1 << 9, 6 | 1 << 7)),
+        (4, (-13, 5)),                # -13 has the low bits of 3
+        (4, (-1, 5)),
+        (4, (-4, -6)),
+        (4, (3, 5, 6)),               # 2^3 > M: more columns than needed
+        (4, (3, 5, 6, 9)),
+        (8, (15, 51, 85, 105)),
+        (8, (15, 60, 102, 195)),
+    ])
+    def test_edge_cases_match_the_row_codes(self, m, indices):
+        assert is_bijective_set(m, indices) == shift_by_shift_bijective(m, indices)
+
+
 class TestEnumeration:
     def test_four_point_space(self):
         labs = list(enumerate_labelings(4))

@@ -1,6 +1,7 @@
 """Pattern symmetry operations and equivalence-class enumeration."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,12 +17,33 @@ from pamber import (
     pattern_from_index,
     pattern_indices,
 )
-from pamber.pattern_classes import invert_index, reflect_index
+from pamber.pattern_classes import PatternClass, invert_index, reflect_index
 
 
 def distinct_a1_count(m):
     """Number of distinct leading weights, read off the class table."""
     return len({cls.coefficients[0] for cls in enumerate_classes(m)})
+
+
+def seen_set_classes(m):
+    """Reference: a per-pattern orbit walk with a seen set, bits reversed as tuples."""
+    seen, classes = set(), []
+    for w in pattern_indices(m):
+        if w in seen:
+            continue
+        bits = pattern_from_index(m, w).bits
+        r = BitPattern(bits[::-1]).index
+        orbit = sorted({w, r, invert_index(w, m), invert_index(r, m)})
+        seen.update(orbit)
+        symmetry = "RE" if r == w else "ARE" if r == invert_index(w, m) else "ASY"
+        classes.append(PatternClass(
+            representative=pattern_from_index(m, w),
+            members=tuple(orbit),
+            symmetry=symmetry,
+            coefficients=tuple(int(x) for x in pattern_coefficients(pattern_from_index(m, w))),
+        ))
+    classes.sort(key=lambda c: c.coefficients)
+    return classes
 
 
 def patterns_strategy(m):
@@ -31,10 +53,16 @@ def patterns_strategy(m):
 
 
 class TestPatternIndices:
-    @pytest.mark.parametrize("m", [3, 0, 64])
+    @pytest.mark.parametrize("m", [3, 0, 64, 8.0, np.float64(8), True])
     def test_rejects_a_bad_size_at_the_call(self, m):
         with pytest.raises(ValueError, match=f"got {m}|M <= 62"):
             pattern_indices(m)  # never iterated
+
+    @pytest.mark.parametrize("m", [np.int64(8), np.int8(8), np.uint8(8)])
+    def test_numpy_integer_sizes_walk_the_same_masks(self, m):
+        words = list(pattern_indices(m))
+        assert words == list(pattern_indices(8))
+        assert all(type(w) is int for w in words)
 
     @pytest.mark.parametrize("m", range(2, 21, 2))
     def test_walks_every_balanced_mask_ascending(self, m):
@@ -68,6 +96,15 @@ class TestSymmetryOps:
         flipped = BitPattern(tuple(1 - b for b in pat.bits))
         assert invert_index(pat.index, 12) == flipped.index
 
+    @pytest.mark.parametrize("m", [4, 12, 20])
+    def test_array_form_matches_the_scalar_form(self, m):
+        words = np.fromiter(pattern_indices(m), np.int64)
+        before = words.copy()
+        flipped = reflect_index(words, m)
+        np.testing.assert_array_equal(words, before)  # the caller's array is not shifted
+        assert flipped.tolist() == [reflect_index(w, m) for w in before.tolist()]
+        assert invert_index(words, m).tolist() == [invert_index(w, m) for w in before.tolist()]
+
     def test_no_pattern_is_its_own_inversion(self):
         for m in (4, 8):
             for w in pattern_indices(m):
@@ -87,6 +124,42 @@ class TestEnumerateClasses:
         classes = enumerate_classes(m)
         assert len(classes) == expected
         assert class_count_closed_form(m) == expected
+
+    @pytest.mark.parametrize("m", [4, 8, 12, 16])
+    def test_matches_the_seen_set_walk(self, m):
+        got, want = enumerate_classes(m), seen_set_classes(m)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.representative == b.representative
+            assert a.members == b.members
+            assert a.symmetry == b.symmetry
+            assert a.coefficients == b.coefficients
+            assert all(type(x) is int for x in a.members + a.coefficients + a.representative.bits)
+
+    def test_distinct_ber_claim_at_twenty_points(self):
+        # The paper's claim that distinct classes have distinct BER curves,
+        # checked at the largest enumerable M.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            classes = enumerate_classes(20)
+        assert len(classes) == class_count_closed_form(20) == 46508
+        assert len({cls.coefficients for cls in classes}) == len(classes)
+
+    def test_warns_when_two_classes_share_a_weight_vector(self, monkeypatch):
+        from pamber import pattern_classes
+
+        real = pattern_classes.pattern_weights
+        # Keep only the leading weight, so classes with equal transition counts collide.
+        monkeypatch.setattr(pattern_classes, "pattern_weights",
+                            lambda bits: real(bits) * (np.arange(7) == 0))
+        with pytest.warns(UserWarning, match="share a coefficient vector for M=8"):
+            classes = enumerate_classes(8)
+        assert len(classes) == 23
+
+    @pytest.mark.parametrize("m", [np.int64(8), np.int8(8), np.uint64(8)])
+    def test_numpy_integer_sizes_give_the_same_classes(self, m):
+        assert enumerate_classes(m) == enumerate_classes(8)
+        assert class_count_closed_form(m) == 23
 
     def test_class_sizes_and_membership(self):
         for m in (4, 8):
@@ -148,7 +221,7 @@ class TestEnumerateClasses:
 
     @pytest.mark.parametrize("func", [enumerate_classes, class_count_closed_form,
                                       distinct_a1_count])
-    @pytest.mark.parametrize("m", [0, -4, 2, 6])
+    @pytest.mark.parametrize("m", [0, -4, 2, 6, 8.0, np.float64(16), True])
     def test_one_class_size_rule(self, func, m):
         with pytest.raises(ValueError, match=f"positive multiple of 4, got {m}"):
             func(m)
