@@ -7,7 +7,8 @@ bit patterns and labelings that determine the BER of equally spaced PAM.
 The public names are exported lazily (PEP 562): ``import pamber`` loads no
 submodule, and ``pamber.<name>`` imports the one module that defines it on
 first access.  Only :mod:`pamber.analytic` evaluates the Q-function, and it
-imports ``scipy.special`` (about 0.3 s of a cold start), so a program that
+imports ``scipy.special`` (about 0.3 s of a cold start on a 2-core Xeon,
+numpy already loaded), so a program that
 only counts classes, demodulates or simulates never pays for it.
 """
 

@@ -205,7 +205,7 @@ def _cmd_thresholds(args) -> int:
 
 def _cmd_classes(args) -> int:
     rows = [
-        (cls.representative.index, cls.members, cls.symmetry, cls.coefficients)
+        (cls.members[0], cls.members, cls.symmetry, cls.coefficients)
         for cls in pattern_classes.enumerate_classes(args.M)
     ]
     _emit(args, ["representative", "members", "symmetry", "coefficients"], rows)

@@ -42,15 +42,32 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _even_size(m_points: int) -> int:
+    """int(M), for an even integer M >= 2; M*M or 1 << M would wrap in a narrow numpy M."""
+    if not _is_integer(m_points) or m_points < 2 or m_points % 2 != 0:
+        raise ValueError(f"M must be an even integer >= 2, got {m_points}")
+    return int(m_points)
+
+
+def _label_bits(m_points: int, least: int = 2) -> int:
+    """Bits per label m = log2(M), after checking M is a power of two >= least."""
+    if not _is_integer(m_points) or m_points < least or m_points & (m_points - 1):
+        raise ValueError(f"M must be a power of two >= {least}, got {m_points}")
+    return int(m_points).bit_length() - 1
+
+
+def _bit_rows(codes, width: int) -> np.ndarray:
+    """Big-endian bits of each code: bit k of a code lands in column width-1-k."""
+    return (np.asarray(codes)[..., None] >> np.arange(width - 1, -1, -1)) & 1
+
+
 def pam_spacing(m_points: int) -> float:
     """Half the distance between adjacent points of unit-energy M-PAM.
 
     Raises:
         ValueError: if M is not an integer, is odd or is smaller than 2.
     """
-    if not _is_integer(m_points) or m_points < 2 or m_points % 2 != 0:
-        raise ValueError(f"M must be an even integer >= 2, got {m_points}")
-    m_points = int(m_points)  # M*M would wrap in a narrow numpy integer
+    m_points = _even_size(m_points)
     return math.sqrt(3.0 / (m_points * m_points - 1.0))
 
 
@@ -164,9 +181,14 @@ def pattern_from_index(m_points: int, index: int) -> BitPattern:
     """Build the pattern whose big-endian binary expansion equals ``index``.
 
     Raises:
-        ValueError: if the expansion does not fit in M bits or its
+        ValueError: if M is not an even integer >= 2, ``index`` is not an
+            integer, or the expansion does not fit in M bits or its
             Hamming weight differs from M/2.
     """
+    m_points = _even_size(m_points)
+    if not _is_integer(index):
+        raise ValueError(f"index must be an integer, got {index!r}")
+    index = int(index)
     if not 0 <= index < (1 << m_points):
         raise ValueError(f"index {index} out of range for M={m_points}")
     bits = tuple((index >> (m_points - i)) & 1 for i in range(1, m_points + 1))
@@ -238,15 +260,14 @@ def named_labeling(name: str, m_points: int) -> Labeling:
         ValueError: unknown name, M not a power of two, or a name/size
             combination with no definition here.
     """
-    if m_points < 2 or m_points & (m_points - 1):
-        raise ValueError(f"M must be a power of two >= 2, got {m_points}")
+    n_bits = _label_bits(m_points)
+    m_points = 1 << n_bits
     key = name.strip().upper()
-    n_bits = m_points.bit_length() - 1
     if key in ("BRGC", "NBC"):  # point i gets code i, or its Gray code i ^ (i >> 1)
         codes = np.arange(m_points)
         if key == "BRGC":
             codes ^= codes >> 1
-        return Labeling((codes[:, None] >> np.arange(n_bits - 1, -1, -1)) & 1)
+        return Labeling(_bit_rows(codes, n_bits))
     try:
         indices = _FIXED_LABELINGS[(key, m_points)]
     except KeyError:

@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import pattern_classes
-from .constellation import Labeling, pattern_from_index
+from .constellation import Labeling, _label_bits, pattern_from_index
 from .pattern_classes import _check_enumerable, pattern_indices
 
 _EXHAUSTIVE_SIZES = (2, 4, 8)
@@ -54,11 +54,12 @@ def is_bijective_set(m_points: int, indices: Sequence[int]) -> bool:
 
 def _bijective_sets(m_points: int) -> list[tuple[int, ...]]:
     """Pattern-index sets of every labeling, in ascending combination order."""
+    n_bits = _label_bits(m_points)
     if m_points not in _EXHAUSTIVE_SIZES:
         raise ValueError(
             f"exhaustive enumeration supports M in {_EXHAUSTIVE_SIZES}, got {m_points}"
         )
-    n_bits = m_points.bit_length() - 1
+    m_points = 1 << n_bits  # 1 << M would wrap in a narrow numpy integer
     return [
         combo
         for combo in itertools.combinations(pattern_indices(m_points), n_bits)
@@ -80,10 +81,9 @@ def sample_labelings(
     m_points: int, count: int, seed: int
 ) -> list[Labeling]:
     """Random labelings for sizes too large to enumerate; NOT exhaustive."""
-    if m_points < 4 or m_points & (m_points - 1):
-        raise ValueError(f"M must be a power of two >= 4, got {m_points}")
+    n_bits = _label_bits(m_points, least=4)
     _check_enumerable(m_points)  # the pool holds every pattern
-    n_bits = m_points.bit_length() - 1
+    m_points = 1 << n_bits
     pool = np.fromiter(pattern_indices(m_points), dtype=np.int64)
     rng = np.random.default_rng(seed)
     out: list[Labeling] = []

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import Constellation, _is_integer
+from .constellation import Constellation, _bit_rows, _is_integer
 from .demod import (
     _EPS,
     DEMODULATORS,
@@ -137,7 +137,7 @@ def simulate(
         _check_grid(constellation, config)
     size, n_bits = cols.shape
     width = size if sd else 1 << n_bits
-    decided = cols.T if sd else (np.arange(width) >> np.arange(n_bits)[::-1, None]) & 1
+    decided = cols.T if sd else _bit_rows(np.arange(width), n_bits).T
     # flips[j, s, d]: whether bit j differs between the label of s and decision d
     flips = cols.T[:, :, None] != decided[:, None, :]
     llr = exact_llr if config.demodulator == "bd" else maxlog_llr

@@ -18,9 +18,10 @@ no Q-function, and neither does anything that only counts classes.
 Enumeration works on int64 arrays of bitmasks: it takes the balanced
 masks from one Gosper walk, reflects and inverts them all at once, sorts
 each four-mask orbit and keeps the orbits whose smallest member is the
-mask itself.  The weight vectors of all representatives come from one
-array pass, and a :class:`~pamber.constellation.BitPattern` is built only
-for each representative, at the public surface.
+mask itself.  The symmetry types and weight vectors of all
+representatives come from array passes, and the class table holds only
+masks and integers: :attr:`PatternClass.representative` builds its
+:class:`~pamber.constellation.BitPattern` when it is read.
 """
 
 from __future__ import annotations
@@ -33,25 +34,25 @@ from typing import Iterator
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .constellation import BitPattern, Labeling, _is_integer
+from .constellation import (
+    BitPattern, Labeling, _bit_rows, _even_size, _is_integer, pattern_from_index,
+)
 
 RE = "RE"
 ARE = "ARE"
 ASY = "ASY"
+_SYMMETRIES = (RE, ARE, ASY)
 
 
 def classify(pattern: BitPattern) -> str:
     """Symmetry type of a pattern: RE, ARE, or ASY."""
-    return _symmetry(pattern.index, pattern.size)
+    return _SYMMETRIES[_symmetry(pattern.index, pattern.size)]
 
 
-def _symmetry(index: int, m_points: int) -> str:
-    r = reflect_index(index, m_points)
-    if r == index:
-        return RE
-    if r == invert_index(index, m_points):
-        return ARE
-    return ASY
+def _symmetry(index, m_points: int):
+    """0, 1 or 2 (RE, ARE, ASY) for a mask, or for each entry of an int64 array."""
+    flipped = reflect_index(index, m_points)
+    return np.where(flipped == index, 0, np.where(flipped == invert_index(index, m_points), 1, 2))
 
 
 def reflect_index(index: int, m_points: int) -> int:
@@ -77,11 +78,10 @@ def pattern_indices(m_points: int) -> Iterator[int]:
     Raises:
         ValueError: at the call, unless M is an even integer and 2 <= M <= 62.
     """
-    if not _is_integer(m_points) or m_points < 2 or m_points % 2 != 0:
-        raise ValueError(f"M must be an even integer >= 2, got {m_points}")
+    m_points = _even_size(m_points)
     if m_points > 62:
         raise ValueError("bitmask enumeration supports M <= 62")
-    return _gosper(int(m_points))
+    return _gosper(m_points)
 
 
 def _gosper(m_points: int) -> Iterator[int]:
@@ -150,19 +150,23 @@ def high_snr_bicm_parameter(labeling: Labeling) -> int:
 class PatternClass:
     """One equivalence class under reflection and inversion.
 
-    The representative is the member with the smallest index; the
+    ``members`` holds the member masks in ascending order; the
     coefficient vector is shared by all members.
     """
 
-    representative: BitPattern
     members: tuple[int, ...]
     symmetry: str
     coefficients: tuple[int, ...]
 
+    @property
+    def representative(self) -> BitPattern:
+        """The member with the smallest index, built on each access."""
+        return pattern_from_index(len(self.coefficients) + 1, self.members[0])
+
 
 #: Largest M the enumerating functions accept.  M = 20 (46,508 classes)
-#: takes about 0.5 s; M = 24 (677,294 classes) took about 10 s and 1.4 GB,
-#: three quarters of it building one Python object per class.
+#: takes about 0.5 s on a 2-core Xeon; M = 24 would walk 2.7 million masks,
+#: 15 times as many, and build 677,294 classes.
 MAX_ENUMERATED_POINTS = 20
 
 
@@ -198,15 +202,12 @@ def enumerate_classes(m_points: int) -> list[PatternClass]:
     words = np.fromiter(pattern_indices(m_points), np.int64,
                         count=comb(m_points, m_points // 2))
     flipped = reflect_index(words, m_points)
-    inverted = invert_index(words, m_points)
-    orbits = np.sort(np.stack(
-        [words, flipped, inverted, invert_index(flipped, m_points)], axis=1), axis=1)
+    orbits = np.sort(np.stack([words, flipped, invert_index(words, m_points),
+                               invert_index(flipped, m_points)], axis=1), axis=1)
     # Every member meets its orbit; only the smallest one keeps it.
     rep = orbits[:, 0] == words
-    words, flipped, inverted, orbits = words[rep], flipped[rep], inverted[rep], orbits[rep]
-    symmetry = np.where(flipped == words, 0, np.where(flipped == inverted, 1, 2))
-    bits = (words[:, None] >> np.arange(m_points - 1, -1, -1)) & 1
-    weights = pattern_weights(bits)
+    words, orbits = words[rep], orbits[rep]
+    weights = pattern_weights(_bit_rows(words, m_points))
     order = np.lexsort(weights.T[::-1])  # stable: ties keep ascending representatives
     weights = weights[order]
     if np.any(np.all(weights[1:] == weights[:-1], axis=1)):
@@ -214,16 +215,14 @@ def enumerate_classes(m_points: int) -> list[PatternClass]:
             f"distinct classes share a coefficient vector for M={m_points}",
             stacklevel=2,
         )
-    names = (RE, ARE, ASY)
     # A symmetric orbit sorts as [a, a, b, b]; its members are every other entry.
     return [
         PatternClass(
-            representative=BitPattern(tuple(row)),
             members=tuple(orbit[:: 1 if kind == 2 else 2]),
-            symmetry=names[kind],
+            symmetry=_SYMMETRIES[kind],
             coefficients=tuple(coeffs),
         )
-        for row, orbit, kind, coeffs in zip(
-            bits[order].tolist(), orbits[order].tolist(),
-            symmetry[order].tolist(), weights.tolist())
+        for orbit, kind, coeffs in zip(
+            orbits[order].tolist(), _symmetry(words[order], m_points).tolist(),
+            weights.tolist())
     ]

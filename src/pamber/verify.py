@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analytic, labeling_space, montecarlo, pattern_classes
 from .constellation import (
-    BitPattern, Constellation, make_pam, named_labeling, pattern_from_index,
+    BitPattern, Constellation, _bit_rows, make_pam, named_labeling, pattern_from_index,
 )
 from .demod import ChannelParams, abd_decide, maxlog_llr, sd_decide
 from .thresholds import ThresholdSet, bd_thresholds
@@ -127,13 +127,7 @@ def check_named_labeling_coefficients() -> str:
         )
         got = tuple(int(x) for x in pattern_classes.labeling_coefficients(lab))
         _require(got == alpha, f"{name} {m_points}: weights {got}")
-        by_hand = np.sum(
-            [
-                pattern_classes.pattern_coefficients(pattern_from_index(m_points, w))
-                for w in indices
-            ],
-            axis=0,
-        )
+        by_hand = pattern_classes.pattern_weights(_bit_rows(indices, m_points)).sum(axis=0)
         _require(tuple(int(x) for x in by_hand) == alpha, f"{name}: column sum")
     return f"{len(REFERENCE_LABELINGS)} named labelings match"
 
@@ -265,19 +259,18 @@ def check_dual_form_and_quadrature() -> str:
 def check_leading_weight_grouping() -> str:
     """Leading weights take M-1 values and double-count bit transitions."""
     for m_points in (4, 8, 16):
-        leads = set()
-        for index in pattern_classes.pattern_indices(m_points):
-            pattern = pattern_from_index(m_points, index)
-            transitions = sum(
-                pattern.bits[i] != pattern.bits[i + 1] for i in range(m_points - 1)
-            )
-            lead = int(pattern_classes.pattern_coefficients(pattern)[0])
-            _require(
-                lead == 2 * transitions,
-                f"pattern {index}: leading weight {lead}, {transitions} transitions",
-            )
-            leads.add(lead)
-        _require(len(leads) == m_points - 1, f"M={m_points}: {len(leads)} leading weights")
+        masks = np.fromiter(pattern_classes.pattern_indices(m_points), np.int64)
+        bits = _bit_rows(masks, m_points)
+        leads = pattern_classes.pattern_weights(bits)[:, 0]
+        transitions = np.count_nonzero(np.diff(bits, axis=1), axis=1)
+        bad = np.flatnonzero(leads != 2 * transitions)[:5]
+        _require(
+            bad.size == 0,
+            f"M={m_points}, patterns {masks[bad].tolist()}: leading weights "
+            f"{leads[bad].tolist()}, transitions {transitions[bad].tolist()}",
+        )
+        n_leads = np.unique(leads).size
+        _require(n_leads == m_points - 1, f"M={m_points}: {n_leads} leading weights")
     return "3, 7, 15 groups; leading weight = 2 x transitions everywhere"
 
 

@@ -35,3 +35,19 @@ def test_cli_verify_covers_every_criterion():
     assert len(verify.ALL_CHECKS) == len(CRITERIA)
     wired = {func for _, func in verify.ALL_CHECKS}
     assert wired == {check for _, check in CRITERIA}
+
+
+def test_leading_weight_check_names_the_failing_mask(monkeypatch):
+    from pamber import pattern_classes
+
+    real = pattern_classes.pattern_weights
+
+    def one_lead_off(bits):
+        weights = real(bits)
+        if bits.shape[1] == 4:  # pattern 6 = 0110 at M = 4
+            weights[(bits == [0, 1, 1, 0]).all(axis=1), 0] += 2
+        return weights
+
+    monkeypatch.setattr(pattern_classes, "pattern_weights", one_lead_off)
+    with pytest.raises(AssertionError, match=r"M=4, patterns \[6\]: leading weights \[6\]"):
+        verify.check_leading_weight_grouping()

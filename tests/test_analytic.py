@@ -574,6 +574,7 @@ class TestBerFromCoefficients:
             lambda: pam_spacing(m_points),
             lambda: make_pam(m_points),
             lambda: ber_from_coefficients(weights, m_points, ChannelParams(1.0)),
+            lambda: pattern_from_index(m_points, 0),
         )
         for call in calls:
             with pytest.raises(ValueError, match=f"M must be an even integer >= 2, got {m_points}"):
@@ -584,6 +585,8 @@ class TestBerFromCoefficients:
         weights, params = np.array([2, 2, 0]), ChannelParams(1.0)
         assert ber_from_coefficients(weights, kind(4), params) == ber_from_coefficients(
             weights, 4, params)
+        # 1 << np.int8(8) would wrap to 0 and put index 15 out of range
+        assert pattern_from_index(kind(8), kind(15)) == pattern_from_index(8, 15)
 
     def test_bd_boundaries_in_general_form(self):
         # the general expression accepts SNR-dependent boundaries

@@ -94,6 +94,11 @@ class TestBitPattern:
         with pytest.raises(ValueError):
             pattern_from_index(4, -1)
 
+    @pytest.mark.parametrize("index", [15.0, np.float64(15), True])
+    def test_rejects_a_non_integer_index(self, index):
+        with pytest.raises(ValueError, match="index must be an integer"):
+            pattern_from_index(8, index)
+
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
             BitPattern((0, 2, 1, 1))

@@ -86,6 +86,27 @@ class TestEnumeration:
             list(enumerate_labelings(16))
 
 
+# Each labeling-side function, reduced to the pattern sets it returns.
+LABELING_SIDE = {
+    "named_labeling": lambda m: [named_labeling("BRGC", m).pattern_set],
+    "labeling_census": lambda m: [cls.witness.pattern_set for cls in labeling_census(m)],
+    "enumerate_labelings": lambda m: [lab.pattern_set for lab in enumerate_labelings(m)],
+    "sample_labelings": lambda m: [lab.pattern_set for lab in sample_labelings(m, 3, seed=2)],
+}
+
+
+@pytest.mark.parametrize("func", LABELING_SIDE.values(), ids=LABELING_SIDE.keys())
+class TestLabelingSizeRule:
+    @pytest.mark.parametrize("kind", [np.int64, np.int8])
+    def test_numpy_integer_sizes_give_the_same_labelings(self, func, kind):
+        assert func(kind(8)) == func(8)
+
+    @pytest.mark.parametrize("m", [8.0, np.float64(8), True, 6, 0])
+    def test_rejects_a_size_that_is_not_a_power_of_two_integer(self, func, m):
+        with pytest.raises(ValueError, match=f"M must be a power of two >= [24], got {m}"):
+            func(m)
+
+
 class TestCensus:
     def test_four_point_census(self):
         census = labeling_census(4)

@@ -37,7 +37,6 @@ def seen_set_classes(m):
         seen.update(orbit)
         symmetry = "RE" if r == w else "ARE" if r == invert_index(w, m) else "ASY"
         classes.append(PatternClass(
-            representative=pattern_from_index(m, w),
             members=tuple(orbit),
             symmetry=symmetry,
             coefficients=tuple(int(x) for x in pattern_coefficients(pattern_from_index(m, w))),
@@ -181,6 +180,13 @@ class TestEnumerateClasses:
         assert tally["RE"] == math.comb(m // 2, m // 4)
         assert tally["ARE"] == 2 ** (m // 2)
         assert tally["ASY"] == math.comb(m, m // 2) - tally["RE"] - tally["ARE"]
+
+    @pytest.mark.parametrize("m", [4, 8, 12, 16])
+    def test_classify_agrees_with_the_table_member_by_member(self, m):
+        # classify reads one mask, enumerate_classes a mask array: one rule
+        for cls in enumerate_classes(m):
+            for w in cls.members:
+                assert classify(pattern_from_index(m, w)) == cls.symmetry
 
     def test_members_closed_under_symmetries(self):
         for cls in enumerate_classes(8):
