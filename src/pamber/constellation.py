@@ -61,6 +61,19 @@ def _bit_rows(codes, width: int) -> np.ndarray:
     return (np.asarray(codes)[..., None] >> np.arange(width - 1, -1, -1)) & 1
 
 
+def _pack_rows(bits) -> np.ndarray:
+    """Inverse of :func:`_bit_rows`: each row of 0/1 bits read big-endian.
+
+    Rows wider than 63 bits give Python ints in an object array, so codes
+    stay exact past int64.
+    """
+    bits = np.asarray(bits)
+    width = bits.shape[-1]
+    place = np.array([1 << k for k in range(width - 1, -1, -1)],
+                     dtype=object if width > 63 else np.int64)
+    return bits @ place
+
+
 def pam_spacing(m_points: int) -> float:
     """Half the distance between adjacent points of unit-energy M-PAM.
 
@@ -222,14 +235,10 @@ class Labeling:
             raise ValueError("labeling matrix entries must be 0 or 1")
         mat = _readonly(raw.astype(np.int8))
         object.__setattr__(self, "matrix", mat)
-        row_codes = mat @ (1 << np.arange(n_bits - 1, -1, -1))
-        if len(set(row_codes.tolist())) != m_points:
+        if len(set(_pack_rows(mat).tolist())) != m_points:
             raise ValueError("labeling rows must be pairwise distinct (bijection)")
         # Distinct rows are every m-bit label once: each column has weight M/2.
-        # Pattern indices read each column big-endian; Python ints keep
-        # them exact past 63 points.
-        place = np.array([1 << k for k in range(m_points - 1, -1, -1)], dtype=object)
-        object.__setattr__(self, "pattern_set", frozenset((place @ mat).tolist()))
+        object.__setattr__(self, "pattern_set", frozenset(_pack_rows(mat.T).tolist()))
 
     @property
     def size(self) -> int:

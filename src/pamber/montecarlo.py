@@ -16,11 +16,27 @@ errors of bit j are the sum of that tally weighted by whether bit j
 differs between the sent label and the decided one: the paper's sum over
 transitions, in exact integers.  The SNR grid of ABD and BD is checked in
 one pass, ``_check_grid``, before any noise is drawn.
+
+Grid points run concurrently on a thread pool with one worker per CPU the
+process may run on (``os.sched_getaffinity``, else ``os.cpu_count``), and
+no more workers than points.  numpy releases the interpreter lock while it
+draws noise and runs its array loops, so the points overlap on separate
+cores.  The estimates do not depend on the number of workers: the child
+streams are spawned up front in grid order, each point owns its generator
+and tally and only reads the shared inputs, and the results come back in
+grid order.  Each point runs in a copy of the caller's ``contextvars``
+context, so a caller's ``np.errstate`` holds inside it.  Once a point
+raises, or the caller is interrupted, the other points stop before their
+next chunk, and the caller gets the error of the first failed point in
+grid order.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +102,14 @@ class BerEstimate:
     per_bit: tuple[float, ...]
 
 
+def _available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _check_grid(constellation: Constellation, config: SimConfig) -> None:
     """Reject the first grid point an L-value demodulator cannot handle."""
     limit = _llr_limit(constellation)
@@ -141,14 +165,16 @@ def simulate(
     # flips[j, s, d]: whether bit j differs between the label of s and decision d
     flips = cols.T[:, :, None] != decided[:, None, :]
     llr = exact_llr if config.demodulator == "bd" else maxlog_llr
-    children = np.random.SeedSequence(config.seed).spawn(len(config.snr_db_grid))
-    out = []
-    for snr_db, child in zip(config.snr_db_grid, children):
+    stop = threading.Event()  # set when a point fails or the caller is interrupted
+
+    def point(snr_db: float, child: np.random.SeedSequence) -> BerEstimate | None:
         params = ChannelParams.from_db(snr_db)
         rng = np.random.default_rng(child)
         tally = np.zeros(size * width, dtype=np.int64)  # (sent, decision) counts
         done = 0
         while done < config.trials:
+            if stop.is_set():  # never read: the caller gets an error instead
+                return None
             n = min(_CHUNK, config.trials - done)
             sent = rng.integers(0, size, n)
             y = rng.standard_normal(n)  # y = points[sent] + noise_std * z, in place
@@ -167,15 +193,37 @@ def simulate(
         bits_sent = config.trials * n_bits
         bit_errors = int(errors_per_bit.sum())
         ber = bit_errors / bits_sent
-        out.append(
-            BerEstimate(
-                snr_db=float(snr_db),
-                ber=ber,
-                stderr=math.sqrt(ber * (1.0 - ber) / bits_sent),
-                bit_errors=bit_errors,
-                bits_sent=bits_sent,
-                demodulator=config.demodulator,
-                per_bit=tuple((errors_per_bit / config.trials).tolist()),
-            )
+        return BerEstimate(
+            snr_db=float(snr_db),
+            ber=ber,
+            stderr=math.sqrt(ber * (1.0 - ber) / bits_sent),
+            bit_errors=bit_errors,
+            bits_sent=bits_sent,
+            demodulator=config.demodulator,
+            per_bit=tuple((errors_per_bit / config.trials).tolist()),
         )
-    return out
+
+    def run(context: contextvars.Context, *args) -> BerEstimate | None:
+        try:
+            return context.run(point, *args)
+        except BaseException:
+            stop.set()
+            raise
+
+    # Imported here: concurrent.futures loads logging, which no command
+    # needs at start-up.
+    from concurrent.futures import ThreadPoolExecutor
+
+    grid = config.snr_db_grid
+    children = np.random.SeedSequence(config.seed).spawn(len(grid))
+    with ThreadPoolExecutor(min(len(grid), _available_cpus())) as pool:
+        # one copy of the caller's context per point: two threads cannot
+        # enter one Context at once
+        futures = [
+            pool.submit(run, contextvars.copy_context(), snr_db, child)
+            for snr_db, child in zip(grid, children)
+        ]
+        try:
+            return [future.result() for future in futures]
+        finally:  # after a failure or an interrupt, points stop at their next chunk
+            stop.set()

@@ -15,6 +15,7 @@ from pamber import (
     pam_spacing,
     pattern_from_index,
 )
+from pamber.constellation import _bit_rows, _pack_rows
 from pamber.pattern_classes import pattern_indices
 
 D4 = math.sqrt(0.2)
@@ -255,6 +256,17 @@ class TestLabeling:
             lab = named_labeling(name, m)
             columns = (BitPattern(tuple(col)) for col in lab.matrix.T)
             assert lab.pattern_set == frozenset(p.index for p in columns)
+
+    @pytest.mark.parametrize("width", [1, 3, 8, 62, 63, 64, 128])
+    def test_packing_inverts_the_bit_rows(self, width):
+        # 63 bits is the widest int64 row; wider rows pack to Python ints
+        top = (1 << width) - 1
+        codes = sorted({0, 1, top, top >> 1, top // 3, (top + 1) // 2})
+        bits = _bit_rows(np.array(codes, dtype=object if width > 63 else np.int64), width)
+        packed = _pack_rows(bits)
+        assert packed.tolist() == codes
+        assert all(type(code) is int for code in packed.tolist())
+        np.testing.assert_array_equal(_bit_rows(packed, width), bits)
 
     def test_from_indices_column_order(self):
         lab = Labeling.from_indices(8, [105, 60, 102])

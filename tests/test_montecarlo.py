@@ -1,6 +1,8 @@
 """Seeded simulation tests against the closed forms."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -350,3 +352,152 @@ class TestExtremeSnr:
                            demodulator="sd")
         est = simulate(named_labeling("BRGC", 8), make_pam(8), config)[1]
         assert abs(est.ber - 0.5) <= 5 * est.stderr
+
+
+class TestParallelPoints:
+    """Grid points run on a thread pool; the estimates do not depend on its size."""
+
+    GRID = (10.0, 0.0, 15.0, 5.0)  # not sorted: results follow the grid
+
+    @staticmethod
+    def workers(monkeypatch, count):
+        from pamber import montecarlo
+
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: count)
+
+    @pytest.mark.parametrize("demod", ["sd", "abd", "bd"])
+    @pytest.mark.parametrize("target", [named_labeling("BRGC", 8), pattern_from_index(8, 102)],
+                             ids=["brgc8", "pattern102"])
+    def test_estimates_are_bit_identical_for_any_worker_count(self, monkeypatch, target,
+                                                              demod):
+        c = make_pam(8)
+        config = SimConfig(trials=(1 << 18) + 999, seed=4, snr_db_grid=self.GRID,
+                           demodulator=demod)
+        self.workers(monkeypatch, 1)
+        serial = simulate(target, c, config)
+        assert [e.snr_db for e in serial] == list(self.GRID)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # many thread switches inside every point
+        try:
+            for count in (2, 7):  # 7 workers is more than the grid's 4 points
+                self.workers(monkeypatch, count)
+                assert simulate(target, c, config) == serial
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_results_follow_the_grid_when_the_first_point_finishes_last(self, monkeypatch):
+        from pamber import montecarlo
+
+        real = montecarlo.maxlog_llr
+        others_done = threading.Barrier(len(self.GRID), timeout=30)
+        first_snr = ChannelParams.from_db(self.GRID[0]).snr
+
+        def kernel(y, target, c, params):
+            if params.snr == first_snr:
+                others_done.wait()  # the other points finish their only chunk first
+            result = real(y, target, c, params)
+            if params.snr != first_snr:
+                others_done.wait()
+            return result
+
+        lab, c = named_labeling("BRGC", 8), make_pam(8)
+        config = SimConfig(trials=20_000, seed=4, snr_db_grid=self.GRID)
+        self.workers(monkeypatch, 1)
+        serial = simulate(lab, c, config)
+        self.workers(monkeypatch, len(self.GRID))
+        monkeypatch.setattr(montecarlo, "maxlog_llr", kernel)
+        assert simulate(lab, c, config) == serial
+
+    def test_an_error_in_one_point_reaches_the_caller_and_later_points_never_run(
+            self, monkeypatch):
+        from pamber import montecarlo
+
+        real = montecarlo.exact_llr
+        seen = []
+        error = RuntimeError("kernel failed")
+        failing_snr = ChannelParams.from_db(self.GRID[1]).snr
+
+        def kernel(y, target, c, params):
+            seen.append(params.snr)
+            if params.snr == failing_snr:
+                raise error
+            return real(y, target, c, params)
+
+        monkeypatch.setattr(montecarlo, "exact_llr", kernel)
+        self.workers(monkeypatch, 1)
+        config = SimConfig(trials=20_000, seed=4, snr_db_grid=self.GRID, demodulator="bd")
+        with pytest.raises(RuntimeError) as caught:
+            simulate(named_labeling("BRGC", 8), make_pam(8), config)
+        assert caught.value is error
+        assert seen == [ChannelParams.from_db(s).snr for s in self.GRID[:2]]
+
+    def test_the_first_failed_point_in_grid_order_raises(self, monkeypatch):
+        from pamber import montecarlo
+
+        later_failed = threading.Event()
+        first, later = (ChannelParams.from_db(s).snr for s in self.GRID[:2])
+
+        def kernel(y, target, c, params):
+            if params.snr == first:
+                assert later_failed.wait(timeout=30)
+                raise KeyError("first point")
+            later_failed.set()
+            raise KeyError("later point")
+
+        monkeypatch.setattr(montecarlo, "maxlog_llr", kernel)
+        self.workers(monkeypatch, len(self.GRID))
+        config = SimConfig(trials=20_000, seed=4, snr_db_grid=self.GRID)
+        with pytest.raises(KeyError, match="first point"):
+            simulate(named_labeling("BRGC", 8), make_pam(8), config)
+
+    def test_a_running_point_stops_at_its_next_chunk_after_a_failure(self, monkeypatch):
+        from pamber import montecarlo
+
+        real = montecarlo.maxlog_llr
+        later_failed = threading.Event()
+        first = ChannelParams.from_db(self.GRID[0]).snr
+        first_calls = []
+
+        def kernel(y, target, c, params):
+            if params.snr != first:
+                later_failed.set()
+                raise KeyError("later point")
+            first_calls.append(len(y))
+            assert later_failed.wait(timeout=30)
+            return real(y, target, c, params)
+
+        monkeypatch.setattr(montecarlo, "maxlog_llr", kernel)
+        self.workers(monkeypatch, 2)
+        config = SimConfig(trials=4 * _CHUNK, seed=4, snr_db_grid=self.GRID[:2])
+        with pytest.raises(KeyError, match="later point"):
+            simulate(named_labeling("BRGC", 8), make_pam(8), config)
+        # the failure lands while the first chunk is decided; one more chunk
+        # may start before the stop is seen, not all four
+        assert 1 <= len(first_calls) <= 2
+
+    def test_points_run_under_the_callers_errstate(self, monkeypatch):
+        from pamber import montecarlo
+
+        real = montecarlo.maxlog_llr
+        modes = []
+
+        def kernel(y, target, c, params):
+            modes.append(np.geterr()["over"])
+            return real(y, target, c, params)
+
+        monkeypatch.setattr(montecarlo, "maxlog_llr", kernel)
+        self.workers(monkeypatch, 2)
+        config = SimConfig(trials=20_000, seed=4, snr_db_grid=self.GRID)
+        with np.errstate(over="raise"):
+            simulate(named_labeling("BRGC", 8), make_pam(8), config)
+        assert modes == ["raise"] * len(self.GRID)
+
+    def test_available_cpus_falls_back_to_cpu_count(self, monkeypatch):
+        import os
+
+        from pamber.montecarlo import _available_cpus
+
+        if hasattr(os, "sched_getaffinity"):
+            assert _available_cpus() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        assert _available_cpus() == (os.cpu_count() or 1)
