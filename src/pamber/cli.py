@@ -21,9 +21,9 @@ import os
 import sys
 
 import numpy as np
-import scipy
 
-from . import __version__, labeling_space, montecarlo, pattern_classes
+# Every command needs these; each handler imports the rest of what it uses.
+from . import __version__
 from .constellation import (
     LABELING_NAMES,
     BitPattern,
@@ -33,7 +33,6 @@ from .constellation import (
     pattern_from_index,
 )
 from .demod import DEMODULATORS, ChannelParams, exact_llr, maxlog_llr
-from .thresholds import bd_thresholds
 
 MAX_GRID_POINTS = 1_000_000
 
@@ -118,7 +117,8 @@ def _provenance(args: argparse.Namespace) -> str:
     """The subcommand, its parameters, and the versions the output depends on.
 
     Seeded Monte-Carlo streams and the last bits of L-values can change
-    with the numpy release, so the header names it with pamber and scipy.
+    with the numpy release, so the header names it with pamber.  Only
+    ``ber`` evaluates the Q-function, so only its header names scipy.
     """
     skip = {"func", "command"}
     fields = [
@@ -126,7 +126,11 @@ def _provenance(args: argparse.Namespace) -> str:
         for key, value in sorted(vars(args).items())
         if key not in skip and value is not None
     ]
-    fields += [f"pamber={__version__}", f"numpy={np.__version__}", f"scipy={scipy.__version__}"]
+    fields += [f"pamber={__version__}", f"numpy={np.__version__}"]
+    if args.command == "ber":
+        import scipy  # already loaded by the Q-function
+
+        fields.append(f"scipy={scipy.__version__}")
     return f"# pamber {args.command} {' '.join(fields)}"
 
 
@@ -188,6 +192,8 @@ def _cmd_llr(args) -> int:
 
 
 def _cmd_thresholds(args) -> int:
+    from .thresholds import bd_thresholds
+
     grid = parse_grid(args.snr)
     constellation = make_pam(args.M)
     pattern = parse_pattern(args.pattern, args.M)
@@ -204,6 +210,8 @@ def _cmd_thresholds(args) -> int:
 
 
 def _cmd_classes(args) -> int:
+    from . import pattern_classes
+
     rows = [
         (cls.members[0], cls.members, cls.symmetry, cls.coefficients)
         for cls in pattern_classes.enumerate_classes(args.M)
@@ -213,6 +221,8 @@ def _cmd_classes(args) -> int:
 
 
 def _cmd_labelings(args) -> int:
+    from . import labeling_space, pattern_classes
+
     census = labeling_space.labeling_census(args.M)
     named = {}
     for name in LABELING_NAMES:
@@ -232,6 +242,8 @@ def _cmd_labelings(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import montecarlo
+
     grid = parse_grid(args.snr)
     constellation = make_pam(args.M)
     target = _read_target(args)

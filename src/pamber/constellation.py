@@ -89,6 +89,23 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _derived(obj, build):
+    """``build(obj)``, built on the first call and kept on ``obj`` itself.
+
+    For read-only data that depends on one constellation or one target
+    alone, such as a labeling's bit rows, which the closed forms reuse at
+    every SNR.  The value sits in the object's own ``__dict__``, keyed by
+    ``build``: it lives as long as the object, and an object built later
+    never finds it under a reused id or an equal value.
+    """
+    cache = vars(obj).setdefault("_derived", {})
+    try:
+        return cache[build]
+    except KeyError:
+        value = cache[build] = build(obj)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class Constellation:
     """Ordered real amplitudes and the geometry derived from them once.

@@ -20,7 +20,8 @@ bit 1.  The two rules can disagree only on that measure-zero set.
 The demodulators act on a *target*: a :class:`Labeling`, or a
 :class:`BitPattern` as one column.  One sample loop, ``_llr_rows``, gives
 every L-value; its set-up (checks, the gather index ``_subsets``) runs
-once per :func:`exact_llr` or :func:`maxlog_llr` call and once per BD solve.
+once per :func:`exact_llr` or :func:`maxlog_llr` call.  The BD solver
+builds each column's gather index once per target.
 
 The L-value kernels are point-major.  For a block of samples they hold
 one row of squared distances ``(y - x)**2`` per point ``x`` and gather,
@@ -91,14 +92,18 @@ class ChannelParams:
         return 1.0 / math.sqrt(2.0 * self.snr)
 
 
-def _column_matrix(target, constellation: Constellation) -> np.ndarray:
+def _columns(target) -> np.ndarray:
     """Bit columns of a target: a labeling's matrix, or a pattern as one column."""
     if isinstance(target, Labeling):
-        cols = target.matrix
-    elif isinstance(target, BitPattern):
-        cols = target.as_array()[:, None]
-    else:
-        raise TypeError(f"target must be a Labeling or BitPattern, got {type(target)!r}")
+        return target.matrix
+    if isinstance(target, BitPattern):
+        return target.as_array()[:, None]
+    raise TypeError(f"target must be a Labeling or BitPattern, got {type(target)!r}")
+
+
+def _column_matrix(target, constellation: Constellation) -> np.ndarray:
+    """:func:`_columns`, after checking the target against the constellation's size."""
+    cols = _columns(target)
     if cols.shape[0] != constellation.size:
         raise ValueError("target and constellation sizes differ")
     return cols

@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import pattern_classes
-from .constellation import Labeling, _label_bits, pattern_from_index
+from .constellation import Labeling, _is_integer, _label_bits, pattern_from_index
 from .pattern_classes import _check_enumerable, pattern_indices
 
 _EXHAUSTIVE_SIZES = (2, 4, 8)
@@ -37,8 +37,15 @@ def is_bijective_set(m_points: int, indices: Sequence[int]) -> bool:
     the columns so far; each column splits every cell into its rows with
     a 1 and its rows with a 0.  The labels are distinct exactly when M
     non-empty cells remain.
+
+    Raises:
+        ValueError: unless M is a positive integer (see ``_is_integer``).
     """
-    cells = [(1 << m_points) - 1] if m_points else []
+    if type(m_points) is not int or m_points < 1:  # the census's plain ints pass here
+        if not _is_integer(m_points) or m_points < 1:
+            raise ValueError(f"M must be a positive integer, got {m_points!r}")
+        m_points = int(m_points)  # 1 << M would wrap in a narrow numpy integer
+    cells = [(1 << m_points) - 1]
     for w in indices:
         split = []
         for cell in cells:

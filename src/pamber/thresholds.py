@@ -32,8 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import BitPattern, Constellation
-from .demod import ChannelParams, _exact_from_rows, _llr_observations, _llr_rows, _subsets
+from .constellation import BitPattern, Constellation, _derived, _readonly
+from .demod import (
+    ChannelParams,
+    _columns,
+    _exact_from_rows,
+    _llr_observations,
+    _llr_rows,
+    _subsets,
+)
 
 # The scan is uniform across the points and geometric beyond them, its
 # step growing by _SCAN_GROWTH per sample out to the bound T.  Crossings
@@ -94,13 +101,20 @@ class ThresholdSet:
         return int(self.betas.size)
 
 
-def _scan_grid(points: np.ndarray, reach: float) -> np.ndarray:
-    inner = np.linspace(points[0], points[-1], _SCAN_SAMPLES)
+def _inner_grid(constellation: Constellation) -> np.ndarray:
+    """The uniform part of the scan, across the points: built once per constellation."""
+    points = constellation.points
+    return _readonly(np.linspace(points[0], points[-1], _SCAN_SAMPLES))
+
+
+def _scan_grid(constellation: Constellation, reach: float) -> np.ndarray:
+    inner = _derived(constellation, _inner_grid)
     if reach <= 0:
         return inner
     step = inner[1] - inner[0]
     count = max(1, math.ceil(math.log(reach / step, _SCAN_GROWTH)) + 1)
     outer = np.minimum(step * _SCAN_GROWTH ** np.arange(count), reach)
+    points = constellation.points
     return np.concatenate((points[0] - outer[::-1], inner, points[-1] + outer))
 
 
@@ -176,19 +190,25 @@ def bd_thresholds(
         raise TypeError(f"pattern must be a BitPattern, got {type(pattern)!r}")
     if pattern.size != constellation.size:
         raise ValueError("pattern and constellation sizes differ")
-    return ThresholdSet(*_crossings(pattern.as_array(), constellation, params))
+    return ThresholdSet(*_crossings(_derived(pattern, _column_subsets)[0], constellation, params))
 
 
-def _crossings(bits, constellation: Constellation, params: ChannelParams):
-    """The ``(betas, region_bits)`` of :func:`bd_thresholds` for a 0/1 row ``bits``."""
+def _column_subsets(target) -> tuple[np.ndarray, ...]:
+    """The gather index of each bit column of a checked target alone, built once per target."""
+    return tuple(_readonly(_subsets(col[:, None])) for col in _columns(target).T)
+
+
+def _crossings(subsets, constellation: Constellation, params: ChannelParams):
+    """The ``(betas, region_bits)`` of :func:`bd_thresholds` for one column's ``subsets``."""
     reach = math.log(constellation.size / 2) / (2 * params.snr * constellation.dmin)
     if reach > _MAX_REACH_GAPS * constellation.dmin:
         raise ValueError(
             f"snr={params.snr:g} is too low: the exact L-value cannot be "
             f"resolved out to its bound T={reach:g}"
         )
-    grid = _llr_observations(_scan_grid(constellation.points, reach), constellation)
-    subsets, column = _subsets(bits[:, None]), constellation.points[:, None]
+    grid = _scan_grid(constellation, reach)
+    _llr_observations(grid[[0, -1]], constellation)  # sorted: its largest |y| is at an end
+    column = constellation.points[:, None]
 
     def llr(y):
         return _llr_rows(y, subsets, column, params.snr, _exact_from_rows)[0]

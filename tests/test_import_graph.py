@@ -1,4 +1,4 @@
-"""What a fresh interpreter loads: only the Q-function path pays for scipy.special,
+"""What a fresh interpreter loads: only the Q-function path pays for scipy,
 and only a simulate call for the thread pool (concurrent.futures, which loads logging).
 
 The README example runs in a fresh interpreter too, so that a removed or
@@ -47,9 +47,25 @@ def loaded_after(code: str) -> set[str]:
         code
         + "\nimport sys"
         + "\nprint(*sorted(m for m in sys.modules"
-        + f" if m in {HEAVY!r} or m.startswith('pamber.')))"
+        + f" if m in {HEAVY!r} or m.startswith(('pamber.', 'scipy'))))"
     )
     return set(out.splitlines()[-1].split())
+
+
+def scipy_modules(loaded: set[str]) -> set[str]:
+    return {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
+
+
+def cli_run(*argv: str) -> str:
+    """Code that runs ``pamber *argv`` as ``python -m pamber.cli`` does."""
+    return (
+        "import runpy, sys\n"
+        f"sys.argv = ['pamber', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('pamber.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code"
+    )
 
 
 def test_import_pamber_loads_no_submodule():
@@ -61,21 +77,37 @@ def test_q_free_modules_leave_out_scipy_special(module):
     loaded = loaded_after(f"import pamber.{module}")
     assert f"pamber.{module}" in loaded
     assert not loaded & set(HEAVY)
+    assert not scipy_modules(loaded)
     assert "pamber.analytic" not in loaded
 
 
 def test_cli_classes_run_leaves_out_scipy_special():
-    code = (
-        "import runpy, sys\n"
-        "sys.argv = ['pamber', 'classes', '--M', '4']\n"
-        "try:\n"
-        "    runpy.run_module('pamber.cli', run_name='__main__')\n"
-        "except SystemExit as exc:\n"
-        "    assert exc.code == 0, exc.code"
-    )
-    loaded = loaded_after(code)
+    loaded = loaded_after(cli_run("classes", "--M", "4"))
     assert "pamber.pattern_classes" in loaded
     assert not loaded & set(HEAVY)
+
+
+# Every command but ber (and verify) gives output that does not depend on scipy.
+SCIPY_FREE_RUNS = {
+    "classes": ("classes", "--M", "4"),
+    "labelings": ("labelings", "--M", "4"),
+    "llr": ("llr", "--M", "4", "--labeling", "brgc", "--snr", "3", "--y=-1:0.5:1"),
+    "thresholds": ("thresholds", "--M", "4", "--pattern", "5", "--snr", "0:5:10"),
+    "simulate": ("simulate", "--M", "4", "--labeling", "brgc", "--snr", "5",
+                 "--trials", "10000"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SCIPY_FREE_RUNS))
+def test_cli_runs_load_no_scipy_module(command):
+    loaded = loaded_after(cli_run(*SCIPY_FREE_RUNS[command]))
+    assert not scipy_modules(loaded), sorted(scipy_modules(loaded))
+
+
+def test_cli_ber_run_loads_scipy_special():
+    # the check above would pass vacuously if runs never showed scipy
+    loaded = loaded_after(cli_run("ber", "--M", "4", "--labeling", "brgc", "--snr", "3"))
+    assert "scipy.special" in loaded
 
 
 def test_analytic_loads_scipy_special_when_imported():

@@ -46,8 +46,6 @@ class TestBijectivity:
         (4, ()),                      # no columns: every row reads the empty label
         (2, ()),
         (1, ()),
-        (0, ()),
-        (0, (5, 3)),
         (1, (0,)),
         (1, (1,)),
         (2, (1,)),
@@ -67,6 +65,19 @@ class TestBijectivity:
     ])
     def test_edge_cases_match_the_row_codes(self, m, indices):
         assert is_bijective_set(m, indices) == shift_by_shift_bijective(m, indices)
+
+    @pytest.mark.parametrize("m", [np.int8(8), np.int16(8), np.uint8(8), np.int64(8)])
+    def test_numpy_integer_size_answers_as_the_int(self, m):
+        # a narrow M once overflowed in 1 << M, or wrapped the full-row mask to -1
+        for indices in ((15, 60, 195), (15, 60, 102), (15, 51), (15, 51, 85)):
+            assert is_bijective_set(m, indices) == is_bijective_set(8, indices)
+
+    @pytest.mark.parametrize("m", [0, -8, np.int8(0), np.int64(-2), True, False, 8.0,
+                                   np.float64(8.0), "8", None])
+    @pytest.mark.parametrize("indices", [(), (5, 3), (15, 60, 102)])
+    def test_rejects_a_size_that_is_not_a_positive_integer(self, m, indices):
+        with pytest.raises(ValueError, match="positive integer"):
+            is_bijective_set(m, indices)
 
 
 class TestEnumeration:
