@@ -216,13 +216,24 @@ def pattern_from_index(m_points: int, index: int) -> BitPattern:
             Hamming weight differs from M/2.
     """
     m_points = _even_size(m_points)
+    index = _pattern_index(m_points, index)
+    bits = tuple((index >> (m_points - i)) & 1 for i in range(1, m_points + 1))
+    return BitPattern(bits)
+
+
+def _pattern_index(m_points: int, index) -> int:
+    """int(index), after checking it indexes a pattern of the even int M."""
     if not _is_integer(index):
         raise ValueError(f"index must be an integer, got {index!r}")
     index = int(index)
     if not 0 <= index < (1 << m_points):
         raise ValueError(f"index {index} out of range for M={m_points}")
-    bits = tuple((index >> (m_points - i)) & 1 for i in range(1, m_points + 1))
-    return BitPattern(bits)
+    if index.bit_count() != m_points // 2:  # BitPattern's weight rule, on the mask
+        raise ValueError(
+            f"pattern of length {m_points} must have weight {m_points // 2}, "
+            f"got {index.bit_count()}"
+        )
+    return index
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,10 +280,16 @@ class Labeling:
 
     @classmethod
     def from_indices(cls, m_points: int, indices: Iterable[int]) -> "Labeling":
-        """Stack the patterns of ``indices`` as columns, in the order given."""
-        return cls(np.column_stack(
-            [pattern_from_index(m_points, w).as_array() for w in indices]
-        ))
+        """Stack the patterns of ``indices`` as columns, in the order given.
+
+        Raises:
+            ValueError: as :func:`pattern_from_index` does for a bad M or
+                index, or as the constructor does for the stacked matrix.
+        """
+        m_points = _even_size(m_points)
+        codes = [_pattern_index(m_points, w) for w in indices]
+        codes = np.array(codes, dtype=object if m_points > 63 else np.int64)
+        return cls(np.ascontiguousarray(_bit_rows(codes, m_points).T))
 
 
 def named_labeling(name: str, m_points: int) -> Labeling:

@@ -6,10 +6,13 @@ over equally spaced PAM is fixed by the integer weight vector summed over
 the column patterns; counting distinct weight vectors counts labelings
 with genuinely different BER.
 
-Exhaustive enumeration is practical for M in {2, 4, 8} (C(70,3) = 54740
-candidate sets for M = 8).  The census works on integer pattern indices:
-it keeps the bijective candidate sets, sums rows of a table holding the
-weight vector of each of the C(M, M/2) patterns, groups equal sums, and
+Exhaustive enumeration is practical for M in {2, 4, 8}.  The census
+works on integer pattern indices.  It walks column prefixes depth first
+and prunes every prefix that does not split the points into equal cells,
+so of the C(70,3) = 54,740 3-sets for M = 8 only the 28,263 whose first
+two columns pass reach the full bijectivity test, and 6,720 are kept.  It
+sums rows of a table holding the weight vector of each of the C(M, M/2)
+patterns, groups equal sums with one stable lexicographic sort, and
 builds a :class:`~pamber.constellation.Labeling` only for one witness per
 class.  For larger M a seeded sampler is provided and is explicitly
 non-exhaustive.
@@ -17,7 +20,6 @@ non-exhaustive.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -60,18 +62,39 @@ def is_bijective_set(m_points: int, indices: Sequence[int]) -> bool:
 
 
 def _bijective_sets(m_points: int) -> list[tuple[int, ...]]:
-    """Pattern-index sets of every labeling, in ascending combination order."""
+    """Pattern-index sets of every labeling, in ascending combination order.
+
+    A depth-first walk over column prefixes in ascending index order.
+    Distinct labels are every m-bit label once, so the first k columns
+    must split the M rows into 2^k cells of M/2^k rows each; a prefix
+    that fails this has no bijective completion and is pruned.  Every
+    m-column set whose prefixes pass goes to :func:`is_bijective_set`.
+    """
     n_bits = _label_bits(m_points)
     if m_points not in _EXHAUSTIVE_SIZES:
         raise ValueError(
             f"exhaustive enumeration supports M in {_EXHAUSTIVE_SIZES}, got {m_points}"
         )
     m_points = 1 << n_bits  # 1 << M would wrap in a narrow numpy integer
-    return [
-        combo
-        for combo in itertools.combinations(pattern_indices(m_points), n_bits)
-        if is_bijective_set(m_points, combo)
-    ]
+    pool = list(pattern_indices(m_points))
+    sets: list[tuple[int, ...]] = []
+
+    def extend(prefix: tuple[int, ...], cells: list[int], start: int) -> None:
+        if len(prefix) == n_bits - 1:
+            for w in pool[start:]:
+                combo = prefix + (w,)
+                if is_bijective_set(m_points, combo):
+                    sets.append(combo)
+            return
+        rows = m_points >> (len(prefix) + 1)  # rows per cell after one more column
+        for i in range(start, len(pool)):
+            w = pool[i]
+            split = [part for cell in cells for part in (cell & w, cell & ~w)]
+            if all(part.bit_count() == rows for part in split):
+                extend(prefix + (w,), split, i + 1)
+
+    extend((), [(1 << m_points) - 1], 0)
+    return sets
 
 
 def enumerate_labelings(m_points: int) -> Iterator[Labeling]:
@@ -87,9 +110,17 @@ def enumerate_labelings(m_points: int) -> Iterator[Labeling]:
 def sample_labelings(
     m_points: int, count: int, seed: int
 ) -> list[Labeling]:
-    """Random labelings for sizes too large to enumerate; NOT exhaustive."""
+    """Random labelings for sizes too large to enumerate; NOT exhaustive.
+
+    Raises:
+        ValueError: unless M is a power of two the pool can hold, and
+            ``count`` and ``seed`` are non-negative integers.
+    """
     n_bits = _label_bits(m_points, least=4)
     _check_enumerable(m_points)  # the pool holds every pattern
+    for name, value in (("count", count), ("seed", seed)):
+        if not _is_integer(value) or value < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
     m_points = 1 << n_bits
     pool = np.fromiter(pattern_indices(m_points), dtype=np.int64)
     rng = np.random.default_rng(seed)
@@ -124,14 +155,17 @@ def labeling_census(m_points: int) -> list[LabelingClass]:
         for w in pool
     ])
     alphas = table[np.searchsorted(pool, sets)].sum(axis=1)
-    unique, first, population = np.unique(
-        alphas, axis=0, return_index=True, return_counts=True
-    )
+    # A stable sort keyed on column 0 first: each run of equal rows starts
+    # at its first set in combination order.
+    order = np.lexsort(alphas.T[::-1])
+    ranked = alphas[order]
+    starts = np.flatnonzero(np.r_[True, np.any(ranked[1:] != ranked[:-1], axis=1)])
+    population = np.diff(np.r_[starts, len(ranked)])
     return [
         LabelingClass(
             alpha=tuple(alpha),
             witness=Labeling.from_indices(m_points, sets[i].tolist()),
             population=int(count),
         )
-        for alpha, i, count in zip(unique.tolist(), first, population)
+        for alpha, i, count in zip(ranked[starts].tolist(), order[starts], population)
     ]

@@ -12,6 +12,9 @@ with
 * ``Q(x) = 1 - Q(-x)`` for ``x < 0``, and ``erfc(z) = 2 - erfc(-z)`` for
   ``z < 0``.
 
+On top of Q, :func:`pam_ber` evaluates the weight form of the BER of
+unit-energy M-PAM, the reference for ``pamber.ber_from_coefficients``.
+
 Intermediate results carry ``GUARD`` extra digits: the alternating series
 cancels about 3 digits at z = 3, and ``1 - erf`` about 5 more.
 """
@@ -105,5 +108,23 @@ def q(x) -> Decimal:
         ctx.prec = DIGITS + GUARD
         z = x / Decimal(2).sqrt()
         value = erfc(z) / 2
+        ctx.prec = DIGITS
+        return +value
+
+
+def pam_ber(coefficients, m_points: int, snr_db) -> Decimal:
+    """``sum_n c[n-1] * Q((2n-1) * d * sqrt(2*snr)) / M`` to ``DIGITS`` digits.
+
+    The weight form of the BER of unit-energy M-PAM with midpoint
+    boundaries: ``c`` is an integer weight vector of length M-1, ``d =
+    sqrt(3/(M^2-1))`` the half spacing and ``snr = 10^(snr_db/10)``, all
+    in decimal.  Divide by m for a labeling's average over its bits.
+    """
+    with localcontext() as ctx:
+        ctx.prec = DIGITS + GUARD
+        d = (Decimal(3) / (m_points * m_points - 1)).sqrt()
+        scale = d * (2 * Decimal(10) ** (Decimal(snr_db) / 10)).sqrt()
+        total = sum(int(c) * q((2 * n - 1) * scale) for n, c in enumerate(coefficients, 1))
+        value = total / m_points
         ctx.prec = DIGITS
         return +value

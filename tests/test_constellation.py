@@ -272,6 +272,42 @@ class TestLabeling:
         lab = Labeling.from_indices(8, [105, 60, 102])
         assert [BitPattern(tuple(col)).index for col in lab.matrix.T] == [105, 60, 102]
 
+    @pytest.mark.parametrize("m", [4, 8, 16, 64, 128])
+    def test_from_indices_stacks_the_patterns(self, m):
+        # 64 and more points need indices beyond 64-bit integers
+        for name in ("BRGC", "NBC"):
+            columns = named_labeling(name, m).matrix.T
+            indices = [BitPattern(tuple(col)).index for col in columns]
+            for given in (indices, indices[::-1], np.array(indices[::-1], dtype=object)):
+                lab = Labeling.from_indices(m, given)
+                np.testing.assert_array_equal(lab.matrix, np.column_stack(
+                    [pattern_from_index(m, w).as_array() for w in given]))
+                assert lab.matrix.dtype == np.int8 and lab.matrix.flags.c_contiguous
+        lab = Labeling.from_indices(np.int16(8), np.array([15, 60, 102], dtype=np.uint8))
+        np.testing.assert_array_equal(lab.matrix, named_labeling("BRGC", 8).matrix)
+
+    @pytest.mark.parametrize(("m", "indices", "message"), [
+        (8, [15, 60.0, 102], "index must be an integer, got 60.0"),
+        (8, [15, np.float64(60), 102], "index must be an integer, got np.float64(60.0)"),
+        (4, [True, 5], "index must be an integer, got True"),
+        (4, [3, "5"], "index must be an integer, got '5'"),
+        (4, [3, 16], "index 16 out of range for M=4"),
+        (4, [-1, 5], "index -1 out of range for M=4"),
+        (4, [3, 7], "pattern of length 4 must have weight 2, got 3"),
+        (8, [15, 60, 1 << 7], "pattern of length 8 must have weight 4, got 1"),
+        (4, [7, 16.0], "pattern of length 4 must have weight 2, got 3"),  # first bad index wins
+        (5, [3], "M must be an even integer >= 2, got 5"),
+        (4.0, [3, 5], "M must be an even integer >= 2, got 4.0"),
+        (True, [1], "M must be an even integer >= 2, got True"),
+        (0, [0], "M must be an even integer >= 2, got 0"),
+        (4, [3, 12], "labeling rows must be pairwise distinct"),
+        (8, [15, 60], "matrix is 8x2; need 2^2 = 4 rows"),
+    ])
+    def test_from_indices_rejects_with_the_pattern_messages(self, m, indices, message):
+        with pytest.raises(ValueError) as caught:
+            Labeling.from_indices(m, indices)
+        assert str(caught.value).startswith(message)
+
     def test_every_two_column_bijection_is_balanced(self):
         # weight M/2 per column is a consequence of bijectivity; spot-check
         # every valid 2-subset for M=4

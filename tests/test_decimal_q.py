@@ -1,4 +1,4 @@
-"""The stdlib 60-digit Q reference (``decimal_q``), and the float Q-functions against it."""
+"""The stdlib 60-digit Q reference (``decimal_q``), and the float Q-functions and BERs against it."""
 
 import math
 import sys
@@ -10,7 +10,15 @@ from scipy.special import erfc as scipy_erfc
 
 import decimal_q
 from decimal_q import q
-from pamber import qfunc
+from pamber import (
+    ChannelParams,
+    ber_from_coefficients,
+    labeling_ber,
+    labeling_coefficients,
+    make_pam,
+    named_labeling,
+    qfunc,
+)
 
 # x from -10 to 37 in steps of 1/4: Q(37) = 5.7e-300 is still a normal float
 GRID = np.arange(-40, 149) / 4.0
@@ -69,3 +77,29 @@ def test_qfunc_agrees_to_1e13_on_the_grid():
     got = qfunc(GRID)
     worst = max(relative(float(g), q(float(x))) for g, x in zip(got, GRID))
     assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["BRGC", "NBC", "FBC", "BSGC", "AG"])
+def test_weight_form_ber_agrees_to_1e12_for_the_named_8pam_labelings(name):
+    alpha = labeling_coefficients(named_labeling(name, 8))
+    for snr_db in range(21):
+        got = ber_from_coefficients(alpha, 8, ChannelParams.from_db(snr_db))
+        assert relative(got, decimal_q.pam_ber(alpha, 8, snr_db)) <= 1e-12, snr_db
+
+
+def test_brgc8_at_30_db_is_4_92e_minus_23_in_the_weight_form():
+    alpha = labeling_coefficients(named_labeling("BRGC", 8))
+    want = decimal_q.pam_ber(alpha, 8, 30) / 3
+    assert f"{want:.2e}" == "4.92e-23"
+    assert relative(ber_from_coefficients(alpha, 8, ChannelParams.from_db(30)) / 3, want) <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "analytic._gq_sums evaluates 0.5 + sum(g*Q)/M; the Q of points below a "
+    "boundary are about 1, so the sum cancels down to the answer with about "
+    "1e-16 absolute accuracy, and labeling_ber(BRGC-8) returns 0.0 at 30 dB"))
+def test_labeling_ber_of_brgc8_at_30_db_agrees_to_1e12():
+    lab = named_labeling("BRGC", 8)
+    want = decimal_q.pam_ber(labeling_coefficients(lab), 8, 30) / lab.n_bits
+    got = labeling_ber(lab, make_pam(8), ChannelParams.from_db(30.0))
+    assert relative(got, want) <= 1e-12

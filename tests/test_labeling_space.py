@@ -17,7 +17,8 @@ from pamber import (
     pattern_coefficients,
     pattern_from_index,
 )
-from pamber.labeling_space import is_bijective_set, sample_labelings
+from pamber import labeling_space, pattern_classes
+from pamber.labeling_space import _bijective_sets, is_bijective_set, sample_labelings
 from pamber.pattern_classes import invert_index, pattern_indices
 
 
@@ -95,6 +96,63 @@ class TestEnumeration:
     def test_rejects_unsupported_size(self):
         with pytest.raises(ValueError):
             list(enumerate_labelings(16))
+
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_pruned_walk_equals_the_combination_filter(self, m):
+        # every m-subset in combination order, each tested by its row codes
+        n_bits = m.bit_length() - 1
+        want = [c for c in itertools.combinations(pattern_indices(m), n_bits)
+                if shift_by_shift_bijective(m, c)]
+        assert len(want) == math.factorial(m) // math.factorial(n_bits)
+        assert _bijective_sets(m) == want
+        assert [column_indices(lab) for lab in enumerate_labelings(m)] == want
+
+
+def column_indices(lab):
+    """The pattern index of each column of a labeling, in column order."""
+    return tuple(int("".join(map(str, col)), 2) for col in lab.matrix.T)
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that logs (args, result) of each call."""
+    calls = []
+    inner = getattr(module, name)
+
+    def wrapper(*args):
+        result = inner(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def splits_evenly(m, columns):
+    """True when the columns give each of their 2^k labels to m/2^k rows."""
+    labels = Counter(tuple((w >> shift) & 1 for w in columns) for shift in range(m))
+    return len(labels) == 1 << len(columns) and set(labels.values()) == {m >> len(columns)}
+
+
+class TestPrunedCandidates:
+    def test_four_points_test_every_pair_as_the_benchmark_counts(self, monkeypatch):
+        # the benchmark's tracer counts 15 candidates, 12 accepted, and the
+        # weights of 6 distinct patterns for labeling_census(4)
+        tested = count_calls(monkeypatch, labeling_space, "is_bijective_set")
+        weighed = count_calls(monkeypatch, pattern_classes, "pattern_coefficients")
+        labeling_census(4)
+        assert [args[1] for args, _ in tested] == list(
+            itertools.combinations(pattern_indices(4), 2))
+        assert sum(ok for _, ok in tested) == 12
+        assert len({args[0].bits for args, _ in weighed}) == len(weighed) == 6
+
+    def test_eight_points_test_only_sets_with_a_passing_prefix(self, monkeypatch):
+        tested = count_calls(monkeypatch, labeling_space, "is_bijective_set")
+        sets = _bijective_sets(8)
+        even = {p: splits_evenly(8, p) for p in itertools.combinations(pattern_indices(8), 2)}
+        want = [c for c in itertools.combinations(pattern_indices(8), 3) if even[c[:2]]]
+        assert [args[1] for args, _ in tested] == want
+        assert len(want) == 28263 < math.comb(70, 3)
+        assert sum(ok for _, ok in tested) == len(sets) == 6720
 
 
 # Each labeling-side function, reduced to the pattern sets it returns.
@@ -212,6 +270,25 @@ class TestSampling:
     def test_size_limit_raises_before_the_pool_is_built(self, m):
         with pytest.raises(ValueError, match=f"M <= 20, got {m}"):
             sample_labelings(m, 1, seed=0)
+
+    def test_streams_are_pinned(self):
+        # numpy integer arguments draw the same stream as the ints
+        want = [(45, 78, 197), (43, 113, 195), (54, 120, 226)]
+        for args in ((8, 3, 2), (np.int64(8), np.int64(3), np.uint8(2))):
+            assert [tuple(sorted(lab.pattern_set)) for lab in sample_labelings(*args)] == want
+        assert [tuple(sorted(lab.pattern_set)) for lab in sample_labelings(16, 2, seed=0)] == [
+            (4727, 14091, 18795, 36409), (11926, 12463, 23749, 63136)]
+        assert sample_labelings(8, 0, seed=0) == []
+
+    @pytest.mark.parametrize("count", [2.5, -3, True, "3", None, np.float64(3)])
+    def test_rejects_a_count_that_is_not_a_non_negative_integer(self, count):
+        with pytest.raises(ValueError, match="count must be a non-negative integer"):
+            sample_labelings(16, count, 0)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, np.int64(-2), False, "0", None])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            sample_labelings(8, 3, seed)
 
     def test_large_size_sampling_works(self):
         labs = sample_labelings(16, 3, seed=1)
