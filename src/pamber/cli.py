@@ -213,8 +213,8 @@ def _cmd_classes(args) -> int:
     from . import pattern_classes
 
     rows = [
-        (cls.members[0], cls.members, cls.symmetry, cls.coefficients)
-        for cls in pattern_classes.enumerate_classes(args.M)
+        (members[0], members, symmetry, coefficients)
+        for members, symmetry, coefficients in pattern_classes.enumerate_classes(args.M).rows()
     ]
     _emit(args, ["representative", "members", "symmetry", "coefficients"], rows)
     return 0
@@ -233,8 +233,7 @@ def _cmd_labelings(args) -> int:
         alpha = tuple(int(x) for x in pattern_classes.labeling_coefficients(lab))
         named.setdefault(alpha, name)
     rows = [
-        (rank, named.get(cls.alpha, ""), sorted(cls.witness.pattern_set), cls.alpha,
-         cls.population)
+        (rank, named.get(cls.alpha, ""), cls.witness_indices, cls.alpha, cls.population)
         for rank, cls in enumerate(census, start=1)
     ]
     _emit(args, ["rank", "name", "witness_patterns", "coefficients", "population"], rows)

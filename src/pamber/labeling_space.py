@@ -12,10 +12,10 @@ and prunes every prefix that does not split the points into equal cells,
 so of the C(70,3) = 54,740 3-sets for M = 8 only the 28,263 whose first
 two columns pass reach the full bijectivity test, and 6,720 are kept.  It
 sums rows of a table holding the weight vector of each of the C(M, M/2)
-patterns, groups equal sums with one stable lexicographic sort, and
-builds a :class:`~pamber.constellation.Labeling` only for one witness per
-class.  For larger M a seeded sampler is provided and is explicitly
-non-exhaustive.
+patterns, groups equal sums with one stable lexicographic sort, and keeps
+the pattern indices of one witness per class; its
+:class:`~pamber.constellation.Labeling` is built when it is read.  For
+larger M a seeded sampler is provided and is explicitly non-exhaustive.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import pattern_classes
 from .constellation import Labeling, _is_integer, _label_bits, pattern_from_index
-from .pattern_classes import _check_enumerable, pattern_indices
+from .pattern_classes import _check_enumerable, _masks_of_weight, pattern_indices
 
 _EXHAUSTIVE_SIZES = (2, 4, 8)
 
@@ -122,7 +122,7 @@ def sample_labelings(
         if not _is_integer(value) or value < 0:
             raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
     m_points = 1 << n_bits
-    pool = np.fromiter(pattern_indices(m_points), dtype=np.int64)
+    pool = _masks_of_weight(m_points, m_points // 2)
     rng = np.random.default_rng(seed)
     out: list[Labeling] = []
     while len(out) < count:
@@ -134,11 +134,20 @@ def sample_labelings(
 
 @dataclass(frozen=True, eq=False)
 class LabelingClass:
-    """All labelings sharing one weight vector, hence one BER curve."""
+    """All labelings sharing one weight vector, hence one BER curve.
+
+    ``witness_indices`` are the ascending pattern indices of the class's
+    first labeling in combination order.
+    """
 
     alpha: tuple[int, ...]
-    witness: Labeling
+    witness_indices: tuple[int, ...]
     population: int
+
+    @property
+    def witness(self) -> Labeling:
+        """The witness labeling, columns in ``witness_indices`` order, built on each access."""
+        return Labeling.from_indices(len(self.alpha) + 1, self.witness_indices)
 
 
 def labeling_census(m_points: int) -> list[LabelingClass]:
@@ -164,7 +173,7 @@ def labeling_census(m_points: int) -> list[LabelingClass]:
     return [
         LabelingClass(
             alpha=tuple(alpha),
-            witness=Labeling.from_indices(m_points, sets[i].tolist()),
+            witness_indices=tuple(sets[i].tolist()),
             population=int(count),
         )
         for alpha, i, count in zip(ranked[starts].tolist(), order[starts], population)

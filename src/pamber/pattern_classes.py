@@ -15,18 +15,22 @@ Summing the weight vectors of a labeling's column patterns gives the
 labeling's BER the same way.  This is integer algebra: the module needs
 no Q-function, and neither does anything that only counts classes.
 
-Enumeration works on int64 arrays of bitmasks: it takes the balanced
-masks from one Gosper walk, reflects and inverts them all at once, sorts
-each four-mask orbit and keeps the orbits whose smallest member is the
-mask itself.  The symmetry types and weight vectors of all
-representatives come from array passes, and the class table holds only
-masks and integers: :attr:`PatternClass.representative` builds its
-:class:`~pamber.constellation.BitPattern` when it is read.
+Enumeration works on uint32 arrays of bitmasks: it takes the balanced
+masks from one popcount filter over a range of words, reflects them
+through a 256-entry byte table, inverts them, and keeps the masks that
+are the smallest of their four-mask orbit.  The weight vectors come from
+the aperiodic autocorrelation of the sign sequence, one popcount per
+lag (:func:`_mask_weights`); :func:`pattern_weights` computes the same
+vectors from bit rows and is the independent form.  The result is a
+:class:`ClassTable`, which holds the orbits, symmetry codes and weights
+as arrays and builds a :class:`PatternClass`, and its
+:class:`~pamber.constellation.BitPattern`, only when one is read.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator
@@ -35,7 +39,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .constellation import (
-    BitPattern, Labeling, _bit_rows, _even_size, _is_integer, pattern_from_index,
+    BitPattern, Labeling, _even_size, _is_integer, _readonly, pattern_from_index,
 )
 
 RE = "RE"
@@ -55,13 +59,24 @@ def _symmetry(index, m_points: int):
     return np.where(flipped == index, 0, np.where(flipped == invert_index(index, m_points), 1, 2))
 
 
+# Entry b is the byte b with its eight bits in reverse order.
+_REVERSED_BYTE = np.packbits(
+    np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1), axis=1, bitorder="little"
+).ravel()
+
+
 def reflect_index(index: int, m_points: int) -> int:
-    """Bit-reversal of an M-bit pattern index, or of each entry of an int64 array."""
-    out = 0
-    for _ in range(m_points):
-        out = (out << 1) | (index & 1)
-        index = index >> 1  # not >>=, which would shift the caller's array
-    return out
+    """Bit-reversal of an M-bit pattern index, or of each entry of an integer array.
+
+    The low byte is reversed first and ends up on top; the pad bits above
+    bit M-1 of the last byte land below bit 0 and are shifted out.
+    """
+    array = isinstance(index, np.ndarray)
+    out = np.zeros_like(index) if array else 0
+    for shift in range(0, m_points, 8):
+        byte = _REVERSED_BYTE[(index >> shift) & 0xFF]
+        out = (out << 8) | (byte if array else int(byte))
+    return out >> (-m_points % 8)
 
 
 def invert_index(index: int, m_points: int) -> int:
@@ -94,6 +109,12 @@ def _gosper(m_points: int) -> Iterator[int]:
         word = (((ripple ^ word) >> 2) // low) | ripple
 
 
+def _masks_of_weight(n_bits: int, weight: int) -> np.ndarray:
+    """Every n-bit mask with ``weight`` ones, ascending, as uint32: one popcount filter."""
+    words = np.arange(1 << n_bits, dtype=np.uint32)
+    return words[np.bitwise_count(words) == weight]
+
+
 def pattern_weights(bits) -> np.ndarray:
     """Integer Q-function weight vectors of many patterns in one array pass.
 
@@ -118,6 +139,35 @@ def pattern_weights(bits) -> np.ndarray:
     corr = np.einsum("nkj,nj->nk", sliding_window_view(sign, m_points - 1, axis=1), step)
     # Lag a pairs k = M-1-a (sign[j-a]) with k = M+a (sign[j+a+1]).
     return corr[:, m_points - 1 : 0 : -1] - corr[:, m_points : 2 * m_points - 1]
+
+
+def _mask_weights(masks: np.ndarray, m_points: int) -> np.ndarray:
+    """Weight vectors of an array of M-bit masks, one popcount per lag.
+
+    With the signs ``s_i = 1 - 2*p_i`` and their aperiodic
+    autocorrelation ``R(k) = sum_i s_i*s_{i+k}``, the bilinear form of
+    :func:`pattern_weights` is, at lag ``a = 0..M-2``,
+
+        w[a] = R(a) - R(a+1) - (s_0*s_a + s_{M-1}*s_{M-1-a}) / 2.
+
+    On a mask ``R(k) = (M-k) - 2*c(k)``, where
+    ``c(k) = popcount((w ^ (w >> k)) & (2^(M-k) - 1))`` counts the bit
+    pairs k apart that differ, and each end product is 1 - 2*[its two
+    bits differ].  So ``w[a] = 2*(c(a+1) - c(a)) + e_0(a) + e_1(a)``, with
+    ``e`` the two end-pair differences, and no bit matrix is built.  Row
+    n of the int16 result is the weight vector of ``masks[n]``.
+    """
+    full = (1 << m_points) - 1
+    top = masks >> (m_points - 1)
+    out = np.empty((m_points - 1, masks.size), dtype=np.int16)
+    before = 0
+    for lag in range(m_points - 1):
+        after = np.bitwise_count((masks ^ (masks >> (lag + 1))) & (full >> (lag + 1)))
+        after = after.astype(np.int16)
+        ends = ((top ^ (masks >> (m_points - 1 - lag))) & 1) + ((masks ^ (masks >> lag)) & 1)
+        out[lag] = 2 * (after - before) + ends
+        before = after
+    return out.T
 
 
 def pattern_coefficients(pattern: BitPattern) -> np.ndarray:
@@ -164,10 +214,74 @@ class PatternClass:
         return pattern_from_index(len(self.coefficients) + 1, self.members[0])
 
 
-#: Largest M the enumerating functions accept.  M = 20 (46,508 classes)
-#: takes about 0.5 s on a 2-core Xeon; M = 24 would walk 2.7 million masks,
-#: 15 times as many, and build 677,294 classes.
-MAX_ENUMERATED_POINTS = 20
+def _class_fields(orbit: list[int], kind: int, weights: list[int]) -> tuple:
+    """(members, symmetry, coefficients) of one class from its table row."""
+    # A symmetric orbit sorts as [a, a, b, b]; its members are every other entry.
+    return tuple(orbit[:: 1 if kind == 2 else 2]), _SYMMETRIES[kind], tuple(weights)
+
+
+class ClassTable(Sequence):
+    """The pattern classes of one M, best to worst, held as arrays.
+
+    A sequence of :class:`PatternClass`: ``len``, indexing, slicing and
+    iteration work as on a list, and each class is built only when it is
+    read.  ``==`` compares with another table, or with a list or tuple of
+    classes.  The read-only arrays have one row per class:
+
+    * ``orbits``: uint32, the four orbit masks ascending; a symmetric
+      class lists each of its two members twice;
+    * ``symmetry``: uint8 codes 0, 1, 2 for RE, ARE, ASY;
+    * ``weights``: int16, the weight vector, M-1 entries.
+    """
+
+    def __init__(self, orbits: np.ndarray, symmetry: np.ndarray, weights: np.ndarray):
+        self.orbits = _readonly(orbits)
+        self.symmetry = _readonly(symmetry)
+        self.weights = _readonly(weights)
+
+    @property
+    def masks(self) -> np.ndarray:
+        """The representative (smallest member) of each class."""
+        return self.orbits[:, 0]
+
+    def rows(self) -> Iterator[tuple]:
+        """(members, symmetry, coefficients) of each class, without building a PatternClass."""
+        return map(_class_fields, self.orbits.tolist(), self.symmetry.tolist(),
+                   self.weights.tolist())
+
+    def __len__(self) -> int:
+        return len(self.symmetry)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return ClassTable(self.orbits[index], self.symmetry[index], self.weights[index])
+        return PatternClass(*_class_fields(self.orbits[index].tolist(),
+                                           int(self.symmetry[index]),
+                                           self.weights[index].tolist()))
+
+    def __iter__(self) -> Iterator[PatternClass]:
+        return (PatternClass(*fields) for fields in self.rows())
+
+    def __eq__(self, other):
+        if isinstance(other, ClassTable):
+            return all(np.array_equal(a, b) for a, b in (
+                (self.orbits, other.orbits), (self.symmetry, other.symmetry),
+                (self.weights, other.weights)))
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"ClassTable(M={self.weights.shape[1] + 1}, {len(self)} classes)"
+
+
+#: Largest M the enumerating functions accept.  M = 24 (677,294 classes)
+#: takes about 0.8 s and 0.15 GB at peak on a 2-core Xeon; its popcount
+#: filter runs over 2^23 uint32 words, 32 MB.  M = 28 would filter 2^27
+#: words (512 MB) and hold 10 million classes.
+MAX_ENUMERATED_POINTS = 24
 
 
 def _check_class_size(m_points: int) -> None:
@@ -178,7 +292,7 @@ def _check_class_size(m_points: int) -> None:
 def _check_enumerable(m_points: int) -> None:
     _check_class_size(m_points)
     if m_points > MAX_ENUMERATED_POINTS:
-        raise ValueError(f"enumeration walks C(M, M/2) patterns and supports "
+        raise ValueError(f"enumeration holds all C(M, M/2) patterns and supports "
                          f"M <= {MAX_ENUMERATED_POINTS}, got {m_points}")
 
 
@@ -189,25 +303,25 @@ def class_count_closed_form(m_points: int) -> int:
     return (comb(m_points, half) + comb(half, half // 2) + (1 << half)) // 4
 
 
-def enumerate_classes(m_points: int) -> list[PatternClass]:
+def enumerate_classes(m_points: int) -> ClassTable:
     """Partition all balanced patterns into equivalence classes.
 
     Classes are sorted best to worst at high SNR, i.e. ascending
-    lexicographically by coefficient vector.  Distinct classes are
-    expected to have distinct coefficient vectors; a warning is emitted
-    if that ever fails for some M.
+    lexicographically by coefficient vector, ties by representative.
+    Distinct classes are expected to have distinct coefficient vectors; a
+    warning is emitted if that ever fails for some M.
     """
     _check_enumerable(m_points)
     m_points = int(m_points)  # a narrow numpy integer would wrap 1 << M
-    words = np.fromiter(pattern_indices(m_points), np.int64,
-                        count=comb(m_points, m_points // 2))
+    # An orbit's smallest member is below its own inversion: its top bit is 0.
+    words = _masks_of_weight(m_points - 1, m_points // 2)
     flipped = reflect_index(words, m_points)
+    # Every member meets its orbit; only the smallest one keeps it.
+    rep = (words <= flipped) & (words <= invert_index(flipped, m_points))
+    words, flipped = words[rep], flipped[rep]
     orbits = np.sort(np.stack([words, flipped, invert_index(words, m_points),
                                invert_index(flipped, m_points)], axis=1), axis=1)
-    # Every member meets its orbit; only the smallest one keeps it.
-    rep = orbits[:, 0] == words
-    words, orbits = words[rep], orbits[rep]
-    weights = pattern_weights(_bit_rows(words, m_points))
+    weights = _mask_weights(words, m_points)
     order = np.lexsort(weights.T[::-1])  # stable: ties keep ascending representatives
     weights = weights[order]
     if np.any(np.all(weights[1:] == weights[:-1], axis=1)):
@@ -215,14 +329,5 @@ def enumerate_classes(m_points: int) -> list[PatternClass]:
             f"distinct classes share a coefficient vector for M={m_points}",
             stacklevel=2,
         )
-    # A symmetric orbit sorts as [a, a, b, b]; its members are every other entry.
-    return [
-        PatternClass(
-            members=tuple(orbit[:: 1 if kind == 2 else 2]),
-            symmetry=_SYMMETRIES[kind],
-            coefficients=tuple(coeffs),
-        )
-        for orbit, kind, coeffs in zip(
-            orbits[order].tolist(), _symmetry(words[order], m_points).tolist(),
-            weights.tolist())
-    ]
+    symmetry = _symmetry(words[order], m_points).astype(np.uint8)
+    return ClassTable(orbits[order], symmetry, weights)

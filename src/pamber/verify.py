@@ -102,19 +102,22 @@ def check_pattern_class_tables() -> str:
 
 
 def check_class_counts() -> str:
-    """Exhaustive class counts match the closed form for M = 4, 8, 16."""
+    """Exhaustive class counts match the closed form for M = 4, 8, 16, 20,
+    and no two classes share a weight vector."""
     start = time.perf_counter()
-    expected = {4: 3, 8: 23, 16: 3299}
+    expected = {4: 3, 8: 23, 16: 3299, 20: 46508}
     for m_points, count in expected.items():
-        enumerated = len(pattern_classes.enumerate_classes(m_points))
+        table = pattern_classes.enumerate_classes(m_points)
         closed = pattern_classes.class_count_closed_form(m_points)
         _require(
-            enumerated == closed == count,
-            f"M={m_points}: enumerated {enumerated}, closed form {closed}",
+            len(table) == closed == count,
+            f"M={m_points}: enumerated {len(table)}, closed form {closed}",
         )
+        distinct = len(np.unique(table.weights, axis=0))
+        _require(distinct == count, f"M={m_points}: {distinct} distinct weight vectors")
     elapsed = time.perf_counter() - start
     _require(elapsed < 30.0, f"count check took {elapsed:.1f}s, budget 30s")
-    return f"Q = 3, 23, 3299 both ways in {elapsed:.2f} s"
+    return f"Q = 3, 23, 3299, 46508 both ways, weight vectors distinct, in {elapsed:.2f} s"
 
 
 def check_named_labeling_coefficients() -> str:

@@ -199,7 +199,7 @@ class TestStabilityAndErrors:
 
     def test_classes_beyond_the_size_limit_fails_cleanly(self, capsys):
         assert main(["classes", "--M", "40"]) == 1
-        assert "M <= 20, got 40" in capsys.readouterr().err
+        assert "M <= 24, got 40" in capsys.readouterr().err
 
     def test_invalid_pattern_weight_fails_cleanly(self, capsys):
         code = main(["ber", "--M", "8", "--pattern", "3", "--snr", "0:1:2"])

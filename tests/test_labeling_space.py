@@ -202,6 +202,35 @@ class TestCensus:
         assert alphas[2][1] < alphas[3][1]
         assert alphas == sorted(alphas)
 
+    @pytest.mark.parametrize("m", [4, 8])
+    def test_no_labeling_is_built_until_a_witness_is_read(self, m, monkeypatch):
+        built = count_calls(monkeypatch, Labeling, "__post_init__")
+        census = labeling_census(m)
+        assert built == []
+        witness = census[0].witness
+        assert len(built) == 1
+        assert witness.pattern_set == frozenset(census[0].witness_indices)
+
+    @pytest.mark.parametrize("m", [4, 8])
+    def test_lazy_witnesses_equal_the_eager_ones(self, m):
+        # the witness as it was built eagerly: the first bijective set of
+        # each weight vector in combination order, stacked in that order
+        n_bits = m.bit_length() - 1
+        first = {}
+        for combo in itertools.combinations(pattern_indices(m), n_bits):
+            if is_bijective_set(m, combo):
+                alpha = tuple(int(x) for x in labeling_coefficients(Labeling.from_indices(m, combo)))
+                first.setdefault(alpha, combo)
+        census = labeling_census(m)
+        assert len(census) == len(first)
+        for cls in census:
+            assert cls.witness_indices == first[cls.alpha]
+            assert all(type(w) is int for w in cls.witness_indices)
+            eager = Labeling.from_indices(m, first[cls.alpha])
+            np.testing.assert_array_equal(cls.witness.matrix, eager.matrix)
+            assert cls.witness.pattern_set == eager.pattern_set
+            assert cls.witness is not cls.witness  # built on each access
+
     def test_witness_reproduces_alpha(self):
         for m in (4, 8):
             for cls in labeling_census(m):
@@ -267,8 +296,9 @@ class TestSampling:
         assert [x.pattern_set for x in a] == [y.pattern_set for y in b]
 
     @pytest.mark.parametrize("m", [32, 64])
-    def test_size_limit_raises_before_the_pool_is_built(self, m):
-        with pytest.raises(ValueError, match=f"M <= 20, got {m}"):
+    def test_size_limit_raises_before_the_pool_is_built(self, m, monkeypatch):
+        monkeypatch.setattr(labeling_space, "_masks_of_weight", None)  # never reached
+        with pytest.raises(ValueError, match=f"M <= 24, got {m}"):
             sample_labelings(m, 1, seed=0)
 
     def test_streams_are_pinned(self):
@@ -278,6 +308,12 @@ class TestSampling:
             assert [tuple(sorted(lab.pattern_set)) for lab in sample_labelings(*args)] == want
         assert [tuple(sorted(lab.pattern_set)) for lab in sample_labelings(16, 2, seed=0)] == [
             (4727, 14091, 18795, 36409), (11926, 12463, 23749, 63136)]
+        # drawn when the pool came from the Gosper walk, in the same
+        # ascending order as the popcount filter's
+        assert [tuple(sorted(lab.pattern_set)) for lab in sample_labelings(16, 5, seed=7)] == [
+            (11535, 18346, 29849, 55339), (29138, 48008, 55108, 60689),
+            (13639, 26420, 47952, 51137), (26410, 26779, 42105, 55849),
+            (17199, 18416, 35738, 57798)]
         assert sample_labelings(8, 0, seed=0) == []
 
     @pytest.mark.parametrize("count", [2.5, -3, True, "3", None, np.float64(3)])

@@ -17,7 +17,10 @@ from pamber import (
     pattern_from_index,
     pattern_indices,
 )
-from pamber.pattern_classes import PatternClass, invert_index, reflect_index
+from pamber.constellation import _bit_rows
+from pamber.pattern_classes import (
+    ClassTable, PatternClass, _mask_weights, invert_index, pattern_weights, reflect_index,
+)
 
 
 def distinct_a1_count(m):
@@ -43,6 +46,38 @@ def seen_set_classes(m):
         ))
     classes.sort(key=lambda c: c.coefficients)
     return classes
+
+
+def bit_loop_reflect(index, m):
+    """Reference: reverse the M bits one at a time."""
+    out = 0
+    for _ in range(m):
+        out = (out << 1) | (index & 1)
+        index = index >> 1
+    return out
+
+
+def eager_classes(m):
+    """Reference: the class list built eagerly, one PatternClass per class.
+
+    The masks come from the Gosper walk, the reflections from the bit
+    loop and the weights from the einsum over bit rows.
+    """
+    words = np.fromiter(pattern_indices(m), np.int64)
+    flipped = bit_loop_reflect(words, m)
+    orbits = np.sort(np.stack([words, flipped, invert_index(words, m),
+                               invert_index(flipped, m)], axis=1), axis=1)
+    rep = orbits[:, 0] == words
+    words, flipped, orbits = words[rep], flipped[rep], orbits[rep]
+    weights = pattern_weights(_bit_rows(words, m))
+    order = np.lexsort(weights.T[::-1])
+    out = []
+    for w, r, orbit, coeffs in zip(words[order].tolist(), flipped[order].tolist(),
+                                   orbits[order].tolist(), weights[order].tolist()):
+        symmetry = "RE" if r == w else "ARE" if r == invert_index(w, m) else "ASY"
+        members = tuple(orbit) if symmetry == "ASY" else tuple(orbit[::2])
+        out.append(PatternClass(members, symmetry, tuple(coeffs)))
+    return out
 
 
 def patterns_strategy(m):
@@ -104,6 +139,21 @@ class TestSymmetryOps:
         assert flipped.tolist() == [reflect_index(w, m) for w in before.tolist()]
         assert invert_index(words, m).tolist() == [invert_index(w, m) for w in before.tolist()]
 
+    @pytest.mark.parametrize("m", [4, 12, 20, 24])
+    def test_uint32_arrays_keep_their_dtype(self, m):
+        words = np.array(list(pattern_indices(m))[::97], dtype=np.uint32)
+        for out in (reflect_index(words, m), invert_index(words, m)):
+            assert out.dtype == np.uint32
+        assert reflect_index(words, m).tolist() == [bit_loop_reflect(w, m) for w in words.tolist()]
+
+    @pytest.mark.parametrize("m", [2, 6, 8, 10, 16, 24, 32, 62, 100])
+    def test_byte_table_matches_the_bit_loop(self, m):
+        rng = np.random.default_rng(m)
+        for w in [0, 1, (1 << m) - 1] + [int(x) for x in rng.integers(0, 1 << min(m, 62), 50)]:
+            got = reflect_index(w, m)
+            assert type(got) is int
+            assert got == bit_loop_reflect(w, m)
+
     def test_no_pattern_is_its_own_inversion(self):
         for m in (4, 8):
             for w in pattern_indices(m):
@@ -136,21 +186,63 @@ class TestEnumerateClasses:
             assert all(type(x) is int for x in a.members + a.coefficients + a.representative.bits)
 
     def test_distinct_ber_claim_at_twenty_points(self):
-        # The paper's claim that distinct classes have distinct BER curves,
-        # checked at the largest enumerable M.
+        # The paper's claim that distinct classes have distinct BER curves.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             classes = enumerate_classes(20)
         assert len(classes) == class_count_closed_form(20) == 46508
         assert len({cls.coefficients for cls in classes}) == len(classes)
 
+    def test_distinct_ber_claim_at_twenty_four_points(self):
+        # The same claim at the largest enumerable M, read off the arrays.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = enumerate_classes(24)
+        assert len(table) == class_count_closed_form(24) == 677294
+        assert len(np.unique(table.weights, axis=0)) == len(table)
+        assert len(np.unique(table.masks)) == len(table)
+
+    @pytest.mark.parametrize("m", [4, 8, 12, 16, 20])
+    def test_table_equals_the_eager_class_list(self, m):
+        table, eager = enumerate_classes(m), eager_classes(m)
+        assert isinstance(table, ClassTable)
+        assert len(table) == len(eager)
+        for got, want in zip(table, eager):
+            assert got.members == want.members
+            assert got.symmetry == want.symmetry
+            assert got.coefficients == want.coefficients
+        assert table == eager
+        for i in (0, 1, len(eager) - 1, -1, -len(eager), np.int64(2)):
+            assert table[i] == eager[i]
+        assert list(table[1:3]) == eager[1:3]
+        with pytest.raises(IndexError):
+            table[len(eager)]
+
+    def test_table_equality(self):
+        table = enumerate_classes(8)
+        assert table == enumerate_classes(8)
+        assert table != enumerate_classes(4)
+        assert table != table[1:]
+        assert table != list(table)[::-1]
+        assert table[2:5] == list(table)[2:5]
+        assert table[2:5] == tuple(table)[2:5]
+        assert table != "classes"
+        assert repr(table) == "ClassTable(M=8, 23 classes)"
+
+    def test_table_rows_are_the_class_fields(self):
+        table = enumerate_classes(12)
+        assert [PatternClass(*row) for row in table.rows()] == list(table)
+        assert table.masks.tolist() == [cls.members[0] for cls in table]
+        for array in (table.orbits, table.symmetry, table.weights):
+            assert not array.flags.writeable
+
     def test_warns_when_two_classes_share_a_weight_vector(self, monkeypatch):
         from pamber import pattern_classes
 
-        real = pattern_classes.pattern_weights
+        real = pattern_classes._mask_weights
         # Keep only the leading weight, so classes with equal transition counts collide.
-        monkeypatch.setattr(pattern_classes, "pattern_weights",
-                            lambda bits: real(bits) * (np.arange(7) == 0))
+        monkeypatch.setattr(pattern_classes, "_mask_weights",
+                            lambda masks, m: real(masks, m) * (np.arange(7) == 0))
         with pytest.warns(UserWarning, match="share a coefficient vector for M=8"):
             classes = enumerate_classes(8)
         assert len(classes) == 23
@@ -233,13 +325,45 @@ class TestEnumerateClasses:
             func(m)
 
     @pytest.mark.parametrize("func", [enumerate_classes])
-    @pytest.mark.parametrize("m", [24, 40])
-    def test_size_limit_raises_before_the_walk(self, func, m):
-        with pytest.raises(ValueError, match=f"M <= 20, got {m}"):
+    @pytest.mark.parametrize("m", [28, 40])
+    def test_size_limit_raises_before_the_walk(self, func, m, monkeypatch):
+        from pamber import pattern_classes
+
+        monkeypatch.setattr(pattern_classes, "_masks_of_weight", None)  # never reached
+        with pytest.raises(ValueError, match=f"M <= 24, got {m}"):
             func(m)
 
     def test_closed_form_count_has_no_size_limit(self):
         assert class_count_closed_form(40) == (math.comb(40, 20) + math.comb(20, 10) + 2**20) // 4
+
+
+class TestWeightIdentity:
+    """The autocorrelation identity against the einsum over bit rows."""
+
+    @pytest.mark.parametrize("m", range(2, 17, 2))
+    def test_every_balanced_pattern(self, m):
+        masks = np.fromiter(pattern_indices(m), np.int64)
+        want = pattern_weights(_bit_rows(masks, m))
+        got = _mask_weights(masks.astype(np.uint32), m)
+        assert got.dtype == np.int16
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("m", [24, 26, 28, 30, 32])
+    def test_seeded_random_balanced_masks(self, m):
+        rng = np.random.default_rng(1000 + m)
+        masks = []
+        for _ in range(400):
+            bits = rng.permutation(np.arange(m) < m // 2)
+            w = int("".join("1" if b else "0" for b in bits), 2)
+            assert w.bit_count() == m // 2
+            masks.append(w)
+        masks = np.array(masks, dtype=np.uint32)
+        want = pattern_weights(_bit_rows(masks.astype(np.int64), m))
+        np.testing.assert_array_equal(_mask_weights(masks, m), want)
+
+    def test_leading_weight_counts_transitions(self):
+        masks = np.array([0b0110, 0b0101, 0b0011], dtype=np.uint32)
+        assert _mask_weights(masks, 4)[:, 0].tolist() == [4, 6, 2]
 
 
 class TestLeadingWeightGroups:
