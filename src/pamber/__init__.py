@@ -51,9 +51,7 @@ _EXPORTS = {
     "pattern_classes": (
         "PatternClass",
         "class_count_closed_form",
-        "classify",
         "enumerate_classes",
-        "high_snr_bicm_parameter",
         "labeling_coefficients",
         "pattern_coefficients",
         "pattern_indices",

@@ -2,9 +2,9 @@
 
 Subcommands hand plain values to ``_emit``, which owns the cell format:
 floats are printed with 17 significant digits so curves can be compared
-byte for byte between runs, sequences as space-separated values.  Each
-output starts with a ``#`` comment line echoing the subcommand and its
-full parameter set.
+byte for byte between runs, tuples of ints as space-separated values.
+Each output starts with a ``#`` comment line echoing the subcommand and
+its full parameter set.
 
 SNR grids are given in dB as ``start:step:stop`` (stop inclusive) or as a
 single value.  Patterns are accepted as a decimal index (``102``), a bit
@@ -141,7 +141,7 @@ def _emit(args, header: list[str], rows) -> None:
         if isinstance(value, (float, np.floating)):
             return format(float(value), ".17g")
         if isinstance(value, (tuple, list)):
-            return " ".join(map(cell, value))
+            return " ".join(map(str, value))
         return str(value)
 
     sys.stdout.write(_provenance(args) + "\n")
@@ -212,10 +212,10 @@ def _cmd_thresholds(args) -> int:
 def _cmd_classes(args) -> int:
     from . import pattern_classes
 
-    rows = [
+    rows = (
         (members[0], members, symmetry, coefficients)
         for members, symmetry, coefficients in pattern_classes.enumerate_classes(args.M).rows()
-    ]
+    )
     _emit(args, ["representative", "members", "symmetry", "coefficients"], rows)
     return 0
 

@@ -7,15 +7,17 @@ the column patterns; counting distinct weight vectors counts labelings
 with genuinely different BER.
 
 Exhaustive enumeration is practical for M in {2, 4, 8}.  The census
-works on integer pattern indices.  It walks column prefixes depth first
-and prunes every prefix that does not split the points into equal cells,
-so of the C(70,3) = 54,740 3-sets for M = 8 only the 28,263 whose first
-two columns pass reach the full bijectivity test, and 6,720 are kept.  It
-sums rows of a table holding the weight vector of each of the C(M, M/2)
-patterns, groups equal sums with one stable lexicographic sort, and keeps
-the pattern indices of one witness per class; its
-:class:`~pamber.constellation.Labeling` is built when it is read.  For
-larger M a seeded sampler is provided and is explicitly non-exhaustive.
+works on integer pattern indices from one pool, the C(M, M/2) balanced
+masks in ascending order that ``pattern_classes._masks_of_weight``
+filters by popcount.  It walks column prefixes depth first and prunes
+every prefix that does not split the points into equal cells, so of the
+C(70,3) = 54,740 3-sets for M = 8 only the 28,263 whose first two
+columns pass reach the full bijectivity test, and 6,720 are kept.  It
+sums the pool's weight vectors over each set, groups equal sums with one
+stable lexicographic sort, and keeps the pattern indices of one witness
+per class; its :class:`~pamber.constellation.Labeling` is built when it
+is read.  For larger M a seeded sampler is provided and is explicitly
+non-exhaustive.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import pattern_classes
 from .constellation import Labeling, _is_integer, _label_bits, pattern_from_index
-from .pattern_classes import _check_enumerable, _masks_of_weight, pattern_indices
+from .pattern_classes import _check_enumerable, _masks_of_weight
 
 _EXHAUSTIVE_SIZES = (2, 4, 8)
 
@@ -76,7 +78,7 @@ def _bijective_sets(m_points: int) -> list[tuple[int, ...]]:
             f"exhaustive enumeration supports M in {_EXHAUSTIVE_SIZES}, got {m_points}"
         )
     m_points = 1 << n_bits  # 1 << M would wrap in a narrow numpy integer
-    pool = list(pattern_indices(m_points))
+    pool = _masks_of_weight(m_points, m_points // 2).tolist()
     sets: list[tuple[int, ...]] = []
 
     def extend(prefix: tuple[int, ...], cells: list[int], start: int) -> None:
@@ -158,7 +160,7 @@ def labeling_census(m_points: int) -> list[LabelingClass]:
     (combination) order, so the census is deterministic.
     """
     sets = np.array(_bijective_sets(m_points), dtype=np.int64)
-    pool = np.fromiter(pattern_indices(m_points), dtype=np.int64)
+    pool = _masks_of_weight(int(m_points), m_points // 2).astype(np.int64)
     table = np.array([
         pattern_classes.pattern_coefficients(pattern_from_index(m_points, int(w)))
         for w in pool

@@ -42,15 +42,7 @@ from .constellation import (
     BitPattern, Labeling, _even_size, _is_integer, _readonly, pattern_from_index,
 )
 
-RE = "RE"
-ARE = "ARE"
-ASY = "ASY"
-_SYMMETRIES = (RE, ARE, ASY)
-
-
-def classify(pattern: BitPattern) -> str:
-    """Symmetry type of a pattern: RE, ARE, or ASY."""
-    return _SYMMETRIES[_symmetry(pattern.index, pattern.size)]
+_SYMMETRIES = ("RE", "ARE", "ASY")
 
 
 def _symmetry(index, m_points: int):
@@ -186,16 +178,6 @@ def labeling_coefficients(labeling: Labeling) -> np.ndarray:
     return pattern_weights(labeling.matrix.T).sum(axis=0)
 
 
-def high_snr_bicm_parameter(labeling: Labeling) -> int:
-    """``2*m*(M-1)`` minus the first labeling weight.
-
-    Equals twice the number of adjacent label pairs agreeing per bit
-    position summed over positions; non-negative for every labeling.
-    """
-    alpha1 = int(labeling_coefficients(labeling)[0])
-    return 2 * labeling.n_bits * (labeling.size - 1) - alpha1
-
-
 @dataclass(frozen=True)
 class PatternClass:
     """One equivalence class under reflection and inversion.
@@ -238,11 +220,6 @@ class ClassTable(Sequence):
         self.orbits = _readonly(orbits)
         self.symmetry = _readonly(symmetry)
         self.weights = _readonly(weights)
-
-    @property
-    def masks(self) -> np.ndarray:
-        """The representative (smallest member) of each class."""
-        return self.orbits[:, 0]
 
     def rows(self) -> Iterator[tuple]:
         """(members, symmetry, coefficients) of each class, without building a PatternClass."""

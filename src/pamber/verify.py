@@ -236,7 +236,7 @@ def check_dual_form_and_quadrature() -> str:
     constellation = make_pam(8)
     mids = constellation.midpoints()
     worst = 0.0
-    for index in pattern_classes.pattern_indices(8):
+    for index in pattern_classes._masks_of_weight(8, 4).tolist():
         pattern = pattern_from_index(8, index)
         thresholds = ThresholdSet(mids, pattern.bits)
         for snr in (0.1, 1.0, 10.0):
@@ -262,7 +262,7 @@ def check_dual_form_and_quadrature() -> str:
 def check_leading_weight_grouping() -> str:
     """Leading weights take M-1 values and double-count bit transitions."""
     for m_points in (4, 8, 16):
-        masks = np.fromiter(pattern_classes.pattern_indices(m_points), np.int64)
+        masks = pattern_classes._masks_of_weight(m_points, m_points // 2)
         bits = _bit_rows(masks, m_points)
         leads = pattern_classes.pattern_weights(bits)[:, 0]
         transitions = np.count_nonzero(np.diff(bits, axis=1), axis=1)

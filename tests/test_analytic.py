@@ -15,7 +15,6 @@ from pamber import (
     abd_decide,
     ber_from_coefficients,
     exact_llr,
-    high_snr_bicm_parameter,
     labeling_ber,
     labeling_ber_pam,
     labeling_coefficients,
@@ -453,8 +452,10 @@ class TestBdColumns:
 
 
 class TestHighSnrParameter:
+    """The high-SNR BICM parameter ``2*m*(M-1) - alpha[0]``, from the leading weight."""
+
     def test_brgc8_value(self):
-        assert high_snr_bicm_parameter(named_labeling("BRGC", 8)) == 28
+        assert labeling_coefficients(named_labeling("BRGC", 8))[0] == 14  # parameter 2*3*7 - 14 = 28
 
     def test_leading_weight_counts_adjacent_disagreements(self):
         # independent count straight off the label matrix
@@ -465,7 +466,8 @@ class TestHighSnrParameter:
 
     def test_nonnegative_for_named(self):
         for name, m in (("BRGC", 4), ("NBC", 4), ("AG", 4), ("FBC", 8), ("AG", 8)):
-            assert high_snr_bicm_parameter(named_labeling(name, m)) >= 0
+            lab = named_labeling(name, m)
+            assert labeling_coefficients(lab)[0] <= 2 * lab.n_bits * (m - 1)
 
 
 class TestArbitraryConstellation:

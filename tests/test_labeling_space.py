@@ -10,7 +10,6 @@ import pytest
 from pamber import (
     Labeling,
     enumerate_labelings,
-    high_snr_bicm_parameter,
     labeling_census,
     labeling_coefficients,
     named_labeling,
@@ -283,10 +282,12 @@ class TestAlphaInvariances:
             np.testing.assert_array_equal(base, labeling_coefficients(mirrored))
 
     def test_high_snr_parameter_nonnegative(self):
+        # 2*m*(M-1) - alpha[0] >= 0: the leading weight is at most 2*m*(M-1)
         for cls in labeling_census(4):
-            assert high_snr_bicm_parameter(cls.witness) >= 0
+            assert cls.alpha[0] <= 2 * 2 * (4 - 1)
+            assert labeling_coefficients(cls.witness)[0] == cls.alpha[0]
         for lab in sample_labelings(8, 10, seed=23):
-            assert high_snr_bicm_parameter(lab) >= 0
+            assert labeling_coefficients(lab)[0] <= 2 * 3 * (8 - 1)
 
 
 class TestSampling:

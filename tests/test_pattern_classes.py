@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from pamber import (
     BitPattern,
     class_count_closed_form,
-    classify,
     enumerate_classes,
     pattern_coefficients,
     pattern_from_index,
@@ -19,7 +18,8 @@ from pamber import (
 )
 from pamber.constellation import _bit_rows
 from pamber.pattern_classes import (
-    ClassTable, PatternClass, _mask_weights, invert_index, pattern_weights, reflect_index,
+    ClassTable, PatternClass, _mask_weights, _masks_of_weight, invert_index, pattern_weights,
+    reflect_index,
 )
 
 
@@ -103,6 +103,8 @@ class TestPatternIndices:
         words = np.arange(1 << m)
         expected = words[np.bitwise_count(words) == m // 2]
         np.testing.assert_array_equal(np.fromiter(pattern_indices(m), dtype=np.int64), expected)
+        # the library's own pools come from the popcount filter: the same masks, in order
+        assert _masks_of_weight(m, m // 2).tolist() == list(pattern_indices(m))
 
 
 class TestSymmetryOps:
@@ -160,11 +162,10 @@ class TestSymmetryOps:
                 assert invert_index(w, m) != w
 
 
-class TestClassify:
+class TestClassSymmetry:
     def test_reference_examples(self):
-        assert classify(pattern_from_index(8, 60)) == "RE"
-        assert classify(pattern_from_index(8, 43)) == "ARE"
-        assert classify(pattern_from_index(8, 216)) == "ASY"
+        symmetry = {w: cls.symmetry for cls in enumerate_classes(8) for w in cls.members}
+        assert (symmetry[60], symmetry[43], symmetry[216]) == ("RE", "ARE", "ASY")
 
 
 class TestEnumerateClasses:
@@ -200,7 +201,7 @@ class TestEnumerateClasses:
             table = enumerate_classes(24)
         assert len(table) == class_count_closed_form(24) == 677294
         assert len(np.unique(table.weights, axis=0)) == len(table)
-        assert len(np.unique(table.masks)) == len(table)
+        assert len(np.unique(table.orbits[:, 0])) == len(table)
 
     @pytest.mark.parametrize("m", [4, 8, 12, 16, 20])
     def test_table_equals_the_eager_class_list(self, m):
@@ -232,7 +233,7 @@ class TestEnumerateClasses:
     def test_table_rows_are_the_class_fields(self):
         table = enumerate_classes(12)
         assert [PatternClass(*row) for row in table.rows()] == list(table)
-        assert table.masks.tolist() == [cls.members[0] for cls in table]
+        assert table.orbits[:, 0].tolist() == [cls.members[0] for cls in table]
         for array in (table.orbits, table.symmetry, table.weights):
             assert not array.flags.writeable
 
@@ -267,18 +268,20 @@ class TestEnumerateClasses:
     @pytest.mark.parametrize("m", [4, 8, 12, 16])
     def test_symmetry_population_counts(self, m):
         tally = {"RE": 0, "ARE": 0, "ASY": 0}
-        for w in pattern_indices(m):
-            tally[classify(pattern_from_index(m, w))] += 1
+        for cls in enumerate_classes(m):
+            tally[cls.symmetry] += len(cls.members)
         assert tally["RE"] == math.comb(m // 2, m // 4)
         assert tally["ARE"] == 2 ** (m // 2)
         assert tally["ASY"] == math.comb(m, m // 2) - tally["RE"] - tally["ARE"]
 
     @pytest.mark.parametrize("m", [4, 8, 12, 16])
-    def test_classify_agrees_with_the_table_member_by_member(self, m):
-        # classify reads one mask, enumerate_classes a mask array: one rule
+    def test_symmetry_agrees_with_the_definition_member_by_member(self, m):
+        # the table codes a whole mask array at once; the definition reads one mask
         for cls in enumerate_classes(m):
             for w in cls.members:
-                assert classify(pattern_from_index(m, w)) == cls.symmetry
+                r = reflect_index(w, m)
+                want = "RE" if r == w else "ARE" if r == invert_index(w, m) else "ASY"
+                assert cls.symmetry == want
 
     def test_members_closed_under_symmetries(self):
         for cls in enumerate_classes(8):
