@@ -46,9 +46,9 @@ import numpy as np
 from scipy.special import erfc
 
 from .constellation import BitPattern, Constellation, Labeling, _derived, _readonly, pam_spacing
-from .demod import DEMODULATORS, ChannelParams, _column_matrix, _columns
+from .demod import DEMODULATORS, ChannelParams, _column_matrix, _columns, _subsets
 from .pattern_classes import labeling_coefficients, pattern_coefficients
-from .thresholds import ThresholdSet, _column_subsets, _crossings
+from .thresholds import ThresholdSet, _crossings
 
 
 def qfunc(x):
@@ -110,7 +110,13 @@ def pber_general(
     thresholds: ThresholdSet,
     params: ChannelParams,
 ) -> float:
-    """PBER of a sign demodulator with the boundaries and region bits given."""
+    """PBER of a sign demodulator with the boundaries and region bits given.
+
+    Raises:
+        TypeError: if ``pattern`` is not a :class:`BitPattern` or
+            ``thresholds`` is not a :class:`ThresholdSet`.
+        ValueError: if the pattern and the constellation differ in size.
+    """
     if not isinstance(pattern, BitPattern):
         raise TypeError(f"pattern must be a BitPattern, got {type(pattern)!r}")
     if not isinstance(thresholds, ThresholdSet):
@@ -177,8 +183,9 @@ def labeling_ber(
     rows = _derived(target, _int_rows)
     if demod == "bd":
         sums = []
-        for row, subsets in zip(rows, _derived(target, _column_subsets)):
-            betas, region_bits = _crossings(subsets, constellation, params)
+        subsets = _derived(target, _subsets)
+        for j, row in enumerate(rows):
+            betas, region_bits = _crossings(subsets[:, j : j + 1], constellation, params)
             g = _relevance(row[None], region_bits[None])
             sums += _gq_sums(g, _offsets(betas, constellation), params).tolist()
     else:

@@ -19,9 +19,10 @@ bit 1.  The two rules can disagree only on that measure-zero set.
 
 The demodulators act on a *target*: a :class:`Labeling`, or a
 :class:`BitPattern` as one column.  One sample loop, ``_llr_rows``, gives
-every L-value; its set-up (checks, the gather index ``_subsets``) runs
-once per :func:`exact_llr` or :func:`maxlog_llr` call.  The BD solver
-builds each column's gather index once per target.
+every L-value from one gather index per target, ``_subsets``, built on
+the target's first use and kept with it (``constellation._derived``).
+The L-value functions, the BD solver and the BD closed form all read
+that index; the solver takes column j as ``subsets[:, j : j + 1]``.
 
 The L-value kernels are point-major.  For a block of samples they hold
 one row of squared distances ``(y - x)**2`` per point ``x`` and gather,
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import BitPattern, Constellation, Labeling
+from .constellation import BitPattern, Constellation, Labeling, _derived, _readonly
 
 #: The demodulator names every entry point accepts.
 DEMODULATORS = ("sd", "abd", "bd")
@@ -219,11 +220,13 @@ def _exact_from_rows(rows, snr: float, out) -> None:
     out += corr[:, 1] - corr[:, 0]
 
 
-def _subsets(cols) -> np.ndarray:
-    """Gather index ``subsets[i, j, b]``: the i-th lowest point whose bit j is b."""
-    # Every column holds M/2 ones, so a stable sort splits it in two halves.
+def _subsets(target) -> np.ndarray:
+    """Read-only gather index ``subsets[i, j, b]``: the i-th lowest point whose bit j is b."""
+    cols = _columns(target)
+    # Every column holds M/2 ones, so a stable sort splits each column in two
+    # halves on its own: ``subsets[:, j : j + 1]`` is column j's index alone.
     halves = cols.T.argsort(axis=1, kind="stable").reshape(cols.shape[1], 2, -1)
-    return np.ascontiguousarray(halves.transpose(2, 0, 1))
+    return _readonly(np.ascontiguousarray(halves.transpose(2, 0, 1)))
 
 
 def _llr_rows(samples, subsets, points, snr: float, kernel) -> np.ndarray:
@@ -237,7 +240,8 @@ def _llr_rows(samples, subsets, points, snr: float, kernel) -> np.ndarray:
 
 
 def _per_bit(y, target, constellation, params, kernel) -> np.ndarray:
-    subsets = _subsets(_column_matrix(target, constellation))
+    _column_matrix(target, constellation)
+    subsets = _derived(target, _subsets)
     y_arr = _llr_observations(y, constellation)
     out = _llr_rows(y_arr.reshape(-1), subsets, constellation.points[:, None], params.snr, kernel)
     return out.reshape(out.shape[:1] + y_arr.shape).transpose(*range(1, y_arr.ndim + 1), 0)

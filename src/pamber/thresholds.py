@@ -33,14 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import BitPattern, Constellation, _derived, _readonly
-from .demod import (
-    ChannelParams,
-    _columns,
-    _exact_from_rows,
-    _llr_observations,
-    _llr_rows,
-    _subsets,
-)
+from .demod import ChannelParams, _exact_from_rows, _llr_observations, _llr_rows, _subsets
 
 # The scan is uniform across the points and geometric beyond them, its
 # step growing by _SCAN_GROWTH per sample out to the bound T.  Crossings
@@ -183,6 +176,7 @@ def bd_thresholds(
 
     Raises:
         TypeError: if ``pattern`` is not a :class:`BitPattern`.
+        ValueError: if the pattern and the constellation differ in size.
         ValueError: if T exceeds 10^6 point gaps (below about -54 dB for
             8-PAM), where rounding in the L-value makes spurious crossings.
     """
@@ -190,12 +184,7 @@ def bd_thresholds(
         raise TypeError(f"pattern must be a BitPattern, got {type(pattern)!r}")
     if pattern.size != constellation.size:
         raise ValueError("pattern and constellation sizes differ")
-    return ThresholdSet(*_crossings(_derived(pattern, _column_subsets)[0], constellation, params))
-
-
-def _column_subsets(target) -> tuple[np.ndarray, ...]:
-    """The gather index of each bit column of a checked target alone, built once per target."""
-    return tuple(_readonly(_subsets(col[:, None])) for col in _columns(target).T)
+    return ThresholdSet(*_crossings(_derived(pattern, _subsets), constellation, params))
 
 
 def _crossings(subsets, constellation: Constellation, params: ChannelParams):

@@ -13,7 +13,9 @@ with
   ``z < 0``.
 
 On top of Q, :func:`pam_ber` evaluates the weight form of the BER of
-unit-energy M-PAM, the reference for ``pamber.ber_from_coefficients``.
+unit-energy M-PAM, the reference for ``pamber.ber_from_coefficients``, and
+:func:`interval_pber` the interval form of a PBER at any boundaries and
+region bits, the reference for ``pamber.pber_general``.
 
 Intermediate results carry ``GUARD`` extra digits: the alternating series
 cancels about 3 digits at z = 3, and ``1 - erf`` about 5 more.
@@ -126,5 +128,53 @@ def pam_ber(coefficients, m_points: int, snr_db) -> Decimal:
         scale = d * (2 * Decimal(10) ** (Decimal(snr_db) / 10)).sqrt()
         total = sum(int(c) * q((2 * n - 1) * scale) for n, c in enumerate(coefficients, 1))
         value = total / m_points
+        ctx.prec = DIGITS
+        return +value
+
+
+def interval_pber(points, betas, region_bits, bits, snr_db) -> Decimal:
+    """``(1/M) * sum_{i,k} [p_i != b_k] * Pr{beta_k < y < beta_{k+1} | s_i}`` to ``DIGITS`` digits.
+
+    The interval form of the PBER of a sign demodulator, the reference for
+    ``pamber.pber_general`` that does not telescope over the boundaries:
+    ``bits`` holds the pattern bit p_i of each of the M ascending
+    ``points`` s_i; the K ascending ``betas`` cut the line into K+1
+    regions, from ``beta_0 = -inf`` to ``beta_{K+1} = +inf``, and region
+    k decides ``region_bits[k]``.  ``y - s_i`` is Gaussian with variance
+    ``1/(2*snr)``, ``snr = 10^(snr_db/10)`` in decimal.  Floats are read
+    exactly.  Each region probability is a difference of the two tails on
+    the side of the region away from s_i, or one minus both tails when
+    the region holds s_i, so no tail near 1 is subtracted.
+    """
+    if len(points) != len(bits) or len(region_bits) != len(betas) + 1:
+        raise ValueError("need one bit per point and one region bit more than boundaries")
+    with localcontext() as ctx:
+        ctx.prec = DIGITS + GUARD
+        scale = (2 * Decimal(10) ** (Decimal(snr_db) / 10)).sqrt()
+        cuts = [None] + [Decimal(b) for b in betas] + [None]  # None: an infinite end
+        tails = {}
+
+        def tail(x):  # Q(x), with Q(+inf) = 0; equally spaced points repeat arguments
+            if x is None:
+                return Decimal(0)
+            if x not in tails:
+                tails[x] = q(x)
+            return tails[x]
+
+        total = Decimal(0)
+        for s, p in zip(points, bits):
+            s = Decimal(s)
+            for k, b in enumerate(region_bits):
+                if int(b) == int(p):
+                    continue
+                lo = None if cuts[k] is None else (cuts[k] - s) * scale
+                hi = None if cuts[k + 1] is None else (cuts[k + 1] - s) * scale
+                if lo is not None and lo >= 0:
+                    total += tail(lo) - tail(hi)
+                elif hi is not None and hi <= 0:
+                    total += tail(-hi) - tail(None if lo is None else -lo)
+                else:
+                    total += 1 - tail(None if lo is None else -lo) - tail(hi)
+        value = total / len(points)
         ctx.prec = DIGITS
         return +value

@@ -11,12 +11,17 @@ from scipy.special import erfc as scipy_erfc
 import decimal_q
 from decimal_q import q
 from pamber import (
+    BitPattern,
     ChannelParams,
+    bd_thresholds,
     ber_from_coefficients,
     labeling_ber,
     labeling_coefficients,
     make_pam,
     named_labeling,
+    pattern_coefficients,
+    pattern_from_index,
+    pber_general,
     qfunc,
 )
 
@@ -103,3 +108,38 @@ def test_labeling_ber_of_brgc8_at_30_db_agrees_to_1e12():
     want = decimal_q.pam_ber(labeling_coefficients(lab), 8, 30) / lab.n_bits
     got = labeling_ber(lab, make_pam(8), ChannelParams.from_db(30.0))
     assert relative(got, want) <= 1e-12
+
+
+def test_interval_form_equals_the_weight_form_at_the_midpoints():
+    # unit-energy 8-PAM in decimal: points d*(2i-7), midpoints d*(2i-6)
+    with localcontext() as ctx:
+        ctx.prec = decimal_q.DIGITS + decimal_q.GUARD
+        d = (Decimal(3) / 63).sqrt()
+        points = [d * (2 * i - 7) for i in range(8)]
+        mids = [d * (2 * i - 6) for i in range(7)]
+    for index in (15, 60, 85, 102):
+        pattern = pattern_from_index(8, index)
+        for snr_db in (-5, 10, 40):
+            got = decimal_q.interval_pber(points, mids, pattern.bits, pattern.bits, snr_db)
+            want = decimal_q.pam_ber(pattern_coefficients(pattern), 8, snr_db)
+            assert abs(got - want) <= want * Decimal(10) ** -50, (index, snr_db)
+
+
+def test_bd_error_rates_agree_with_the_interval_form_at_the_library_crossings():
+    # pber_general and BD labeling_ber telescope over the boundaries; the
+    # reference sums region probabilities at the same float crossings
+    c, pattern, brgc = make_pam(8), pattern_from_index(8, 102), named_labeling("BRGC", 8)
+    points = c.points.tolist()
+    columns = [BitPattern(col) for col in brgc.matrix.T.tolist()]
+
+    def reference(pat, params, snr_db):
+        thr = bd_thresholds(pat, c, params)
+        return decimal_q.interval_pber(points, thr.betas.tolist(), thr.bits.tolist(), pat.bits,
+                                       snr_db)
+
+    for snr_db in (-5, 0, 5, 10, 15, 20):
+        params = ChannelParams.from_db(snr_db)
+        got = pber_general(pattern, c, bd_thresholds(pattern, c, params), params)
+        assert relative(got, reference(pattern, params, snr_db)) <= 1e-12, snr_db
+        want = sum(reference(col, params, snr_db) for col in columns) / len(columns)
+        assert relative(labeling_ber(brgc, c, params, "bd"), want) <= 1e-12, snr_db

@@ -18,7 +18,7 @@ from pamber import (
 )
 from pamber import labeling_space, pattern_classes
 from pamber.labeling_space import _bijective_sets, is_bijective_set, sample_labelings
-from pamber.pattern_classes import invert_index, pattern_indices
+from pamber.pattern_classes import invert_index, pattern_indices, pattern_weights
 
 
 def shift_by_shift_bijective(m_points, indices):
@@ -288,6 +288,58 @@ class TestAlphaInvariances:
             assert labeling_coefficients(cls.witness)[0] == cls.alpha[0]
         for lab in sample_labelings(8, 10, seed=23):
             assert labeling_coefficients(lab)[0] <= 2 * 3 * (8 - 1)
+
+
+def gray_paths(n_bits):
+    """Every Hamiltonian path of the n-cube from label 0: the Gray labelings, depth first."""
+    size, paths, path = 1 << n_bits, [], [0]
+
+    def extend(visited):
+        if len(path) == size:
+            paths.append(tuple(path))
+            return
+        for bit in range(n_bits):
+            label = path[-1] ^ (1 << bit)
+            if not visited >> label & 1:
+                path.append(label)
+                extend(visited | 1 << label)
+                path.pop()
+
+    extend(1)
+    return paths
+
+
+class TestGrayLabelings:
+    def test_brgc_is_the_unique_high_snr_optimum_among_gray_labelings(self):
+        # The leading weight is twice the bit transitions, so the labelings
+        # that are best at high SNR are Gray labelings; Agrell et al. (IEEE
+        # Trans. IT 50(12), 2004) show that BRGC is the best of them for PAM.
+        # XOR with a constant label inverts columns and keeps the weights, so
+        # the paths from label 0 cover every Gray labeling's weight vector.
+        for m, paths_from_zero in ((4, 2), (8, 18), (16, 5712)):
+            n_bits = m.bit_length() - 1
+            shifts = np.arange(n_bits - 1, -1, -1)  # big-endian: bit 1 is the top label bit
+            paths = gray_paths(n_bits)
+            assert len(paths) == paths_from_zero  # OEIS A091299
+            bits = (np.array(paths)[..., None] >> shifts) & 1
+            columns = bits.transpose(0, 2, 1).reshape(-1, m)  # every column of every path
+            vectors = pattern_weights(columns).reshape(len(paths), n_bits, m - 1).sum(axis=1)
+            for i in (0, len(paths) // 2, -1):  # the one pass against labeling by labeling
+                want = labeling_coefficients(Labeling(bits[i]))
+                np.testing.assert_array_equal(vectors[i], want)
+            assert set(vectors[:, 0].tolist()) == {2 * (m - 1)}
+            vectors = [tuple(v) for v in vectors.tolist()]
+            best, brgc = min(vectors), named_labeling("BRGC", m)
+            assert best == tuple(labeling_coefficients(brgc).tolist())
+            column_orders = {tuple((brgc.matrix[:, list(order)] @ (1 << shifts)).tolist())
+                             for order in itertools.permutations(range(n_bits))}
+            assert len(column_orders) == math.factorial(n_bits)
+            assert {p for p, v in zip(paths, vectors) if v == best} == column_orders
+            if m == 16:
+                assert len(set(vectors)) == 131
+            if m == 8:  # the Gray classes are the census classes of fewest transitions
+                census = {cls.alpha for cls in labeling_census(8) if cls.alpha[0] == 2 * (m - 1)}
+                assert set(vectors) == census
 
 
 class TestSampling:

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from pamber import (
+    BitPattern,
     ChannelParams,
     Constellation,
+    Labeling,
     SimConfig,
     abd_decide,
     bd_thresholds,
@@ -26,7 +28,7 @@ from pamber import (
     sd_decide,
     simulate,
 )
-from pamber.demod import _column_matrix
+from pamber.demod import _column_matrix, _subsets
 from pamber.montecarlo import _CHUNK
 
 
@@ -384,6 +386,30 @@ class TestParallelPoints:
                 assert simulate(target, c, config) == serial
         finally:
             sys.setswitchinterval(switch)
+
+    @pytest.mark.parametrize("demod_name", ["abd", "bd"])
+    @pytest.mark.parametrize("fresh", [lambda: Labeling(named_labeling("AG", 8).matrix),
+                                       lambda: BitPattern(pattern_from_index(8, 102).bits)],
+                             ids=["labeling", "pattern"])
+    def test_fresh_targets_build_one_gather_index_under_any_worker_count(
+            self, monkeypatch, fresh, demod_name):
+        # the points' first chunks may all build the target's gather index at once
+        c = make_pam(8)
+        config = SimConfig(trials=20_000, seed=7, snr_db_grid=self.GRID,
+                           demodulator=demod_name)
+        runs = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for count in (7, 2, 1):
+                target = fresh()
+                assert "_derived" not in vars(target)
+                self.workers(monkeypatch, count)
+                runs.append(simulate(target, c, config))
+                assert list(vars(target)["_derived"]) == [_subsets]
+        finally:
+            sys.setswitchinterval(switch)
+        assert runs[0] == runs[1] == runs[2]
 
     def test_results_follow_the_grid_when_the_first_point_finishes_last(self, monkeypatch):
         from pamber import montecarlo

@@ -237,6 +237,25 @@ class TestEnumerateClasses:
         for array in (table.orbits, table.symmetry, table.weights):
             assert not array.flags.writeable
 
+    def test_table_rows_cross_block_boundaries(self, monkeypatch):
+        from pamber import pattern_classes
+
+        def fields(cls):
+            return cls.members, cls.symmetry, cls.coefficients
+
+        # indexing builds each class from its own array rows, apart from rows()
+        block, table = pattern_classes._ROWS_BLOCK, enumerate_classes(20)
+        assert 2 * block < len(table) == 46_508 < 3 * block  # the last block is partial
+        rows = list(table.rows())
+        assert len(rows) == len(table)
+        for i in (0, block - 1, block, 2 * block - 1, 2 * block, len(table) - 1):
+            assert rows[i] == fields(table[i]), i
+        small = enumerate_classes(8)  # 23 classes, every one checked at several block sizes
+        want = [fields(small[i]) for i in range(len(small))]
+        for block in (1, 5, 23, 24):
+            monkeypatch.setattr(pattern_classes, "_ROWS_BLOCK", block)
+            assert list(small.rows()) == want, block
+
     def test_warns_when_two_classes_share_a_weight_vector(self, monkeypatch):
         from pamber import pattern_classes
 

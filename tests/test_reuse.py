@@ -2,10 +2,11 @@
 
 ``labeling_ber``, ``pber_general`` and ``bd_thresholds`` keep what does not
 depend on the SNR with the object it came from: a target's int64 bit rows,
-midpoint relevance matrix and per-column gather indices, a constellation's
-point-to-midpoint offsets and inner scan grid.  Every value must stay bit
-for bit that of a fresh evaluation of the same sums, whatever was
-evaluated before and whichever objects were freed in between.
+midpoint relevance matrix and gather index (one for all its columns, read
+by the BD solver a column at a time), a constellation's point-to-midpoint
+offsets and inner scan grid.  Every value must stay bit for bit that of a
+fresh evaluation of the same sums, whatever was evaluated before and
+whichever objects were freed in between.
 """
 
 import gc
@@ -62,7 +63,7 @@ def fresh_crossings(row, points, snr):
     """BD boundaries and region bits of one 0/1 column, with a fresh grid and gather index."""
     reach = math.log(points.size / 2) / (2 * snr * float(np.diff(points).min()))
     grid = fresh_scan_grid(points, reach)
-    subsets, column = demod._subsets(np.asarray(row)[:, None]), points[:, None]
+    subsets, column = demod._subsets(BitPattern(np.asarray(row).tolist())), points[:, None]
 
     def llr(y):
         return demod._llr_rows(y, subsets, column, snr, demod._exact_from_rows)[0]
