@@ -10,12 +10,20 @@ ziggurat); symbols are drawn equiprobably.
 Errors are tallied by transition, whatever the demodulator.  Each
 sample adds one to the count of its (sent point, decision) pair.  SD
 decides a point, by the nearest-point rule that ``sd_decide`` also uses;
-ABD and BD decide a label code, first bit highest, from the signs
-(``abd_decide``) of ``maxlog_llr`` or ``exact_llr``.  Per grid point, the
-errors of bit j are the sum of that tally weighted by whether bit j
-differs between the sent label and the decided one: the paper's sum over
-transitions, in exact integers.  The SNR grid of ABD and BD is checked in
-one pass, ``_check_grid``, before any noise is drawn.
+ABD decides a label code, first bit highest, from the signs
+(``abd_decide``) of ``maxlog_llr``.  BD decides the same code by region:
+each grid point solves the zero crossings of every column's exact
+L-value once, as BD ``labeling_ber`` does, and a sample takes the code of
+the region between the merged crossings that it falls in, counted as SD
+counts midpoints.  Within a guard of a crossing (``_GUARD_TOLS`` solver
+tolerances), and for every sample of a point whose SNR the solver refuses
+(below -54 dB on 8-PAM), the sign of ``exact_llr`` decides instead, so
+BD's codes are those of that sign wherever rounding does not hide the
+L-value.  Per grid point, the errors of bit j are the sum of the tally
+weighted by whether bit j differs between the sent label and the decided
+one: the paper's sum over transitions, in exact integers.  The SNR grid
+of ABD and BD is checked in one pass, ``_check_grid``, before any noise
+is drawn.
 
 Grid points run concurrently on a thread pool with one worker per CPU the
 process may run on (``os.sched_getaffinity``, else ``os.cpu_count``), and
@@ -34,6 +42,7 @@ grid order.
 from __future__ import annotations
 
 import contextvars
+import functools
 import math
 import os
 import threading
@@ -41,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import Constellation, _bit_rows, _is_integer
+from .constellation import Constellation, _bit_rows, _derived, _is_integer
 from .demod import (
     _EPS,
     DEMODULATORS,
@@ -49,10 +58,12 @@ from .demod import (
     _column_matrix,
     _llr_limit,
     _nearest,
+    _subsets,
     abd_decide,
     exact_llr,
     maxlog_llr,
 )
+from .thresholds import _RTOL, _XTOL, _crossings
 
 _CHUNK = 1 << 18
 # Noise reach, in standard deviations, that an L-value demodulator must
@@ -60,6 +71,15 @@ _CHUNK = 1 << 18
 # 1.5e-23, so no feasible run meets one, and a grid point that passes the
 # check up front cannot fail mid-run on the L-value bound.
 _NOISE_SIGMAS = 10.0
+# BD decides a sample by the sign of the exact L-value when it lies within
+# this many solver tolerances, _XTOL + _RTOL*|beta|, of a solved crossing
+# beta.  The crossing is within one tolerance of a sign change of the
+# L-value, but rounding flips that sign back and forth in a band around it,
+# wider where the L-value is flat: within 10 noise standard deviations, up
+# to 6.3e4 tolerances on 8-PAM at -54 dB (the solver's limit) and 2.5e4 on
+# NBC-32 at 9 dB.  The guard, 1e-4 near the points, sends about 4 samples
+# in 10^4 of BRGC-8 at 5 dB to the kernel.
+_GUARD_TOLS = 1e6
 
 
 @dataclass(frozen=True)
@@ -136,6 +156,63 @@ def _check_grid(constellation: Constellation, config: SimConfig) -> None:
             )
 
 
+def _sign_codes(llr, target, constellation: Constellation, params: ChannelParams,
+                y: np.ndarray) -> np.ndarray:
+    """Label codes of the samples ``y``, first bit highest, from the signs of ``llr``."""
+    codes = np.zeros(y.size, dtype=np.int64)
+    for row in llr(y, target, constellation, params).T:  # contiguous: the L-values are bit-major
+        codes <<= 1
+        codes |= abd_decide(row)
+    return codes
+
+
+def _bd_decider(target, constellation: Constellation, params: ChannelParams):
+    """The BD label codes of 1-D sample arrays, decided by region.
+
+    Each column's crossings are solved once, as BD ``labeling_ber`` solves
+    them.  Merged and sorted, they cut the line into regions, each with one
+    label code, first bit highest.  A sample is decided by the number of
+    crossings at or below it, counted in one pass per crossing as
+    ``_nearest`` counts midpoints.  A sample within the guard of a crossing
+    (``_GUARD_TOLS``), and every sample at an SNR the solver refuses, is
+    decided by the sign of ``exact_llr`` instead.
+    """
+    kernel = functools.partial(_sign_codes, exact_llr, target, constellation, params)
+    subsets = _derived(target, _subsets)
+    try:
+        cuts = [
+            _crossings(subsets[:, j : j + 1], constellation, params)
+            for j in range(subsets.shape[1])
+        ]
+    except ValueError:  # below the solver's reach
+        return kernel
+    edges = np.sort(np.concatenate([betas for betas, _ in cuts]))
+    # codes[k]: the code of the region above the k lowest crossings
+    codes = np.zeros(edges.size + 1, dtype=np.int64)
+    for betas, region_bits in cuts:
+        codes <<= 1
+        codes |= region_bits[np.searchsorted(betas, np.append(-np.inf, edges), side="right")]
+    guard = _GUARD_TOLS * (_XTOL + _RTOL * np.abs(edges))
+    bands = list(zip((edges - guard).tolist(), (edges + guard).tolist()))
+    count_type = np.min_scalar_type(edges.size)
+
+    def decide(y: np.ndarray) -> np.ndarray:
+        # past and reached count the crossings a sample lies beyond by more
+        # than the guard, and within it or beyond: equal outside every guard
+        past = np.zeros(y.shape, dtype=count_type)
+        reached = np.zeros(y.shape, dtype=count_type)
+        for low, high in bands:
+            past += y > high
+            reached += y >= low
+        out = codes[past]
+        near = np.flatnonzero(past != reached)
+        if near.size:
+            out[near] = kernel(y[near])
+        return out
+
+    return decide
+
+
 def simulate(
     target, constellation: Constellation, config: SimConfig
 ) -> list[BerEstimate]:
@@ -164,11 +241,16 @@ def simulate(
     decided = cols.T if sd else _bit_rows(np.arange(width), n_bits).T
     # flips[j, s, d]: whether bit j differs between the label of s and decision d
     flips = cols.T[:, :, None] != decided[:, None, :]
-    llr = exact_llr if config.demodulator == "bd" else maxlog_llr
     stop = threading.Event()  # set when a point fails or the caller is interrupted
 
     def point(snr_db: float, child: np.random.SeedSequence) -> BerEstimate | None:
         params = ChannelParams.from_db(snr_db)
+        if sd:
+            decide = functools.partial(_nearest, constellation=constellation)
+        elif config.demodulator == "abd":
+            decide = functools.partial(_sign_codes, maxlog_llr, target, constellation, params)
+        else:
+            decide = _bd_decider(target, constellation, params)
         rng = np.random.default_rng(child)
         tally = np.zeros(size * width, dtype=np.int64)  # (sent, decision) counts
         done = 0
@@ -180,13 +262,8 @@ def simulate(
             y = rng.standard_normal(n)  # y = points[sent] + noise_std * z, in place
             y *= params.noise_std
             y += constellation.points[sent]
-            if sd:  # sent becomes the transition index sent*width + decision
-                sent *= size
-                sent += _nearest(y, constellation)
-            else:  # one contiguous row per bit: the L-values are bit-major
-                for row in llr(y, target, constellation, params).T:
-                    sent <<= 1
-                    sent |= abd_decide(row)
+            sent *= width  # sent becomes the transition index sent*width + decision
+            sent += decide(y)
             tally += np.bincount(sent, minlength=size * width)
             done += n
         errors_per_bit = (flips * tally.reshape(size, width)).sum(axis=(1, 2))
@@ -204,6 +281,8 @@ def simulate(
         )
 
     def run(context: contextvars.Context, *args) -> BerEstimate | None:
+        if stop.is_set():  # a point that has not started does no work, not even a BD solve
+            return None
         try:
             return context.run(point, *args)
         except BaseException:

@@ -23,6 +23,7 @@ cancels about 3 digits at z = 3, and ``1 - erf`` about 5 more.
 
 from __future__ import annotations
 
+import functools
 from decimal import Decimal, getcontext, localcontext
 
 DIGITS = 60
@@ -31,9 +32,15 @@ SERIES_LIMIT = 3  # erf series below this z, continued fraction from it on
 
 
 def _pi() -> Decimal:
-    """pi to the current precision (the recipe of the ``decimal`` docs)."""
-    with localcontext() as ctx:
-        ctx.prec += 2
+    """pi to the current precision, computed once per precision and rounding."""
+    ctx = getcontext()
+    return _pi_at(ctx.prec, ctx.rounding)
+
+
+@functools.lru_cache(maxsize=None)
+def _pi_at(prec: int, rounding: str) -> Decimal:
+    """pi to ``prec`` digits under ``rounding`` (the recipe of the ``decimal`` docs)."""
+    with localcontext(prec=prec + 2, rounding=rounding):
         three = Decimal(3)
         lasts, t, s, n, na, d, da = 0, three, 3, 1, 0, 0, 24
         while s != lasts:
@@ -42,7 +49,8 @@ def _pi() -> Decimal:
             d, da = d + da, da + 32
             t = (t * n) / d
             s += t
-    return +s
+    with localcontext(prec=prec, rounding=rounding):
+        return +s
 
 
 def erf_series(z: Decimal) -> Decimal:

@@ -15,6 +15,7 @@ from pamber import (
     SimConfig,
     abd_decide,
     bd_thresholds,
+    enumerate_classes,
     exact_llr,
     labeling_ber,
     labeling_ber_pam,
@@ -28,8 +29,11 @@ from pamber import (
     sd_decide,
     simulate,
 )
+from pamber import montecarlo
+from pamber.constellation import _derived
 from pamber.demod import _column_matrix, _subsets
-from pamber.montecarlo import _CHUNK
+from pamber.montecarlo import _CHUNK, _bd_decider
+from pamber.thresholds import _crossings
 
 
 class TestSimConfig:
@@ -195,6 +199,82 @@ class TestTransitionTally:
             assert "np.float64" not in repr(est)
 
 
+def _kernel_codes(y, target, c, params):
+    """BD label codes, first bit highest, from the signs of ``exact_llr``."""
+    bits = abd_decide(exact_llr(y, target, c, params)).astype(np.int64)
+    return bits @ (1 << np.arange(bits.shape[1] - 1, -1, -1))
+
+
+# The 23 8-PAM class representatives and the named labelings at M = 4, 8, 16.
+REGION_SWEEP = [(cls.representative, make_pam(8)) for cls in enumerate_classes(8)] + [
+    (named_labeling(name, m), make_pam(m))
+    for m, names in ((4, ("BRGC", "NBC", "AG")), (8, ("BRGC", "NBC", "FBC", "BSGC", "AG")),
+                     (16, ("BRGC", "NBC")))
+    for name in names
+]
+REGION_SNRS_DB = np.arange(-50.0, 40.1, 2.5)
+
+
+class TestRegionDecisions:
+    """BD decides by the regions between the solved crossings, as the sign of
+    the exact L-value does, and by that sign itself where the two could differ."""
+
+    @staticmethod
+    def count_kernel_samples(monkeypatch):
+        seen = []
+        real = montecarlo.exact_llr
+
+        def kernel(y, target, c, params):
+            seen.append(len(y))
+            return real(y, target, c, params)
+
+        monkeypatch.setattr(montecarlo, "exact_llr", kernel)
+        return seen
+
+    def test_regions_decide_as_the_kernel_on_simulated_samples(self):
+        rng = np.random.default_rng(23)
+        for target, c in REGION_SWEEP:
+            for snr_db in REGION_SNRS_DB:
+                params = ChannelParams.from_db(snr_db)
+                sent = rng.integers(0, c.size, 1 << 12)
+                y = c.points[sent] + params.noise_std * rng.standard_normal(sent.size)
+                got = _bd_decider(target, c, params)(y)
+                assert np.array_equal(got, _kernel_codes(y, target, c, params)), (target, snr_db)
+
+    def test_samples_at_a_crossing_take_the_kernel(self, monkeypatch):
+        seen = self.count_kernel_samples(monkeypatch)
+        offsets = np.array([0.0, -1e-12, 1e-12, -1e-9, 1e-9])
+        for target, c in REGION_SWEEP:
+            subsets = _derived(target, _subsets)
+            for snr_db in REGION_SNRS_DB[::4]:  # every 10 dB
+                params = ChannelParams.from_db(snr_db)
+                try:
+                    betas = np.concatenate([
+                        _crossings(subsets[:, j : j + 1], c, params)[0]
+                        for j in range(subsets.shape[1])
+                    ])
+                except ValueError:  # below the solver's reach, as in the next test
+                    continue
+                y = (betas[:, None] + offsets).ravel()
+                seen.clear()
+                got = _bd_decider(target, c, params)(y)
+                assert sum(seen) == y.size  # every sample is inside the guard
+                assert np.array_equal(got, _kernel_codes(y, target, c, params)), (target, snr_db)
+
+    def test_below_the_solvers_reach_the_kernel_decides_the_whole_chunk(self, monkeypatch):
+        lab, c = named_labeling("BRGC", 8), make_pam(8)
+        params = ChannelParams.from_db(-60.0)
+        with pytest.raises(ValueError, match="too low"):
+            bd_thresholds(pattern_from_index(8, 15), c, params)
+        seen = self.count_kernel_samples(monkeypatch)
+        rng = np.random.default_rng(60)
+        sent = rng.integers(0, c.size, 1 << 12)
+        y = c.points[sent] + params.noise_std * rng.standard_normal(sent.size)
+        got = _bd_decider(lab, c, params)(y)
+        assert seen == [y.size]
+        assert np.array_equal(got, _kernel_codes(y, lab, c, params))
+
+
 class TestAccuracy:
     def test_bpsk_against_q_function(self):
         c = make_pam(2)
@@ -295,6 +375,7 @@ class TestExtremeSnr:
 
         monkeypatch.setattr(montecarlo, "maxlog_llr", no_work)
         monkeypatch.setattr(montecarlo, "exact_llr", no_work)
+        monkeypatch.setattr(montecarlo, "_crossings", no_work)
         lab, c = named_labeling("BRGC", 8), make_pam(8)
         for demod in ("abd", "bd"):
             config = SimConfig(trials=10_000, seed=0, snr_db_grid=(0.0, -300.0),
@@ -317,6 +398,7 @@ class TestExtremeSnr:
             raise AssertionError("a chunk was demodulated")
 
         monkeypatch.setattr(montecarlo, "exact_llr", no_work)
+        monkeypatch.setattr(montecarlo, "_crossings", no_work)
         config = SimConfig(trials=10_000, seed=0, snr_db_grid=(0.0, -250.0),
                            demodulator="bd")
         with pytest.raises(ValueError, match=r"snr_db=-250 is too low for the bd .* -147\.9 dB"):
@@ -336,6 +418,7 @@ class TestExtremeSnr:
             raise AssertionError("a chunk was demodulated")
 
         monkeypatch.setattr(montecarlo, "exact_llr", no_work)
+        monkeypatch.setattr(montecarlo, "_crossings", no_work)
         config = SimConfig(trials=10_000, seed=0, snr_db_grid=grid, demodulator="bd")
         with pytest.raises(ValueError, match=message):
             simulate(named_labeling("BRGC", 8), make_pam(8), config)
@@ -436,26 +519,28 @@ class TestParallelPoints:
 
     def test_an_error_in_one_point_reaches_the_caller_and_later_points_never_run(
             self, monkeypatch):
+        # the error comes from the second point's crossing solve, which runs
+        # once per column (three for BRGC-8) before the point's first chunk
         from pamber import montecarlo
 
-        real = montecarlo.exact_llr
+        real = montecarlo._crossings
         seen = []
-        error = RuntimeError("kernel failed")
-        failing_snr = ChannelParams.from_db(self.GRID[1]).snr
+        error = RuntimeError("solve failed")
+        first, failing = (ChannelParams.from_db(s).snr for s in self.GRID[:2])
 
-        def kernel(y, target, c, params):
+        def solve(subsets, c, params):
             seen.append(params.snr)
-            if params.snr == failing_snr:
+            if params.snr == failing:
                 raise error
-            return real(y, target, c, params)
+            return real(subsets, c, params)
 
-        monkeypatch.setattr(montecarlo, "exact_llr", kernel)
+        monkeypatch.setattr(montecarlo, "_crossings", solve)
         self.workers(monkeypatch, 1)
         config = SimConfig(trials=20_000, seed=4, snr_db_grid=self.GRID, demodulator="bd")
         with pytest.raises(RuntimeError) as caught:
             simulate(named_labeling("BRGC", 8), make_pam(8), config)
         assert caught.value is error
-        assert seen == [ChannelParams.from_db(s).snr for s in self.GRID[:2]]
+        assert seen == [first] * 3 + [failing]
 
     def test_the_first_failed_point_in_grid_order_raises(self, monkeypatch):
         from pamber import montecarlo
