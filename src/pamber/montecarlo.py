@@ -9,21 +9,22 @@ ziggurat); symbols are drawn equiprobably.
 
 Errors are tallied by transition, whatever the demodulator.  Each
 sample adds one to the count of its (sent point, decision) pair.  SD
-decides a point, by the nearest-point rule that ``sd_decide`` also uses;
-ABD decides a label code, first bit highest, from the signs
-(``abd_decide``) of ``maxlog_llr``.  BD decides the same code by region:
-each grid point solves the zero crossings of every column's exact
-L-value once, as BD ``labeling_ber`` does, and a sample takes the code of
-the region between the merged crossings that it falls in, counted as SD
-counts midpoints.  Within a guard of a crossing (``_GUARD_TOLS`` solver
-tolerances), and for every sample of a point whose SNR the solver refuses
-(below -54 dB on 8-PAM), the sign of ``exact_llr`` decides instead, so
-BD's codes are those of that sign wherever rounding does not hide the
-L-value.  Per grid point, the errors of bit j are the sum of the tally
-weighted by whether bit j differs between the sent label and the decided
-one: the paper's sum over transitions, in exact integers.  The SNR grid
-of ABD and BD is checked in one pass, ``_check_grid``, before any noise
-is drawn.
+decides a point, by the nearest-point rule that ``sd_decide`` also uses.
+ABD and BD decide a label code, first bit highest, by region: a sample
+takes the code of the region between edges that it falls in, counted as
+SD counts midpoints.  ABD's edges are the midpoints, where the max-log
+L-value changes sign, so its code is the nearest point's label; BD's are
+the zero crossings of every column's exact L-value, solved once per grid
+point as BD ``labeling_ber`` solves them.  Within a guard of an edge
+(``_GUARD_TOLS`` solver tolerances), and for every sample of a BD point
+whose SNR the solver refuses (below -54 dB on 8-PAM), the signs
+(``abd_decide``) of ``maxlog_llr`` or ``exact_llr`` decide instead, so the
+codes are those of the signs wherever rounding does not hide the L-value.
+Per grid point, the errors of bit j are the sum of the tally weighted by
+whether bit j differs between the sent label and the decided one: the
+paper's sum over transitions, in exact integers.  The SNR grid of BD is
+checked in one pass, ``_check_grid``, before any noise is drawn; ABD's
+kernel sees only samples near a midpoint, so ABD runs at any SNR.
 
 Grid points run concurrently on a thread pool with one worker per CPU the
 process may run on (``os.sched_getaffinity``, else ``os.cpu_count``), and
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import Constellation, _bit_rows, _derived, _is_integer
+from .constellation import Constellation, _bit_rows, _derived, _is_integer, _pack_rows
 from .demod import (
     _EPS,
     DEMODULATORS,
@@ -66,19 +67,20 @@ from .demod import (
 from .thresholds import _RTOL, _XTOL, _crossings
 
 _CHUNK = 1 << 18
-# Noise reach, in standard deviations, that an L-value demodulator must
+# Noise reach, in standard deviations, that the bd demodulator must
 # tolerate at every grid point.  A sample beyond 10 sigma has probability
 # 1.5e-23, so no feasible run meets one, and a grid point that passes the
 # check up front cannot fail mid-run on the L-value bound.
 _NOISE_SIGMAS = 10.0
-# BD decides a sample by the sign of the exact L-value when it lies within
-# this many solver tolerances, _XTOL + _RTOL*|beta|, of a solved crossing
-# beta.  The crossing is within one tolerance of a sign change of the
-# L-value, but rounding flips that sign back and forth in a band around it,
-# wider where the L-value is flat: within 10 noise standard deviations, up
-# to 6.3e4 tolerances on 8-PAM at -54 dB (the solver's limit) and 2.5e4 on
-# NBC-32 at 9 dB.  The guard, 1e-4 near the points, sends about 4 samples
-# in 10^4 of BRGC-8 at 5 dB to the kernel.
+# ABD and BD decide a sample by the signs of its L-values when it lies
+# within this many solver tolerances, _XTOL + _RTOL*|beta|, of an edge
+# beta: a midpoint (ABD) or a solved crossing (BD).  A crossing is within
+# one tolerance of a sign change of the L-value, but rounding flips that
+# sign back and forth in a band around it, wider where the L-value is flat:
+# within 10 noise standard deviations, up to 6.3e4 tolerances on 8-PAM at
+# -54 dB (the solver's limit) and 2.5e4 on NBC-32 at 9 dB.  The guard, 1e-4
+# near the points, sends about 4 samples in 10^4 of BRGC-8 at 5 dB to the
+# kernel.
 _GUARD_TOLS = 1e6
 
 
@@ -131,7 +133,7 @@ def _available_cpus() -> int:
 
 
 def _check_grid(constellation: Constellation, config: SimConfig) -> None:
-    """Reject the first grid point an L-value demodulator cannot handle."""
+    """Reject the first grid point the bd demodulator cannot handle."""
     limit = _llr_limit(constellation)
     peak = max(-constellation.points[0], constellation.points[-1])
     # The exact L-value adds log-domain corrections of about ln(M/2), each
@@ -147,7 +149,7 @@ def _check_grid(constellation: Constellation, config: SimConfig) -> None:
                 f"{_NOISE_SIGMAS:g} noise standard deviations is {reach:g}, past the "
                 f"L-value bound dmin/(8*eps) = {limit:g}; the sd demodulator has no such bound"
             )
-        if config.demodulator == "bd" and params.snr < floor:
+        if params.snr < floor:
             raise ValueError(
                 f"snr_db={snr_db:g} is too low for the bd demodulator: below "
                 f"{10 * math.log10(floor):.1f} dB the rounding of the exact L-value, "
@@ -166,38 +168,24 @@ def _sign_codes(llr, target, constellation: Constellation, params: ChannelParams
     return codes
 
 
-def _bd_decider(target, constellation: Constellation, params: ChannelParams):
-    """The BD label codes of 1-D sample arrays, decided by region.
+def _region_decider(edges: np.ndarray, codes: np.ndarray, llr, target,
+                    constellation: Constellation, params: ChannelParams):
+    """The label codes of 1-D sample arrays, decided by the regions between ``edges``.
 
-    Each column's crossings are solved once, as BD ``labeling_ber`` solves
-    them.  Merged and sorted, they cut the line into regions, each with one
-    label code, first bit highest.  A sample is decided by the number of
-    crossings at or below it, counted in one pass per crossing as
-    ``_nearest`` counts midpoints.  A sample within the guard of a crossing
-    (``_GUARD_TOLS``), and every sample at an SNR the solver refuses, is
-    decided by the sign of ``exact_llr`` instead.
+    ``edges`` are sorted, and ``codes[k]`` is the label code, first bit
+    highest, of the region above the k lowest edges.  A sample is decided
+    by the number of edges below it, counted in one pass per edge as
+    ``_nearest`` counts midpoints.  A sample within the guard of an edge
+    (``_GUARD_TOLS`` solver tolerances) is decided by the signs of ``llr``
+    instead.
     """
-    kernel = functools.partial(_sign_codes, exact_llr, target, constellation, params)
-    subsets = _derived(target, _subsets)
-    try:
-        cuts = [
-            _crossings(subsets[:, j : j + 1], constellation, params)
-            for j in range(subsets.shape[1])
-        ]
-    except ValueError:  # below the solver's reach
-        return kernel
-    edges = np.sort(np.concatenate([betas for betas, _ in cuts]))
-    # codes[k]: the code of the region above the k lowest crossings
-    codes = np.zeros(edges.size + 1, dtype=np.int64)
-    for betas, region_bits in cuts:
-        codes <<= 1
-        codes |= region_bits[np.searchsorted(betas, np.append(-np.inf, edges), side="right")]
+    kernel = functools.partial(_sign_codes, llr, target, constellation, params)
     guard = _GUARD_TOLS * (_XTOL + _RTOL * np.abs(edges))
     bands = list(zip((edges - guard).tolist(), (edges + guard).tolist()))
     count_type = np.min_scalar_type(edges.size)
 
     def decide(y: np.ndarray) -> np.ndarray:
-        # past and reached count the crossings a sample lies beyond by more
+        # past and reached count the edges a sample lies beyond by more
         # than the guard, and within it or beyond: equal outside every guard
         past = np.zeros(y.shape, dtype=count_type)
         reached = np.zeros(y.shape, dtype=count_type)
@@ -213,6 +201,30 @@ def _bd_decider(target, constellation: Constellation, params: ChannelParams):
     return decide
 
 
+def _bd_decider(target, constellation: Constellation, params: ChannelParams):
+    """The BD label codes of 1-D sample arrays, decided by the solved crossings.
+
+    Each column's crossings are solved once, as BD ``labeling_ber`` solves
+    them, and merged into the edges of a ``_region_decider``.  At an SNR
+    the solver refuses, the sign of ``exact_llr`` decides every sample.
+    """
+    subsets = _derived(target, _subsets)
+    try:
+        cuts = [
+            _crossings(subsets[:, j : j + 1], constellation, params)
+            for j in range(subsets.shape[1])
+        ]
+    except ValueError:  # below the solver's reach
+        return functools.partial(_sign_codes, exact_llr, target, constellation, params)
+    edges = np.sort(np.concatenate([betas for betas, _ in cuts]))
+    # codes[k]: the code of the region above the k lowest crossings
+    codes = np.zeros(edges.size + 1, dtype=np.int64)
+    for betas, region_bits in cuts:
+        codes <<= 1
+        codes |= region_bits[np.searchsorted(betas, np.append(-np.inf, edges), side="right")]
+    return _region_decider(edges, codes, exact_llr, target, constellation, params)
+
+
 def simulate(
     target, constellation: Constellation, config: SimConfig
 ) -> list[BerEstimate]:
@@ -222,19 +234,19 @@ def simulate(
     (target, constellation, config) inputs reproduce identical estimates.
 
     Raises:
-        ValueError: for "abd" or "bd", before any work, if at some grid
-            point ``max|x|`` plus 10 noise standard deviations exceeds the
-            L-value bound ``dmin/(8*eps)`` of :mod:`pamber.demod` (below
-            about -271 dB for unit-energy 8-PAM).  "sd" has no such bound.
-        ValueError: for "bd", before any work, if some grid point lies
+        ValueError: for "bd", before any work, if at some grid point
+            ``max|x|`` plus 10 noise standard deviations exceeds the L-value
+            bound ``dmin/(8*eps)`` of :mod:`pamber.demod` (below about
+            -271 dB for unit-energy 8-PAM), or if some grid point lies
             below ``snr = eps*ln(M/2)/dmin^2``, where the rounding of the
             exact L-value's log-domain corrections exceeds an inner bit's
             L-value and its sign becomes noise (-147.9 dB for unit-energy
             8-PAM).  The error names the first failing point in grid order.
+            "sd" and "abd" run at any SNR.
     """
     cols = _column_matrix(target, constellation)
     sd = config.demodulator == "sd"
-    if not sd:
+    if config.demodulator == "bd":
         _check_grid(constellation, config)
     size, n_bits = cols.shape
     width = size if sd else 1 << n_bits
@@ -248,7 +260,8 @@ def simulate(
         if sd:
             decide = functools.partial(_nearest, constellation=constellation)
         elif config.demodulator == "abd":
-            decide = functools.partial(_sign_codes, maxlog_llr, target, constellation, params)
+            decide = _region_decider(constellation.midpoints(), _pack_rows(cols), maxlog_llr,
+                                     target, constellation, params)
         else:
             decide = _bd_decider(target, constellation, params)
         rng = np.random.default_rng(child)

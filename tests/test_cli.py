@@ -244,7 +244,7 @@ class TestStabilityAndErrors:
 
     def test_simulate_at_unresolvable_snr_fails_with_the_snr(self, capsys):
         code = main(["simulate", "--M", "8", "--labeling", "brgc", "--snr=-300",
-                     "--demod", "abd", "--trials", "10000"])
+                     "--demod", "bd", "--trials", "10000"])
         assert code != 0
         assert "snr_db=-300 is too low" in capsys.readouterr().err
 

@@ -30,9 +30,9 @@ from pamber import (
     simulate,
 )
 from pamber import montecarlo
-from pamber.constellation import _derived
+from pamber.constellation import _derived, _pack_rows
 from pamber.demod import _column_matrix, _subsets
-from pamber.montecarlo import _CHUNK, _bd_decider
+from pamber.montecarlo import _CHUNK, _bd_decider, _region_decider
 from pamber.thresholds import _crossings
 
 
@@ -199,10 +199,16 @@ class TestTransitionTally:
             assert "np.float64" not in repr(est)
 
 
-def _kernel_codes(y, target, c, params):
-    """BD label codes, first bit highest, from the signs of ``exact_llr``."""
-    bits = abd_decide(exact_llr(y, target, c, params)).astype(np.int64)
+def _kernel_codes(llr, y, target, c, params):
+    """Label codes, first bit highest, from the signs of ``llr``."""
+    bits = abd_decide(llr(y, target, c, params)).astype(np.int64)
     return bits @ (1 << np.arange(bits.shape[1] - 1, -1, -1))
+
+
+def _abd_decider(target, c, params):
+    """ABD's region decider, as ``simulate`` builds it: midpoints and point labels."""
+    labels = _pack_rows(_column_matrix(target, c))
+    return _region_decider(c.midpoints(), labels, montecarlo.maxlog_llr, target, c, params)
 
 
 # The 23 8-PAM class representatives and the named labelings at M = 4, 8, 16.
@@ -213,33 +219,38 @@ REGION_SWEEP = [(cls.representative, make_pam(8)) for cls in enumerate_classes(8
     for name in names
 ]
 REGION_SNRS_DB = np.arange(-50.0, 40.1, 2.5)
+DECIDERS = {"abd": (_abd_decider, maxlog_llr), "bd": (_bd_decider, exact_llr)}
 
 
 class TestRegionDecisions:
-    """BD decides by the regions between the solved crossings, as the sign of
-    the exact L-value does, and by that sign itself where the two could differ."""
+    """ABD and BD decide by the regions between their edges, the midpoints and
+    the solved crossings, as the signs of their L-values do, and by those signs
+    themselves where the two could differ."""
 
     @staticmethod
-    def count_kernel_samples(monkeypatch):
+    def count_kernel_samples(monkeypatch, name="exact_llr"):
         seen = []
-        real = montecarlo.exact_llr
+        real = getattr(montecarlo, name)
 
         def kernel(y, target, c, params):
             seen.append(len(y))
             return real(y, target, c, params)
 
-        monkeypatch.setattr(montecarlo, "exact_llr", kernel)
+        monkeypatch.setattr(montecarlo, name, kernel)
         return seen
 
-    def test_regions_decide_as_the_kernel_on_simulated_samples(self):
+    @pytest.mark.parametrize("demod", ["abd", "bd"])
+    def test_regions_decide_as_the_kernel_on_simulated_samples(self, demod):
+        decider, llr = DECIDERS[demod]
         rng = np.random.default_rng(23)
         for target, c in REGION_SWEEP:
             for snr_db in REGION_SNRS_DB:
                 params = ChannelParams.from_db(snr_db)
                 sent = rng.integers(0, c.size, 1 << 12)
                 y = c.points[sent] + params.noise_std * rng.standard_normal(sent.size)
-                got = _bd_decider(target, c, params)(y)
-                assert np.array_equal(got, _kernel_codes(y, target, c, params)), (target, snr_db)
+                got = decider(target, c, params)(y)
+                assert np.array_equal(got, _kernel_codes(llr, y, target, c, params)), \
+                    (target, snr_db)
 
     def test_samples_at_a_crossing_take_the_kernel(self, monkeypatch):
         seen = self.count_kernel_samples(monkeypatch)
@@ -259,7 +270,39 @@ class TestRegionDecisions:
                 seen.clear()
                 got = _bd_decider(target, c, params)(y)
                 assert sum(seen) == y.size  # every sample is inside the guard
-                assert np.array_equal(got, _kernel_codes(y, target, c, params)), (target, snr_db)
+                assert np.array_equal(got, _kernel_codes(exact_llr, y, target, c, params)), \
+                    (target, snr_db)
+
+    def test_samples_at_a_midpoint_take_the_kernel(self, monkeypatch):
+        seen = self.count_kernel_samples(monkeypatch, "maxlog_llr")
+        for target, c in REGION_SWEEP:
+            mids = c.midpoints()
+            y = np.concatenate([
+                mids, np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf),
+                *(mids + offset for offset in (-1e-12, 1e-12, -1e-9, 1e-9)),
+                [0.0, -0.0],  # the middle midpoint of M-PAM is 0.0
+            ])
+            for snr_db in REGION_SNRS_DB:
+                params = ChannelParams.from_db(snr_db)
+                seen.clear()
+                got = _abd_decider(target, c, params)(y)
+                assert sum(seen) == y.size  # every sample is inside the guard
+                assert np.array_equal(got, _kernel_codes(maxlog_llr, y, target, c, params)), \
+                    (target, snr_db)
+
+    def test_abd_decides_far_samples_by_the_nearest_point_without_the_kernel(self,
+                                                                             monkeypatch):
+        # past the L-value bound, where maxlog_llr refuses the samples, the
+        # midpoint regions are still the max-log decision
+        seen = self.count_kernel_samples(monkeypatch, "maxlog_llr")
+        y = np.array([-3e15, -1e15, -1e15 + 0.5, 1e15 - 0.5, 1e15, 3e15])
+        for target, c in REGION_SWEEP:
+            labels = _pack_rows(_column_matrix(target, c))
+            got = _abd_decider(target, c, ChannelParams.from_db(-300.0))(y)
+            assert got.tolist() == [labels[0]] * 3 + [labels[-1]] * 3
+        assert seen == []
+        with pytest.raises(ValueError, match="too large"):
+            maxlog_llr(y, *REGION_SWEEP[0], ChannelParams.from_db(-300.0))
 
     def test_below_the_solvers_reach_the_kernel_decides_the_whole_chunk(self, monkeypatch):
         lab, c = named_labeling("BRGC", 8), make_pam(8)
@@ -272,7 +315,7 @@ class TestRegionDecisions:
         y = c.points[sent] + params.noise_std * rng.standard_normal(sent.size)
         got = _bd_decider(lab, c, params)(y)
         assert seen == [y.size]
-        assert np.array_equal(got, _kernel_codes(y, lab, c, params))
+        assert np.array_equal(got, _kernel_codes(exact_llr, y, lab, c, params))
 
 
 class TestAccuracy:
@@ -365,23 +408,28 @@ class TestDemodulatorAgreement:
 
 
 class TestExtremeSnr:
-    """L-value demodulators need the noise inside the L-value bound."""
+    """BD needs the noise inside the L-value bound; SD and ABD answer at any SNR."""
 
     def test_unresolvable_snr_is_rejected_before_any_work(self, monkeypatch):
-        from pamber import montecarlo
-
+        # BD's kernel may see every sample of a point, so BD rejects the
+        # point; ABD's sees only samples near a midpoint, so past the
+        # L-value bound ABD still answers, by the midpoints as SD does.
         def no_work(*args):
             raise AssertionError("a chunk was demodulated")
 
-        monkeypatch.setattr(montecarlo, "maxlog_llr", no_work)
+        lab, c = named_labeling("BRGC", 8), make_pam(8)
+        abd, sd = (
+            simulate(lab, c, SimConfig(trials=10_000, seed=0, snr_db_grid=(0.0, -300.0),
+                                       demodulator=demod))
+            for demod in ("abd", "sd")
+        )
+        assert [e.bit_errors for e in abd] == [e.bit_errors for e in sd]
         monkeypatch.setattr(montecarlo, "exact_llr", no_work)
         monkeypatch.setattr(montecarlo, "_crossings", no_work)
-        lab, c = named_labeling("BRGC", 8), make_pam(8)
-        for demod in ("abd", "bd"):
-            config = SimConfig(trials=10_000, seed=0, snr_db_grid=(0.0, -300.0),
-                               demodulator=demod)
-            with pytest.raises(ValueError, match="snr_db=-300 is too low"):
-                simulate(lab, c, config)
+        config = SimConfig(trials=10_000, seed=0, snr_db_grid=(0.0, -300.0),
+                           demodulator="bd")
+        with pytest.raises(ValueError, match="snr_db=-300 is too low"):
+            simulate(lab, c, config)
 
     @pytest.mark.parametrize("demod", ["sd", "abd"])
     def test_far_but_resolvable_snr_still_runs(self, demod):
@@ -446,9 +494,18 @@ class TestParallelPoints:
 
     @staticmethod
     def workers(monkeypatch, count):
-        from pamber import montecarlo
-
         monkeypatch.setattr(montecarlo, "_available_cpus", lambda: count)
+
+    @staticmethod
+    def hook_chunks(monkeypatch, hook):
+        """Decide every ABD and BD chunk ``y`` of a point by ``hook(params, y, decide)``."""
+        real = montecarlo._region_decider
+
+        def region_decider(edges, codes, llr, target, c, params):
+            decide = real(edges, codes, llr, target, c, params)
+            return lambda y: hook(params, y, decide)
+
+        monkeypatch.setattr(montecarlo, "_region_decider", region_decider)
 
     @pytest.mark.parametrize("demod", ["sd", "abd", "bd"])
     @pytest.mark.parametrize("target", [named_labeling("BRGC", 8), pattern_from_index(8, 102)],
@@ -480,6 +537,13 @@ class TestParallelPoints:
         c = make_pam(8)
         config = SimConfig(trials=20_000, seed=7, snr_db_grid=self.GRID,
                            demodulator=demod_name)
+        mid = c.midpoints()[0]
+
+        def on_a_midpoint(params, y, decide):
+            y[0] = mid  # every ABD chunk calls the kernel, which builds the index
+            return decide(y)
+
+        self.hook_chunks(monkeypatch, on_a_midpoint)
         runs = []
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -495,16 +559,13 @@ class TestParallelPoints:
         assert runs[0] == runs[1] == runs[2]
 
     def test_results_follow_the_grid_when_the_first_point_finishes_last(self, monkeypatch):
-        from pamber import montecarlo
-
-        real = montecarlo.maxlog_llr
         others_done = threading.Barrier(len(self.GRID), timeout=30)
         first_snr = ChannelParams.from_db(self.GRID[0]).snr
 
-        def kernel(y, target, c, params):
+        def chunk(params, y, decide):
             if params.snr == first_snr:
                 others_done.wait()  # the other points finish their only chunk first
-            result = real(y, target, c, params)
+            result = decide(y)
             if params.snr != first_snr:
                 others_done.wait()
             return result
@@ -514,15 +575,13 @@ class TestParallelPoints:
         self.workers(monkeypatch, 1)
         serial = simulate(lab, c, config)
         self.workers(monkeypatch, len(self.GRID))
-        monkeypatch.setattr(montecarlo, "maxlog_llr", kernel)
+        self.hook_chunks(monkeypatch, chunk)
         assert simulate(lab, c, config) == serial
 
     def test_an_error_in_one_point_reaches_the_caller_and_later_points_never_run(
             self, monkeypatch):
         # the error comes from the second point's crossing solve, which runs
         # once per column (three for BRGC-8) before the point's first chunk
-        from pamber import montecarlo
-
         real = montecarlo._crossings
         seen = []
         error = RuntimeError("solve failed")
@@ -543,41 +602,36 @@ class TestParallelPoints:
         assert seen == [first] * 3 + [failing]
 
     def test_the_first_failed_point_in_grid_order_raises(self, monkeypatch):
-        from pamber import montecarlo
-
         later_failed = threading.Event()
         first, later = (ChannelParams.from_db(s).snr for s in self.GRID[:2])
 
-        def kernel(y, target, c, params):
+        def chunk(params, y, decide):
             if params.snr == first:
                 assert later_failed.wait(timeout=30)
                 raise KeyError("first point")
             later_failed.set()
             raise KeyError("later point")
 
-        monkeypatch.setattr(montecarlo, "maxlog_llr", kernel)
+        self.hook_chunks(monkeypatch, chunk)
         self.workers(monkeypatch, len(self.GRID))
         config = SimConfig(trials=20_000, seed=4, snr_db_grid=self.GRID)
         with pytest.raises(KeyError, match="first point"):
             simulate(named_labeling("BRGC", 8), make_pam(8), config)
 
     def test_a_running_point_stops_at_its_next_chunk_after_a_failure(self, monkeypatch):
-        from pamber import montecarlo
-
-        real = montecarlo.maxlog_llr
         later_failed = threading.Event()
         first = ChannelParams.from_db(self.GRID[0]).snr
         first_calls = []
 
-        def kernel(y, target, c, params):
+        def chunk(params, y, decide):
             if params.snr != first:
                 later_failed.set()
                 raise KeyError("later point")
             first_calls.append(len(y))
             assert later_failed.wait(timeout=30)
-            return real(y, target, c, params)
+            return decide(y)
 
-        monkeypatch.setattr(montecarlo, "maxlog_llr", kernel)
+        self.hook_chunks(monkeypatch, chunk)
         self.workers(monkeypatch, 2)
         config = SimConfig(trials=4 * _CHUNK, seed=4, snr_db_grid=self.GRID[:2])
         with pytest.raises(KeyError, match="later point"):
@@ -587,16 +641,13 @@ class TestParallelPoints:
         assert 1 <= len(first_calls) <= 2
 
     def test_points_run_under_the_callers_errstate(self, monkeypatch):
-        from pamber import montecarlo
-
-        real = montecarlo.maxlog_llr
         modes = []
 
-        def kernel(y, target, c, params):
+        def chunk(params, y, decide):
             modes.append(np.geterr()["over"])
-            return real(y, target, c, params)
+            return decide(y)
 
-        monkeypatch.setattr(montecarlo, "maxlog_llr", kernel)
+        self.hook_chunks(monkeypatch, chunk)
         self.workers(monkeypatch, 2)
         config = SimConfig(trials=20_000, seed=4, snr_db_grid=self.GRID)
         with np.errstate(over="raise"):
