@@ -16,10 +16,10 @@ it lives in :mod:`pamber.verify` as an oracle, and the two agree to machine
 precision.  :mod:`pamber.thresholds` only finds the boundaries.
 
 One evaluator core, ``_gq_sums``, sums ``g*Q`` for a stack of relevance
-matrices against one set of boundaries in one array pass.
-:func:`pber_general` is its one-row case.  :func:`labeling_ber` hands it
-the m columns as rows: all at once against the midpoints, so that their
-tails are evaluated once per call, or each against its own BD crossings.
+matrices against one set of boundaries in one array pass.  :func:`pber_general`
+is its one-row case.  :func:`labeling_ber` hands it the m columns as rows:
+all at once against the midpoints, so that their tails are evaluated once
+per call, or each against its own BD crossings, all solved in one call.
 The bit matrix must be C-contiguous: numpy's summation order follows the
 memory layout, and only with C order does each row's sum add its ``M*K``
 terms in the order of the one-pattern sum, so that a labeling's BER is
@@ -46,7 +46,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .constellation import BitPattern, Constellation, Labeling, _derived, _readonly, pam_spacing
-from .demod import DEMODULATORS, ChannelParams, _column_matrix, _columns, _subsets
+from .demod import DEMODULATORS, ChannelParams, _column_matrix, _columns
 from .pattern_classes import labeling_coefficients, pattern_coefficients
 from .thresholds import ThresholdSet, _crossings
 
@@ -174,8 +174,8 @@ def labeling_ber(
     ``target`` is a :class:`Labeling`, or a :class:`BitPattern`, whose BER
     is its PBER.  ``demod`` selects the decision boundaries: ``"abd"`` (or
     ``"sd"``, which decides identically) uses midpoints; ``"bd"`` solves
-    the exact L-value crossings at this SNR for each column.  The columns
-    are rows of one bit matrix for ``_gq_sums`` (see the module docstring).
+    the exact L-value crossings of all columns at this SNR in one call.  The
+    columns are rows of one bit matrix for ``_gq_sums`` (see the module docstring).
     """
     _column_matrix(target, constellation)
     if demod not in DEMODULATORS:
@@ -183,9 +183,7 @@ def labeling_ber(
     rows = _derived(target, _int_rows)
     if demod == "bd":
         sums = []
-        subsets = _derived(target, _subsets)
-        for j, row in enumerate(rows):
-            betas, region_bits = _crossings(subsets[:, j : j + 1], constellation, params)
+        for row, (betas, region_bits) in zip(rows, _crossings(target, constellation, params)):
             g = _relevance(row[None], region_bits[None])
             sums += _gq_sums(g, _offsets(betas, constellation), params).tolist()
     else:

@@ -21,8 +21,8 @@ The demodulators act on a *target*: a :class:`Labeling`, or a
 :class:`BitPattern` as one column.  One sample loop, ``_llr_rows``, gives
 every L-value from one gather index per target, ``_subsets``, built on
 the target's first use and kept with it (``constellation._derived``).
-The L-value functions, the BD solver and the BD closed form all read
-that index; the solver takes column j as ``subsets[:, j : j + 1]``.
+The L-value functions and the BD solver read that index; the solver
+scans every column of a target at once, then refines column by column.
 
 The L-value kernels are point-major.  For a block of samples they hold
 one row of squared distances ``(y - x)**2`` per point ``x`` and gather,

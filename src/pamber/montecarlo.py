@@ -14,17 +14,17 @@ ABD and BD decide a label code, first bit highest, by region: a sample
 takes the code of the region between edges that it falls in, counted as
 SD counts midpoints.  ABD's edges are the midpoints, where the max-log
 L-value changes sign, so its code is the nearest point's label; BD's are
-the zero crossings of every column's exact L-value, solved once per grid
-point as BD ``labeling_ber`` solves them.  Within a guard of an edge
+the zero crossings of every column's exact L-value, solved in one call
+per grid point as BD ``labeling_ber`` solves them.  Within a guard of an edge
 (``_GUARD_TOLS`` solver tolerances), and for every sample of a BD point
 whose SNR the solver refuses (below -54 dB on 8-PAM), the signs
 (``abd_decide``) of ``maxlog_llr`` or ``exact_llr`` decide instead, so the
 codes are those of the signs wherever rounding does not hide the L-value.
 Per grid point, the errors of bit j are the sum of the tally weighted by
 whether bit j differs between the sent label and the decided one: the
-paper's sum over transitions, in exact integers.  The SNR grid of BD is
-checked in one pass, ``_check_grid``, before any noise is drawn; ABD's
-kernel sees only samples near a midpoint, so ABD runs at any SNR.
+paper's sum over transitions, in exact integers.  Before any noise is
+drawn, ``_check_grid`` checks the BD points the solver refuses; at the
+others the kernel sees only samples near an edge, as at every ABD point.
 
 Grid points run concurrently on a thread pool with one worker per CPU the
 process may run on (``os.sched_getaffinity``, else ``os.cpu_count``), and
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import Constellation, _bit_rows, _derived, _is_integer, _pack_rows
+from .constellation import Constellation, _bit_rows, _is_integer, _pack_rows
 from .demod import (
     _EPS,
     DEMODULATORS,
@@ -59,12 +59,11 @@ from .demod import (
     _column_matrix,
     _llr_limit,
     _nearest,
-    _subsets,
     abd_decide,
     exact_llr,
     maxlog_llr,
 )
-from .thresholds import _RTOL, _XTOL, _crossings
+from .thresholds import _RTOL, _XTOL, _crossings, _past_reach
 
 _CHUNK = 1 << 18
 # Noise reach, in standard deviations, that the bd demodulator must
@@ -133,7 +132,7 @@ def _available_cpus() -> int:
 
 
 def _check_grid(constellation: Constellation, config: SimConfig) -> None:
-    """Reject the first grid point the bd demodulator cannot handle."""
+    """Reject the first grid point, past the solver's reach, that bd cannot handle."""
     limit = _llr_limit(constellation)
     peak = max(-constellation.points[0], constellation.points[-1])
     # The exact L-value adds log-domain corrections of about ln(M/2), each
@@ -142,12 +141,15 @@ def _check_grid(constellation: Constellation, config: SimConfig) -> None:
     floor = _EPS * math.log(constellation.size / 2) / constellation.dmin**2
     for snr_db in config.snr_db_grid:
         params = ChannelParams.from_db(snr_db)
+        if not _past_reach(constellation, params):
+            continue
         reach = peak + _NOISE_SIGMAS * params.noise_std
         if reach > limit:
             raise ValueError(
                 f"snr_db={snr_db:g} is too low for L-value demodulation: max|x| plus "
                 f"{_NOISE_SIGMAS:g} noise standard deviations is {reach:g}, past the "
-                f"L-value bound dmin/(8*eps) = {limit:g}; the sd demodulator has no such bound"
+                f"L-value bound dmin/(8*eps) = {limit:g}; "
+                f"the sd and abd demodulators have no such bound"
             )
         if params.snr < floor:
             raise ValueError(
@@ -168,18 +170,15 @@ def _sign_codes(llr, target, constellation: Constellation, params: ChannelParams
     return codes
 
 
-def _region_decider(edges: np.ndarray, codes: np.ndarray, llr, target,
-                    constellation: Constellation, params: ChannelParams):
+def _region_decider(edges: np.ndarray, codes: np.ndarray, kernel):
     """The label codes of 1-D sample arrays, decided by the regions between ``edges``.
 
     ``edges`` are sorted, and ``codes[k]`` is the label code, first bit
     highest, of the region above the k lowest edges.  A sample is decided
     by the number of edges below it, counted in one pass per edge as
-    ``_nearest`` counts midpoints.  A sample within the guard of an edge
-    (``_GUARD_TOLS`` solver tolerances) is decided by the signs of ``llr``
-    instead.
+    ``_nearest`` counts midpoints.  The samples within the guard of an edge
+    (``_GUARD_TOLS`` solver tolerances) are decided by ``kernel`` instead.
     """
-    kernel = functools.partial(_sign_codes, llr, target, constellation, params)
     guard = _GUARD_TOLS * (_XTOL + _RTOL * np.abs(edges))
     bands = list(zip((edges - guard).tolist(), (edges + guard).tolist()))
     count_type = np.min_scalar_type(edges.size)
@@ -204,25 +203,21 @@ def _region_decider(edges: np.ndarray, codes: np.ndarray, llr, target,
 def _bd_decider(target, constellation: Constellation, params: ChannelParams):
     """The BD label codes of 1-D sample arrays, decided by the solved crossings.
 
-    Each column's crossings are solved once, as BD ``labeling_ber`` solves
-    them, and merged into the edges of a ``_region_decider``.  At an SNR
-    the solver refuses, the sign of ``exact_llr`` decides every sample.
+    The crossings of every column are solved once, as BD ``labeling_ber``
+    solves them, and merged into the edges of a ``_region_decider``.  At an
+    SNR past the solver's reach, the sign of ``exact_llr`` decides every sample.
     """
-    subsets = _derived(target, _subsets)
-    try:
-        cuts = [
-            _crossings(subsets[:, j : j + 1], constellation, params)
-            for j in range(subsets.shape[1])
-        ]
-    except ValueError:  # below the solver's reach
-        return functools.partial(_sign_codes, exact_llr, target, constellation, params)
+    kernel = functools.partial(_sign_codes, exact_llr, target, constellation, params)
+    if _past_reach(constellation, params):
+        return kernel
+    cuts = _crossings(target, constellation, params)
     edges = np.sort(np.concatenate([betas for betas, _ in cuts]))
     # codes[k]: the code of the region above the k lowest crossings
     codes = np.zeros(edges.size + 1, dtype=np.int64)
     for betas, region_bits in cuts:
         codes <<= 1
         codes |= region_bits[np.searchsorted(betas, np.append(-np.inf, edges), side="right")]
-    return _region_decider(edges, codes, exact_llr, target, constellation, params)
+    return _region_decider(edges, codes, kernel)
 
 
 def simulate(
@@ -234,15 +229,15 @@ def simulate(
     (target, constellation, config) inputs reproduce identical estimates.
 
     Raises:
-        ValueError: for "bd", before any work, if at some grid point
-            ``max|x|`` plus 10 noise standard deviations exceeds the L-value
-            bound ``dmin/(8*eps)`` of :mod:`pamber.demod` (below about
-            -271 dB for unit-energy 8-PAM), or if some grid point lies
+        ValueError: for "bd", before any work, if at some grid point past
+            the solver's reach ``max|x|`` plus 10 noise standard deviations
+            exceeds the L-value bound ``dmin/(8*eps)`` of :mod:`pamber.demod`
+            (below about -271 dB for unit-energy 8-PAM), or the point lies
             below ``snr = eps*ln(M/2)/dmin^2``, where the rounding of the
             exact L-value's log-domain corrections exceeds an inner bit's
             L-value and its sign becomes noise (-147.9 dB for unit-energy
             8-PAM).  The error names the first failing point in grid order.
-            "sd" and "abd" run at any SNR.
+            "sd", "abd" and "bd" on 2-PAM run at any SNR.
     """
     cols = _column_matrix(target, constellation)
     sd = config.demodulator == "sd"
@@ -260,8 +255,8 @@ def simulate(
         if sd:
             decide = functools.partial(_nearest, constellation=constellation)
         elif config.demodulator == "abd":
-            decide = _region_decider(constellation.midpoints(), _pack_rows(cols), maxlog_llr,
-                                     target, constellation, params)
+            kernel = functools.partial(_sign_codes, maxlog_llr, target, constellation, params)
+            decide = _region_decider(constellation.midpoints(), _pack_rows(cols), kernel)
         else:
             decide = _bd_decider(target, constellation, params)
         rng = np.random.default_rng(child)

@@ -184,29 +184,38 @@ def bd_thresholds(
         raise TypeError(f"pattern must be a BitPattern, got {type(pattern)!r}")
     if pattern.size != constellation.size:
         raise ValueError("pattern and constellation sizes differ")
-    return ThresholdSet(*_crossings(_derived(pattern, _subsets), constellation, params))
+    return ThresholdSet(*_crossings(pattern, constellation, params)[0])
 
 
-def _crossings(subsets, constellation: Constellation, params: ChannelParams):
-    """The ``(betas, region_bits)`` of :func:`bd_thresholds` for one column's ``subsets``."""
-    reach = math.log(constellation.size / 2) / (2 * params.snr * constellation.dmin)
-    if reach > _MAX_REACH_GAPS * constellation.dmin:
+def _reach(constellation: Constellation, params: ChannelParams) -> float:
+    """The bound T of the module docstring."""
+    return math.log(constellation.size / 2) / (2 * params.snr * constellation.dmin)
+
+
+def _past_reach(constellation: Constellation, params: ChannelParams) -> bool:
+    """Whether the solver refuses ``params``: T beyond ``_MAX_REACH_GAPS`` point gaps."""
+    return _reach(constellation, params) > _MAX_REACH_GAPS * constellation.dmin
+
+
+def _crossings(target, constellation: Constellation, params: ChannelParams):
+    """Each column's ``(betas, region_bits)`` of :func:`bd_thresholds`, from one scan of all."""
+    reach = _reach(constellation, params)
+    if _past_reach(constellation, params):
         raise ValueError(
             f"snr={params.snr:g} is too low: the exact L-value cannot be "
             f"resolved out to its bound T={reach:g}"
         )
     grid = _scan_grid(constellation, reach)
     _llr_observations(grid[[0, -1]], constellation)  # sorted: its largest |y| is at an end
-    column = constellation.points[:, None]
-
-    def llr(y):
-        return _llr_rows(y, subsets, column, params.snr, _exact_from_rows)[0]
-
-    values = llr(grid)
-    # The ends are nonzero, so dropping exact zeros keeps every sign change.
-    nonzero = values != 0
-    grid, values = grid[nonzero], values[nonzero]
-    hits = np.nonzero((values[:-1] < 0) != (values[1:] < 0))[0]
-    roots = _illinois(llr, grid[hits], grid[hits + 1], values[hits], values[hits + 1], _XTOL)
-    first = int(values[0] > 0)
-    return roots, (first + np.arange(roots.size + 1)) % 2
+    subsets, column = _derived(target, _subsets), constellation.points[:, None]
+    cuts = []
+    for j, values in enumerate(_llr_rows(grid, subsets, column, params.snr, _exact_from_rows)):
+        def llr(y, one=subsets[:, j : j + 1]):
+            return _llr_rows(y, one, column, params.snr, _exact_from_rows)[0]
+        # The ends are nonzero, so dropping exact zeros keeps every sign change.
+        nonzero = values != 0
+        ys, values = grid[nonzero], values[nonzero]
+        hits = np.nonzero((values[:-1] < 0) != (values[1:] < 0))[0]
+        roots = _illinois(llr, ys[hits], ys[hits + 1], values[hits], values[hits + 1], _XTOL)
+        cuts.append((roots, (int(values[0] > 0) + np.arange(roots.size + 1)) % 2))
+    return cuts

@@ -248,6 +248,16 @@ class TestStabilityAndErrors:
         assert code != 0
         assert "snr_db=-300 is too low" in capsys.readouterr().err
 
+    def test_2pam_bd_commands_all_answer_at_minus_300_db(self, capsys):
+        # 2-PAM's BD crossing is solved at every SNR, so simulate answers
+        # where ber and thresholds do
+        for command, *extra in (["ber", "--demod", "bd"], ["thresholds"],
+                                ["simulate", "--demod", "bd", "--trials", "10000"]):
+            code, lines = run_cli(capsys, command, "--M", "2", "--pattern", "1",
+                                  "--snr=-300", *extra)
+            assert code == 0, command
+            assert lines[-1].startswith("-300"), command
+
     @pytest.mark.parametrize("argv", [
         ["llr", "--M", "8", "--labeling", "brgc", "--snr", "4000", "--y", "0"],
         ["simulate", "--M", "8", "--labeling", "brgc", "--snr", "4000", "--demod", "sd"],

@@ -1,5 +1,6 @@
 """Seeded simulation tests against the closed forms."""
 
+import functools
 import math
 import sys
 import threading
@@ -30,10 +31,10 @@ from pamber import (
     simulate,
 )
 from pamber import montecarlo
-from pamber.constellation import _derived, _pack_rows
+from pamber.constellation import _pack_rows
 from pamber.demod import _column_matrix, _subsets
-from pamber.montecarlo import _CHUNK, _bd_decider, _region_decider
-from pamber.thresholds import _crossings
+from pamber.montecarlo import _CHUNK, _bd_decider, _region_decider, _sign_codes
+from pamber.thresholds import _crossings, _past_reach
 
 
 class TestSimConfig:
@@ -208,7 +209,8 @@ def _kernel_codes(llr, y, target, c, params):
 def _abd_decider(target, c, params):
     """ABD's region decider, as ``simulate`` builds it: midpoints and point labels."""
     labels = _pack_rows(_column_matrix(target, c))
-    return _region_decider(c.midpoints(), labels, montecarlo.maxlog_llr, target, c, params)
+    kernel = functools.partial(_sign_codes, montecarlo.maxlog_llr, target, c, params)
+    return _region_decider(c.midpoints(), labels, kernel)
 
 
 # The 23 8-PAM class representatives and the named labelings at M = 4, 8, 16.
@@ -220,6 +222,27 @@ REGION_SWEEP = [(cls.representative, make_pam(8)) for cls in enumerate_classes(8
 ]
 REGION_SNRS_DB = np.arange(-50.0, 40.1, 2.5)
 DECIDERS = {"abd": (_abd_decider, maxlog_llr), "bd": (_bd_decider, exact_llr)}
+
+
+def test_one_solve_per_target_gives_each_columns_bd_thresholds():
+    # -60 dB is past the solver's reach on 8-PAM, -50 dB on 16-PAM
+    for target, c in REGION_SWEEP:
+        patterns = [BitPattern(col.tolist()) for col in _column_matrix(target, c).T]
+        for snr_db in (-60.0, *REGION_SNRS_DB):
+            params = ChannelParams.from_db(snr_db)
+            if _past_reach(c, params):
+                with pytest.raises(ValueError) as solve:
+                    _crossings(target, c, params)
+                with pytest.raises(ValueError) as one:
+                    bd_thresholds(patterns[0], c, params)
+                assert str(solve.value) == str(one.value)
+                continue
+            cuts = _crossings(target, c, params)
+            assert len(cuts) == len(patterns)
+            for (betas, region_bits), pattern in zip(cuts, patterns):
+                want = bd_thresholds(pattern, c, params)
+                assert betas.tobytes() == want.betas.tobytes(), (target, snr_db)
+                assert region_bits.tolist() == want.bits.tolist(), (target, snr_db)
 
 
 class TestRegionDecisions:
@@ -256,16 +279,11 @@ class TestRegionDecisions:
         seen = self.count_kernel_samples(monkeypatch)
         offsets = np.array([0.0, -1e-12, 1e-12, -1e-9, 1e-9])
         for target, c in REGION_SWEEP:
-            subsets = _derived(target, _subsets)
             for snr_db in REGION_SNRS_DB[::4]:  # every 10 dB
                 params = ChannelParams.from_db(snr_db)
-                try:
-                    betas = np.concatenate([
-                        _crossings(subsets[:, j : j + 1], c, params)[0]
-                        for j in range(subsets.shape[1])
-                    ])
-                except ValueError:  # below the solver's reach, as in the next test
+                if _past_reach(c, params):  # no crossings: the kernel decides every sample
                     continue
+                betas = np.concatenate([cut for cut, _ in _crossings(target, c, params)])
                 y = (betas[:, None] + offsets).ravel()
                 seen.clear()
                 got = _bd_decider(target, c, params)(y)
@@ -471,6 +489,20 @@ class TestExtremeSnr:
         with pytest.raises(ValueError, match=message):
             simulate(named_labeling("BRGC", 8), make_pam(8), config)
 
+    def test_2pam_bd_has_no_reach_limit_and_answers_as_sd_at_any_snr(self):
+        # T = ln(M/2)/(2*snr*dmin) is 0 for two points: the solver refuses no
+        # SNR, and the kernel sees only samples near the crossing at 0
+        pat, c = pattern_from_index(2, 1), make_pam(2)
+        grid = (-300.0, -290.0, -280.0)
+        bd, sd = (
+            simulate(pat, c, SimConfig(trials=10_000, seed=0, snr_db_grid=grid,
+                                       demodulator=demod))
+            for demod in ("bd", "sd")
+        )
+        assert [e.bit_errors for e in bd] == [e.bit_errors for e in sd]
+        for est in bd:
+            assert abs(est.ber - 0.5) <= 5 * est.stderr
+
     def test_bd_above_its_rounding_floor_agrees_with_sd(self):
         lab, c = named_labeling("BRGC", 8), make_pam(8)
         bd, sd = (
@@ -501,8 +533,9 @@ class TestParallelPoints:
         """Decide every ABD and BD chunk ``y`` of a point by ``hook(params, y, decide)``."""
         real = montecarlo._region_decider
 
-        def region_decider(edges, codes, llr, target, c, params):
-            decide = real(edges, codes, llr, target, c, params)
+        def region_decider(edges, codes, kernel):
+            params = kernel.args[-1]  # the kernel is partial(_sign_codes, llr, target, c, params)
+            decide = real(edges, codes, kernel)
             return lambda y: hook(params, y, decide)
 
         monkeypatch.setattr(montecarlo, "_region_decider", region_decider)
@@ -581,17 +614,17 @@ class TestParallelPoints:
     def test_an_error_in_one_point_reaches_the_caller_and_later_points_never_run(
             self, monkeypatch):
         # the error comes from the second point's crossing solve, which runs
-        # once per column (three for BRGC-8) before the point's first chunk
+        # once per point, for every column at once, before the point's first chunk
         real = montecarlo._crossings
         seen = []
         error = RuntimeError("solve failed")
         first, failing = (ChannelParams.from_db(s).snr for s in self.GRID[:2])
 
-        def solve(subsets, c, params):
+        def solve(target, c, params):
             seen.append(params.snr)
             if params.snr == failing:
                 raise error
-            return real(subsets, c, params)
+            return real(target, c, params)
 
         monkeypatch.setattr(montecarlo, "_crossings", solve)
         self.workers(monkeypatch, 1)
@@ -599,7 +632,7 @@ class TestParallelPoints:
         with pytest.raises(RuntimeError) as caught:
             simulate(named_labeling("BRGC", 8), make_pam(8), config)
         assert caught.value is error
-        assert seen == [first] * 3 + [failing]
+        assert seen == [first, failing]
 
     def test_the_first_failed_point_in_grid_order_raises(self, monkeypatch):
         later_failed = threading.Event()
