@@ -7,24 +7,21 @@ grid points are simulated, and per-point streams never overlap.
 Gaussian samples come from ``Generator.standard_normal`` (PCG64 +
 ziggurat); symbols are drawn equiprobably.
 
-Errors are tallied by transition, whatever the demodulator.  Each
-sample adds one to the count of its (sent point, decision) pair.  SD
-decides a point, by the nearest-point rule that ``sd_decide`` also uses.
-ABD and BD decide a label code, first bit highest, by region: a sample
-takes the code of the region between edges that it falls in, counted as
-SD counts midpoints.  ABD's edges are the midpoints, where the max-log
-L-value changes sign, so its code is the nearest point's label; BD's are
-the zero crossings of every column's exact L-value, solved in one call
-per grid point as BD ``labeling_ber`` solves them.  Within a guard of an edge
-(``_GUARD_TOLS`` solver tolerances), and for every sample of a BD point
-whose SNR the solver refuses (below -54 dB on 8-PAM), the signs
-(``abd_decide``) of ``maxlog_llr`` or ``exact_llr`` decide instead, so the
-codes are those of the signs wherever rounding does not hide the L-value.
-Per grid point, the errors of bit j are the sum of the tally weighted by
-whether bit j differs between the sent label and the decided one: the
-paper's sum over transitions, in exact integers.  Before any noise is
-drawn, ``_check_grid`` checks the BD points the solver refuses; at the
-others the kernel sees only samples near an edge, as at every ABD point.
+Errors are tallied by transition, whatever the demodulator: each sample
+adds one to the count of its (sent point, decision) pair.  SD and ABD
+decide the nearest point, by the rule ``sd_decide`` uses; in one dimension
+the max-log L-value of every bit changes sign at the midpoints, so ABD's
+signs give the nearest point's label.  BD decides a label code, first bit
+highest, by region: a sample takes the code of the region between the zero
+crossings of every column's exact L-value that it falls in, counted as SD
+counts midpoints.  The crossings are solved once per grid point, as BD
+``labeling_ber`` solves them.  Within a guard of a crossing (``_GUARD_TOLS``
+solver tolerances), and for every sample of a point whose SNR the solver
+refuses (below -54 dB on 8-PAM), the signs (``abd_decide``) of
+``exact_llr`` decide instead; ``_check_grid`` checks such points before any
+noise is drawn.  Per grid point, the errors of bit j are the sum of the
+tally weighted by whether bit j differs between the sent label and the
+decided one: the paper's sum over transitions, in exact integers.
 
 Grid points run concurrently on a thread pool with one worker per CPU the
 process may run on (``os.sched_getaffinity``, else ``os.cpu_count``), and
@@ -51,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import Constellation, _bit_rows, _is_integer, _pack_rows
+from .constellation import Constellation, _bit_rows, _is_integer
 from .demod import (
     _EPS,
     DEMODULATORS,
@@ -61,7 +58,6 @@ from .demod import (
     _nearest,
     abd_decide,
     exact_llr,
-    maxlog_llr,
 )
 from .thresholds import _RTOL, _XTOL, _crossings, _past_reach
 
@@ -71,15 +67,14 @@ _CHUNK = 1 << 18
 # 1.5e-23, so no feasible run meets one, and a grid point that passes the
 # check up front cannot fail mid-run on the L-value bound.
 _NOISE_SIGMAS = 10.0
-# ABD and BD decide a sample by the signs of its L-values when it lies
-# within this many solver tolerances, _XTOL + _RTOL*|beta|, of an edge
-# beta: a midpoint (ABD) or a solved crossing (BD).  A crossing is within
-# one tolerance of a sign change of the L-value, but rounding flips that
-# sign back and forth in a band around it, wider where the L-value is flat:
-# within 10 noise standard deviations, up to 6.3e4 tolerances on 8-PAM at
-# -54 dB (the solver's limit) and 2.5e4 on NBC-32 at 9 dB.  The guard, 1e-4
-# near the points, sends about 4 samples in 10^4 of BRGC-8 at 5 dB to the
-# kernel.
+# BD decides a sample by the signs of its L-values when it lies within
+# this many solver tolerances, _XTOL + _RTOL*|beta|, of a solved crossing
+# beta.  A crossing is within one tolerance of a sign change of the L-value,
+# but rounding flips that sign back and forth in a band around it, wider
+# where the L-value is flat: within 10 noise standard deviations, up to
+# 6.3e4 tolerances on 8-PAM at -54 dB (the solver's limit) and 2.5e4 on
+# NBC-32 at 9 dB.  The guard, 1e-4 near the points, sends about 4 samples
+# in 10^4 of BRGC-8 at 5 dB to the kernel.
 _GUARD_TOLS = 1e6
 
 
@@ -160,25 +155,32 @@ def _check_grid(constellation: Constellation, config: SimConfig) -> None:
             )
 
 
-def _sign_codes(llr, target, constellation: Constellation, params: ChannelParams,
-                y: np.ndarray) -> np.ndarray:
-    """Label codes of the samples ``y``, first bit highest, from the signs of ``llr``."""
-    codes = np.zeros(y.size, dtype=np.int64)
-    for row in llr(y, target, constellation, params).T:  # contiguous: the L-values are bit-major
-        codes <<= 1
-        codes |= abd_decide(row)
-    return codes
+def _bd_decider(target, constellation: Constellation, params: ChannelParams):
+    """The BD label codes of 1-D sample arrays, decided by the solved crossings.
 
-
-def _region_decider(edges: np.ndarray, codes: np.ndarray, kernel):
-    """The label codes of 1-D sample arrays, decided by the regions between ``edges``.
-
-    ``edges`` are sorted, and ``codes[k]`` is the label code, first bit
-    highest, of the region above the k lowest edges.  A sample is decided
-    by the number of edges below it, counted in one pass per edge as
-    ``_nearest`` counts midpoints.  The samples within the guard of an edge
-    (``_GUARD_TOLS`` solver tolerances) are decided by ``kernel`` instead.
+    The crossings of every column are solved once, as BD ``labeling_ber``
+    solves them, and merged into sorted edges; ``codes[k]`` is the label
+    code, first bit highest, of the region above the k lowest edges.  A
+    sample is decided by the number of edges below it, counted in one pass
+    per edge as ``_nearest`` counts midpoints.  Within the guard of an edge
+    (``_GUARD_TOLS`` solver tolerances), and for every sample at an SNR past
+    the solver's reach, the signs of ``exact_llr`` decide instead.
     """
+
+    def kernel(y: np.ndarray) -> np.ndarray:
+        out = np.zeros(y.size, dtype=np.int64)
+        for row in exact_llr(y, target, constellation, params).T:  # contiguous: bit-major
+            out = out << 1 | abd_decide(row)
+        return out
+
+    if _past_reach(constellation, params):
+        return kernel
+    cuts = _crossings(target, constellation, params)
+    edges = np.sort(np.concatenate([betas for betas, _ in cuts]))
+    lows = np.append(-np.inf, edges)  # the lower end of every region
+    codes = np.zeros(lows.size, dtype=np.int64)
+    for betas, region_bits in cuts:
+        codes = codes << 1 | region_bits[np.searchsorted(betas, lows, side="right")]
     guard = _GUARD_TOLS * (_XTOL + _RTOL * np.abs(edges))
     bands = list(zip((edges - guard).tolist(), (edges + guard).tolist()))
     count_type = np.min_scalar_type(edges.size)
@@ -200,26 +202,6 @@ def _region_decider(edges: np.ndarray, codes: np.ndarray, kernel):
     return decide
 
 
-def _bd_decider(target, constellation: Constellation, params: ChannelParams):
-    """The BD label codes of 1-D sample arrays, decided by the solved crossings.
-
-    The crossings of every column are solved once, as BD ``labeling_ber``
-    solves them, and merged into the edges of a ``_region_decider``.  At an
-    SNR past the solver's reach, the sign of ``exact_llr`` decides every sample.
-    """
-    kernel = functools.partial(_sign_codes, exact_llr, target, constellation, params)
-    if _past_reach(constellation, params):
-        return kernel
-    cuts = _crossings(target, constellation, params)
-    edges = np.sort(np.concatenate([betas for betas, _ in cuts]))
-    # codes[k]: the code of the region above the k lowest crossings
-    codes = np.zeros(edges.size + 1, dtype=np.int64)
-    for betas, region_bits in cuts:
-        codes <<= 1
-        codes |= region_bits[np.searchsorted(betas, np.append(-np.inf, edges), side="right")]
-    return _region_decider(edges, codes, kernel)
-
-
 def simulate(
     target, constellation: Constellation, config: SimConfig
 ) -> list[BerEstimate]:
@@ -227,6 +209,10 @@ def simulate(
 
     Returns one estimate per grid point, in grid order.  Identical
     (target, constellation, config) inputs reproduce identical estimates.
+
+    "sd" and "abd" both decide by the nearest point, so their estimates are
+    identical.  A sample on a midpoint, or within a few ulp of one, goes to
+    the lower point, though rounding there can flip the sign of ``maxlog_llr``.
 
     Raises:
         ValueError: for "bd", before any work, if at some grid point past
@@ -240,25 +226,20 @@ def simulate(
             "sd", "abd" and "bd" on 2-PAM run at any SNR.
     """
     cols = _column_matrix(target, constellation)
-    sd = config.demodulator == "sd"
-    if config.demodulator == "bd":
+    bd = config.demodulator == "bd"
+    if bd:
         _check_grid(constellation, config)
     size, n_bits = cols.shape
-    width = size if sd else 1 << n_bits
-    decided = cols.T if sd else _bit_rows(np.arange(width), n_bits).T
+    width = 1 << n_bits if bd else size
+    decided = _bit_rows(np.arange(width), n_bits).T if bd else cols.T
     # flips[j, s, d]: whether bit j differs between the label of s and decision d
     flips = cols.T[:, :, None] != decided[:, None, :]
     stop = threading.Event()  # set when a point fails or the caller is interrupted
 
     def point(snr_db: float, child: np.random.SeedSequence) -> BerEstimate | None:
         params = ChannelParams.from_db(snr_db)
-        if sd:
-            decide = functools.partial(_nearest, constellation=constellation)
-        elif config.demodulator == "abd":
-            kernel = functools.partial(_sign_codes, maxlog_llr, target, constellation, params)
-            decide = _region_decider(constellation.midpoints(), _pack_rows(cols), kernel)
-        else:
-            decide = _bd_decider(target, constellation, params)
+        decide = (_bd_decider(target, constellation, params) if bd
+                  else functools.partial(_nearest, constellation=constellation))
         rng = np.random.default_rng(child)
         tally = np.zeros(size * width, dtype=np.int64)  # (sent, decision) counts
         done = 0

@@ -40,7 +40,9 @@ from .demod import ChannelParams, _exact_from_rows, _llr_observations, _llr_rows
 # outside the points drift out like 1/snr, and an inner pair that
 # survives low SNR sits about 1/sqrt(snr) out; a step proportional to the
 # distance resolves both, where a uniform 1024-sample scan of the same
-# interval misses such pairs on 8-PAM at -55 dB.
+# interval misses such pairs on 8-PAM at -55 dB.  Across the points the
+# scan takes at least 8 steps per gap: on M-PAM the uniform part alone
+# does so up to M = 64, and clustered points get 8 even steps per gap added.
 _SCAN_SAMPLES = 512
 _SCAN_GROWTH = 1.02
 # Illinois steps before the refinement falls back to halving; it needs at
@@ -94,17 +96,20 @@ class ThresholdSet:
         return int(self.betas.size)
 
 
-def _inner_grid(constellation: Constellation) -> np.ndarray:
-    """The uniform part of the scan, across the points: built once per constellation."""
+def _inner_grid(constellation: Constellation) -> tuple[np.ndarray, float]:
+    """The scan across the points and its uniform step: built once per constellation."""
     points = constellation.points
-    return _readonly(np.linspace(points[0], points[-1], _SCAN_SAMPLES))
+    grid = np.linspace(points[0], points[-1], _SCAN_SAMPLES)
+    step = float(grid[1] - grid[0])
+    if step > constellation.dmin / 8:
+        grid = np.union1d(grid, points[:-1, None] + np.diff(points)[:, None] * np.arange(8) / 8)
+    return _readonly(grid), step
 
 
 def _scan_grid(constellation: Constellation, reach: float) -> np.ndarray:
-    inner = _derived(constellation, _inner_grid)
+    inner, step = _derived(constellation, _inner_grid)
     if reach <= 0:
         return inner
-    step = inner[1] - inner[0]
     count = max(1, math.ceil(math.log(reach / step, _SCAN_GROWTH)) + 1)
     outer = np.minimum(step * _SCAN_GROWTH ** np.arange(count), reach)
     points = constellation.points
@@ -170,6 +175,10 @@ def bd_thresholds(
     refined together to within 1e-10.  Region bits alternate from ``p_0`` at
     the left.  The number of crossings is at most the number of bit
     transitions; fewer means that crossings have merged and vanished.
+
+    The scan steps at most an eighth of any gap between points, so it finds
+    every crossing with no other within one step; a near-tangent pair about
+    to merge can still be missed, and then its narrow region is lost.
 
     The scan grid is checked once against the L-value bound of
     :mod:`pamber.demod`; every refinement point lies between its ends.

@@ -278,7 +278,7 @@ def check_leading_weight_grouping() -> str:
 
 
 def check_bd_abd_closeness() -> str:
-    """Exact-boundary and midpoint BERs differ by at most 2% over 0-20 dB."""
+    """BD and ABD BERs differ by at most 2% over 0-20 dB; BD <= ABD on clustered points."""
     constellation = make_pam(8)
     grid_db = np.arange(0.0, 20.0 + 0.25, 0.5)
     targets = [pattern_from_index(8, w) for w in (15, 60, 102)]
@@ -303,7 +303,14 @@ def check_bd_abd_closeness() -> str:
         gap = np.abs(thr.betas - mids_here).max()
         drift = max(drift, float(gap))
     _require(drift <= 1e-4, f"high-SNR boundary drift {drift:.2e}")
-    return f"max relative gap {worst:.2%}, boundary drift {drift:.1e}"
+
+    # clustered points, where an even scan step alone misses two crossings
+    pts = np.array([-3.0, -2.0, -1.0, 0.0, 0.003, 0.006, 0.009, 3.0])
+    clustered, params = Constellation(pts / math.sqrt(np.mean(pts**2))), ChannelParams(1e6)
+    pattern = BitPattern((0, 1, 1, 0, 1, 0, 0, 1))
+    bd, abd = (analytic.labeling_ber(pattern, clustered, params, d) for d in ("bd", "abd"))
+    _require(bd <= abd + 1e-15, f"clustered 8 points at 60 dB: BD {bd:.6g} > ABD {abd:.6g}")
+    return f"max relative gap {worst:.2%}, boundary drift {drift:.1e}, clustered BD <= ABD"
 
 
 def check_montecarlo_consistency() -> str:

@@ -1,6 +1,6 @@
 """Seeded simulation tests against the closed forms."""
 
-import functools
+import bisect
 import math
 import sys
 import threading
@@ -31,9 +31,8 @@ from pamber import (
     simulate,
 )
 from pamber import montecarlo
-from pamber.constellation import _pack_rows
 from pamber.demod import _column_matrix, _subsets
-from pamber.montecarlo import _CHUNK, _bd_decider, _region_decider, _sign_codes
+from pamber.montecarlo import _CHUNK, _bd_decider
 from pamber.thresholds import _crossings, _past_reach
 
 
@@ -176,15 +175,19 @@ def _errors_per_sample(target, c, config):
     return per_point
 
 
+# A labeling and a pattern on 8-PAM, and a labeling on uneven points.
+TALLY_CASES = pytest.mark.parametrize("target, c", [
+    (named_labeling("BRGC", 8), make_pam(8)),
+    (pattern_from_index(8, 102), make_pam(8)),
+    (named_labeling("NBC", 4), Constellation([-1.9, -0.35, 0.1, 1.1])),
+], ids=["brgc8", "pattern102", "uneven4"])
+
+
 class TestTransitionTally:
     """The transition tally equals counting label bits sample by sample."""
 
     @pytest.mark.parametrize("demod", ["sd", "abd", "bd"])
-    @pytest.mark.parametrize("target, c", [
-        (named_labeling("BRGC", 8), make_pam(8)),
-        (pattern_from_index(8, 102), make_pam(8)),
-        (named_labeling("NBC", 4), Constellation([-1.9, -0.35, 0.1, 1.1])),
-    ], ids=["brgc8", "pattern102", "uneven4"])
+    @TALLY_CASES
     def test_matches_per_sample_oracle(self, target, c, demod):
         trials = (1 << 18) + 12_345
         config = SimConfig(trials=trials, seed=21, snr_db_grid=(0.0, 7.0),
@@ -206,13 +209,6 @@ def _kernel_codes(llr, y, target, c, params):
     return bits @ (1 << np.arange(bits.shape[1] - 1, -1, -1))
 
 
-def _abd_decider(target, c, params):
-    """ABD's region decider, as ``simulate`` builds it: midpoints and point labels."""
-    labels = _pack_rows(_column_matrix(target, c))
-    kernel = functools.partial(_sign_codes, montecarlo.maxlog_llr, target, c, params)
-    return _region_decider(c.midpoints(), labels, kernel)
-
-
 # The 23 8-PAM class representatives and the named labelings at M = 4, 8, 16.
 REGION_SWEEP = [(cls.representative, make_pam(8)) for cls in enumerate_classes(8)] + [
     (named_labeling(name, m), make_pam(m))
@@ -221,7 +217,6 @@ REGION_SWEEP = [(cls.representative, make_pam(8)) for cls in enumerate_classes(8
     for name in names
 ]
 REGION_SNRS_DB = np.arange(-50.0, 40.1, 2.5)
-DECIDERS = {"abd": (_abd_decider, maxlog_llr), "bd": (_bd_decider, exact_llr)}
 
 
 def test_one_solve_per_target_gives_each_columns_bd_thresholds():
@@ -246,33 +241,30 @@ def test_one_solve_per_target_gives_each_columns_bd_thresholds():
 
 
 class TestRegionDecisions:
-    """ABD and BD decide by the regions between their edges, the midpoints and
-    the solved crossings, as the signs of their L-values do, and by those signs
-    themselves where the two could differ."""
+    """BD decides by the regions between its solved crossings, as the signs of
+    its L-values do, and by those signs themselves where the two could differ."""
 
     @staticmethod
-    def count_kernel_samples(monkeypatch, name="exact_llr"):
+    def count_kernel_samples(monkeypatch):
         seen = []
-        real = getattr(montecarlo, name)
+        real = montecarlo.exact_llr
 
         def kernel(y, target, c, params):
             seen.append(len(y))
             return real(y, target, c, params)
 
-        monkeypatch.setattr(montecarlo, name, kernel)
+        monkeypatch.setattr(montecarlo, "exact_llr", kernel)
         return seen
 
-    @pytest.mark.parametrize("demod", ["abd", "bd"])
-    def test_regions_decide_as_the_kernel_on_simulated_samples(self, demod):
-        decider, llr = DECIDERS[demod]
+    def test_regions_decide_as_the_kernel_on_simulated_samples(self):
         rng = np.random.default_rng(23)
         for target, c in REGION_SWEEP:
             for snr_db in REGION_SNRS_DB:
                 params = ChannelParams.from_db(snr_db)
                 sent = rng.integers(0, c.size, 1 << 12)
                 y = c.points[sent] + params.noise_std * rng.standard_normal(sent.size)
-                got = decider(target, c, params)(y)
-                assert np.array_equal(got, _kernel_codes(llr, y, target, c, params)), \
+                got = _bd_decider(target, c, params)(y)
+                assert np.array_equal(got, _kernel_codes(exact_llr, y, target, c, params)), \
                     (target, snr_db)
 
     def test_samples_at_a_crossing_take_the_kernel(self, monkeypatch):
@@ -290,37 +282,6 @@ class TestRegionDecisions:
                 assert sum(seen) == y.size  # every sample is inside the guard
                 assert np.array_equal(got, _kernel_codes(exact_llr, y, target, c, params)), \
                     (target, snr_db)
-
-    def test_samples_at_a_midpoint_take_the_kernel(self, monkeypatch):
-        seen = self.count_kernel_samples(monkeypatch, "maxlog_llr")
-        for target, c in REGION_SWEEP:
-            mids = c.midpoints()
-            y = np.concatenate([
-                mids, np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf),
-                *(mids + offset for offset in (-1e-12, 1e-12, -1e-9, 1e-9)),
-                [0.0, -0.0],  # the middle midpoint of M-PAM is 0.0
-            ])
-            for snr_db in REGION_SNRS_DB:
-                params = ChannelParams.from_db(snr_db)
-                seen.clear()
-                got = _abd_decider(target, c, params)(y)
-                assert sum(seen) == y.size  # every sample is inside the guard
-                assert np.array_equal(got, _kernel_codes(maxlog_llr, y, target, c, params)), \
-                    (target, snr_db)
-
-    def test_abd_decides_far_samples_by_the_nearest_point_without_the_kernel(self,
-                                                                             monkeypatch):
-        # past the L-value bound, where maxlog_llr refuses the samples, the
-        # midpoint regions are still the max-log decision
-        seen = self.count_kernel_samples(monkeypatch, "maxlog_llr")
-        y = np.array([-3e15, -1e15, -1e15 + 0.5, 1e15 - 0.5, 1e15, 3e15])
-        for target, c in REGION_SWEEP:
-            labels = _pack_rows(_column_matrix(target, c))
-            got = _abd_decider(target, c, ChannelParams.from_db(-300.0))(y)
-            assert got.tolist() == [labels[0]] * 3 + [labels[-1]] * 3
-        assert seen == []
-        with pytest.raises(ValueError, match="too large"):
-            maxlog_llr(y, *REGION_SWEEP[0], ChannelParams.from_db(-300.0))
 
     def test_below_the_solvers_reach_the_kernel_decides_the_whole_chunk(self, monkeypatch):
         lab, c = named_labeling("BRGC", 8), make_pam(8)
@@ -381,6 +342,40 @@ class TestAccuracy:
         assert np.mean(est.per_bit) == pytest.approx(est.ber, rel=1e-12)
 
 
+def _draws_on_and_beside(mid: float, point: float, noise_std: float) -> list[float]:
+    """Seven normal draws that ``simulate`` turns, from ``point``, into the samples
+    it can reach nearest the midpoint ``mid``: three below, the first at or above
+    it (``mid`` itself wherever a draw reaches it) and the three above that."""
+    reached = {}  # sample -> draw; the sample grows with the draw
+    start = (mid - point) / noise_std
+    for direction in (-math.inf, math.inf):
+        z = start
+        for _ in range(256):
+            reached.setdefault(z * noise_std + point, z)  # rounded as simulate's *= and +=
+            z = math.nextafter(z, direction)
+    samples = sorted(reached)
+    first = bisect.bisect_left(samples, mid)
+    assert 3 <= first <= len(samples) - 4, (mid, point, noise_std)
+    return [reached[y] for y in samples[first - 3 : first + 4]]
+
+
+class _FirstDraws:
+    """A generator whose first draws of every chunk are ``sent`` and ``z``."""
+
+    def __init__(self, rng, sent, z):
+        self.rng, self.sent, self.z = rng, sent, z
+
+    def integers(self, low, high, size):
+        out = self.rng.integers(low, high, size)
+        out[: self.sent.size] = self.sent
+        return out
+
+    def standard_normal(self, size):
+        out = self.rng.standard_normal(size)
+        out[: self.z.size] = self.z
+        return out
+
+
 class TestDemodulatorAgreement:
     def test_sd_and_abd_identical_on_shared_noise(self):
         c = make_pam(8)
@@ -393,6 +388,42 @@ class TestDemodulatorAgreement:
         for a, b in zip(sd, abd):
             assert a.bit_errors == b.bit_errors
             assert a.per_bit == b.per_bit
+
+    @TALLY_CASES
+    def test_sd_and_abd_identical_with_samples_on_and_beside_the_midpoints(
+            self, monkeypatch, target, c):
+        # The first samples of every chunk are sent from the points below
+        # the midpoints and land on them and on their nearest neighbours,
+        # where rounding can flip the sign of the max-log L-value.  ABD takes
+        # SD's decision there: the lower point on a midpoint, else the nearest.
+        real_rng = np.random.default_rng
+        sent = np.repeat(np.arange(c.size - 1), 7)
+        for snr_db in (-300.0, 0.0, 7.0, 40.0):
+            noise_std = ChannelParams.from_db(snr_db).noise_std
+            z = np.array([draw for k, mid in enumerate(c.midpoints().tolist())
+                          for draw in _draws_on_and_beside(mid, c.points[k], noise_std)])
+
+            def default_rng(seed):
+                return _FirstDraws(real_rng(seed), sent, z)
+
+            monkeypatch.setattr(np.random, "default_rng", default_rng)
+            sd, abd = (
+                simulate(target, c, SimConfig(trials=10_000, seed=12, snr_db_grid=(snr_db,),
+                                              demodulator=name))[0]
+                for name in ("sd", "abd")
+            )
+            assert (abd.bit_errors, abd.per_bit) == (sd.bit_errors, sd.per_bit), snr_db
+
+    def test_abd_neither_calls_maxlog_llr_nor_builds_a_gather_index(self, monkeypatch):
+        def no_kernel(*args):
+            raise AssertionError("the max-log kernel ran")
+
+        monkeypatch.setattr("pamber.demod._maxlog_from_rows", no_kernel)
+        lab = Labeling(named_labeling("AG", 8).matrix)  # fresh: nothing derived yet
+        config = SimConfig(trials=100_000, seed=5, snr_db_grid=(0.0, 5.0, 10.0),
+                           demodulator="abd")
+        simulate(lab, make_pam(8), config)
+        assert _subsets not in vars(lab).get("_derived", {})
 
     def test_bd_simulation_matches_shifted_boundaries(self):
         # decisions by the sign of the exact L-value agree with the general
@@ -430,8 +461,7 @@ class TestExtremeSnr:
 
     def test_unresolvable_snr_is_rejected_before_any_work(self, monkeypatch):
         # BD's kernel may see every sample of a point, so BD rejects the
-        # point; ABD's sees only samples near a midpoint, so past the
-        # L-value bound ABD still answers, by the midpoints as SD does.
+        # point; ABD decides by the nearest point, as SD does, and answers.
         def no_work(*args):
             raise AssertionError("a chunk was demodulated")
 
@@ -530,15 +560,14 @@ class TestParallelPoints:
 
     @staticmethod
     def hook_chunks(monkeypatch, hook):
-        """Decide every ABD and BD chunk ``y`` of a point by ``hook(params, y, decide)``."""
-        real = montecarlo._region_decider
+        """Decide every BD chunk ``y`` of a point by ``hook(params, y, decide)``."""
+        real = montecarlo._bd_decider
 
-        def region_decider(edges, codes, kernel):
-            params = kernel.args[-1]  # the kernel is partial(_sign_codes, llr, target, c, params)
-            decide = real(edges, codes, kernel)
+        def bd_decider(target, c, params):
+            decide = real(target, c, params)
             return lambda y: hook(params, y, decide)
 
-        monkeypatch.setattr(montecarlo, "_region_decider", region_decider)
+        monkeypatch.setattr(montecarlo, "_bd_decider", bd_decider)
 
     @pytest.mark.parametrize("demod", ["sd", "abd", "bd"])
     @pytest.mark.parametrize("target", [named_labeling("BRGC", 8), pattern_from_index(8, 102)],
@@ -560,23 +589,14 @@ class TestParallelPoints:
         finally:
             sys.setswitchinterval(switch)
 
-    @pytest.mark.parametrize("demod_name", ["abd", "bd"])
     @pytest.mark.parametrize("fresh", [lambda: Labeling(named_labeling("AG", 8).matrix),
                                        lambda: BitPattern(pattern_from_index(8, 102).bits)],
                              ids=["labeling", "pattern"])
     def test_fresh_targets_build_one_gather_index_under_any_worker_count(
-            self, monkeypatch, fresh, demod_name):
-        # the points' first chunks may all build the target's gather index at once
+            self, monkeypatch, fresh):
+        # the points' crossing solves may all build the target's gather index at once
         c = make_pam(8)
-        config = SimConfig(trials=20_000, seed=7, snr_db_grid=self.GRID,
-                           demodulator=demod_name)
-        mid = c.midpoints()[0]
-
-        def on_a_midpoint(params, y, decide):
-            y[0] = mid  # every ABD chunk calls the kernel, which builds the index
-            return decide(y)
-
-        self.hook_chunks(monkeypatch, on_a_midpoint)
+        config = SimConfig(trials=20_000, seed=7, snr_db_grid=self.GRID, demodulator="bd")
         runs = []
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -604,7 +624,7 @@ class TestParallelPoints:
             return result
 
         lab, c = named_labeling("BRGC", 8), make_pam(8)
-        config = SimConfig(trials=20_000, seed=4, snr_db_grid=self.GRID)
+        config = SimConfig(trials=20_000, seed=4, snr_db_grid=self.GRID, demodulator="bd")
         self.workers(monkeypatch, 1)
         serial = simulate(lab, c, config)
         self.workers(monkeypatch, len(self.GRID))
@@ -635,38 +655,45 @@ class TestParallelPoints:
         assert seen == [first, failing]
 
     def test_the_first_failed_point_in_grid_order_raises(self, monkeypatch):
-        later_failed = threading.Event()
+        first_reached, later_failed = threading.Event(), threading.Event()
         first, later = (ChannelParams.from_db(s).snr for s in self.GRID[:2])
 
         def chunk(params, y, decide):
+            # the first point's crossing solve may end last: the later points
+            # fail only once it holds a chunk, past its check of the stop
             if params.snr == first:
+                first_reached.set()
                 assert later_failed.wait(timeout=30)
                 raise KeyError("first point")
+            assert first_reached.wait(timeout=30)
             later_failed.set()
             raise KeyError("later point")
 
         self.hook_chunks(monkeypatch, chunk)
         self.workers(monkeypatch, len(self.GRID))
-        config = SimConfig(trials=20_000, seed=4, snr_db_grid=self.GRID)
+        config = SimConfig(trials=20_000, seed=4, snr_db_grid=self.GRID, demodulator="bd")
         with pytest.raises(KeyError, match="first point"):
             simulate(named_labeling("BRGC", 8), make_pam(8), config)
 
     def test_a_running_point_stops_at_its_next_chunk_after_a_failure(self, monkeypatch):
-        later_failed = threading.Event()
+        first_reached, later_failed = threading.Event(), threading.Event()
         first = ChannelParams.from_db(self.GRID[0]).snr
         first_calls = []
 
         def chunk(params, y, decide):
             if params.snr != first:
+                assert first_reached.wait(timeout=30)  # as in the test above
                 later_failed.set()
                 raise KeyError("later point")
             first_calls.append(len(y))
+            first_reached.set()
             assert later_failed.wait(timeout=30)
             return decide(y)
 
         self.hook_chunks(monkeypatch, chunk)
         self.workers(monkeypatch, 2)
-        config = SimConfig(trials=4 * _CHUNK, seed=4, snr_db_grid=self.GRID[:2])
+        config = SimConfig(trials=4 * _CHUNK, seed=4, snr_db_grid=self.GRID[:2],
+                           demodulator="bd")
         with pytest.raises(KeyError, match="later point"):
             simulate(named_labeling("BRGC", 8), make_pam(8), config)
         # the failure lands while the first chunk is decided; one more chunk
@@ -682,7 +709,7 @@ class TestParallelPoints:
 
         self.hook_chunks(monkeypatch, chunk)
         self.workers(monkeypatch, 2)
-        config = SimConfig(trials=20_000, seed=4, snr_db_grid=self.GRID)
+        config = SimConfig(trials=20_000, seed=4, snr_db_grid=self.GRID, demodulator="bd")
         with np.errstate(over="raise"):
             simulate(named_labeling("BRGC", 8), make_pam(8), config)
         assert modes == ["raise"] * len(self.GRID)

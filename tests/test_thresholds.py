@@ -4,19 +4,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pamber import (
+    BitPattern,
     ChannelParams,
     Constellation,
+    SimConfig,
     ThresholdSet,
     bd_thresholds,
     enumerate_classes,
     exact_llr,
+    labeling_ber,
     make_pam,
     named_labeling,
     pattern_from_index,
     pber_general,
     pber_pam,
+    simulate,
 )
 from pamber import analytic, thresholds
 from pamber.pattern_classes import invert_index, pattern_indices
@@ -517,3 +523,116 @@ class TestSignRegions:
                 assert got == pytest.approx(want, rel=1e-12)
                 compared += 1
         assert compared >= 40
+
+
+def refined_scan_roots(pattern, constellation, params, per_gap=2048, outer=20_000):
+    """Crossings from a scan of ``per_gap`` even steps in every gap between points and
+    ``outer`` geometric steps beyond them out to T, each refined by 60 halvings, and
+    the bit of the leftmost region (1 where the L-value is >= 0)."""
+    points, t = constellation.points, reach(constellation, params)
+    inner = points[:-1, None] + np.diff(points)[:, None] * (np.arange(per_gap) / per_gap)
+    far = np.geomspace(constellation.dmin / per_gap, max(t, constellation.dmin), outer)
+    grid = np.concatenate((points[0] - far[::-1], inner.ravel(), points[-1:], points[-1] + far))
+
+    def llr(y):
+        return exact_llr(y, pattern, constellation, params)[..., 0]
+
+    values = llr(grid)
+    grid, values = grid[values != 0], values[values != 0]
+    hits = np.nonzero((values[:-1] < 0) != (values[1:] < 0))[0]
+    lo, hi, flo = grid[hits], grid[hits + 1], values[hits]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        fmid = llr(mid)
+        left = (fmid < 0) == (flo < 0)
+        lo, flo, hi = np.where(left, mid, lo), np.where(left, fmid, flo), np.where(left, hi, mid)
+    return 0.5 * (lo + hi), int(values[0] >= 0)
+
+
+def tail_pber(pattern, constellation, betas, first_bit, params):
+    """PBER of the regions between ``betas``, their bits alternating from ``first_bit``.
+
+    Each term is the Gaussian mass of one region, taken from the tail on its
+    far side of the point, so a PBER far below 1e-16 keeps its relative accuracy.
+    """
+    edges = [-math.inf, *np.asarray(betas).tolist(), math.inf]
+    scale = math.sqrt(params.snr)
+    total = 0.0
+    for s, p in zip(constellation.points.tolist(), pattern.bits):
+        for k, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+            if (first_bit + k) % 2 == p:
+                continue
+            u, v = (a - s) * scale, (b - s) * scale
+            if u >= 0:
+                total += 0.5 * (math.erfc(u) - math.erfc(v))
+            elif v <= 0:
+                total += 0.5 * (math.erfc(-v) - math.erfc(-u))
+            else:
+                total += 1.0 - 0.5 * (math.erfc(-u) + math.erfc(v))
+    return total / constellation.size
+
+
+# 8 points with three gaps far below the even scan step of 512 samples
+CLUSTERED_POINTS = np.array([-3.0, -2.0, -1.0, 0.0, 0.003, 0.006, 0.009, 3.0])
+CLUSTERED = Constellation(CLUSTERED_POINTS / math.sqrt(np.mean(CLUSTERED_POINTS**2)))
+CLUSTERED_PATTERN = BitPattern((0, 1, 1, 0, 1, 0, 0, 1))
+
+
+class TestClusteredPoints:
+    """Two crossings within one even scan step, on points a tenth of a step apart."""
+
+    @pytest.mark.parametrize("snr_db", [60.0, 70.0])
+    def test_every_crossing_is_found(self, snr_db):
+        params = ChannelParams.from_db(snr_db)
+        thr = bd_thresholds(CLUSTERED_PATTERN, CLUSTERED, params)
+        oracle, first_bit = refined_scan_roots(CLUSTERED_PATTERN, CLUSTERED, params)
+        assert thr.size == oracle.size == 5
+        np.testing.assert_allclose(thr.betas, oracle, rtol=0, atol=1e-9)
+        assert thr.bits[0] == first_bit
+
+    def test_bd_never_exceeds_abd(self):
+        params = ChannelParams.from_db(60.0)
+        bd, abd = (labeling_ber(CLUSTERED_PATTERN, CLUSTERED, params, demod)
+                   for demod in ("bd", "abd"))
+        assert 0.0527 < bd <= abd + 1e-15
+
+    def test_seeded_bd_simulation_agrees_with_the_closed_forms(self):
+        # BD and ABD differ by 1e-7 here, far inside the 5-sigma interval
+        params = ChannelParams.from_db(60.0)
+        config = SimConfig(trials=200_000, seed=0, snr_db_grid=(60.0,), demodulator="bd")
+        est = simulate(CLUSTERED_PATTERN, CLUSTERED, config)[0]
+        for demod in ("bd", "abd"):
+            exact = labeling_ber(CLUSTERED_PATTERN, CLUSTERED, params, demod)
+            assert abs(est.ber - exact) <= 5 * est.stderr, demod
+
+
+@st.composite
+def clustered_cases(draw):
+    """Sorted unit-energy points with log-uniform gaps in [e^-7, 1], a balanced
+    pattern and an SNR from 0 to 80 dB."""
+    m = draw(st.sampled_from([4, 8]))
+    gaps = np.exp(draw(st.lists(st.floats(-7.0, 0.0), min_size=m - 1, max_size=m - 1)))
+    points = np.concatenate(([0.0], np.cumsum(gaps)))
+    points -= points.mean()
+    pattern = BitPattern(tuple(draw(st.permutations([0, 1] * (m // 2)))))
+    snr_db = draw(st.floats(0.0, 80.0))
+    return Constellation(points / math.sqrt(np.mean(points**2))), pattern, snr_db
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(clustered_cases())
+def test_crossings_are_complete_on_random_constellations(case):
+    c, pattern, snr_db = case
+    params = ChannelParams.from_db(snr_db)
+    assume(not thresholds._past_reach(c, params))
+    thr = bd_thresholds(pattern, c, params)
+    oracle, first_bit = refined_scan_roots(pattern, c, params)
+    got = tail_pber(pattern, c, thr.betas, int(thr.bits[0]), params)
+    want = tail_pber(pattern, c, oracle, first_bit, params)
+    assert got == pytest.approx(want, rel=1e-9)
+    if oracle.size < 2 or np.diff(oracle).min() >= 1e-6:
+        assert thr.size == oracle.size
+    # BD is the per-bit MAP rule; the general form resolves a PBER to 1e-15
+    bd = pber_general(pattern, c, thr, params)
+    abd = pber_general(pattern, c, ThresholdSet(c.midpoints(), pattern.bits), params)
+    assert bd <= abd * (1 + 1e-12) + 1e-15
