@@ -44,7 +44,6 @@ _EXPORTS = {
     ),
     "labeling_space": (
         "LabelingClass",
-        "enumerate_labelings",
         "labeling_census",
     ),
     "montecarlo": ("BerEstimate", "SimConfig", "simulate"),
@@ -54,7 +53,6 @@ _EXPORTS = {
         "enumerate_classes",
         "labeling_coefficients",
         "pattern_coefficients",
-        "pattern_indices",
     ),
     "thresholds": ("ThresholdSet", "bd_thresholds"),
 }

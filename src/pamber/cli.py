@@ -66,7 +66,8 @@ def parse_grid(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(
             f"grid {text!r} has more than {MAX_GRID_POINTS} points"
         )
-    grid = start + step * np.arange(int(round(span)) + 1)
+    with np.errstate(over="ignore"):  # a point rounded past stop may overflow; it is dropped
+        grid = start + step * np.arange(int(round(span)) + 1)
     return grid[grid <= stop + 1e-9]
 
 

@@ -23,7 +23,7 @@ non-exhaustive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -97,16 +97,6 @@ def _bijective_sets(m_points: int) -> list[tuple[int, ...]]:
 
     extend((), [(1 << m_points) - 1], 0)
     return sets
-
-
-def enumerate_labelings(m_points: int) -> Iterator[Labeling]:
-    """Every labeling of M points, one per unordered pattern set.
-
-    Column order within a yielded labeling follows ascending pattern
-    index; the BER does not depend on it.
-    """
-    for combo in _bijective_sets(m_points):
-        yield Labeling.from_indices(m_points, combo)
 
 
 def sample_labelings(

@@ -59,7 +59,7 @@ from .demod import (
     abd_decide,
     exact_llr,
 )
-from .thresholds import _RTOL, _XTOL, _crossings, _past_reach
+from .thresholds import _crossings, _past_reach, _root_tol
 
 _CHUNK = 1 << 18
 # Noise reach, in standard deviations, that the bd demodulator must
@@ -68,7 +68,7 @@ _CHUNK = 1 << 18
 # check up front cannot fail mid-run on the L-value bound.
 _NOISE_SIGMAS = 10.0
 # BD decides a sample by the signs of its L-values when it lies within
-# this many solver tolerances, _XTOL + _RTOL*|beta|, of a solved crossing
+# this many solver tolerances, _root_tol(beta), of a solved crossing
 # beta.  A crossing is within one tolerance of a sign change of the L-value,
 # but rounding flips that sign back and forth in a band around it, wider
 # where the L-value is flat: within 10 noise standard deviations, up to
@@ -181,7 +181,7 @@ def _bd_decider(target, constellation: Constellation, params: ChannelParams):
     codes = np.zeros(lows.size, dtype=np.int64)
     for betas, region_bits in cuts:
         codes = codes << 1 | region_bits[np.searchsorted(betas, lows, side="right")]
-    guard = _GUARD_TOLS * (_XTOL + _RTOL * np.abs(edges))
+    guard = _GUARD_TOLS * _root_tol(edges)
     bands = list(zip((edges - guard).tolist(), (edges + guard).tolist()))
     count_type = np.min_scalar_type(edges.size)
 

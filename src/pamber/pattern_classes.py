@@ -39,7 +39,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .constellation import (
-    BitPattern, Labeling, _even_size, _is_integer, _readonly, pattern_from_index,
+    BitPattern, Labeling, _is_integer, _readonly, pattern_from_index,
 )
 
 _SYMMETRIES = ("RE", "ARE", "ASY")
@@ -74,31 +74,6 @@ def reflect_index(index: int, m_points: int) -> int:
 def invert_index(index: int, m_points: int) -> int:
     """Complement of an M-bit pattern index, or of each entry of an int64 array."""
     return index ^ ((1 << m_points) - 1)
-
-
-def pattern_indices(m_points: int) -> Iterator[int]:
-    """All C(M, M/2) balanced pattern indices in increasing order.
-
-    Gosper's hack walks the fixed-popcount masks ascending without
-    touching the other 2^M - C(M, M/2) words.
-
-    Raises:
-        ValueError: at the call, unless M is an even integer and 2 <= M <= 62.
-    """
-    m_points = _even_size(m_points)
-    if m_points > 62:
-        raise ValueError("bitmask enumeration supports M <= 62")
-    return _gosper(m_points)
-
-
-def _gosper(m_points: int) -> Iterator[int]:
-    word = (1 << (m_points // 2)) - 1
-    top = 1 << m_points
-    while word < top:
-        yield word
-        low = word & -word
-        ripple = word + low
-        word = (((ripple ^ word) >> 2) // low) | ripple
 
 
 def _masks_of_weight(n_bits: int, weight: int) -> np.ndarray:

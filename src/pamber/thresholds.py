@@ -116,12 +116,17 @@ def _scan_grid(constellation: Constellation, reach: float) -> np.ndarray:
     return np.concatenate((points[0] - outer[::-1], inner, points[-1] + outer))
 
 
-def _illinois(f, lo, hi, flo, fhi, xtol: float) -> np.ndarray:
+def _root_tol(x):
+    """The solver's root tolerance at ``x`` (a float or an array): ``_XTOL + _RTOL*|x|``."""
+    return _XTOL + _RTOL * abs(x)
+
+
+def _illinois(f, lo, hi, flo, fhi) -> np.ndarray:
     """Roots of ``f`` in every bracket ``[lo, hi]`` (ends of opposite sign) at once.
 
     Each step is a regula falsi step, clipped at least ``tol`` inside its
-    bracket, with ``tol = xtol + 4*eps*max(|lo|, |hi|)`` so that a clipped
-    step moves even where a float's spacing exceeds ``xtol``.  The Illinois rule
+    bracket, with ``tol = _root_tol(max(|lo|, |hi|))`` so that a clipped
+    step moves even where a float's spacing exceeds ``_XTOL``.  The Illinois rule
     halves the value kept at an end that stayed put twice; after
     ``_ILLINOIS_STEPS`` steps the refinement halves brackets instead.  A
     bracket is done once it is narrower than ``2*tol``; its centre, the
@@ -140,7 +145,7 @@ def _illinois(f, lo, hi, flo, fhi, xtol: float) -> np.ndarray:
         xs = []
         for i in active:
             a, b = lo[i], hi[i]
-            t = xtol + _RTOL * max(abs(a), abs(b))
+            t = _root_tol(max(abs(a), abs(b)))
             if b - a < 2 * t:
                 continue
             fa, fb = flo[i], fhi[i]
@@ -225,6 +230,6 @@ def _crossings(target, constellation: Constellation, params: ChannelParams):
         nonzero = values != 0
         ys, values = grid[nonzero], values[nonzero]
         hits = np.nonzero((values[:-1] < 0) != (values[1:] < 0))[0]
-        roots = _illinois(llr, ys[hits], ys[hits + 1], values[hits], values[hits + 1], _XTOL)
+        roots = _illinois(llr, ys[hits], ys[hits + 1], values[hits], values[hits + 1])
         cuts.append((roots, (int(values[0] > 0) + np.arange(roots.size + 1)) % 2))
     return cuts

@@ -65,6 +65,19 @@ class TestParsing:
             with pytest.raises(argparse.ArgumentTypeError, match="points"):
                 parse_grid(bad)
 
+    def test_grid_point_rounded_past_stop_may_overflow(self):
+        # round(1.7) adds a point at 2e308, past stop: it overflows and is dropped
+        assert parse_grid("0:1e308:1.7e308").tolist() == [0.0, 1e308]
+
+    def test_overflowing_grid_point_prints_no_numpy_warning(self):
+        src = str(Path(pamber.__file__).resolve().parents[1])
+        argv = ["ber", "--M", "8", "--labeling", "brgc", "--snr", "3000:1e308:1.7e308"]
+        proc = subprocess.run([sys.executable, "-m", "pamber.cli", *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "pamber: error: snr_db=1e+308 has no positive finite linear SNR"]
+
     def test_pattern_forms_agree(self):
         by_index = parse_pattern("102", 8)
         by_bits = parse_pattern("01100110", 8)

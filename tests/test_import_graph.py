@@ -125,7 +125,7 @@ def test_star_import_binds_every_public_name():
         "assert set(pamber.__all__) <= set(dir(pamber))\n"
         "print(len(pamber.__all__))"
     )
-    assert out.split() == ["32"]
+    assert out.split() == ["30"]
 
 
 def test_readme_example_runs():

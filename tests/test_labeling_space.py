@@ -9,7 +9,6 @@ import pytest
 
 from pamber import (
     Labeling,
-    enumerate_labelings,
     labeling_census,
     labeling_coefficients,
     named_labeling,
@@ -18,7 +17,7 @@ from pamber import (
 )
 from pamber import labeling_space, pattern_classes
 from pamber.labeling_space import _bijective_sets, is_bijective_set, sample_labelings
-from pamber.pattern_classes import invert_index, pattern_indices, pattern_weights
+from pamber.pattern_classes import _masks_of_weight, invert_index, pattern_weights
 
 
 def shift_by_shift_bijective(m_points, indices):
@@ -36,7 +35,7 @@ def shift_by_shift_bijective(m_points, indices):
 
 class TestBijectivity:
     def test_matches_the_row_codes_on_every_eight_point_candidate(self):
-        combos = list(itertools.combinations(pattern_indices(8), 3))
+        combos = list(itertools.combinations(_masks_of_weight(8, 4).tolist(), 3))
         assert len(combos) == 54740
         got = [is_bijective_set(8, c) for c in combos]
         assert got == [shift_by_shift_bijective(8, c) for c in combos]
@@ -82,11 +81,10 @@ class TestBijectivity:
 
 class TestEnumeration:
     def test_four_point_space(self):
-        labs = list(enumerate_labelings(4))
-        assert len(labs) == 12  # 15 pairs minus the 3 complementary ones
-        sets = {frozenset(lab.pattern_set) for lab in labs}
-        assert frozenset({3, 6}) in sets
-        assert frozenset({3, 12}) not in sets
+        sets = _bijective_sets(4)
+        assert len(sets) == 12  # 15 pairs minus the 3 complementary ones
+        assert (3, 6) in sets
+        assert (3, 12) not in sets
 
     def test_gray_set_is_valid_for_eight(self):
         assert is_bijective_set(8, (15, 60, 102))
@@ -94,17 +92,18 @@ class TestEnumeration:
 
     def test_rejects_unsupported_size(self):
         with pytest.raises(ValueError):
-            list(enumerate_labelings(16))
+            _bijective_sets(16)
 
     @pytest.mark.parametrize("m", [2, 4, 8])
     def test_pruned_walk_equals_the_combination_filter(self, m):
         # every m-subset in combination order, each tested by its row codes
         n_bits = m.bit_length() - 1
-        want = [c for c in itertools.combinations(pattern_indices(m), n_bits)
+        want = [c for c in itertools.combinations(_masks_of_weight(m, m // 2).tolist(), n_bits)
                 if shift_by_shift_bijective(m, c)]
         assert len(want) == math.factorial(m) // math.factorial(n_bits)
         assert _bijective_sets(m) == want
-        assert [column_indices(lab) for lab in enumerate_labelings(m)] == want
+        # a labeling built from each set keeps its columns in that order
+        assert [column_indices(Labeling.from_indices(m, s)) for s in _bijective_sets(m)] == want
 
 
 def column_indices(lab):
@@ -140,15 +139,16 @@ class TestPrunedCandidates:
         weighed = count_calls(monkeypatch, pattern_classes, "pattern_coefficients")
         labeling_census(4)
         assert [args[1] for args, _ in tested] == list(
-            itertools.combinations(pattern_indices(4), 2))
+            itertools.combinations(_masks_of_weight(4, 2).tolist(), 2))
         assert sum(ok for _, ok in tested) == 12
         assert len({args[0].bits for args, _ in weighed}) == len(weighed) == 6
 
     def test_eight_points_test_only_sets_with_a_passing_prefix(self, monkeypatch):
         tested = count_calls(monkeypatch, labeling_space, "is_bijective_set")
         sets = _bijective_sets(8)
-        even = {p: splits_evenly(8, p) for p in itertools.combinations(pattern_indices(8), 2)}
-        want = [c for c in itertools.combinations(pattern_indices(8), 3) if even[c[:2]]]
+        pool = _masks_of_weight(8, 4).tolist()
+        even = {p: splits_evenly(8, p) for p in itertools.combinations(pool, 2)}
+        want = [c for c in itertools.combinations(pool, 3) if even[c[:2]]]
         assert [args[1] for args, _ in tested] == want
         assert len(want) == 28263 < math.comb(70, 3)
         assert sum(ok for _, ok in tested) == len(sets) == 6720
@@ -158,8 +158,9 @@ class TestPrunedCandidates:
 LABELING_SIDE = {
     "named_labeling": lambda m: [named_labeling("BRGC", m).pattern_set],
     "labeling_census": lambda m: [cls.witness.pattern_set for cls in labeling_census(m)],
-    "enumerate_labelings": lambda m: [lab.pattern_set for lab in enumerate_labelings(m)],
     "sample_labelings": lambda m: [lab.pattern_set for lab in sample_labelings(m, 3, seed=2)],
+    # the walk the census and `pamber labelings` read directly
+    "_bijective_sets": lambda m: [frozenset(s) for s in _bijective_sets(m)],
 }
 
 
@@ -216,7 +217,7 @@ class TestCensus:
         # each weight vector in combination order, stacked in that order
         n_bits = m.bit_length() - 1
         first = {}
-        for combo in itertools.combinations(pattern_indices(m), n_bits):
+        for combo in itertools.combinations(_masks_of_weight(m, m // 2).tolist(), n_bits):
             if is_bijective_set(m, combo):
                 alpha = tuple(int(x) for x in labeling_coefficients(Labeling.from_indices(m, combo)))
                 first.setdefault(alpha, combo)
@@ -241,7 +242,7 @@ class TestCensus:
         # as bit strings; the first set met with a weight vector is its witness.
         weights = {
             w: tuple(int(x) for x in pattern_coefficients(pattern_from_index(8, w)))
-            for w in pattern_indices(8)
+            for w in _masks_of_weight(8, 4).tolist()
         }
         first, count = {}, Counter()
         for combo in itertools.combinations(sorted(weights), 3):
@@ -361,8 +362,8 @@ class TestSampling:
             assert [tuple(sorted(lab.pattern_set)) for lab in sample_labelings(*args)] == want
         assert [tuple(sorted(lab.pattern_set)) for lab in sample_labelings(16, 2, seed=0)] == [
             (4727, 14091, 18795, 36409), (11926, 12463, 23749, 63136)]
-        # drawn when the pool came from the Gosper walk, in the same
-        # ascending order as the popcount filter's
+        # the draws index the pool, so they hold only while the pool keeps
+        # the balanced masks in ascending order
         assert [tuple(sorted(lab.pattern_set)) for lab in sample_labelings(16, 5, seed=7)] == [
             (11535, 18346, 29849, 55339), (29138, 48008, 55108, 60689),
             (13639, 26420, 47952, 51137), (26410, 26779, 42105, 55849),

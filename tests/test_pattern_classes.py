@@ -1,5 +1,6 @@
 """Pattern symmetry operations and equivalence-class enumeration."""
 
+import itertools
 import math
 import warnings
 
@@ -14,7 +15,6 @@ from pamber import (
     enumerate_classes,
     pattern_coefficients,
     pattern_from_index,
-    pattern_indices,
 )
 from pamber.constellation import _bit_rows
 from pamber.pattern_classes import (
@@ -31,7 +31,7 @@ def distinct_a1_count(m):
 def seen_set_classes(m):
     """Reference: a per-pattern orbit walk with a seen set, bits reversed as tuples."""
     seen, classes = set(), []
-    for w in pattern_indices(m):
+    for w in _masks_of_weight(m, m // 2).tolist():
         if w in seen:
             continue
         bits = pattern_from_index(m, w).bits
@@ -60,10 +60,11 @@ def bit_loop_reflect(index, m):
 def eager_classes(m):
     """Reference: the class list built eagerly, one PatternClass per class.
 
-    The masks come from the Gosper walk, the reflections from the bit
-    loop and the weights from the einsum over bit rows.
+    The masks come from the popcount filter (checked against
+    ``itertools.combinations`` in TestMasksOfWeight), the reflections from
+    the bit loop and the weights from the einsum over bit rows.
     """
-    words = np.fromiter(pattern_indices(m), np.int64)
+    words = _masks_of_weight(m, m // 2).astype(np.int64)
     flipped = bit_loop_reflect(words, m)
     orbits = np.sort(np.stack([words, flipped, invert_index(words, m),
                                invert_index(flipped, m)], axis=1), axis=1)
@@ -81,30 +82,38 @@ def eager_classes(m):
 
 
 def patterns_strategy(m):
-    return st.sampled_from(sorted(pattern_indices(m))).map(
+    return st.sampled_from(_masks_of_weight(m, m // 2).tolist()).map(
         lambda w: pattern_from_index(m, w)
     )
 
 
-class TestPatternIndices:
-    @pytest.mark.parametrize("m", [3, 0, 64, 8.0, np.float64(8), True])
-    def test_rejects_a_bad_size_at_the_call(self, m):
-        with pytest.raises(ValueError, match=f"got {m}|M <= 62"):
-            pattern_indices(m)  # never iterated
-
-    @pytest.mark.parametrize("m", [np.int64(8), np.int8(8), np.uint8(8)])
-    def test_numpy_integer_sizes_walk_the_same_masks(self, m):
-        words = list(pattern_indices(m))
-        assert words == list(pattern_indices(8))
-        assert all(type(w) is int for w in words)
-
+class TestMasksOfWeight:
     @pytest.mark.parametrize("m", range(2, 21, 2))
-    def test_walks_every_balanced_mask_ascending(self, m):
+    def test_every_balanced_mask_ascending(self, m):
         words = np.arange(1 << m)
         expected = words[np.bitwise_count(words) == m // 2]
-        np.testing.assert_array_equal(np.fromiter(pattern_indices(m), dtype=np.int64), expected)
-        # the library's own pools come from the popcount filter: the same masks, in order
-        assert _masks_of_weight(m, m // 2).tolist() == list(pattern_indices(m))
+        masks = _masks_of_weight(m, m // 2)
+        assert masks.dtype == np.uint32
+        np.testing.assert_array_equal(masks.astype(np.int64), expected)
+        if m <= 16:  # an independent walk: the sets of m/2 bit positions
+            combos = itertools.combinations(range(m), m // 2)
+            assert masks.tolist() == sorted(sum(1 << i for i in c) for c in combos)
+
+    @pytest.mark.parametrize("n_bits", range(1, 13))
+    def test_every_weight_partitions_the_masks(self, n_bits):
+        # enumerate_classes asks for an unbalanced weight (M/2 ones in M-1 bits)
+        pools = [_masks_of_weight(n_bits, w) for w in range(n_bits + 1)]
+        for w, masks in enumerate(pools):
+            combos = itertools.combinations(range(n_bits), w)
+            assert masks.tolist() == sorted(sum(1 << i for i in c) for c in combos)
+        assert sorted(np.concatenate(pools).tolist()) == list(range(1 << n_bits))
+
+    @pytest.mark.parametrize("m", [4, 8, 12, 16, 20])
+    def test_representative_pool_is_the_balanced_masks_below_the_top_bit(self, m):
+        # an orbit's smallest member is below its own inversion, so its top bit is 0
+        balanced = _masks_of_weight(m, m // 2)
+        np.testing.assert_array_equal(
+            _masks_of_weight(m - 1, m // 2), balanced[balanced < 1 << (m - 1)])
 
 
 class TestSymmetryOps:
@@ -116,10 +125,10 @@ class TestSymmetryOps:
         assert pattern_from_index(4, invert_index(5, 4)).bits == (1, 0, 1, 0)
 
     def test_operations_commute_exhaustively(self):
-        for w in pattern_indices(8):
+        for w in _masks_of_weight(8, 4).tolist():
             assert reflect_index(invert_index(w, 8), 8) == invert_index(reflect_index(w, 8), 8)
 
-    @given(w=st.sampled_from(sorted(pattern_indices(8))))
+    @given(w=st.sampled_from(_masks_of_weight(8, 4).tolist()))
     @settings(max_examples=70, deadline=None)
     def test_self_inverse(self, w):
         assert reflect_index(reflect_index(w, 8), 8) == w
@@ -134,7 +143,7 @@ class TestSymmetryOps:
 
     @pytest.mark.parametrize("m", [4, 12, 20])
     def test_array_form_matches_the_scalar_form(self, m):
-        words = np.fromiter(pattern_indices(m), np.int64)
+        words = _masks_of_weight(m, m // 2).astype(np.int64)
         before = words.copy()
         flipped = reflect_index(words, m)
         np.testing.assert_array_equal(words, before)  # the caller's array is not shifted
@@ -143,7 +152,7 @@ class TestSymmetryOps:
 
     @pytest.mark.parametrize("m", [4, 12, 20, 24])
     def test_uint32_arrays_keep_their_dtype(self, m):
-        words = np.array(list(pattern_indices(m))[::97], dtype=np.uint32)
+        words = _masks_of_weight(m, m // 2)[::97]
         for out in (reflect_index(words, m), invert_index(words, m)):
             assert out.dtype == np.uint32
         assert reflect_index(words, m).tolist() == [bit_loop_reflect(w, m) for w in words.tolist()]
@@ -158,7 +167,7 @@ class TestSymmetryOps:
 
     def test_no_pattern_is_its_own_inversion(self):
         for m in (4, 8):
-            for w in pattern_indices(m):
+            for w in _masks_of_weight(m, m // 2).tolist():
                 assert invert_index(w, m) != w
 
 
@@ -364,7 +373,7 @@ class TestWeightIdentity:
 
     @pytest.mark.parametrize("m", range(2, 17, 2))
     def test_every_balanced_pattern(self, m):
-        masks = np.fromiter(pattern_indices(m), np.int64)
+        masks = _masks_of_weight(m, m // 2).astype(np.int64)
         want = pattern_weights(_bit_rows(masks, m))
         got = _mask_weights(masks.astype(np.uint32), m)
         assert got.dtype == np.int16
@@ -395,6 +404,7 @@ class TestLeadingWeightGroups:
 
     def test_four_point_values(self):
         leads = {
-            int(pattern_coefficients(pattern_from_index(4, w))[0]) for w in pattern_indices(4)
+            int(pattern_coefficients(pattern_from_index(4, w))[0])
+            for w in _masks_of_weight(4, 2).tolist()
         }
         assert leads == {2, 4, 6}

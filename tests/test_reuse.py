@@ -32,7 +32,7 @@ from pamber import (
 from pamber import demod, thresholds
 from pamber.constellation import LABELING_NAMES
 from pamber.labeling_space import sample_labelings
-from pamber.pattern_classes import pattern_indices
+from pamber.pattern_classes import _masks_of_weight
 
 GRID_DB = np.arange(-5.0, 20.25, 0.5)
 UNEVEN = (-1.9, -0.35, 0.1, 1.1)
@@ -72,8 +72,7 @@ def fresh_crossings(row, points, snr):
     nonzero = values != 0
     grid, values = grid[nonzero], values[nonzero]
     hits = np.nonzero((values[:-1] < 0) != (values[1:] < 0))[0]
-    roots = thresholds._illinois(llr, grid[hits], grid[hits + 1], values[hits],
-                                 values[hits + 1], thresholds._XTOL)
+    roots = thresholds._illinois(llr, grid[hits], grid[hits + 1], values[hits], values[hits + 1])
     first = int(values[0] > 0)
     return roots, (first + np.arange(roots.size + 1)) % 2
 
@@ -226,7 +225,7 @@ class TestFreshObjects:
 
     def test_build_and_drop_in_a_loop(self):
         rng = np.random.default_rng(18)
-        pool = {m: list(pattern_indices(m)) for m in (4, 8)}
+        pool = {m: _masks_of_weight(m, m // 2).tolist() for m in (4, 8)}
         params = [ChannelParams.from_db(s) for s in (-2.0, 7.5, 15.0)]
         for i in range(120):
             m_points = (4, 8)[i % 2]

@@ -25,7 +25,7 @@ from pamber import (
     simulate,
 )
 from pamber import analytic, thresholds
-from pamber.pattern_classes import invert_index, pattern_indices
+from pamber.pattern_classes import _masks_of_weight, invert_index
 from pamber.verify import pber_interval_form
 
 D4 = math.sqrt(0.2)
@@ -84,9 +84,9 @@ def vector_illinois(f, lo, hi, flo, fhi, xtol):
         step += 1
 
 
-def assert_same_roots(f, lo, hi, flo, fhi, xtol=1e-10, refine=thresholds._illinois):
-    got = refine(f, lo, hi, flo, fhi, xtol)
-    want = vector_illinois(f, lo, hi, flo, fhi, xtol)
+def assert_same_roots(f, lo, hi, flo, fhi, refine=thresholds._illinois):
+    got = refine(f, lo, hi, flo, fhi)
+    want = vector_illinois(f, lo, hi, flo, fhi, 1e-10)
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
     return got
 
@@ -178,7 +178,7 @@ class TestRelevanceMask:
         np.testing.assert_array_equal(g[:, 2], 0)
 
     def test_zero_columns_match_equal_neighbors(self):
-        for w in pattern_indices(8):
+        for w in _masks_of_weight(8, 4).tolist():
             pat = pattern_from_index(8, w)
             g = relevance(pat)
             zero_cols = ~np.any(g, axis=0)
@@ -186,7 +186,7 @@ class TestRelevanceMask:
 
     def test_invariant_under_inversion(self):
         # both factors flip sign, so the product is unchanged
-        for w in pattern_indices(8):
+        for w in _masks_of_weight(8, 4).tolist():
             np.testing.assert_array_equal(
                 relevance(pattern_from_index(8, w)),
                 relevance(pattern_from_index(8, invert_index(w, 8))),
@@ -399,7 +399,7 @@ class TestRefinement:
         lo = np.array([-2.0, 0.5, 3.0])
         hi = np.array([-0.5, 2.0, 7.0])
         f = np.cos
-        roots = thresholds._illinois(f, lo, hi, f(lo), f(hi), 1e-10)
+        roots = thresholds._illinois(f, lo, hi, f(lo), f(hi))
         np.testing.assert_allclose(roots, [-math.pi / 2, math.pi / 2, 3 * math.pi / 2],
                                    rtol=0, atol=1e-10)
 
@@ -408,13 +408,13 @@ class TestRefinement:
         # far out, the tolerance must grow with the spacing of floats
         f = lambda y: (y - 1e9) ** 3
         lo, hi = np.array([1e9 - 3.0]), np.array([1e9 + 5.0])
-        root = thresholds._illinois(f, lo, hi, f(lo), f(hi), 1e-10)
+        root = thresholds._illinois(f, lo, hi, f(lo), f(hi))
         assert abs(root[0] - 1e9) <= 1e-10 + 4 * np.finfo(float).eps * 1e9
 
     def test_exact_zero_ends_the_bracket(self):
         f = lambda y: y - 0.25
         root = thresholds._illinois(f, np.array([0.0]), np.array([1.0]),
-                                    np.array([-0.25]), np.array([0.75]), 1e-10)
+                                    np.array([-0.25]), np.array([0.75]))
         assert root[0] == 0.25
 
 
@@ -427,9 +427,9 @@ class TestRefinementOracle:
         # the same brackets.
         brackets = []
 
-        def both(f, lo, hi, flo, fhi, xtol):
+        def both(f, lo, hi, flo, fhi):
             brackets.append(len(lo))
-            return assert_same_roots(f, lo, hi, flo, fhi, xtol)
+            return assert_same_roots(f, lo, hi, flo, fhi)
 
         monkeypatch.setattr(thresholds, "_illinois", both)
         return brackets
@@ -444,7 +444,7 @@ class TestRefinementOracle:
 
     def test_16pam_sample(self, checked):
         c = make_pam(16)
-        for w in list(pattern_indices(16))[::643]:
+        for w in _masks_of_weight(16, 8).tolist()[::643]:
             pat = pattern_from_index(16, w)
             for snr_db in np.arange(-40.0, 40.25, 5.0):
                 bd_thresholds(pat, c, ChannelParams.from_db(snr_db))
@@ -467,7 +467,7 @@ class TestRefinementOracle:
     def test_several_brackets_and_none(self):
         lo, hi = np.array([-2.0, 0.5, 3.0]), np.array([-0.5, 2.0, 7.0])
         assert_same_roots(np.cos, lo, hi, np.cos(lo), np.cos(hi))
-        assert thresholds._illinois(np.cos, [], [], [], [], 1e-10).shape == (0,)
+        assert thresholds._illinois(np.cos, [], [], [], []).shape == (0,)
 
 
 class TestSignRegions:
