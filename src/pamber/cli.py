@@ -120,10 +120,11 @@ def _provenance(args: argparse.Namespace) -> str:
     Seeded Monte-Carlo streams and the last bits of L-values can change
     with the numpy release, so the header names it with pamber.  Only
     ``ber`` evaluates the Q-function, so only its header names scipy.
+    Values lose their whitespace, so spaces separate the fields.
     """
     skip = {"func", "command"}
     fields = [
-        f"{key}={value}"
+        f"{key}={''.join(str(value).split())}"
         for key, value in sorted(vars(args).items())
         if key not in skip and value is not None
     ]

@@ -49,10 +49,10 @@ def _even_size(m_points: int) -> int:
     return int(m_points)
 
 
-def _label_bits(m_points: int, least: int = 2) -> int:
-    """Bits per label m = log2(M), after checking M is a power of two >= least."""
-    if not _is_integer(m_points) or m_points < least or m_points & (m_points - 1):
-        raise ValueError(f"M must be a power of two >= {least}, got {m_points}")
+def _label_bits(m_points: int) -> int:
+    """Bits per label m = log2(M), after checking M is a power of two >= 2."""
+    if not _is_integer(m_points) or m_points < 2 or m_points & (m_points - 1):
+        raise ValueError(f"M must be a power of two >= 2, got {m_points}")
     return int(m_points).bit_length() - 1
 
 

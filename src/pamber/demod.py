@@ -110,18 +110,19 @@ def _column_matrix(target, constellation: Constellation) -> np.ndarray:
     return cols
 
 
-def _nearest(y, constellation: Constellation) -> np.ndarray:
-    """Index of the nearest point to each sample: the midpoints strictly below it.
+def _nearest(y, edges) -> np.ndarray:
+    """Region of each sample between sorted ``edges``: the edges strictly below it.
 
-    Equal to ``np.searchsorted(constellation.midpoints(), y, side="left")``,
-    in the smallest unsigned dtype that holds ``M - 1``.
+    Equal to ``np.searchsorted(edges, y, side="left")``, in the smallest
+    unsigned dtype that holds ``len(edges)``.  With the midpoints as edges,
+    the region is the index of the nearest point.
     """
     y = np.asarray(y, dtype=float)
     if not np.isfinite(y).all():
         raise ValueError("observations y must be finite")
-    idx = np.zeros(y.shape, dtype=np.min_scalar_type(constellation.size - 1))
-    for mid in constellation.midpoints():
-        idx += y > mid
+    idx = np.zeros(y.shape, dtype=np.min_scalar_type(len(edges)))
+    for edge in edges:
+        idx += y > edge
     return idx
 
 
@@ -132,7 +133,7 @@ def sd_decide(y, target, constellation: Constellation) -> np.ndarray:
     one-column labeling.  An exact midpoint resolves to the lower-indexed
     point.
     """
-    return _column_matrix(target, constellation)[_nearest(y, constellation)]
+    return _column_matrix(target, constellation)[_nearest(y, constellation.midpoints())]
 
 
 # Samples times bit columns times points per block of the L-value

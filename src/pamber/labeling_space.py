@@ -108,7 +108,7 @@ def sample_labelings(
         ValueError: unless M is a power of two the pool can hold, and
             ``count`` and ``seed`` are non-negative integers.
     """
-    n_bits = _label_bits(m_points, least=4)
+    n_bits = _label_bits(m_points)
     _check_enumerable(m_points)  # the pool holds every pattern
     for name, value in (("count", count), ("seed", seed)):
         if not _is_integer(value) or value < 0:

@@ -8,20 +8,20 @@ Gaussian samples come from ``Generator.standard_normal`` (PCG64 +
 ziggurat); symbols are drawn equiprobably.
 
 Errors are tallied by transition, whatever the demodulator: each sample
-adds one to the count of its (sent point, decision) pair.  SD and ABD
-decide the nearest point, by the rule ``sd_decide`` uses; in one dimension
-the max-log L-value of every bit changes sign at the midpoints, so ABD's
-signs give the nearest point's label.  BD decides a label code, first bit
-highest, by region: a sample takes the code of the region between the zero
-crossings of every column's exact L-value that it falls in, counted as SD
-counts midpoints.  The crossings are solved once per grid point, as BD
-``labeling_ber`` solves them.  Within a guard of a crossing (``_GUARD_TOLS``
-solver tolerances), and for every sample of a point whose SNR the solver
-refuses (below -54 dB on 8-PAM), the signs (``abd_decide``) of
-``exact_llr`` decide instead; ``_check_grid`` checks such points before any
-noise is drawn.  Per grid point, the errors of bit j are the sum of the
-tally weighted by whether bit j differs between the sent label and the
-decided one: the paper's sum over transitions, in exact integers.
+adds one to the count of its (sent point, region) pair.  Every demodulator
+cuts the real line at sorted edges and decides a sample by the number of
+edges strictly below it, counted in one pass per edge (``_nearest``).  SD
+and ABD cut at the midpoints, by the rule ``sd_decide`` uses; in one
+dimension the max-log L-value of every bit changes sign at the midpoints,
+so ABD's signs give the nearest point's label.  BD cuts at the merged zero
+crossings of every column's exact L-value, solved once per grid point as
+BD ``labeling_ber`` solves them, and each column decides its own region
+bit.  Only at a point whose SNR the solver refuses (below -54 dB on
+8-PAM) do the signs (``abd_decide``) of ``exact_llr`` decide, one region
+per label code; ``_check_grid`` checks such points before any noise is
+drawn.  Per grid point, the errors of bit j are the sum of the tally
+weighted by whether bit j differs between the sent label and the bit that
+the region decides: the paper's sum over transitions, in exact integers.
 
 Grid points run concurrently on a thread pool with one worker per CPU the
 process may run on (``os.sched_getaffinity``, else ``os.cpu_count``), and
@@ -59,7 +59,7 @@ from .demod import (
     abd_decide,
     exact_llr,
 )
-from .thresholds import _crossings, _past_reach, _root_tol
+from .thresholds import _crossings, _past_reach
 
 _CHUNK = 1 << 18
 # Noise reach, in standard deviations, that the bd demodulator must
@@ -67,15 +67,6 @@ _CHUNK = 1 << 18
 # 1.5e-23, so no feasible run meets one, and a grid point that passes the
 # check up front cannot fail mid-run on the L-value bound.
 _NOISE_SIGMAS = 10.0
-# BD decides a sample by the signs of its L-values when it lies within
-# this many solver tolerances, _root_tol(beta), of a solved crossing
-# beta.  A crossing is within one tolerance of a sign change of the L-value,
-# but rounding flips that sign back and forth in a band around it, wider
-# where the L-value is flat: within 10 noise standard deviations, up to
-# 6.3e4 tolerances on 8-PAM at -54 dB (the solver's limit) and 2.5e4 on
-# NBC-32 at 9 dB.  The guard, 1e-4 near the points, sends about 4 samples
-# in 10^4 of BRGC-8 at 5 dB to the kernel.
-_GUARD_TOLS = 1e6
 
 
 @dataclass(frozen=True)
@@ -155,51 +146,29 @@ def _check_grid(constellation: Constellation, config: SimConfig) -> None:
             )
 
 
-def _bd_decider(target, constellation: Constellation, params: ChannelParams):
-    """The BD label codes of 1-D sample arrays, decided by the solved crossings.
+def _regions(target, constellation: Constellation, params: ChannelParams, demodulator: str):
+    """One grid point's ``decide``, from 1-D samples to regions, and the ``(m, regions)`` bits.
 
-    The crossings of every column are solved once, as BD ``labeling_ber``
-    solves them, and merged into sorted edges; ``codes[k]`` is the label
-    code, first bit highest, of the region above the k lowest edges.  A
-    sample is decided by the number of edges below it, counted in one pass
-    per edge as ``_nearest`` counts midpoints.  Within the guard of an edge
-    (``_GUARD_TOLS`` solver tolerances), and for every sample at an SNR past
-    the solver's reach, the signs of ``exact_llr`` decide instead.
+    Column k of the table holds the bits that region k decides.  SD and ABD
+    cut at the midpoints and BD at the merged crossings of every column, and
+    ``_nearest`` counts the edges below each sample.  Past the solver's
+    reach the signs of ``exact_llr`` decide BD, one region per label code.
     """
-
-    def kernel(y: np.ndarray) -> np.ndarray:
-        out = np.zeros(y.size, dtype=np.int64)
-        for row in exact_llr(y, target, constellation, params).T:  # contiguous: bit-major
-            out = out << 1 | abd_decide(row)
-        return out
-
+    cols = _column_matrix(target, constellation)
+    if demodulator != "bd":
+        return functools.partial(_nearest, edges=constellation.midpoints()), cols.T
     if _past_reach(constellation, params):
-        return kernel
+        def kernel(y: np.ndarray) -> np.ndarray:  # label codes, first bit highest
+            out = np.zeros(y.size, dtype=np.int64)
+            for row in exact_llr(y, target, constellation, params).T:  # contiguous: bit-major
+                out = out << 1 | abd_decide(row)
+            return out
+        return kernel, _bit_rows(np.arange(1 << cols.shape[1]), cols.shape[1]).T
     cuts = _crossings(target, constellation, params)
     edges = np.sort(np.concatenate([betas for betas, _ in cuts]))
     lows = np.append(-np.inf, edges)  # the lower end of every region
-    codes = np.zeros(lows.size, dtype=np.int64)
-    for betas, region_bits in cuts:
-        codes = codes << 1 | region_bits[np.searchsorted(betas, lows, side="right")]
-    guard = _GUARD_TOLS * _root_tol(edges)
-    bands = list(zip((edges - guard).tolist(), (edges + guard).tolist()))
-    count_type = np.min_scalar_type(edges.size)
-
-    def decide(y: np.ndarray) -> np.ndarray:
-        # past and reached count the edges a sample lies beyond by more
-        # than the guard, and within it or beyond: equal outside every guard
-        past = np.zeros(y.shape, dtype=count_type)
-        reached = np.zeros(y.shape, dtype=count_type)
-        for low, high in bands:
-            past += y > high
-            reached += y >= low
-        out = codes[past]
-        near = np.flatnonzero(past != reached)
-        if near.size:
-            out[near] = kernel(y[near])
-        return out
-
-    return decide
+    table = np.array([bits[np.searchsorted(betas, lows, side="right")] for betas, bits in cuts])
+    return functools.partial(_nearest, edges=edges), table
 
 
 def simulate(
@@ -213,6 +182,10 @@ def simulate(
     "sd" and "abd" both decide by the nearest point, so their estimates are
     identical.  A sample on a midpoint, or within a few ulp of one, goes to
     the lower point, though rounding there can flip the sign of ``maxlog_llr``.
+    "bd" decides by the solved crossings, and a sample on one goes to the
+    region below it.  The sign of ``exact_llr`` can differ from them within
+    the solver's tolerance of a crossing, and where the exact L-value is
+    below its own rounding; it decides only past the solver's reach.
 
     Raises:
         ValueError: for "bd", before any work, if at some grid point past
@@ -226,22 +199,17 @@ def simulate(
             "sd", "abd" and "bd" on 2-PAM run at any SNR.
     """
     cols = _column_matrix(target, constellation)
-    bd = config.demodulator == "bd"
-    if bd:
+    if config.demodulator == "bd":
         _check_grid(constellation, config)
     size, n_bits = cols.shape
-    width = 1 << n_bits if bd else size
-    decided = _bit_rows(np.arange(width), n_bits).T if bd else cols.T
-    # flips[j, s, d]: whether bit j differs between the label of s and decision d
-    flips = cols.T[:, :, None] != decided[:, None, :]
     stop = threading.Event()  # set when a point fails or the caller is interrupted
 
     def point(snr_db: float, child: np.random.SeedSequence) -> BerEstimate | None:
         params = ChannelParams.from_db(snr_db)
-        decide = (_bd_decider(target, constellation, params) if bd
-                  else functools.partial(_nearest, constellation=constellation))
+        decide, table = _regions(target, constellation, params, config.demodulator)
+        regions = table.shape[1]
         rng = np.random.default_rng(child)
-        tally = np.zeros(size * width, dtype=np.int64)  # (sent, decision) counts
+        tally = np.zeros(size * regions, dtype=np.int64)  # (sent, region) counts
         done = 0
         while done < config.trials:
             if stop.is_set():  # never read: the caller gets an error instead
@@ -251,11 +219,13 @@ def simulate(
             y = rng.standard_normal(n)  # y = points[sent] + noise_std * z, in place
             y *= params.noise_std
             y += constellation.points[sent]
-            sent *= width  # sent becomes the transition index sent*width + decision
+            sent *= regions  # sent becomes the transition index sent*regions + region
             sent += decide(y)
-            tally += np.bincount(sent, minlength=size * width)
+            tally += np.bincount(sent, minlength=size * regions)
             done += n
-        errors_per_bit = (flips * tally.reshape(size, width)).sum(axis=(1, 2))
+        # flips[j, s, r]: whether bit j differs between the label of s and region r's bit
+        flips = cols.T[:, :, None] != table[:, None, :]
+        errors_per_bit = (flips * tally.reshape(size, regions)).sum(axis=(1, 2))
         bits_sent = config.trials * n_bits
         bit_errors = int(errors_per_bit.sum())
         ber = bit_errors / bits_sent

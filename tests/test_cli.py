@@ -194,6 +194,19 @@ class TestSubcommands:
         # the header is a comment line; the body below it is unchanged
         assert lines[1] == "snr_db,ber"
 
+    def test_provenance_fields_hold_no_whitespace(self, capsys):
+        code, lines = run_cli(capsys, "ber", "--M", "8", "--labeling", " 15, 60,\t102 ",
+                              "--snr", " 0:1:2")
+        assert code == 0
+        assert lines[0].startswith("# pamber ber ")
+        fields = lines[0].split(" ")[3:]
+        assert all(field.count("=") == 1 for field in fields), lines[0]
+        assert "labeling=15,60,102" in fields and "snr=0:1:2" in fields
+        code, lines = run_cli(capsys, "thresholds", "--M", "8", "--pattern", " 102",
+                              "--snr", "10")
+        assert code == 0
+        assert "pattern=102" in lines[0].split(" ")
+
 
 class TestStabilityAndErrors:
     def test_byte_stable_reruns(self, capsys):

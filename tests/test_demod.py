@@ -12,6 +12,7 @@ from pamber import (
     ChannelParams,
     Constellation,
     abd_decide,
+    bd_thresholds,
     exact_llr,
     make_pam,
     maxlog_llr,
@@ -280,7 +281,7 @@ NEAREST_CASES = [
 
 
 class TestNearestPoint:
-    """The SD rule as a midpoint count equals a binary search, ties included."""
+    """The edge count of every demodulator equals a binary search, ties included."""
 
     @pytest.mark.parametrize("c, lab", NEAREST_CASES,
                              ids=["M2", "M4", "M8", "M16", "M64", "uneven4"])
@@ -290,24 +291,38 @@ class TestNearestPoint:
         samples = [np.float64(0.0), np.float64(-0.0), y[len(y) // 3], y, y.reshape(2, -1)]
         for want_shape, sample in zip(shapes, samples):
             oracle = np.searchsorted(c.midpoints(), sample, side="left")
-            got = _nearest(sample, c)
+            got = _nearest(sample, c.midpoints())
             assert got.shape == want_shape
             assert got.dtype == np.min_scalar_type(c.size - 1)
             np.testing.assert_array_equal(got, oracle)
             np.testing.assert_array_equal(sd_decide(sample, lab, c), lab.matrix[oracle])
         for scalar in y:  # each input alone, as a Python float
-            assert _nearest(float(scalar), c) == np.searchsorted(
+            assert _nearest(float(scalar), c.midpoints()) == np.searchsorted(
                 c.midpoints(), scalar, side="left")
+
+    def test_counts_merged_bd_edges(self):
+        # the merged crossings of AG-8 at 10 dB: more edges than midpoints
+        c, lab = make_pam(8), named_labeling("AG", 8)
+        params = ChannelParams.from_db(10.0)
+        edges = np.sort(np.concatenate([
+            bd_thresholds(BitPattern(col.tolist()), c, params).betas for col in lab.matrix.T
+        ]))
+        assert edges.size > c.size - 1
+        y = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                            np.nextafter(edges, np.inf), c.points, [0.0, -0.0, 1e300]])
+        got = _nearest(y, edges)
+        assert got.dtype == np.min_scalar_type(edges.size)
+        np.testing.assert_array_equal(got, np.searchsorted(edges, y, side="left"))
 
     def test_signed_zeros_decide_alike(self):
         c = make_pam(8)  # 0.0 is the centre midpoint
-        assert _nearest(-0.0, c) == _nearest(0.0, c) == 3
+        assert _nearest(-0.0, c.midpoints()) == _nearest(0.0, c.midpoints()) == 3
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, bad):
         for y in (bad, np.array([[0.1, bad], [0.0, 2.0]])):
             with pytest.raises(ValueError, match="finite"):
-                _nearest(y, make_pam(8))
+                _nearest(y, make_pam(8).midpoints())
 
 
 class TestExactLlr:

@@ -175,6 +175,15 @@ class TestLabelingSizeRule:
         with pytest.raises(ValueError, match=f"M must be a power of two >= [24], got {m}"):
             func(m)
 
+    def test_two_points_are_a_size_for_all_but_the_sampler(self, func):
+        # the sampler's pool holds the patterns of a class table, whose M is
+        # a multiple of 4
+        if func is LABELING_SIDE["sample_labelings"]:
+            with pytest.raises(ValueError, match="M must be a positive multiple of 4, got 2"):
+                sample_labelings(2, 1, seed=0)
+        else:
+            assert func(2)
+
 
 class TestCensus:
     def test_four_point_census(self):

@@ -32,7 +32,7 @@ from pamber import (
 )
 from pamber import montecarlo
 from pamber.demod import _column_matrix, _subsets
-from pamber.montecarlo import _CHUNK, _bd_decider
+from pamber.montecarlo import _CHUNK, _regions
 from pamber.thresholds import _crossings, _past_reach
 
 
@@ -209,6 +209,13 @@ def _kernel_codes(llr, y, target, c, params):
     return bits @ (1 << np.arange(bits.shape[1] - 1, -1, -1))
 
 
+def _bd_codes(target, c, params, y):
+    """Label codes, first bit highest, of the BD regions ``simulate`` decides."""
+    decide, table = _regions(target, c, params, "bd")
+    bits = table[:, decide(y)].T.astype(np.int64)
+    return bits @ (1 << np.arange(bits.shape[1] - 1, -1, -1))
+
+
 # The 23 8-PAM class representatives and the named labelings at M = 4, 8, 16.
 REGION_SWEEP = [(cls.representative, make_pam(8)) for cls in enumerate_classes(8)] + [
     (named_labeling(name, m), make_pam(m))
@@ -242,7 +249,7 @@ def test_one_solve_per_target_gives_each_columns_bd_thresholds():
 
 class TestRegionDecisions:
     """BD decides by the regions between its solved crossings, as the signs of
-    its L-values do, and by those signs themselves where the two could differ."""
+    its L-values do, and by those signs alone past the solver's reach."""
 
     @staticmethod
     def count_kernel_samples(monkeypatch):
@@ -263,25 +270,37 @@ class TestRegionDecisions:
                 params = ChannelParams.from_db(snr_db)
                 sent = rng.integers(0, c.size, 1 << 12)
                 y = c.points[sent] + params.noise_std * rng.standard_normal(sent.size)
-                got = _bd_decider(target, c, params)(y)
+                got = _bd_codes(target, c, params, y)
                 assert np.array_equal(got, _kernel_codes(exact_llr, y, target, c, params)), \
                     (target, snr_db)
 
-    def test_samples_at_a_crossing_take_the_kernel(self, monkeypatch):
+    def test_samples_at_a_crossing_follow_the_solved_crossings(self, monkeypatch):
         seen = self.count_kernel_samples(monkeypatch)
         offsets = np.array([0.0, -1e-12, 1e-12, -1e-9, 1e-9])
         for target, c in REGION_SWEEP:
+            patterns = [BitPattern(col.tolist()) for col in _column_matrix(target, c).T]
             for snr_db in REGION_SNRS_DB[::4]:  # every 10 dB
                 params = ChannelParams.from_db(snr_db)
                 if _past_reach(c, params):  # no crossings: the kernel decides every sample
                     continue
-                betas = np.concatenate([cut for cut, _ in _crossings(target, c, params)])
-                y = (betas[:, None] + offsets).ravel()
-                seen.clear()
-                got = _bd_decider(target, c, params)(y)
-                assert sum(seen) == y.size  # every sample is inside the guard
-                assert np.array_equal(got, _kernel_codes(exact_llr, y, target, c, params)), \
-                    (target, snr_db)
+                edges = np.sort(np.concatenate([cut for cut, _ in _crossings(target, c, params)]))
+                y = (edges[:, None] + offsets).ravel()
+                decide, table = _regions(target, c, params, "bd")
+                region = decide(y)
+                np.testing.assert_array_equal(region, np.searchsorted(edges, y, side="left"))
+                for bits, pattern in zip(table, patterns):
+                    want = bd_thresholds(pattern, c, params)
+                    np.testing.assert_array_equal(
+                        bits[region], want.bits[np.searchsorted(want.betas, y, side="left")],
+                        err_msg=f"{target}, {snr_db} dB")
+        assert seen == []
+
+    def test_simulate_within_the_solvers_reach_never_calls_the_kernel(self, monkeypatch):
+        seen = self.count_kernel_samples(monkeypatch)
+        config = SimConfig(trials=100_000, seed=1, snr_db_grid=(0.0, 5.0, 10.0, 15.0),
+                           demodulator="bd")
+        simulate(named_labeling("BRGC", 8), make_pam(8), config)
+        assert seen == []
 
     def test_below_the_solvers_reach_the_kernel_decides_the_whole_chunk(self, monkeypatch):
         lab, c = named_labeling("BRGC", 8), make_pam(8)
@@ -292,7 +311,7 @@ class TestRegionDecisions:
         rng = np.random.default_rng(60)
         sent = rng.integers(0, c.size, 1 << 12)
         y = c.points[sent] + params.noise_std * rng.standard_normal(sent.size)
-        got = _bd_decider(lab, c, params)(y)
+        got = _bd_codes(lab, c, params, y)
         assert seen == [y.size]
         assert np.array_equal(got, _kernel_codes(exact_llr, y, lab, c, params))
 
@@ -560,14 +579,14 @@ class TestParallelPoints:
 
     @staticmethod
     def hook_chunks(monkeypatch, hook):
-        """Decide every BD chunk ``y`` of a point by ``hook(params, y, decide)``."""
-        real = montecarlo._bd_decider
+        """Decide every chunk ``y`` of a point by ``hook(params, y, decide)``."""
+        real = montecarlo._regions
 
-        def bd_decider(target, c, params):
-            decide = real(target, c, params)
-            return lambda y: hook(params, y, decide)
+        def regions(target, c, params, demodulator):
+            decide, table = real(target, c, params, demodulator)
+            return (lambda y: hook(params, y, decide)), table
 
-        monkeypatch.setattr(montecarlo, "_bd_decider", bd_decider)
+        monkeypatch.setattr(montecarlo, "_regions", regions)
 
     @pytest.mark.parametrize("demod", ["sd", "abd", "bd"])
     @pytest.mark.parametrize("target", [named_labeling("BRGC", 8), pattern_from_index(8, 102)],
