@@ -6,10 +6,12 @@ bit patterns and labelings that determine the BER of equally spaced PAM.
 
 The public names are exported lazily (PEP 562): ``import pamber`` loads no
 submodule, and ``pamber.<name>`` imports the one module that defines it on
-first access.  Only :mod:`pamber.analytic` evaluates the Q-function, and it
-imports ``scipy.special`` (about 0.3 s of a cold start on a 2-core Xeon,
-numpy already loaded), so a program that
-only counts classes, demodulates or simulates never pays for it.
+first access.  No module imports scipy: :mod:`pamber.analytic` evaluates
+the Q-function with a numpy port of the Cephes ``erfc`` that
+``scipy.special`` wraps, which spares every closed-form caller the 0.3 s
+import of ``scipy.special`` (on a 2-core Xeon, numpy already loaded).
+Only the quadrature oracle of :mod:`pamber.verify` loads
+``scipy.integrate``, when it runs.
 """
 
 import importlib

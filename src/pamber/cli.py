@@ -118,9 +118,8 @@ def _provenance(args: argparse.Namespace) -> str:
     """The subcommand, its parameters, and the versions the output depends on.
 
     Seeded Monte-Carlo streams and the last bits of L-values can change
-    with the numpy release, so the header names it with pamber.  Only
-    ``ber`` evaluates the Q-function, so only its header names scipy.
-    Values lose their whitespace, so spaces separate the fields.
+    with the numpy release, so the header names it with pamber.  Values
+    lose their whitespace, so spaces separate the fields.
     """
     skip = {"func", "command"}
     fields = [
@@ -129,10 +128,6 @@ def _provenance(args: argparse.Namespace) -> str:
         if key not in skip and value is not None
     ]
     fields += [f"pamber={__version__}", f"numpy={np.__version__}"]
-    if args.command == "ber":
-        import scipy  # already loaded by the Q-function
-
-        fields.append(f"scipy={scipy.__version__}")
     return f"# pamber {args.command} {' '.join(fields)}"
 
 
@@ -159,7 +154,7 @@ def _read_target(args) -> BitPattern | Labeling:
 
 
 def _cmd_ber(args) -> int:
-    from . import analytic  # loads scipy.special: only this command evaluates Q
+    from . import analytic  # only this command evaluates Q
 
     grid = parse_grid(args.snr)
     constellation = make_pam(args.M)

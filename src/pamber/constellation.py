@@ -94,9 +94,10 @@ def _derived(obj, build):
 
     For read-only data that depends on one constellation or one target
     alone, such as a labeling's bit rows, which the closed forms reuse at
-    every SNR.  The value sits in the object's own ``__dict__``, keyed by
-    ``build``: it lives as long as the object, and an object built later
-    never finds it under a reused id or an equal value.
+    every SNR, and for what one channel keeps per constellation.  The
+    value sits in the object's own ``__dict__``, keyed by ``build``: it
+    lives as long as the object, and an object built later never finds it
+    under a reused id or an equal value.
     """
     cache = vars(obj).setdefault("_derived", {})
     try:

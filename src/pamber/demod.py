@@ -78,6 +78,10 @@ class ChannelParams:
         if not math.isfinite(self.snr) or self.snr <= 0:
             raise ValueError(f"snr must be positive and finite, got {self.snr}")
 
+    def __getstate__(self) -> dict:
+        # a copy or a pickle leaves out the Q-function tails analytic keeps here
+        return {"snr": self.snr}
+
     @classmethod
     def from_db(cls, snr_db: float) -> "ChannelParams":
         """The channel at ``snr_db`` dB, whose linear SNR must be a positive finite float."""

@@ -85,10 +85,19 @@ class ThresholdSet:
             raise ValueError("boundaries must be finite and non-decreasing")
         if not set(bits.tolist()) <= {0, 1}:
             raise ValueError("region bits must be 0 or 1")
-        bits = bits.astype(np.int8)
-        for name, arr in (("betas", betas), ("bits", bits)):
+        self._keep(betas, bits)
+
+    def _keep(self, betas: np.ndarray, bits: np.ndarray) -> None:
+        for name, arr in (("betas", betas), ("bits", bits.astype(np.int8))):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @classmethod
+    def _solved(cls, betas: np.ndarray, bits: np.ndarray) -> "ThresholdSet":
+        """A set of the solver's own arrays, already sorted, finite and 0/1: kept unchecked."""
+        self = object.__new__(cls)
+        self._keep(betas, bits)
+        return self
 
     @property
     def size(self) -> int:
@@ -106,12 +115,24 @@ def _inner_grid(constellation: Constellation) -> tuple[np.ndarray, float]:
     return _readonly(grid), step
 
 
+def _outer_count(reach: float, step: float) -> int:
+    """Samples of the geometric scan from ``step`` out to ``reach``."""
+    return max(1, math.ceil(math.log(reach / step, _SCAN_GROWTH)) + 1)
+
+
+def _outer_steps(constellation: Constellation) -> np.ndarray:
+    """``step * _SCAN_GROWTH**k`` out to the farthest reach the solver takes: built once."""
+    step = _derived(constellation, _inner_grid)[1]
+    count = _outer_count(_MAX_REACH_GAPS * constellation.dmin, step)
+    return _readonly(step * _SCAN_GROWTH ** np.arange(count))
+
+
 def _scan_grid(constellation: Constellation, reach: float) -> np.ndarray:
     inner, step = _derived(constellation, _inner_grid)
     if reach <= 0:
         return inner
-    count = max(1, math.ceil(math.log(reach / step, _SCAN_GROWTH)) + 1)
-    outer = np.minimum(step * _SCAN_GROWTH ** np.arange(count), reach)
+    steps = _derived(constellation, _outer_steps)[: _outer_count(reach, step)]
+    outer = np.minimum(steps, reach)
     points = constellation.points
     return np.concatenate((points[0] - outer[::-1], inner, points[-1] + outer))
 
@@ -198,7 +219,7 @@ def bd_thresholds(
         raise TypeError(f"pattern must be a BitPattern, got {type(pattern)!r}")
     if pattern.size != constellation.size:
         raise ValueError("pattern and constellation sizes differ")
-    return ThresholdSet(*_crossings(pattern, constellation, params)[0])
+    return ThresholdSet._solved(*_crossings(pattern, constellation, params)[0])
 
 
 def _reach(constellation: Constellation, params: ChannelParams) -> float:

@@ -1,10 +1,12 @@
 """Closed-form BER tests: Q-function, both PBER forms, coefficients."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erfc as scipy_erfc
 
 from pamber import (
     BitPattern,
@@ -29,7 +31,7 @@ from pamber import (
     qfunc,
     sd_decide,
 )
-from pamber.analytic import _relevance
+from pamber.analytic import _erfc, _relevance
 from pamber.constellation import LABELING_NAMES
 from pamber.pattern_classes import (
     _masks_of_weight,
@@ -97,6 +99,61 @@ class TestQfunc:
 
     def test_deep_tail_underflows_cleanly(self):
         assert 0.0 <= float(qfunc(40.0)) < 1e-300
+
+
+def erfc_arguments():
+    """Over a million arguments: every branch, both sides of each edge, and the special values."""
+    rng = np.random.default_rng(29)
+    edges = [1.0, 8.0, math.sqrt(7.09782712893383996843e2)]  # |a| < 1, < 8, a*a past MAXLOG
+    near = [np.nextafter(e, [-np.inf, np.inf]) for e in edges] + [edges]
+    special = [0.0, -0.0, 1.0, -1.0, 8.0, -8.0, 26.55, 26.6, 27.3, 1e-300, 5e-324,
+               2.2250738585072014e-308, 1e308, 1.7e308, np.finfo(float).max,
+               np.inf, np.nan]
+    parts = [
+        rng.uniform(-1.0, 1.0, 150_000),
+        rng.uniform(-9.0, 9.0, 150_000),
+        rng.uniform(0.0, 30.0, 100_000),
+        np.linspace(-40.0, 40.0, 50_001),
+        np.linspace(26.5, 27.4, 50_000),  # exp(-a*a) subnormal, then MAXLOG
+        rng.uniform(-1.0, 1.0, 1000) * 1e-308,  # subnormal arguments
+        np.concatenate(near), np.array(special),
+    ]
+    args = np.concatenate(parts)
+    return np.concatenate((args, -args))
+
+
+class TestErfcPort:
+    """The numpy port of Cephes erfc against scipy.special.erfc, kept as the oracle."""
+
+    def test_bit_for_bit_with_scipy_and_no_warning(self):
+        args = erfc_arguments()
+        assert args.size >= 1_000_000
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _erfc(args)
+        want = scipy_erfc(args)
+        assert got.dtype == np.float64 and got.shape == args.shape
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        mismatch = got[~nan].view(np.int64) != want[~nan].view(np.int64)
+        assert not mismatch.any(), args[~nan][mismatch][:10]
+
+    def test_special_values(self):
+        assert _erfc(np.inf) == 0.0 and _erfc(-np.inf) == 2.0
+        assert math.isnan(_erfc(np.nan))
+        assert _erfc(0.0) == 1.0 and _erfc(-0.0) == 1.0
+        assert _erfc(1e308) == 0.0 and _erfc(-1e308) == 2.0
+        assert np.signbit(_erfc(30.0)) == np.signbit(scipy_erfc(30.0))
+
+    def test_shapes_and_scalars(self):
+        assert isinstance(_erfc(0.5), np.float64)
+        assert isinstance(qfunc(0.5), np.float64)
+        assert _erfc(np.array(0.5)).shape == ()
+        grid = np.linspace(-10.0, 10.0, 24).reshape(2, 3, 4)
+        assert _erfc(grid).shape == (2, 3, 4)
+        assert np.array_equal(_erfc(grid), scipy_erfc(grid))
+        assert qfunc([[0.0, 1.0]]).shape == (1, 2)
+        assert _erfc(np.array([])).shape == (0,)
 
 
 class TestIntervalProbs:

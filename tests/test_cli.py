@@ -180,8 +180,6 @@ class TestSubcommands:
         assert lines[2].split(",")[1] == "BRGC"
 
     def test_provenance_header_names_parameters_and_versions(self, capsys):
-        import scipy
-
         from pamber import __version__
 
         code, lines = run_cli(capsys, "ber", "--M", "8", "--labeling", "brgc",
@@ -189,7 +187,7 @@ class TestSubcommands:
         assert code == 0
         assert lines[0] == (
             "# pamber ber M=8 demod=abd labeling=brgc snr=0:1:2 "
-            f"pamber={__version__} numpy={np.__version__} scipy={scipy.__version__}"
+            f"pamber={__version__} numpy={np.__version__}"
         )
         # the header is a comment line; the body below it is unchanged
         assert lines[1] == "snr_db,ber"

@@ -1,5 +1,6 @@
-"""What a fresh interpreter loads: only the Q-function path pays for scipy,
-and only a simulate call for the thread pool (concurrent.futures, which loads logging).
+"""What a fresh interpreter loads: no pamber module and no command but verify
+loads scipy, and only a simulate call loads the thread pool
+(concurrent.futures, which loads logging).
 
 The README example runs in a fresh interpreter too, so that a removed or
 renamed name cannot linger in the docs.
@@ -15,7 +16,10 @@ import pytest
 import pamber
 
 SRC = str(Path(pamber.__file__).resolve().parents[1])
+# Modules whose import loads nothing heavy.  analytic is one of them: its
+# Q-function is a numpy port, not scipy.special.
 Q_FREE_MODULES = (
+    "analytic",
     "constellation",
     "demod",
     "thresholds",
@@ -78,7 +82,17 @@ def test_q_free_modules_leave_out_scipy_special(module):
     assert f"pamber.{module}" in loaded
     assert not loaded & set(HEAVY)
     assert not scipy_modules(loaded)
-    assert "pamber.analytic" not in loaded
+    # only the closed forms import analytic
+    assert "pamber.analytic" not in loaded - {f"pamber.{module}"}
+
+
+def test_no_pamber_module_loads_scipy():
+    package = Path(pamber.__file__).parent
+    modules = sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
+    assert {"analytic", "cli", "verify"} <= set(modules)
+    loaded = loaded_after("\n".join(f"import pamber.{m}" for m in modules))
+    assert {f"pamber.{m}" for m in modules} <= loaded
+    assert not scipy_modules(loaded), sorted(scipy_modules(loaded))
 
 
 def test_cli_classes_run_leaves_out_scipy_special():
@@ -87,8 +101,10 @@ def test_cli_classes_run_leaves_out_scipy_special():
     assert not loaded & set(HEAVY)
 
 
-# Every command but ber (and verify) gives output that does not depend on scipy.
+# Every command but verify gives output that does not depend on scipy.
 SCIPY_FREE_RUNS = {
+    "ber": ("ber", "--M", "4", "--labeling", "brgc", "--snr", "3"),
+    "ber_bd": ("ber", "--M", "4", "--pattern", "5", "--demod", "bd", "--snr", "0:5:10"),
     "classes": ("classes", "--M", "4"),
     "labelings": ("labelings", "--M", "4"),
     "llr": ("llr", "--M", "4", "--labeling", "brgc", "--snr", "3", "--y=-1:0.5:1"),
@@ -104,16 +120,23 @@ def test_cli_runs_load_no_scipy_module(command):
     assert not scipy_modules(loaded), sorted(scipy_modules(loaded))
 
 
-def test_cli_ber_run_loads_scipy_special():
-    # the check above would pass vacuously if runs never showed scipy
-    loaded = loaded_after(cli_run("ber", "--M", "4", "--labeling", "brgc", "--snr", "3"))
-    assert "scipy.special" in loaded
+def test_cli_ber_run_evaluates_q():
+    # so the ber runs above load no scipy while they evaluate the Q-function
+    assert "pamber.analytic" in loaded_after(cli_run(*SCIPY_FREE_RUNS["ber"]))
 
 
-def test_analytic_loads_scipy_special_when_imported():
-    # The curves and simulate workloads import analytic during their set-up,
-    # so the first Q evaluation must not pay for the import.
-    assert "scipy.special" in loaded_after("import pamber.analytic")
+def test_scipy_shows_where_it_is_loaded():
+    # the checks above would pass vacuously if the helper never showed scipy:
+    # verify's quadrature oracle loads scipy.integrate
+    loaded = loaded_after(
+        "from pamber import verify\n"
+        "from pamber.constellation import make_pam, pattern_from_index\n"
+        "from pamber.demod import ChannelParams\n"
+        "from pamber.thresholds import ThresholdSet\n"
+        "c, p = make_pam(4), pattern_from_index(4, 5)\n"
+        "verify._quadrature_pber(p, c, ThresholdSet(c.midpoints(), p.bits), ChannelParams(2.0))"
+    )
+    assert "scipy.integrate" in scipy_modules(loaded)
 
 
 def test_star_import_binds_every_public_name():

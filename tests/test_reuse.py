@@ -4,13 +4,18 @@
 depend on the SNR with the object it came from: a target's int64 bit rows,
 midpoint relevance matrix and gather index (one for all its columns, read
 by the BD solver a column at a time), a constellation's point-to-midpoint
-offsets and inner scan grid.  Every value must stay bit for bit that of a
-fresh evaluation of the same sums, whatever was evaluated before and
+offsets, inner scan grid and outer scan steps, and a channel's midpoint
+Q tails for each constellation.  Every value must stay bit for bit that of
+a fresh evaluation of the same sums, whatever was evaluated before and
 whichever objects were freed in between.
 """
 
+import copy
 import gc
 import math
+import pickle
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -29,13 +34,15 @@ from pamber import (
     pber_general,
     qfunc,
 )
-from pamber import demod, thresholds
+from pamber import analytic, demod, thresholds
 from pamber.constellation import LABELING_NAMES
 from pamber.labeling_space import sample_labelings
 from pamber.pattern_classes import _masks_of_weight
 
 GRID_DB = np.arange(-5.0, 20.25, 0.5)
 UNEVEN = (-1.9, -0.35, 0.1, 1.1)
+# 8 points with three gaps far below the even scan step
+CLUSTERED = (-3.0, -2.0, -1.0, 0.0, 0.003, 0.006, 0.009, 3.0)
 
 
 # --- the sums evaluated afresh, nothing kept between calls -------------
@@ -264,3 +271,109 @@ class TestFreshObjects:
         assert all("_derived" not in vars(obj) for obj in (c, lab, pat))
         labeling_ber(lab, c, ChannelParams.from_db(3.0))
         assert "_derived" not in vars(pat)
+
+
+class TestMidpointTails:
+    """The midpoint Q tails a channel keeps for each constellation it meets."""
+
+    def test_kept_tails_equal_fresh_ones(self):
+        for c in (make_pam(8), Constellation(points=UNEVEN), make_pam(16)):
+            for snr_db in GRID_DB[::5]:
+                params = ChannelParams.from_db(snr_db)
+                mids = c.midpoints()
+                want = qfunc((mids[None, :] - c.points[:, None]) * math.sqrt(2.0 * params.snr))
+                kept = analytic._midpoint_tails(c, params)
+                assert kept.tobytes() == want.tobytes()
+                assert analytic._midpoint_tails(c, params) is kept
+                assert not kept.flags.writeable
+
+    def test_one_port_call_for_200_labelings_on_one_channel(self, monkeypatch):
+        calls = []
+        port = analytic._erfc
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return port(a)
+
+        monkeypatch.setattr(analytic, "_erfc", counted)
+        c, params = make_pam(8), ChannelParams.from_db(10.0)
+        labelings = sample_labelings(8, 200, seed=29)
+        values = [labeling_ber(lab, c, params, demod_name)
+                  for lab in labelings for demod_name in ("abd", "sd")]
+        assert calls == [(8, 7)]
+        # an equal channel object and another constellation each miss once
+        labeling_ber(labelings[0], c, ChannelParams.from_db(10.0))
+        labeling_ber(labelings[0], make_pam(8), params)
+        assert len(calls) == 3
+        monkeypatch.undo()
+        for lab, got in zip(labelings, values[::2]):
+            assert same_bits(got, fresh_ber(lab, c.points, params.snr, "abd"))
+
+    def test_a_channel_keeps_no_constellation_alive(self):
+        params = ChannelParams.from_db(5.0)
+        c = make_pam(4)
+        labeling_ber(named_labeling("BRGC", 4), c, params)
+        ref = weakref.ref(c)
+        del c
+        gc.collect()
+        assert ref() is None
+        assert len(vars(params)["_derived"][analytic._by_constellation]) == 0
+
+    def test_threads_sharing_a_channel_see_the_same_values(self):
+        # constellations built and dropped on several threads, one channel
+        params = ChannelParams.from_db(7.5)
+        labs = [named_labeling(name, 8) for name in ("BRGC", "NBC", "AG")]
+        want = [labeling_ber(lab, make_pam(8), params) for lab in labs]
+        bad = []
+
+        def work():
+            for _ in range(60):
+                c = make_pam(8)
+                got = [labeling_ber(lab, c, params) for lab in labs]
+                if got != want:
+                    bad.append(got)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
+
+    def test_copies_and_pickles_leave_the_tails_behind(self):
+        params = ChannelParams.from_db(5.0)
+        labeling_ber(named_labeling("BRGC", 4), make_pam(4), params)
+        for twin in (pickle.loads(pickle.dumps(params)), copy.copy(params),
+                     copy.deepcopy(params)):
+            assert twin == params and vars(twin) == {"snr": params.snr}
+
+
+class TestOuterSteps:
+    """The geometric scan steps, one table per constellation, sliced at every point."""
+
+    @pytest.mark.parametrize("points", [make_pam(8).points, CLUSTERED], ids=["pam8", "clustered"])
+    def test_every_slice_equals_the_fresh_power(self, points):
+        c = Constellation(points=points)
+        table = thresholds._outer_steps(c)
+        step = thresholds._inner_grid(c)[1]
+        assert table.size == thresholds._outer_count(thresholds._MAX_REACH_GAPS * c.dmin, step)
+        for count in range(1, table.size + 1):
+            fresh = step * thresholds._SCAN_GROWTH ** np.arange(count)
+            assert table[:count].tobytes() == fresh.tobytes(), count
+
+    @pytest.mark.parametrize("points", [make_pam(8).points, CLUSTERED], ids=["pam8", "clustered"])
+    def test_scan_grids_out_to_the_farthest_reach(self, points):
+        c = Constellation(points=points)
+        inner, step = thresholds._inner_grid(c)
+        farthest = thresholds._MAX_REACH_GAPS * c.dmin
+        for reach in (*np.geomspace(step / 10, farthest, 60), farthest):
+            count = max(1, math.ceil(math.log(reach / step, thresholds._SCAN_GROWTH)) + 1)
+            outer = np.minimum(step * thresholds._SCAN_GROWTH ** np.arange(count), reach)
+            want = np.concatenate((c.points[0] - outer[::-1], inner, c.points[-1] + outer))
+            assert thresholds._scan_grid(c, reach).tobytes() == want.tobytes(), reach

@@ -194,6 +194,17 @@ class TestRelevanceMask:
 
 
 class TestBdThresholds:
+    def test_solver_sets_are_what_the_checked_constructor_builds(self):
+        # bd_thresholds skips ThresholdSet's checks; its arrays must pass them
+        c = make_pam(8)
+        for index in FIG_PATTERNS:
+            for snr_db in (-10.0, 0.0, 12.0, 30.0):
+                thr = bd_thresholds(pattern_from_index(8, index), c, ChannelParams.from_db(snr_db))
+                checked = ThresholdSet(thr.betas, thr.bits)
+                for got, want in ((thr.betas, checked.betas), (thr.bits, checked.bits)):
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                    assert not got.flags.writeable
+
     def test_antisymmetric_pattern_center(self):
         c = make_pam(8)
         pat = pattern_from_index(8, 15)
