@@ -12,6 +12,7 @@ whichever objects were freed in between.
 
 import copy
 import gc
+import hashlib
 import math
 import pickle
 import sys
@@ -377,3 +378,35 @@ class TestOuterSteps:
             outer = np.minimum(step * thresholds._SCAN_GROWTH ** np.arange(count), reach)
             want = np.concatenate((c.points[0] - outer[::-1], inner, c.points[-1] + outer))
             assert thresholds._scan_grid(c, reach).tobytes() == want.tobytes(), reach
+
+
+class TestBdDigest:
+    """Every 8-PAM BD crossing and PBER, and BD labeling BERs, against a fixed digest.
+
+    The digest hashes ``float.hex`` of each crossing, the region bits and
+    the PBER of all 70 8-PAM patterns, and the BD ``labeling_ber`` of the
+    five named 8-PAM labelings and BRGC-16, from -5 to 30 dB in 0.5 dB
+    steps.  It pins the bits of the solver and the evaluator as they stand,
+    so that a change meant to keep every value must keep the digest.
+    """
+
+    DIGEST = "a4a992e395400a37d368cc67cd0e779604431da7fed9619929664fd0b0fc56db"
+
+    def test_bd_bits_match_the_pinned_digest(self):
+        c8, c16 = make_pam(8), make_pam(16)
+        pats = [pattern_from_index(8, w) for w in _masks_of_weight(8, 4).tolist()]
+        labs = [named_labeling(name, 8) for name in LABELING_NAMES]
+        labs.append(named_labeling("BRGC", 16))
+        digest = hashlib.sha256()
+        for snr_db in np.arange(-5.0, 30.25, 0.5):
+            params = ChannelParams.from_db(snr_db)
+            for pat in pats:
+                thr = bd_thresholds(pat, c8, params)
+                fields = [b.hex() for b in thr.betas.tolist()]
+                fields.append("".join(map(str, thr.bits.tolist())))
+                fields.append(pber_general(pat, c8, thr, params).hex())
+                digest.update((" ".join(fields) + "\n").encode())
+            for lab in labs:
+                ber = labeling_ber(lab, c16 if lab.size == 16 else c8, params, "bd")
+                digest.update((ber.hex() + "\n").encode())
+        assert digest.hexdigest() == self.DIGEST
