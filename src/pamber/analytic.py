@@ -19,7 +19,9 @@ One evaluator core, ``_gq_sums``, sums ``g*Q`` for a stack of relevance
 matrices against one set of boundaries in one array pass.  :func:`pber_general`
 is its one-row case.  :func:`labeling_ber` hands it the m columns as rows:
 all at once against the midpoints, whose tails every column shares, or
-each against its own BD crossings, all solved in one call.
+each against its own BD crossings, all solved in one call, with the Q
+tails of every column's crossings evaluated in one call and sliced per
+column.
 The bit matrix must be C-contiguous: numpy's summation order follows the
 memory layout, and only with C order does each row's sum add its ``M*K``
 terms in the order of the one-pattern sum, so that a labeling's BER is
@@ -31,8 +33,11 @@ constellation's point-to-midpoint offsets, are built on first use and
 kept with that object (``constellation._derived``); every later call
 reuses them, with the same operations in the same order.  The midpoint
 tails depend on the SNR and the constellation alone: they are kept with
-the :class:`ChannelParams`, weakly keyed by the constellation, so every
-target evaluated on one channel shares one Q evaluation.
+the :class:`ChannelParams`, weakly keyed by the constellation
+(``constellation._per_channel``, the store that also keeps the BD scan
+grid), so every target evaluated on one channel shares one Q evaluation.
+A BD point makes one Q call: :func:`pber_general` on the crossings of a
+pattern, or :func:`labeling_ber` on those of every column at once.
 
 The Q-function is ``0.5*erfc(x/sqrt(2))`` with ``erfc`` a numpy port of
 the Cephes ``erfc`` (S. L. Moshier, *Methods and Programs for
@@ -53,20 +58,21 @@ weight vectors themselves need no Q-function and live in
 from __future__ import annotations
 
 import math
-import weakref
 
 import numpy as np
 
-from .constellation import BitPattern, Constellation, Labeling, _derived, _readonly, pam_spacing
-from .demod import DEMODULATORS, ChannelParams, _column_matrix, _columns
+from .constellation import (
+    BitPattern, Constellation, Labeling, _derived, _per_channel, _readonly, pam_spacing)
+from .demod import DEMODULATORS, ChannelParams, _columns
 from .pattern_classes import labeling_coefficients, pattern_coefficients
 from .thresholds import ThresholdSet, _crossings
 
 
 # Cephes erfc: erf's T/U for |a| < 1, erfc's P/Q for 1 <= |a| < 8 and R/S
 # beyond, highest power first.  The denominators are p1evl's, whose leading
-# 1.0 is written out; padding every column to 9 with leading zeros changes
-# no rounding, so one Horner pass over per-argument columns serves all three.
+# 1.0 is written out; padding every polynomial to 9 coefficients with leading
+# zeros changes no rounding, so one Horner pass over per-argument
+# numerator and denominator pairs serves all three branches.
 _ERFC_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
            7.00332514112805075473e3, 5.55923013010394962768e4)
 _ERFC_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
@@ -81,10 +87,11 @@ _ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180
            6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
 _ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
            1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
-# Columns 0-2 are the numerators of branches 0-2, columns 3-5 their denominators.
-_ERFC_COLUMNS = np.array(
-    [(0.0,) * (9 - len(c)) + c for c in (_ERFC_T, _ERFC_P, _ERFC_R, _ERFC_U, _ERFC_Q, _ERFC_S)]
-).T.copy()
+# _ERFC_PAIRS[k, b] is the k-th coefficient of branch b's numerator and denominator.
+_ERFC_PAIRS = np.array(
+    [[(0.0,) * (9 - len(c)) + c for c in pair]
+     for pair in ((_ERFC_T, _ERFC_U), (_ERFC_P, _ERFC_Q), (_ERFC_R, _ERFC_S))]
+).transpose(2, 0, 1).copy()
 _ERFC_EDGES = np.array([1.0, 8.0])
 _ERFC_MAXLOG = 7.09782712893383996843e2  # ln(DBL_MAX): past it exp(-a*a) counts as 0
 
@@ -106,17 +113,18 @@ def _erfc(a):
     branch = np.searchsorted(_ERFC_EDGES, x, side="right")  # NaN sorts last: branch 2
     small = branch == 0
     squares = x * x
-    columns = _ERFC_COLUMNS.take(np.concatenate((branch, branch + 3)), axis=1)
-    v = np.where(small, squares, x)
-    v = np.concatenate((v, v))
-    pq = columns[0].copy()
-    for column in columns[1:]:
+    pairs = _ERFC_PAIRS.take(branch, axis=1)  # (9, n, 2)
+    v = np.where(small, squares, x).repeat(2).reshape(-1, 2)  # same shape: no broadcasting
+    pq = pairs[0].copy()
+    for pair in pairs[1:]:
         pq *= v
-        pq += column
-    n = flat.size
+        pq += pair
     tails = np.array([math.exp(-t) if t <= _ERFC_MAXLOG else 0.0 for t in squares.tolist()])
-    y = np.where(small, flat, tails) * pq[:n] / pq[n:]
-    y = np.where(small, 1.0 - y, np.where(flat < 0, 2.0 - y, y))
+    y = np.where(small, flat, tails)
+    y *= pq[:, 0]
+    y /= pq[:, 1]
+    np.subtract(1.0, y, out=y, where=small)
+    np.subtract(2.0, y, out=y, where=flat <= -1.0)  # a < 0 beyond the small branch
     return y.reshape(a.shape)[()]
 
 
@@ -149,11 +157,13 @@ def _gq_sums(g, tails) -> np.ndarray:
     """Sum of ``g*tails``, one sum for each matrix of ``g``.
 
     ``g`` is an ``(n, M, K)`` stack of relevance matrices of C-contiguous
-    int64 bit rows, and ``tails`` the ``(M, K)`` matrix of :func:`_tails`.
+    int64 bit rows, its small integers held as int64 or float64 (the
+    products are the same), and ``tails`` the ``(M, K)`` matrix of
+    :func:`_tails`.
     Sum r adds the terms of row r's one-pattern sum, in the same order
     (see the module docstring).
     """
-    return (g * tails).reshape(len(g), -1).sum(axis=1)
+    return np.add.reduce((g * tails).reshape(len(g), -1), axis=1)
 
 
 def _tails(offsets, params: ChannelParams) -> np.ndarray:
@@ -172,31 +182,19 @@ def _int_rows(target) -> np.ndarray:
 
 
 def _midpoint_relevance(target) -> np.ndarray:
+    """The midpoint relevance stack, as float64: ``g*tails`` then needs no int-to-float cast."""
     rows = _derived(target, _int_rows)
-    return _readonly(_relevance(rows, rows))
+    return _readonly(_relevance(rows, rows).astype(float))
 
 
 def _midpoint_offsets(constellation: Constellation) -> np.ndarray:
     return _readonly(_offsets(constellation.midpoints(), constellation))
 
 
-def _by_constellation(params: ChannelParams) -> weakref.WeakKeyDictionary:
-    return weakref.WeakKeyDictionary()
-
-
+@_per_channel
 def _midpoint_tails(constellation: Constellation, params: ChannelParams) -> np.ndarray:
-    """The midpoint :func:`_tails`, kept with ``params`` for each constellation.
-
-    The key is weak, so a channel keeps no constellation alive, and a
-    constellation built later never finds another's tails.
-    """
-    kept = _derived(params, _by_constellation)
-    try:
-        return kept[constellation]
-    except KeyError:
-        offsets = _derived(constellation, _midpoint_offsets)
-        tails = kept[constellation] = _readonly(_tails(offsets, params))
-        return tails
+    """The midpoint :func:`_tails`, kept with ``params`` for each constellation."""
+    return _readonly(_tails(_derived(constellation, _midpoint_offsets), params))
 
 
 def pber_general(
@@ -272,15 +270,21 @@ def labeling_ber(
     the exact L-value crossings of all columns at this SNR in one call.  The
     columns are rows of one bit matrix for ``_gq_sums`` (see the module docstring).
     """
-    _column_matrix(target, constellation)
+    if not isinstance(target, (Labeling, BitPattern)):
+        _columns(target)  # raises the TypeError of a non-target
+    rows = _derived(target, _int_rows)
+    if rows.shape[1] != constellation.size:
+        raise ValueError("target and constellation sizes differ")
     if demod not in DEMODULATORS:
         raise ValueError(f"demod must be one of {', '.join(DEMODULATORS)}; got {demod!r}")
-    rows = _derived(target, _int_rows)
     if demod == "bd":
-        sums = []
-        for row, (betas, region_bits) in zip(rows, _crossings(target, constellation, params)):
+        cuts = _crossings(target, constellation, params)
+        offsets = _offsets(np.concatenate([betas for betas, _ in cuts]), constellation)
+        tails, sums, start = _tails(offsets, params), [], 0
+        for row, (betas, region_bits) in zip(rows, cuts):
             g = _relevance(row[None], region_bits[None])
-            sums += _gq_sums(g, _tails(_offsets(betas, constellation), params)).tolist()
+            sums += _gq_sums(g, tails[:, start : start + betas.size]).tolist()
+            start += betas.size
     else:
         g = _derived(target, _midpoint_relevance)
         sums = _gq_sums(g, _midpoint_tails(constellation, params)).tolist()

@@ -17,7 +17,9 @@ All types are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import functools
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -94,7 +96,7 @@ def _derived(obj, build):
 
     For read-only data that depends on one constellation or one target
     alone, such as a labeling's bit rows, which the closed forms reuse at
-    every SNR, and for what one channel keeps per constellation.  The
+    every SNR, and for the store of :func:`_per_channel`.  The
     value sits in the object's own ``__dict__``, keyed by ``build``: it
     lives as long as the object, and an object built later never finds it
     under a reused id or an equal value.
@@ -105,6 +107,37 @@ def _derived(obj, build):
     except KeyError:
         value = cache[build] = build(obj)
         return value
+
+
+def _by_constellation(params) -> weakref.WeakKeyDictionary:
+    return weakref.WeakKeyDictionary()
+
+
+def _per_channel(build):
+    """``build(constellation, params)``, kept with the channel ``params`` for each constellation.
+
+    A decorator for read-only data that depends on one channel and one
+    constellation alone, such as the midpoint Q tails and the BD scan grid.
+    Every such value sits in one store per channel, a
+    ``weakref.WeakKeyDictionary`` kept with ``params`` by :func:`_derived`
+    and keyed by the constellation: a channel keeps no constellation alive,
+    and a constellation built later never finds another's data.  A build
+    that raises keeps nothing, so the call raises again every time.  Two
+    threads that miss at once may both build; their values are equal, and
+    the store keeps one.
+    """
+
+    @functools.wraps(build)
+    def kept(constellation, params):
+        store = _derived(params, _by_constellation)
+        try:
+            return store[constellation][kept]
+        except KeyError:
+            value = build(constellation, params)
+            store.setdefault(constellation, {})[kept] = value
+            return value
+
+    return kept
 
 
 @dataclass(frozen=True, eq=False)

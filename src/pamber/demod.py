@@ -22,7 +22,8 @@ The demodulators act on a *target*: a :class:`Labeling`, or a
 every L-value from one gather index per target, ``_subsets``, built on
 the target's first use and kept with it (``constellation._derived``).
 The L-value functions and the BD solver read that index; the solver
-scans every column of a target at once, then refines column by column.
+scans every column of a target at once, then refines the brackets of
+all columns in one pass.
 
 The L-value kernels are point-major.  For a block of samples they hold
 one row of squared distances ``(y - x)**2`` per point ``x`` and gather,
@@ -79,7 +80,7 @@ class ChannelParams:
             raise ValueError(f"snr must be positive and finite, got {self.snr}")
 
     def __getstate__(self) -> dict:
-        # a copy or a pickle leaves out the Q-function tails analytic keeps here
+        # a copy or a pickle leaves out what the library keeps here per constellation
         return {"snr": self.snr}
 
     @classmethod
@@ -234,13 +235,19 @@ def _subsets(target) -> np.ndarray:
     return _readonly(np.ascontiguousarray(halves.transpose(2, 0, 1)))
 
 
-def _llr_rows(samples, subsets, points, snr: float, kernel) -> np.ndarray:
-    """The ``(m, n)`` L-values of ``n`` checked samples; ``points`` is ``(M, 1)``."""
+def _llr_rows(samples, subsets, points, snr: float, kernel, squares=None) -> np.ndarray:
+    """The ``(m, n)`` L-values of ``n`` checked samples; ``points`` is ``(M, 1)``.
+
+    ``squares``, if given, is ``np.square(samples - points)``, computed beforehand.
+    """
     out = np.empty((subsets.shape[1], samples.size))
     step = max(1, _BLOCK // subsets.size)  # subsets.size is M*m
     for lo in range(0, samples.size, step):
-        sq = np.square(samples[lo : lo + step] - points)
-        kernel(sq[subsets], snr, out[:, lo : lo + step])
+        if squares is None:
+            sq = np.square(samples[lo : lo + step] - points)
+        else:
+            sq = squares[:, lo : lo + step]
+        kernel(sq.take(subsets, axis=0), snr, out[:, lo : lo + step])
     return out
 
 

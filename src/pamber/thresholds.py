@@ -23,6 +23,17 @@ Two facts bound the BD boundaries of a pattern over points
   points; likewise below ``s_0 - T``.  Every crossing therefore lies in
   ``[s_0 - T, s_{M-1} + T]``, and the outer regions decide ``p_0`` and
   ``p_{M-1}``.
+
+The solver scans the L-value of every column of a target on one grid out
+to T, which depends on the SNR and the constellation alone.  A channel
+keeps that grid, checked against the L-value bound of :mod:`pamber.demod`,
+and the squared distances of its samples to the points, for each
+constellation it meets (``constellation._per_channel``), so every target
+solved on one channel scans the same arrays.  The sign changes of all
+columns are then refined in one pass: each step evaluates the L-value of
+every column at the brackets' next points in one kernel call and keeps
+each bracket's own column.  A bracket's steps depend on its own ends
+alone, so the crossings are those of refining each column by itself.
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import BitPattern, Constellation, _derived, _readonly
+from .constellation import BitPattern, Constellation, _derived, _per_channel, _readonly
 from .demod import ChannelParams, _exact_from_rows, _llr_observations, _llr_rows, _subsets
 
 # The scan is uniform across the points and geometric beyond them, its
@@ -137,45 +148,55 @@ def _scan_grid(constellation: Constellation, reach: float) -> np.ndarray:
     return np.concatenate((points[0] - outer[::-1], inner, points[-1] + outer))
 
 
-def _root_tol(x):
-    """The solver's root tolerance at ``x`` (a float or an array): ``_XTOL + _RTOL*|x|``."""
-    return _XTOL + _RTOL * abs(x)
-
-
 def _illinois(f, lo, hi, flo, fhi) -> np.ndarray:
     """Roots of ``f`` in every bracket ``[lo, hi]`` (ends of opposite sign) at once.
 
+    ``f(x, which)`` gives a list of floats: for each point ``x[k]``, the
+    value of the function of bracket ``which[k]``.  The brackets may belong
+    to different functions, such as the columns of one target, and every
+    step refines all of them with one call of ``f``.
+
     Each step is a regula falsi step, clipped at least ``tol`` inside its
-    bracket, with ``tol = _root_tol(max(|lo|, |hi|))`` so that a clipped
+    bracket, with ``tol = _XTOL + _RTOL*max(|lo|, |hi|)`` so that a clipped
     step moves even where a float's spacing exceeds ``_XTOL``.  The Illinois rule
     halves the value kept at an end that stayed put twice; after
     ``_ILLINOIS_STEPS`` steps the refinement halves brackets instead.  A
     bracket is done once it is narrower than ``2*tol``; its centre, the
-    returned root, is within ``tol`` of a sign change.
+    returned root, is within ``tol`` of a sign change.  A bracket's steps
+    depend on its own ends alone, so refining brackets together or apart
+    gives the same roots.
 
     The few brackets' state is kept in Python floats, whose arithmetic is
-    the same IEEE double arithmetic as numpy's element-wise operations, and
-    ``f`` is called once per step on an array of every active bracket's
-    next point.
+    the same IEEE double arithmetic as numpy's element-wise operations.
     """
     lo, hi, flo, fhi = (np.asarray(a, dtype=float).tolist() for a in (lo, hi, flo, fhi))
     moved = [0] * len(lo)  # -1: lo moved last, +1: hi
     active = range(len(lo))
     step = 0
     while True:
-        xs = []
+        secant = step < _ILLINOIS_STEPS
+        which, xs = [], []
         for i in active:
             a, b = lo[i], hi[i]
-            t = _root_tol(max(abs(a), abs(b)))
+            t = -a if -a > b else b  # max(|a|, |b|), as a <= b
+            t = _XTOL + _RTOL * t
             if b - a < 2 * t:
                 continue
-            fa, fb = flo[i], fhi[i]
-            x = b - fb * (b - a) / (fb - fa) if step < _ILLINOIS_STEPS else 0.5 * (a + b)
-            xs.append((i, min(max(x, a + t), b - t)))
+            if secant:
+                fb = fhi[i]
+                x = b - fb * (b - a) / (fb - flo[i])
+            else:
+                x = 0.5 * (a + b)
+            # min(max(x, a + t), b - t), comparison for comparison
+            if a + t > x:
+                x = a + t
+            if b - t < x:
+                x = b - t
+            which.append(i)
+            xs.append(x)
         if not xs:
             return np.array([0.5 * (a + b) for a, b in zip(lo, hi)])
-        active = [i for i, _ in xs]
-        for (i, x), fx in zip(xs, f(np.array([x for _, x in xs])).tolist()):
+        for i, x, fx in zip(which, xs, f(np.array(xs), which)):
             if (fx < 0) == (flo[i] < 0):
                 if moved[i] == -1:
                     fhi[i] *= 0.5
@@ -188,6 +209,7 @@ def _illinois(f, lo, hi, flo, fhi) -> np.ndarray:
                 fhi[i], hi[i], moved[i] = fx, x, 1
                 if fx == 0:
                     lo[i] = x
+        active = which
         step += 1
 
 
@@ -206,8 +228,9 @@ def bd_thresholds(
     every crossing with no other within one step; a near-tangent pair about
     to merge can still be missed, and then its narrow region is lost.
 
-    The scan grid is checked once against the L-value bound of
-    :mod:`pamber.demod`; every refinement point lies between its ends.
+    The scan grid, kept with ``params``, is checked against the L-value
+    bound of :mod:`pamber.demod` when it is built; every refinement point
+    lies between its ends.
 
     Raises:
         TypeError: if ``pattern`` is not a :class:`BitPattern`.
@@ -232,25 +255,73 @@ def _past_reach(constellation: Constellation, params: ChannelParams) -> bool:
     return _reach(constellation, params) > _MAX_REACH_GAPS * constellation.dmin
 
 
-def _crossings(target, constellation: Constellation, params: ChannelParams):
-    """Each column's ``(betas, region_bits)`` of :func:`bd_thresholds`, from one scan of all."""
+@_per_channel
+def _channel_grid(constellation: Constellation, params: ChannelParams):
+    """The scan grid out to the bound T, checked against the L-value bound, and its squares.
+
+    The squares are ``(y - x)**2`` of every grid sample y and point x, shape
+    ``(M, n)``.  Both depend on the SNR and the constellation alone, so they
+    are kept with ``params`` for each constellation; an SNR past the
+    solver's reach keeps nothing and raises on every call.
+    """
     reach = _reach(constellation, params)
     if _past_reach(constellation, params):
         raise ValueError(
             f"snr={params.snr:g} is too low: the exact L-value cannot be "
             f"resolved out to its bound T={reach:g}"
         )
-    grid = _scan_grid(constellation, reach)
+    grid = _readonly(_scan_grid(constellation, reach))
     _llr_observations(grid[[0, -1]], constellation)  # sorted: its largest |y| is at an end
-    subsets, column = _derived(target, _subsets), constellation.points[:, None]
-    cuts = []
-    for j, values in enumerate(_llr_rows(grid, subsets, column, params.snr, _exact_from_rows)):
-        def llr(y, one=subsets[:, j : j + 1]):
-            return _llr_rows(y, one, column, params.snr, _exact_from_rows)[0]
-        # The ends are nonzero, so dropping exact zeros keeps every sign change.
-        nonzero = values != 0
-        ys, values = grid[nonzero], values[nonzero]
-        hits = np.nonzero((values[:-1] < 0) != (values[1:] < 0))[0]
-        roots = _illinois(llr, ys[hits], ys[hits + 1], values[hits], values[hits + 1])
-        cuts.append((roots, (int(values[0] > 0) + np.arange(roots.size + 1)) % 2))
+    return grid, _readonly(np.square(grid - constellation.points[:, None]))
+
+
+def _sign_changes(values):
+    """``(cols, left, right)``: each sign change of each row, between samples left and right.
+
+    The ends of every row are nonzero, so stepping over exact zeros keeps
+    every sign change; a scan with no exact zero needs no such step.
+    """
+    if values.all():
+        negative = values < 0
+        flat = np.flatnonzero(negative[:, 1:] != negative[:, :-1])
+        cols, left = np.divmod(flat, values.shape[1] - 1)
+        return cols, left, left + 1
+    cols, left, right = [], [], []
+    for j, row in enumerate(values):
+        kept = np.flatnonzero(row)
+        negative = row[kept] < 0
+        hits = np.flatnonzero(negative[1:] != negative[:-1])
+        cols.append(np.full(hits.size, j))
+        left.append(kept[hits])
+        right.append(kept[hits + 1])
+    return tuple(np.concatenate(a) for a in (cols, left, right))
+
+
+def _crossings(target, constellation: Constellation, params: ChannelParams):
+    """Each column's ``(betas, region_bits)`` of :func:`bd_thresholds`.
+
+    One scan of every column brackets the sign changes, and one
+    refinement pass refines the brackets of all columns together: each
+    step evaluates every column at the brackets' next points and keeps
+    each bracket's own column.
+    """
+    grid, squares = _channel_grid(constellation, params)
+    subsets, column, snr = _derived(target, _subsets), constellation.points[:, None], params.snr
+    values = _llr_rows(grid, subsets, column, snr, _exact_from_rows, squares)
+    cols, left, right = _sign_changes(values)
+    owner = cols.tolist()
+
+    def llr(y, which):  # a few points: one block of the kernel
+        out = np.empty((len(values), y.size))
+        _exact_from_rows(np.square(y - column).take(subsets, axis=0), snr, out)
+        rows = out.tolist()
+        return [rows[owner[i]][k] for k, i in enumerate(which)]
+
+    roots = _illinois(llr, grid[left], grid[right], values[cols, left], values[cols, right])
+    cuts, start = [], 0  # the brackets, and so the roots, come column by column
+    for j, first in enumerate(values[:, 0].tolist()):
+        end = start + owner.count(j)
+        lead = int(first > 0)
+        cuts.append((roots[start:end], np.arange(lead, lead + end - start + 1) % 2))
+        start = end
     return cuts

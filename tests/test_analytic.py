@@ -322,6 +322,16 @@ class TestPberPam:
 
 
 class TestLabelingBer:
+    @pytest.mark.parametrize("demod", ["abd", "bd"])
+    def test_rejects_a_non_target_and_a_target_of_another_size(self, demod):
+        params = ChannelParams.from_db(5.0)
+        for target in ((0, 0, 1, 1), np.array([[0, 0], [0, 1], [1, 1], [1, 0]])):
+            with pytest.raises(TypeError, match="Labeling or BitPattern"):
+                labeling_ber(target, make_pam(4), params, demod)
+        for target in (named_labeling("BRGC", 4), pattern_from_index(4, 3)):
+            with pytest.raises(ValueError, match="sizes differ"):
+                labeling_ber(target, make_pam(8), params, demod)
+
     def test_brgc4_weights_and_curve(self):
         lab = named_labeling("BRGC", 4)
         alpha = labeling_coefficients(lab)

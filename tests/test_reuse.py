@@ -3,11 +3,12 @@
 ``labeling_ber``, ``pber_general`` and ``bd_thresholds`` keep what does not
 depend on the SNR with the object it came from: a target's int64 bit rows,
 midpoint relevance matrix and gather index (one for all its columns, read
-by the BD solver a column at a time), a constellation's point-to-midpoint
-offsets, inner scan grid and outer scan steps, and a channel's midpoint
-Q tails for each constellation.  Every value must stay bit for bit that of
-a fresh evaluation of the same sums, whatever was evaluated before and
-whichever objects were freed in between.
+by the BD solver for every column at once), a constellation's
+point-to-midpoint offsets, inner scan grid and outer scan steps, and, for
+each constellation a channel meets, its midpoint Q tails and its checked
+BD scan grid.  Every value must stay bit for bit that of a fresh
+evaluation of the same sums, whatever was evaluated before and whichever
+objects were freed in between.
 """
 
 import copy
@@ -35,7 +36,7 @@ from pamber import (
     pber_general,
     qfunc,
 )
-from pamber import analytic, demod, thresholds
+from pamber import analytic, constellation, demod, thresholds
 from pamber.constellation import LABELING_NAMES
 from pamber.labeling_space import sample_labelings
 from pamber.pattern_classes import _masks_of_weight
@@ -80,7 +81,8 @@ def fresh_crossings(row, points, snr):
     nonzero = values != 0
     grid, values = grid[nonzero], values[nonzero]
     hits = np.nonzero((values[:-1] < 0) != (values[1:] < 0))[0]
-    roots = thresholds._illinois(llr, grid[hits], grid[hits + 1], values[hits], values[hits + 1])
+    roots = thresholds._illinois(lambda y, which: llr(y).tolist(), grid[hits], grid[hits + 1],
+                                 values[hits], values[hits + 1])
     first = int(values[0] > 0)
     return roots, (first + np.arange(roots.size + 1)) % 2
 
@@ -318,7 +320,7 @@ class TestMidpointTails:
         del c
         gc.collect()
         assert ref() is None
-        assert len(vars(params)["_derived"][analytic._by_constellation]) == 0
+        assert len(vars(params)["_derived"][constellation._by_constellation]) == 0
 
     def test_threads_sharing_a_channel_see_the_same_values(self):
         # constellations built and dropped on several threads, one channel
@@ -353,6 +355,114 @@ class TestMidpointTails:
         for twin in (pickle.loads(pickle.dumps(params)), copy.copy(params),
                      copy.deepcopy(params)):
             assert twin == params and vars(twin) == {"snr": params.snr}
+
+
+def channel_store(params):
+    """The per-channel store: what ``params`` keeps for each constellation."""
+    return vars(params)["_derived"][constellation._by_constellation]
+
+
+class TestChannelGrid:
+    """The checked BD scan grid, and its squared distances, a channel keeps for each constellation."""
+
+    def test_kept_grid_equals_a_fresh_one(self):
+        for c in (make_pam(8), Constellation(points=UNEVEN), Constellation(points=CLUSTERED),
+                  make_pam(2), make_pam(16)):
+            for snr_db in (-50.0, -30.0, *GRID_DB[::5], 40.0):
+                params = ChannelParams.from_db(snr_db)
+                if thresholds._past_reach(c, params):
+                    continue
+                grid, squares = thresholds._channel_grid(c, params)
+                want = thresholds._scan_grid(c, thresholds._reach(c, params))
+                assert grid.tobytes() == want.tobytes(), (c, snr_db)
+                assert squares.tobytes() == np.square(want - c.points[:, None]).tobytes()
+                kept = thresholds._channel_grid(c, params)
+                assert kept[0] is grid and kept[1] is squares
+                assert not grid.flags.writeable and not squares.flags.writeable
+
+    def test_one_grid_per_channel_for_every_pattern(self, monkeypatch):
+        # a curve of 23 patterns over 51 SNRs builds 51 grids: 1,122 of
+        # the 1,173 points reuse one
+        built = []
+        scan_grid = thresholds._scan_grid
+
+        def counted(c, reach):
+            built.append(reach)
+            return scan_grid(c, reach)
+
+        monkeypatch.setattr(thresholds, "_scan_grid", counted)
+        c = make_pam(8)
+        params = [ChannelParams.from_db(s) for s in GRID_DB]
+        pats = [pattern_from_index(8, w) for w in _masks_of_weight(8, 4).tolist()[:23]]
+        values = [pber_general(p, c, bd_thresholds(p, c, prm), prm) for p in pats for prm in params]
+        assert len(built) == len(params) and len(values) == 23 * len(params)
+        monkeypatch.undo()
+        for k, p in enumerate(pats[::7]):
+            for prm in params[::10]:
+                got = values[7 * k * len(params) + params.index(prm)]
+                assert same_bits(got, fresh_pber_bd(p, c.points, prm.snr))
+
+    def test_a_refused_snr_raises_on_every_call_and_keeps_nothing(self):
+        c, params = make_pam(8), ChannelParams.from_db(-60.0)
+        pat = pattern_from_index(8, 102)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="too low"):
+                bd_thresholds(pat, c, params)
+            with pytest.raises(ValueError, match="too low"):
+                labeling_ber(named_labeling("BRGC", 8), c, params, "bd")
+        assert thresholds._channel_grid not in channel_store(params).get(c, {})
+
+    def test_a_channel_keeps_no_constellation_alive(self):
+        params = ChannelParams.from_db(5.0)
+        c = make_pam(8)
+        bd_thresholds(pattern_from_index(8, 102), c, params)
+        labeling_ber(named_labeling("BRGC", 8), c, params, "bd")
+        ref = weakref.ref(c)
+        del c
+        gc.collect()
+        assert ref() is None
+        assert len(channel_store(params)) == 0
+
+    def test_copies_and_pickles_leave_the_grid_behind(self):
+        params = ChannelParams.from_db(5.0)
+        c = make_pam(8)
+        bd_thresholds(pattern_from_index(8, 102), c, params)
+        assert thresholds._channel_grid in channel_store(params)[c]
+        for twin in (pickle.loads(pickle.dumps(params)), copy.copy(params),
+                     copy.deepcopy(params)):
+            assert twin == params and vars(twin) == {"snr": params.snr}
+
+    def test_threads_sharing_a_channel_see_the_same_grid(self):
+        # one channel and one constellation shared by six threads, with
+        # constellations of their own built and dropped alongside
+        params, shared = ChannelParams.from_db(2.5), make_pam(8)
+        pats = [pattern_from_index(8, w) for w in (15, 60, 102)]
+        want = [bd_thresholds(p, make_pam(8), params).betas.tobytes() for p in pats]
+        grids, bad = [], []
+
+        def work():
+            for _ in range(40):
+                grids.append(thresholds._channel_grid(shared, params)[0])
+                for c in (shared, make_pam(8)):
+                    got = [bd_thresholds(p, c, params).betas.tobytes() for p in pats]
+                    if got != want:
+                        bad.append(got)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
+        # every thread read the one grid the store holds once they are done
+        kept = thresholds._channel_grid(shared, params)[0]
+        assert all(g.tobytes() == kept.tobytes() for g in grids)
 
 
 class TestOuterSteps:

@@ -25,6 +25,7 @@ from pamber import (
     simulate,
 )
 from pamber import analytic, thresholds
+from pamber.demod import _exact_from_rows, _subsets
 from pamber.pattern_classes import _masks_of_weight, invert_index
 from pamber.verify import pber_interval_form
 
@@ -58,7 +59,8 @@ def vector_illinois(f, lo, hi, flo, fhi, xtol):
     """The bracket refinement with numpy array state, kept as an oracle.
 
     Same rules as :func:`pamber.thresholds._illinois`, each step a handful
-    of element-wise array operations over the active brackets.
+    of element-wise array operations over the active brackets; ``f(x, which)``
+    gives the function of bracket ``which[k]`` at ``x[k]``.
     """
     lo, hi, flo, fhi = (np.array(a, dtype=float) for a in (lo, hi, flo, fhi))
     moved = np.zeros(lo.size, dtype=np.int8)  # -1: lo moved last, +1: hi
@@ -74,7 +76,7 @@ def vector_illinois(f, lo, hi, flo, fhi, xtol):
         else:
             x = 0.5 * (a + b)
         x = np.clip(x, a + t, b - t)
-        fx = f(x)
+        fx = np.array(f(x, act))
         left = (fx < 0) == (fa < 0)
         fhi[act] = np.where(left, np.where(moved[act] == -1, 0.5 * fb, fb), fx)
         flo[act] = np.where(left, fx, np.where(moved[act] == 1, 0.5 * fa, fa))
@@ -82,6 +84,11 @@ def vector_illinois(f, lo, hi, flo, fhi, xtol):
         hi[act] = np.where(left & (fx != 0), b, x)
         moved[act] = np.where(left, -1, 1)
         step += 1
+
+
+def each(f):
+    """``f`` as the function of every bracket, in the ``f(x, which)`` form of the refinement."""
+    return lambda x, which: f(x).tolist()
 
 
 def assert_same_roots(f, lo, hi, flo, fhi, refine=thresholds._illinois):
@@ -410,7 +417,7 @@ class TestRefinement:
         lo = np.array([-2.0, 0.5, 3.0])
         hi = np.array([-0.5, 2.0, 7.0])
         f = np.cos
-        roots = thresholds._illinois(f, lo, hi, f(lo), f(hi))
+        roots = thresholds._illinois(each(f), lo, hi, f(lo), f(hi))
         np.testing.assert_allclose(roots, [-math.pi / 2, math.pi / 2, 3 * math.pi / 2],
                                    rtol=0, atol=1e-10)
 
@@ -419,14 +426,78 @@ class TestRefinement:
         # far out, the tolerance must grow with the spacing of floats
         f = lambda y: (y - 1e9) ** 3
         lo, hi = np.array([1e9 - 3.0]), np.array([1e9 + 5.0])
-        root = thresholds._illinois(f, lo, hi, f(lo), f(hi))
+        root = thresholds._illinois(each(f), lo, hi, f(lo), f(hi))
         assert abs(root[0] - 1e9) <= 1e-10 + 4 * np.finfo(float).eps * 1e9
 
     def test_exact_zero_ends_the_bracket(self):
         f = lambda y: y - 0.25
-        root = thresholds._illinois(f, np.array([0.0]), np.array([1.0]),
+        root = thresholds._illinois(each(f), np.array([0.0]), np.array([1.0]),
                                     np.array([-0.25]), np.array([0.75]))
         assert root[0] == 0.25
+
+
+class TestOnePass:
+    """Brackets of several functions refined together, as the columns of one target are."""
+
+    def test_brackets_of_different_functions_keep_their_roots(self):
+        funcs = (np.cos, np.sin, lambda y: (y - 0.3) ** 3, lambda y: y - 0.25)
+        lo = np.array([0.5, 3.0, -1.0, 0.0, 2.0])
+        hi = np.array([2.0, 3.5, 2.0, 1.0, 4.0])
+        owner = [0, 1, 2, 3, 1]
+
+        def mixed(y, which):
+            return [float(funcs[owner[i]](v)) for v, i in zip(y, which)]
+
+        flo, fhi = (np.array(mixed(e, range(5))) for e in (lo, hi))
+        got = thresholds._illinois(mixed, lo, hi, flo, fhi)
+        alone = [thresholds._illinois(each(funcs[owner[i]]), lo[i : i + 1], hi[i : i + 1],
+                                      flo[i : i + 1], fhi[i : i + 1])[0] for i in range(5)]
+        assert got.tobytes() == np.array(alone).tobytes()
+        assert_same_roots(mixed, lo, hi, flo, fhi)
+
+    def test_a_scan_with_exact_zeros_steps_over_them(self):
+        # symmetric points with a clustered middle: the scan grid holds 0.0,
+        # where the L-value of the mirror-antisymmetric column 0011 is exactly 0
+        c = Constellation(points=[-3.0, -1e-3, 1e-3, 3.0])
+        lab = named_labeling("BRGC", 4)  # columns 0011 and 0110
+        for snr_db in (-10.0, 0.0, 10.0, 20.0):
+            params = ChannelParams.from_db(snr_db)
+            grid, squares = thresholds._channel_grid(c, params)
+            values = thresholds._llr_rows(grid, _subsets(lab), c.points[:, None], params.snr,
+                                          _exact_from_rows, squares)
+            assert not values[0].all() and values[1].all()
+            cuts = thresholds._crossings(lab, c, params)
+            assert cuts[0][0].tolist() == [0.0]
+            for col, (betas, bits) in zip(lab.matrix.T, cuts):
+                alone = bd_thresholds(BitPattern(col.tolist()), c, params)
+                assert betas.tobytes() == alone.betas.tobytes()
+                assert bits.tolist() == alone.bits.tolist()
+
+    @pytest.mark.parametrize("name, m_points", [("BRGC", 8), ("AG", 8), ("BRGC", 16)])
+    def test_a_labeling_point_calls_the_kernel_for_its_slowest_column(
+        self, monkeypatch, name, m_points
+    ):
+        # 1 scan, then one call per refinement step of the column that needs
+        # the most; each column alone, as a pattern, takes 1 + its own steps
+        calls = []
+        kernel = thresholds._exact_from_rows
+
+        def counted(rows, snr, out):
+            calls.append(out.shape)
+            return kernel(rows, snr, out)
+
+        monkeypatch.setattr(thresholds, "_exact_from_rows", counted)
+        lab, c = named_labeling(name, m_points), make_pam(m_points)
+        for snr_db in (0.0, 10.0, 20.0):
+            params = ChannelParams.from_db(snr_db)
+            steps = []
+            for col in lab.matrix.T:
+                calls.clear()
+                thresholds.bd_thresholds(BitPattern(col.tolist()), c, params)
+                steps.append(len(calls) - 1)
+            calls.clear()
+            labeling_ber(lab, c, params, "bd")
+            assert len(calls) == 1 + max(steps), (snr_db, steps)
 
 
 class TestRefinementOracle:
@@ -461,24 +532,34 @@ class TestRefinementOracle:
                 bd_thresholds(pat, c, ChannelParams.from_db(snr_db))
         assert sum(checked) > 0
 
+    def test_labeling_columns_refined_in_one_pass(self, checked):
+        # the brackets of every column of a labeling go through one refinement
+        for lab, c in ((named_labeling("BRGC", 8), make_pam(8)),
+                       (named_labeling("AG", 8), make_pam(8)),
+                       (named_labeling("BRGC", 16), make_pam(16))):
+            for snr_db in np.arange(-20.0, 30.25, 2.5):
+                labeling_ber(lab, c, ChannelParams.from_db(snr_db), "bd")
+        assert len(checked) == 3 * 21
+        assert max(checked) > 4
+
     def test_triple_root_past_the_illinois_steps(self):
         f = lambda y: (y - 0.3) ** 3
         lo, hi = np.array([-1.0]), np.array([2.0])
-        assert_same_roots(f, lo, hi, f(lo), f(hi))
+        assert_same_roots(each(f), lo, hi, f(lo), f(hi))
 
     def test_far_out_bracket(self):
         f = lambda y: (y - 1e9) ** 3
         lo, hi = np.array([1e9 - 3.0]), np.array([1e9 + 5.0])
-        assert_same_roots(f, lo, hi, f(lo), f(hi))
+        assert_same_roots(each(f), lo, hi, f(lo), f(hi))
 
     def test_exact_zero(self):
-        assert_same_roots(lambda y: y - 0.25, np.array([0.0]), np.array([1.0]),
+        assert_same_roots(each(lambda y: y - 0.25), np.array([0.0]), np.array([1.0]),
                           np.array([-0.25]), np.array([0.75]))
 
     def test_several_brackets_and_none(self):
         lo, hi = np.array([-2.0, 0.5, 3.0]), np.array([-0.5, 2.0, 7.0])
-        assert_same_roots(np.cos, lo, hi, np.cos(lo), np.cos(hi))
-        assert thresholds._illinois(np.cos, [], [], [], []).shape == (0,)
+        assert_same_roots(each(np.cos), lo, hi, np.cos(lo), np.cos(hi))
+        assert thresholds._illinois(each(np.cos), [], [], [], []).shape == (0,)
 
 
 class TestSignRegions:
