@@ -28,12 +28,11 @@ terms in the order of the one-pattern sum, so that a labeling's BER is
 bit-identical to the average of its columns' PBERs.
 
 Only the Q arguments, and for BD the boundaries, depend on the SNR.  A
-target's int64 bit rows and midpoint relevance matrix, and a
-constellation's point-to-midpoint offsets, are built on first use and
-kept with that object (``constellation._derived``); every later call
-reuses them, with the same operations in the same order.  The midpoint
-tails depend on the SNR and the constellation alone: they are kept with
-the :class:`ChannelParams`, weakly keyed by the constellation
+target's int64 bit rows and midpoint relevance matrix are built on first
+use and kept with that object (``constellation._derived``); every later
+call reuses them, with the same operations in the same order.  The
+midpoint tails depend on the SNR and the constellation alone: they are
+kept with the :class:`ChannelParams`, weakly keyed by the constellation
 (``constellation._per_channel``, the store that also keeps the BD scan
 grid), so every target evaluated on one channel shares one Q evaluation.
 A BD point makes one Q call: :func:`pber_general` on the crossings of a
@@ -187,14 +186,10 @@ def _midpoint_relevance(target) -> np.ndarray:
     return _readonly(_relevance(rows, rows).astype(float))
 
 
-def _midpoint_offsets(constellation: Constellation) -> np.ndarray:
-    return _readonly(_offsets(constellation.midpoints(), constellation))
-
-
 @_per_channel
 def _midpoint_tails(constellation: Constellation, params: ChannelParams) -> np.ndarray:
     """The midpoint :func:`_tails`, kept with ``params`` for each constellation."""
-    return _readonly(_tails(_derived(constellation, _midpoint_offsets), params))
+    return _readonly(_tails(_offsets(constellation.midpoints(), constellation), params))
 
 
 def pber_general(

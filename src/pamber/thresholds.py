@@ -25,15 +25,17 @@ Two facts bound the BD boundaries of a pattern over points
   ``p_{M-1}``.
 
 The solver scans the L-value of every column of a target on one grid out
-to T, which depends on the SNR and the constellation alone.  A channel
-keeps that grid, checked against the L-value bound of :mod:`pamber.demod`,
-and the squared distances of its samples to the points, for each
-constellation it meets (``constellation._per_channel``), so every target
-solved on one channel scans the same arrays.  The sign changes of all
-columns are then refined in one pass: each step evaluates the L-value of
-every column at the brackets' next points in one kernel call and keeps
-each bracket's own column.  A bracket's steps depend on its own ends
-alone, so the crossings are those of refining each column by itself.
+to T, which depends on the SNR and the constellation alone.  A
+constellation keeps the uniform part across its points
+(``constellation._derived``); a channel keeps the whole grid, checked
+against the L-value bound of :mod:`pamber.demod`, and the squared
+distances of its samples to the points, for each constellation it meets
+(``constellation._per_channel``), so every target solved on one channel
+scans the same arrays.  The sign changes of all columns are then refined
+in one pass: each step evaluates the L-value of every column at the
+brackets' next points in one kernel call and keeps each bracket's own
+column.  A bracket's steps depend on its own ends alone, so the crossings
+are those of refining each column by itself.
 """
 
 from __future__ import annotations
@@ -126,24 +128,12 @@ def _inner_grid(constellation: Constellation) -> tuple[np.ndarray, float]:
     return _readonly(grid), step
 
 
-def _outer_count(reach: float, step: float) -> int:
-    """Samples of the geometric scan from ``step`` out to ``reach``."""
-    return max(1, math.ceil(math.log(reach / step, _SCAN_GROWTH)) + 1)
-
-
-def _outer_steps(constellation: Constellation) -> np.ndarray:
-    """``step * _SCAN_GROWTH**k`` out to the farthest reach the solver takes: built once."""
-    step = _derived(constellation, _inner_grid)[1]
-    count = _outer_count(_MAX_REACH_GAPS * constellation.dmin, step)
-    return _readonly(step * _SCAN_GROWTH ** np.arange(count))
-
-
 def _scan_grid(constellation: Constellation, reach: float) -> np.ndarray:
     inner, step = _derived(constellation, _inner_grid)
     if reach <= 0:
         return inner
-    steps = _derived(constellation, _outer_steps)[: _outer_count(reach, step)]
-    outer = np.minimum(steps, reach)
+    count = max(1, math.ceil(math.log(reach / step, _SCAN_GROWTH)) + 1)
+    outer = np.minimum(step * _SCAN_GROWTH ** np.arange(count), reach)
     points = constellation.points
     return np.concatenate((points[0] - outer[::-1], inner, points[-1] + outer))
 

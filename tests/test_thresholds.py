@@ -328,76 +328,6 @@ class TestBdThresholds:
             bd_thresholds(pat, c, ChannelParams.from_db(-60.0))
 
 
-# float.hex() of the crossings as first committed; the solver must keep
-# every bit of them, not merely stay within its 1e-10 tolerance.
-PINNED_BETAS = {
-    (102, -5.0): (
-        "-0x1.c9276c599197ep+0",
-        "0x1.c9276c599197ep+0",
-    ),
-    (102, 0.0): (
-        "-0x1.9bf0bd6d5e02bp+0",
-        "-0x1.6eddc9987188cp-2",
-        "0x1.6eddc9987188bp-2",
-        "0x1.9bf0bd6d5e02bp+0",
-    ),
-    (102, 10.0): (
-        "-0x1.4fcfc9cc93dccp+0",
-        "-0x1.bee905705d6dcp-2",
-        "0x1.bee905705d6dcp-2",
-        "0x1.4fcfc9cc93dccp+0",
-    ),
-    (102, 20.0): (
-        "-0x1.4f2ec413cb52ap+0",
-        "-0x1.bee9056fb9c38p-2",
-        "0x1.bee9056fb9c38p-2",
-        "0x1.4f2ec413cb52ap+0",
-    ),
-    (105, -5.0): (
-        "-0x1.3572174be8156p+1",
-        "-0x1.b7cd49a163c20p-35",
-        "0x1.3572174be8156p+1",
-    ),
-    (105, 0.0): (
-        "-0x1.a9f3f280a01f4p+0",
-        "0x1.b7ce0ee163c20p-35",
-        "0x1.a9f3f280a01f4p+0",
-    ),
-    (105, 10.0): (
-        "-0x1.4fcfc9cd3a177p+0",
-        "-0x1.b9b3e0e75464ep-2",
-        "-0x1.0000000000000p-59",
-        "0x1.b9b3e0e75464ep-2",
-        "0x1.4fcfc9cd3a177p+0",
-    ),
-    (105, 20.0): (
-        "-0x1.4f2ec413cb52ap+0",
-        "-0x1.bee9056fb9c38p-2",
-        "-0x1.2000000000000p-58",
-        "0x1.bee9056fb9c38p-2",
-        "0x1.4f2ec413cb52ap+0",
-    ),
-}
-PINNED_UNEVEN_BETAS = (
-    "-0x1.1ff484080f233p+0",
-    "-0x1.ffec5bf188b88p-4",
-    "0x1.328748da5bb8ap-1",
-)
-
-
-class TestPinnedBits:
-    @pytest.mark.parametrize("index, snr_db", sorted(PINNED_BETAS))
-    def test_8pam_crossings_keep_their_bits(self, index, snr_db):
-        thr = bd_thresholds(pattern_from_index(8, index), make_pam(8),
-                            ChannelParams.from_db(snr_db))
-        assert [float(b).hex() for b in thr.betas] == list(PINNED_BETAS[index, snr_db])
-
-    def test_uneven_crossings_keep_their_bits(self):
-        uneven = Constellation(points=[-1.9, -0.35, 0.1, 1.1])
-        thr = bd_thresholds(pattern_from_index(4, 5), uneven, ChannelParams.from_db(8.0))
-        assert [float(b).hex() for b in thr.betas] == list(PINNED_UNEVEN_BETAS)
-
-
 class TestTargetType:
     def test_labeling_is_rejected(self):
         # a labeling is not read as its first column
