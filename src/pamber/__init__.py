@@ -6,12 +6,11 @@ bit patterns and labelings that determine the BER of equally spaced PAM.
 
 The public names are exported lazily (PEP 562): ``import pamber`` loads no
 submodule, and ``pamber.<name>`` imports the one module that defines it on
-first access.  No module imports scipy: :mod:`pamber.analytic` evaluates
-the Q-function with a numpy port of the Cephes ``erfc`` that
-``scipy.special`` wraps, which spares every closed-form caller the 0.3 s
-import of ``scipy.special`` (on a 2-core Xeon, numpy already loaded).
-Only the quadrature oracle of :mod:`pamber.verify` loads
-``scipy.integrate``, when it runs.
+first access.  numpy is the only runtime dependency:
+:mod:`pamber.analytic` evaluates the Q-function with a numpy port of the
+Cephes ``erfc`` that ``scipy.special`` wraps, and the quadrature oracle of
+:mod:`pamber.verify` is a Gauss-Legendre rule in numpy.  scipy serves the
+tests alone, as an oracle.
 """
 
 import importlib

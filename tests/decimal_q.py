@@ -15,7 +15,9 @@ with
 On top of Q, :func:`pam_ber` evaluates the weight form of the BER of
 unit-energy M-PAM, the reference for ``pamber.ber_from_coefficients``, and
 :func:`interval_pber` the interval form of a PBER at any boundaries and
-region bits, the reference for ``pamber.pber_general``.
+region bits, the reference for ``pamber.pber_general``.  Apart from Q,
+:func:`exact_llr` gives the exact L-values of a labeling, the reference
+for ``pamber.exact_llr``.
 
 Intermediate results carry ``GUARD`` extra digits: the alternating series
 cancels about 3 digits at z = 3, and ``1 - erf`` about 5 more.
@@ -24,7 +26,7 @@ cancels about 3 digits at z = 3, and ``1 - erf`` about 5 more.
 from __future__ import annotations
 
 import functools
-from decimal import Decimal, getcontext, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, getcontext, localcontext
 
 DIGITS = 60
 GUARD = 20
@@ -186,3 +188,33 @@ def interval_pber(points, betas, region_bits, bits, snr_db) -> Decimal:
         value = total / len(points)
         ctx.prec = DIGITS
         return +value
+
+
+
+def exact_llr(points, labels, y, snr_db) -> list[Decimal]:
+    """Exact L-values of every bit at the observation ``y``, to ``DIGITS`` digits.
+
+    The reference for ``pamber.exact_llr``.  Bit j's L-value is the
+    log-sum-exp ``ln(sum_1 exp(-snr*(y-s_i)^2) / sum_0 exp(-snr*(y-s_i)^2))``,
+    where sum b runs over the ``points`` s_i whose label ``labels[i]`` has
+    bit j equal to b, and ``snr = 10^(snr_db/10)`` in decimal.  Floats are
+    read exactly.  The exponent range is widened to the limits of
+    ``decimal``, so no term underflows.
+    """
+    if len(points) != len(labels):
+        raise ValueError("need one label per point")
+    columns = list(zip(*labels))
+    if any(set(map(int, column)) != {0, 1} for column in columns):
+        raise ValueError("every bit needs points of both values")
+    with localcontext(prec=DIGITS + GUARD, Emin=MIN_EMIN, Emax=MAX_EMAX) as ctx:
+        snr = Decimal(10) ** (Decimal(snr_db) / 10)
+        y = Decimal(y)
+        terms = [(-snr * (y - Decimal(s)) ** 2).exp() for s in points]
+        values = []
+        for column in columns:
+            sums = [Decimal(0), Decimal(0)]
+            for term, bit in zip(terms, column):
+                sums[int(bit)] += term
+            values.append((sums[1] / sums[0]).ln())
+        ctx.prec = DIGITS
+        return [+value for value in values]

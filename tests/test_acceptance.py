@@ -9,7 +9,7 @@ checks themselves.
 
 import pytest
 
-from pamber import verify
+from pamber import ThresholdSet, pattern_from_index, verify
 
 CRITERIA = (
     ("01 class tables reproduce entry-for-entry", verify.check_pattern_class_tables),
@@ -51,3 +51,15 @@ def test_leading_weight_check_names_the_failing_mask(monkeypatch):
     monkeypatch.setattr(pattern_classes, "pattern_weights", one_lead_off)
     with pytest.raises(AssertionError, match=r"M=4, patterns \[6\]: leading weights \[6\]"):
         verify.check_leading_weight_grouping()
+
+
+@pytest.mark.parametrize(("betas", "bits", "message"), [
+    ((-0.5, 0.0, 0.5), (0, 1, 0, 1), r"3 crossings, 4 transitions"),
+    ((-0.6, -0.4, -0.2, 0.2, 0.4, 0.6), (0, 1, 0, 1, 0, 1, 0), r"6 crossings, 4 transitions"),
+    ((-0.5, 0.5), (1, 0, 1), r"outer regions decide \(1, 1\)"),
+])
+def test_crossing_facts_reject_a_set_that_breaks_them(betas, bits, message):
+    pattern = pattern_from_index(8, 102)  # 01100110: four transitions
+    thresholds = ThresholdSet(betas, bits)
+    with pytest.raises(AssertionError, match=message):
+        verify._require_crossing_facts(pattern, thresholds, "here")

@@ -31,6 +31,7 @@ from pamber import (
     qfunc,
     sd_decide,
 )
+from pamber import analytic
 from pamber.analytic import _erfc
 from pamber.constellation import LABELING_NAMES
 from pamber.pattern_classes import (
@@ -41,7 +42,7 @@ from pamber.pattern_classes import (
     reflect_index,
 )
 from pamber.thresholds import bd_thresholds
-from pamber.verify import interval_probs, pber_interval_form
+from pamber.verify import _quadrature_pber, interval_probs, pber_interval_form
 
 
 def gauss_tail(x):
@@ -54,6 +55,23 @@ def gauss_tail(x):
         epsrel=1e-13,
     )
     return val
+
+
+def quad_pber(pattern, constellation, thresholds, params):
+    """PBER by scipy's adaptive quadrature of the density over each opposite-bit slice."""
+    snr = params.snr
+    edges = np.concatenate(([-np.inf], thresholds.betas, [np.inf]))
+    total = 0.0
+    for s, bit in zip(constellation.points, pattern.bits):
+        for k in np.flatnonzero(thresholds.bits != bit):
+            part, _ = quad(
+                lambda t: math.sqrt(snr / math.pi) * math.exp(-snr * (t - s) ** 2),
+                edges[k],
+                edges[k + 1],
+                epsabs=1e-13,
+            )
+            total += part
+    return total / constellation.size
 
 
 def mids(constellation, pattern):
@@ -199,22 +217,9 @@ class TestPberGeneral:
     def test_against_decision_region_quadrature(self):
         c = make_pam(8)
         pat = pattern_from_index(8, 15)
-        snr = 10.0
-        got = pber_general(pat, c, mids(c, pat), ChannelParams(snr))
-        edges = np.concatenate(([-np.inf], c.midpoints(), [np.inf]))
-        oracle = 0.0
-        for i, s in enumerate(c.points):
-            for k in range(8):
-                if pat.bits[k] != pat.bits[i]:
-                    part, _ = quad(
-                        lambda t: math.sqrt(snr / math.pi)
-                        * math.exp(-snr * (t - s) ** 2),
-                        edges[k],
-                        edges[k + 1],
-                        epsabs=1e-13,
-                    )
-                    oracle += part
-        assert got == pytest.approx(oracle / 8.0, abs=1e-9)
+        params = ChannelParams(10.0)
+        got = pber_general(pat, c, mids(c, pat), params)
+        assert got == pytest.approx(quad_pber(pat, c, mids(c, pat), params), abs=1e-9)
 
     @pytest.mark.parametrize("snr", [0.1, 1.0, 10.0])
     def test_dual_forms_agree_exhaustively(self, snr):
@@ -249,6 +254,42 @@ class TestPberGeneral:
                 pat = pattern_from_index(8, w)
                 val = pber_general(pat, c, mids(c, pat), params)
                 assert 0.0 <= val <= 1.0
+
+
+class TestQuadratureOracle:
+    """verify's Gauss-Legendre quadrature against scipy's adaptive quadrature."""
+
+    def cases(self):
+        c8, uneven = make_pam(8), Constellation(points=[-1.9, -0.35, 0.1, 1.1])
+        for index, snr in ((15, 10.0), (60, 1.0), (102, 5.0), (23, 0.5), (85, 2.0)):
+            pat = pattern_from_index(8, index)  # the spots of pamber verify
+            yield pat, c8, mids(c8, pat), ChannelParams(snr)
+        pat = pattern_from_index(8, 102)
+        for snr_db in (-5.0, 10.0):
+            params = ChannelParams.from_db(snr_db)
+            yield pat, c8, bd_thresholds(pat, c8, params), params
+        for w in (3, 5, 6):
+            pat = pattern_from_index(4, w)
+            for snr in (0.4, 2.0, 30.0):
+                params = ChannelParams(snr)
+                yield pat, uneven, mids(uneven, pat), params
+                yield pat, uneven, bd_thresholds(pat, uneven, params), params
+
+    def test_agrees_with_scipy_quad_to_1e12(self):
+        for pat, c, thr, params in self.cases():
+            got = _quadrature_pber(pat, c, thr, params)
+            assert abs(got - quad_pber(pat, c, thr, params)) <= 1e-12, (pat.index, thr.betas)
+
+    def test_runs_without_the_q_function(self, monkeypatch):
+        cases = list(self.cases())  # the BD crossings are solved before Q goes
+        want = [_quadrature_pber(*case) for case in cases]
+
+        def refuse(*args):
+            raise AssertionError("the quadrature oracle evaluated Q")
+
+        monkeypatch.setattr(analytic, "qfunc", refuse)
+        monkeypatch.setattr(analytic, "_erfc", refuse)
+        assert [_quadrature_pber(*case) for case in cases] == want
 
 
 class TestPatternCoefficients:
@@ -530,22 +571,9 @@ class TestArbitraryConstellation:
 
     def test_pber_matches_quadrature(self, uneven):
         pat = pattern_from_index(4, 5)
-        snr = 2.0
-        got = pber_general(pat, uneven, mids(uneven, pat), ChannelParams(snr))
-        edges = np.concatenate(([-np.inf], uneven.midpoints(), [np.inf]))
-        oracle = 0.0
-        for i, s in enumerate(uneven.points):
-            for k in range(4):
-                if pat.bits[k] != pat.bits[i]:
-                    part, _ = quad(
-                        lambda t: math.sqrt(snr / math.pi)
-                        * math.exp(-snr * (t - s) ** 2),
-                        edges[k],
-                        edges[k + 1],
-                        epsabs=1e-13,
-                    )
-                    oracle += part
-        assert got == pytest.approx(oracle / 4.0, abs=1e-9)
+        params = ChannelParams(2.0)
+        got = pber_general(pat, uneven, mids(uneven, pat), params)
+        assert got == pytest.approx(quad_pber(pat, uneven, mids(uneven, pat), params), abs=1e-9)
 
     def test_dual_forms_agree(self, uneven):
         for w in (3, 5, 6, 9, 10, 12):

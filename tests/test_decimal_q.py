@@ -1,4 +1,5 @@
-"""The stdlib 60-digit Q reference (``decimal_q``), and the float Q-functions and BERs against it."""
+"""The stdlib 60-digit references (``decimal_q``), and the float Q-functions,
+BERs and exact L-values against them."""
 
 import math
 import sys
@@ -15,6 +16,7 @@ from pamber import (
     ChannelParams,
     bd_thresholds,
     ber_from_coefficients,
+    exact_llr,
     labeling_ber,
     labeling_coefficients,
     make_pam,
@@ -30,7 +32,7 @@ GRID = np.arange(-40, 149) / 4.0
 
 
 def relative(value: float, reference: Decimal) -> float:
-    return float(abs(Decimal(value) - reference) / reference)
+    return float(abs(Decimal(value) - reference) / abs(reference))
 
 
 def test_q_of_zero_is_one_half():
@@ -143,3 +145,40 @@ def test_bd_error_rates_agree_with_the_interval_form_at_the_library_crossings():
         assert relative(got, reference(pattern, params, snr_db)) <= 1e-12, snr_db
         want = sum(reference(col, params, snr_db) for col in columns) / len(columns)
         assert relative(labeling_ber(brgc, c, params, "bd"), want) <= 1e-12, snr_db
+
+
+# a few hundred arguments per labeling: 41 observations at each SNR
+LLR_Y = np.linspace(-2.0, 2.0, 41)
+LLR_LABELINGS = (("BRGC", 8), ("NBC", 16))
+
+
+def worst_llr_error(name, m_points, snr_db):
+    """Worst relative error of ``exact_llr`` on LLR_Y, wherever the true |L| exceeds 1e-6."""
+    c, lab = make_pam(m_points), named_labeling(name, m_points)
+    got = exact_llr(LLR_Y, lab, c, ChannelParams.from_db(snr_db))
+    points, labels = c.points.tolist(), lab.matrix.tolist()
+    worst = 0.0
+    for y, row in zip(LLR_Y.tolist(), got.tolist()):
+        for value, want in zip(row, decimal_q.exact_llr(points, labels, y, snr_db)):
+            if abs(want) > Decimal("1e-6"):
+                worst = max(worst, relative(value, want))
+    return worst
+
+
+def test_decimal_exact_llr_of_two_points_is_the_exponent_difference():
+    # ln(exp(-(y-1)^2) / exp(-(y+1)^2)) = 4y at snr = 1
+    assert decimal_q.exact_llr([-1.0, 1.0], [[0], [1]], 0.5, 0) == [Decimal(2)]
+
+
+@pytest.mark.parametrize(("name", "m_points"), LLR_LABELINGS)
+def test_exact_llr_agrees_to_1e13_from_minus_10_to_50_db(name, m_points):
+    for snr_db in range(-10, 51, 10):
+        assert worst_llr_error(name, m_points, snr_db) <= 1e-13, snr_db
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "at -30 dB each subset's log-sum in the kernel is about ln(M/2) and the "
+    "L-value is their small difference, so their rounding leaves 6.7e-13 "
+    "relative on BRGC-8 and 4.5e-12 on NBC-16 (ROADMAP item 6)"))
+def test_exact_llr_agrees_to_1e13_at_minus_30_db():
+    assert max(worst_llr_error(name, m, -30) for name, m in LLR_LABELINGS) <= 1e-13
