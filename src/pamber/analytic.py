@@ -16,12 +16,13 @@ it lives in :mod:`pamber.verify` as an oracle, and the two agree to machine
 precision.  :mod:`pamber.thresholds` only finds the boundaries.
 
 One evaluator core, ``_gq_sums``, sums ``g*Q`` for a stack of relevance
-matrices against one set of boundaries in one array pass.  :func:`pber_general`
-is its one-row case.  :func:`labeling_ber` hands it the m columns as rows:
-all at once against the midpoints, whose tails every column shares, or
-each against its own BD crossings, all solved in one call, with the Q
-tails of every column's crossings evaluated in one call and sliced per
-column.
+matrices against one set of boundaries in one array pass.  Against the
+midpoints, whose tails every column shares, :func:`labeling_ber` hands it
+the m columns as rows at once.  Every other boundary set goes through
+``_set_sums``: bit rows, each with its own :class:`ThresholdSet`, the Q
+tails of all the sets' offsets evaluated in one call and sliced per row.
+:func:`pber_general` is its one-set case, and a BD :func:`labeling_ber`
+its all-columns case, on the sets of every column solved in one call.
 The bit matrix must be C-contiguous: numpy's summation order follows the
 memory layout, and only with C order does each row's sum add its ``M*K``
 terms in the order of the one-pattern sum, so that a labeling's BER is
@@ -186,6 +187,17 @@ def _midpoint_relevance(target) -> np.ndarray:
     return _readonly(_relevance(rows, rows).astype(float))
 
 
+def _set_sums(rows, sets, constellation: Constellation, params: ChannelParams) -> list[float]:
+    """The ``g*Q`` sum of each bit row against its own :class:`ThresholdSet`, from one Q call."""
+    offsets = _offsets(np.concatenate([t.betas for t in sets]), constellation)
+    tails, sums, start = _tails(offsets, params), [], 0
+    for row, t in zip(rows, sets):
+        g = _relevance(row[None], t.bits[None])
+        sums += _gq_sums(g, tails[:, start : start + t.size]).tolist()
+        start += t.size
+    return sums
+
+
 @_per_channel
 def _midpoint_tails(constellation: Constellation, params: ChannelParams) -> np.ndarray:
     """The midpoint :func:`_tails`, kept with ``params`` for each constellation."""
@@ -211,9 +223,8 @@ def pber_general(
         raise TypeError(f"thresholds must be a ThresholdSet, got {type(thresholds)!r}")
     if pattern.size != constellation.size:
         raise ValueError("pattern and constellation sizes differ")
-    g = _relevance(_derived(pattern, _int_rows), thresholds.bits[None, :])
-    s = _gq_sums(g, _tails(_offsets(thresholds.betas, constellation), params))
-    return 0.5 + s.item() / pattern.size
+    s = _set_sums(_derived(pattern, _int_rows), [thresholds], constellation, params)[0]
+    return 0.5 + s / pattern.size
 
 
 def ber_from_coefficients(
@@ -263,7 +274,7 @@ def labeling_ber(
     is its PBER.  ``demod`` selects the decision boundaries: ``"abd"`` (or
     ``"sd"``, which decides identically) uses midpoints; ``"bd"`` solves
     the exact L-value crossings of all columns at this SNR in one call.  The
-    columns are rows of one bit matrix for ``_gq_sums`` (see the module docstring).
+    columns are rows of one bit matrix (see the module docstring).
     """
     if not isinstance(target, (Labeling, BitPattern)):
         _columns(target)  # raises the TypeError of a non-target
@@ -273,17 +284,11 @@ def labeling_ber(
     if demod not in DEMODULATORS:
         raise ValueError(f"demod must be one of {', '.join(DEMODULATORS)}; got {demod!r}")
     if demod == "bd":
-        cuts = _crossings(target, constellation, params)
-        offsets = _offsets(np.concatenate([betas for betas, _ in cuts]), constellation)
-        tails, sums, start = _tails(offsets, params), [], 0
-        for row, (betas, region_bits) in zip(rows, cuts):
-            g = _relevance(row[None], region_bits[None])
-            sums += _gq_sums(g, tails[:, start : start + betas.size]).tolist()
-            start += betas.size
+        sums = _set_sums(rows, _crossings(target, constellation, params), constellation, params)
     else:
         g = _derived(target, _midpoint_relevance)
         sums = _gq_sums(g, _midpoint_tails(constellation, params)).tolist()
     total = 0.0
-    for s in sums:  # in column order, as a sum of Python floats
+    for s in sums:  # in column order: the built-in sum compensates from Python 3.12
         total += 0.5 + s / rows.shape[1]
     return total / len(rows)

@@ -94,12 +94,11 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 def _derived(obj, build):
     """``build(obj)``, built on the first call and kept on ``obj`` itself.
 
-    For read-only data that depends on one constellation or one target
-    alone, such as a labeling's bit rows, which the closed forms reuse at
-    every SNR, and for the store of :func:`_per_channel`.  The
-    value sits in the object's own ``__dict__``, keyed by ``build``: it
-    lives as long as the object, and an object built later never finds it
-    under a reused id or an equal value.
+    For read-only data that depends on one target alone, such as a
+    labeling's bit rows, which the closed forms reuse at every SNR, and for
+    the store of :func:`_per_channel`.  The value sits in the object's own
+    ``__dict__``, keyed by ``build``: it lives as long as the object, and an
+    object built later never finds it under a reused id or an equal value.
     """
     cache = vars(obj).setdefault("_derived", {})
     try:

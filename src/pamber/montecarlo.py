@@ -164,10 +164,10 @@ def _regions(target, constellation: Constellation, params: ChannelParams, demodu
                 out = out << 1 | abd_decide(row)
             return out
         return kernel, _bit_rows(np.arange(1 << cols.shape[1]), cols.shape[1]).T
-    cuts = _crossings(target, constellation, params)
-    edges = np.sort(np.concatenate([betas for betas, _ in cuts]))
+    sets = _crossings(target, constellation, params)
+    edges = np.sort(np.concatenate([t.betas for t in sets]))
     lows = np.append(-np.inf, edges)  # the lower end of every region
-    table = np.array([bits[np.searchsorted(betas, lows, side="right")] for betas, bits in cuts])
+    table = np.array([t.bits[np.searchsorted(t.betas, lows, side="right")] for t in sets])
     return functools.partial(_nearest, edges=edges), table
 
 

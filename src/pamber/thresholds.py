@@ -25,17 +25,17 @@ Two facts bound the BD boundaries of a pattern over points
   ``p_{M-1}``.
 
 The solver scans the L-value of every column of a target on one grid out
-to T, which depends on the SNR and the constellation alone.  A
-constellation keeps the uniform part across its points
-(``constellation._derived``); a channel keeps the whole grid, checked
-against the L-value bound of :mod:`pamber.demod`, and the squared
-distances of its samples to the points, for each constellation it meets
-(``constellation._per_channel``), so every target solved on one channel
-scans the same arrays.  The sign changes of all columns are then refined
-in one pass: each step evaluates the L-value of every column at the
-brackets' next points in one kernel call and keeps each bracket's own
-column.  A bracket's steps depend on its own ends alone, so the crossings
-are those of refining each column by itself.
+to T, which depends on the SNR and the constellation alone.  Only the
+channel keeps a grid: the whole grid, checked against the L-value bound
+of :mod:`pamber.demod`, and the squared distances of its samples to the
+points, for each constellation it meets (``constellation._per_channel``),
+so every target solved on one channel scans the same arrays.  The sign
+changes of all columns are then refined in one pass: each step evaluates
+the L-value of every column at the brackets' next points in one kernel
+call and keeps each bracket's own column.  A bracket's steps depend on
+its own ends alone, so the crossings are those of refining each column
+by itself.  Each column's crossings come back as a :class:`ThresholdSet`,
+checked as a user's set is.
 """
 
 from __future__ import annotations
@@ -98,19 +98,9 @@ class ThresholdSet:
             raise ValueError("boundaries must be finite and non-decreasing")
         if not set(bits.tolist()) <= {0, 1}:
             raise ValueError("region bits must be 0 or 1")
-        self._keep(betas, bits)
-
-    def _keep(self, betas: np.ndarray, bits: np.ndarray) -> None:
         for name, arr in (("betas", betas), ("bits", bits.astype(np.int8))):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @classmethod
-    def _solved(cls, betas: np.ndarray, bits: np.ndarray) -> "ThresholdSet":
-        """A set of the solver's own arrays, already sorted, finite and 0/1: kept unchecked."""
-        self = object.__new__(cls)
-        self._keep(betas, bits)
-        return self
 
     @property
     def size(self) -> int:
@@ -119,17 +109,17 @@ class ThresholdSet:
 
 
 def _inner_grid(constellation: Constellation) -> tuple[np.ndarray, float]:
-    """The scan across the points and its uniform step: built once per constellation."""
+    """The scan across the points and its uniform step."""
     points = constellation.points
     grid = np.linspace(points[0], points[-1], _SCAN_SAMPLES)
     step = float(grid[1] - grid[0])
     if step > constellation.dmin / 8:
         grid = np.union1d(grid, points[:-1, None] + np.diff(points)[:, None] * np.arange(8) / 8)
-    return _readonly(grid), step
+    return grid, step
 
 
 def _scan_grid(constellation: Constellation, reach: float) -> np.ndarray:
-    inner, step = _derived(constellation, _inner_grid)
+    inner, step = _inner_grid(constellation)
     if reach <= 0:
         return inner
     count = max(1, math.ceil(math.log(reach / step, _SCAN_GROWTH)) + 1)
@@ -232,7 +222,7 @@ def bd_thresholds(
         raise TypeError(f"pattern must be a BitPattern, got {type(pattern)!r}")
     if pattern.size != constellation.size:
         raise ValueError("pattern and constellation sizes differ")
-    return ThresholdSet._solved(*_crossings(pattern, constellation, params)[0])
+    return _crossings(pattern, constellation, params)[0]
 
 
 def _reach(constellation: Constellation, params: ChannelParams) -> float:
@@ -287,8 +277,8 @@ def _sign_changes(values):
     return tuple(np.concatenate(a) for a in (cols, left, right))
 
 
-def _crossings(target, constellation: Constellation, params: ChannelParams):
-    """Each column's ``(betas, region_bits)`` of :func:`bd_thresholds`.
+def _crossings(target, constellation: Constellation, params: ChannelParams) -> list[ThresholdSet]:
+    """Each column's :func:`bd_thresholds`.
 
     One scan of every column brackets the sign changes, and one
     refinement pass refines the brackets of all columns together: each
@@ -312,6 +302,6 @@ def _crossings(target, constellation: Constellation, params: ChannelParams):
     for j, first in enumerate(values[:, 0].tolist()):
         end = start + owner.count(j)
         lead = int(first > 0)
-        cuts.append((roots[start:end], np.arange(lead, lead + end - start + 1) % 2))
+        cuts.append(ThresholdSet(roots[start:end], np.arange(lead, lead + end - start + 1) % 2))
         start = end
     return cuts

@@ -298,14 +298,16 @@ def check_bd_abd_closeness() -> str:
     for snr_db in grid_db:
         params = ChannelParams.from_db(snr_db)
         abd_vals = [analytic.labeling_ber(p, constellation, params) for p in targets]
-        bd_vals = [analytic.labeling_ber(p, constellation, params, "bd") for p in targets]
+        sets = [bd_thresholds(p, constellation, params) for p in targets]  # one solve each
+        bd_vals = [analytic.pber_general(p, constellation, t, params)
+                   for p, t in zip(targets, sets)]
         for a, b in zip(abd_vals, bd_vals):
             worst = max(worst, abs(a - b) / a)
         brgc_abd = sum(abd_vals) / 3.0
         brgc_bd = sum(bd_vals) / 3.0
         worst = max(worst, abs(brgc_abd - brgc_bd) / brgc_abd)
-        for p in targets:
-            _require_crossing_facts(p, bd_thresholds(p, constellation, params), f"at {snr_db} dB")
+        for p, t in zip(targets, sets):
+            _require_crossing_facts(p, t, f"at {snr_db} dB")
     _require(worst <= 0.02, f"relative gap {worst:.3%}")
 
     high = ChannelParams(1e4)
@@ -323,8 +325,10 @@ def check_bd_abd_closeness() -> str:
     pts = np.array([-3.0, -2.0, -1.0, 0.0, 0.003, 0.006, 0.009, 3.0])
     clustered, params = Constellation(pts / math.sqrt(np.mean(pts**2))), ChannelParams(1e6)
     pattern = BitPattern((0, 1, 1, 0, 1, 0, 0, 1))
-    _require_crossing_facts(pattern, bd_thresholds(pattern, clustered, params), "clustered")
-    bd, abd = (analytic.labeling_ber(pattern, clustered, params, d) for d in ("bd", "abd"))
+    thr = bd_thresholds(pattern, clustered, params)
+    _require_crossing_facts(pattern, thr, "clustered")
+    bd = analytic.pber_general(pattern, clustered, thr, params)
+    abd = analytic.labeling_ber(pattern, clustered, params)
     _require(bd <= abd + 1e-15, f"clustered 8 points at 60 dB: BD {bd:.6g} > ABD {abd:.6g}")
     return (
         f"max relative gap {worst:.2%}, boundary drift {drift:.1e}, clustered BD <= ABD; "

@@ -34,6 +34,7 @@ from pamber import montecarlo
 from pamber.demod import _column_matrix, _subsets
 from pamber.montecarlo import _CHUNK, _regions
 from pamber.thresholds import _crossings, _past_reach
+from pamber.verify import _require_crossing_facts
 
 
 class TestSimConfig:
@@ -239,12 +240,13 @@ def test_one_solve_per_target_gives_each_columns_bd_thresholds():
                     bd_thresholds(patterns[0], c, params)
                 assert str(solve.value) == str(one.value)
                 continue
-            cuts = _crossings(target, c, params)
-            assert len(cuts) == len(patterns)
-            for (betas, region_bits), pattern in zip(cuts, patterns):
+            sets = _crossings(target, c, params)
+            assert len(sets) == len(patterns)
+            for thr, pattern in zip(sets, patterns):
+                _require_crossing_facts(pattern, thr, f"of {target} at {snr_db} dB")
                 want = bd_thresholds(pattern, c, params)
-                assert betas.tobytes() == want.betas.tobytes(), (target, snr_db)
-                assert region_bits.tolist() == want.bits.tolist(), (target, snr_db)
+                assert thr.betas.tobytes() == want.betas.tobytes(), (target, snr_db)
+                assert thr.bits.tolist() == want.bits.tolist(), (target, snr_db)
 
 
 class TestRegionDecisions:
@@ -283,7 +285,7 @@ class TestRegionDecisions:
                 params = ChannelParams.from_db(snr_db)
                 if _past_reach(c, params):  # no crossings: the kernel decides every sample
                     continue
-                edges = np.sort(np.concatenate([cut for cut, _ in _crossings(target, c, params)]))
+                edges = np.sort(np.concatenate([t.betas for t in _crossings(target, c, params)]))
                 y = (edges[:, None] + offsets).ravel()
                 decide, table = _regions(target, c, params, "bd")
                 region = decide(y)

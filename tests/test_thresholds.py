@@ -27,7 +27,7 @@ from pamber import (
 from pamber import analytic, thresholds
 from pamber.demod import _exact_from_rows, _subsets
 from pamber.pattern_classes import _masks_of_weight, invert_index
-from pamber.verify import pber_interval_form
+from pamber.verify import _require_crossing_facts, pber_interval_form
 
 D4 = math.sqrt(0.2)
 
@@ -201,16 +201,16 @@ class TestRelevanceMask:
 
 
 class TestBdThresholds:
-    def test_solver_sets_are_what_the_checked_constructor_builds(self):
-        # bd_thresholds skips ThresholdSet's checks; its arrays must pass them
-        c = make_pam(8)
-        for index in FIG_PATTERNS:
-            for snr_db in (-10.0, 0.0, 12.0, 30.0):
-                thr = bd_thresholds(pattern_from_index(8, index), c, ChannelParams.from_db(snr_db))
-                checked = ThresholdSet(thr.betas, thr.bits)
-                for got, want in ((thr.betas, checked.betas), (thr.bits, checked.bits)):
-                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-                    assert not got.flags.writeable
+    @pytest.mark.parametrize("fault, message", [
+        (lambda roots: np.full(roots.size, np.nan), "finite"),
+        (lambda roots: roots[::-1], "non-decreasing"),
+    ])
+    def test_a_solver_fault_is_a_clear_error(self, monkeypatch, fault, message):
+        # the solver's sets pass the checks of a user's set
+        refine = thresholds._illinois
+        monkeypatch.setattr(thresholds, "_illinois", lambda *args: fault(refine(*args)))
+        with pytest.raises(ValueError, match=message):
+            bd_thresholds(pattern_from_index(8, 102), make_pam(8), ChannelParams.from_db(10.0))
 
     def test_antisymmetric_pattern_center(self):
         c = make_pam(8)
@@ -396,12 +396,12 @@ class TestOnePass:
             values = thresholds._llr_rows(grid, _subsets(lab), c.points[:, None], params.snr,
                                           _exact_from_rows, squares)
             assert not values[0].all() and values[1].all()
-            cuts = thresholds._crossings(lab, c, params)
-            assert cuts[0][0].tolist() == [0.0]
-            for col, (betas, bits) in zip(lab.matrix.T, cuts):
+            sets = thresholds._crossings(lab, c, params)
+            assert sets[0].betas.tolist() == [0.0]
+            for col, thr in zip(lab.matrix.T, sets):
                 alone = bd_thresholds(BitPattern(col.tolist()), c, params)
-                assert betas.tobytes() == alone.betas.tobytes()
-                assert bits.tolist() == alone.bits.tolist()
+                assert thr.betas.tobytes() == alone.betas.tobytes()
+                assert thr.bits.tolist() == alone.bits.tolist()
 
     @pytest.mark.parametrize("name, m_points", [("BRGC", 8), ("AG", 8), ("BRGC", 16)])
     def test_a_labeling_point_calls_the_kernel_for_its_slowest_column(
@@ -450,7 +450,8 @@ class TestRefinementOracle:
         c = make_pam(8)
         for pat in CLASS_REPS:
             for snr_db in np.arange(-50.0, 40.25, 1.0):
-                bd_thresholds(pat, c, ChannelParams.from_db(snr_db))
+                thr = bd_thresholds(pat, c, ChannelParams.from_db(snr_db))
+                _require_crossing_facts(pat, thr, f"at {snr_db} dB")
         assert len(checked) == len(CLASS_REPS) * 91
         assert sum(checked) > 0
 
@@ -459,7 +460,8 @@ class TestRefinementOracle:
         for w in _masks_of_weight(16, 8).tolist()[::643]:
             pat = pattern_from_index(16, w)
             for snr_db in np.arange(-40.0, 40.25, 5.0):
-                bd_thresholds(pat, c, ChannelParams.from_db(snr_db))
+                thr = bd_thresholds(pat, c, ChannelParams.from_db(snr_db))
+                _require_crossing_facts(pat, thr, f"at {snr_db} dB")
         assert sum(checked) > 0
 
     def test_labeling_columns_refined_in_one_pass(self, checked):
@@ -468,7 +470,9 @@ class TestRefinementOracle:
                        (named_labeling("AG", 8), make_pam(8)),
                        (named_labeling("BRGC", 16), make_pam(16))):
             for snr_db in np.arange(-20.0, 30.25, 2.5):
-                labeling_ber(lab, c, ChannelParams.from_db(snr_db), "bd")
+                sets = thresholds._crossings(lab, c, ChannelParams.from_db(snr_db))
+                for col, thr in zip(lab.matrix.T, sets):
+                    _require_crossing_facts(BitPattern(col.tolist()), thr, f"at {snr_db} dB")
         assert len(checked) == 3 * 21
         assert max(checked) > 4
 
@@ -648,6 +652,7 @@ def test_crossings_are_complete_on_random_constellations(case):
     params = ChannelParams.from_db(snr_db)
     assume(not thresholds._past_reach(c, params))
     thr = bd_thresholds(pattern, c, params)
+    _require_crossing_facts(pattern, thr, f"at {snr_db} dB")
     oracle, first_bit = refined_scan_roots(pattern, c, params)
     got = tail_pber(pattern, c, thr.betas, int(thr.bits[0]), params)
     want = tail_pber(pattern, c, oracle, first_bit, params)
