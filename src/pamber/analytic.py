@@ -34,8 +34,8 @@ use and kept with that object (``constellation._derived``); every later
 call reuses them, with the same operations in the same order.  The
 midpoint tails depend on the SNR and the constellation alone: they are
 kept with the :class:`ChannelParams`, weakly keyed by the constellation
-(``constellation._per_channel``, the store that also keeps the BD scan
-grid), so every target evaluated on one channel shares one Q evaluation.
+(``demod._per_channel``, which also keeps the BD scan grid), so every
+target evaluated on one channel shares one Q evaluation.
 A BD point makes one Q call: :func:`pber_general` on the crossings of a
 pattern, or :func:`labeling_ber` on those of every column at once.
 
@@ -62,8 +62,8 @@ import math
 import numpy as np
 
 from .constellation import (
-    BitPattern, Constellation, Labeling, _derived, _per_channel, _readonly, pam_spacing)
-from .demod import DEMODULATORS, ChannelParams, _columns
+    _TARGETS, BitPattern, Constellation, Labeling, _checked, _derived, _readonly, pam_spacing)
+from .demod import ChannelParams, _check_demodulator, _columns, _per_channel
 from .pattern_classes import labeling_coefficients, pattern_coefficients
 from .thresholds import ThresholdSet, _crossings
 
@@ -217,12 +217,9 @@ def pber_general(
             ``thresholds`` is not a :class:`ThresholdSet`.
         ValueError: if the pattern and the constellation differ in size.
     """
-    if not isinstance(pattern, BitPattern):
-        raise TypeError(f"pattern must be a BitPattern, got {type(pattern)!r}")
+    _checked(pattern, (BitPattern,), constellation)
     if not isinstance(thresholds, ThresholdSet):
         raise TypeError(f"thresholds must be a ThresholdSet, got {type(thresholds)!r}")
-    if pattern.size != constellation.size:
-        raise ValueError("pattern and constellation sizes differ")
     s = _set_sums(_derived(pattern, _int_rows), [thresholds], constellation, params)[0]
     return 0.5 + s / pattern.size
 
@@ -275,14 +272,15 @@ def labeling_ber(
     ``"sd"``, which decides identically) uses midpoints; ``"bd"`` solves
     the exact L-value crossings of all columns at this SNR in one call.  The
     columns are rows of one bit matrix (see the module docstring).
+
+    Raises:
+        TypeError: if ``target`` is neither a labeling nor a pattern.
+        ValueError: if the target and the constellation differ in size, or
+            ``demod`` is not one of sd, abd and bd.
     """
-    if not isinstance(target, (Labeling, BitPattern)):
-        _columns(target)  # raises the TypeError of a non-target
+    _checked(target, _TARGETS, constellation)
+    _check_demodulator(demod)
     rows = _derived(target, _int_rows)
-    if rows.shape[1] != constellation.size:
-        raise ValueError("target and constellation sizes differ")
-    if demod not in DEMODULATORS:
-        raise ValueError(f"demod must be one of {', '.join(DEMODULATORS)}; got {demod!r}")
     if demod == "bd":
         sums = _set_sums(rows, _crossings(target, constellation, params), constellation, params)
     else:

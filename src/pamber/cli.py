@@ -170,8 +170,7 @@ def _cmd_ber(args) -> int:
 def _cmd_llr(args) -> int:
     grid = parse_grid(args.snr)
     if grid.size != 1:
-        print("usage: pamber llr expects a single --snr value", file=sys.stderr)
-        return 2
+        raise argparse.ArgumentTypeError(f"expected a single --snr value, got {args.snr!r}")
     params = ChannelParams.from_db(float(grid[0]))
     constellation = make_pam(args.M)
     y = parse_grid(args.y)

@@ -12,14 +12,13 @@ Conventions used throughout the package:
   points.  Bit position j (1-based) is column j of the M-by-m label
   matrix; every column of a bijective labeling is a valid bit pattern.
 
-All types are immutable after construction and safe to share.
+All types are immutable after construction and safe to share.  Every
+public function that takes a pattern or a labeling checks it with ``_checked``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import weakref
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -95,10 +94,10 @@ def _derived(obj, build):
     """``build(obj)``, built on the first call and kept on ``obj`` itself.
 
     For read-only data that depends on one target alone, such as a
-    labeling's bit rows, which the closed forms reuse at every SNR, and for
-    the store of :func:`_per_channel`.  The value sits in the object's own
-    ``__dict__``, keyed by ``build``: it lives as long as the object, and an
-    object built later never finds it under a reused id or an equal value.
+    labeling's bit rows, which the closed forms reuse at every SNR.  The
+    value sits in the object's own ``__dict__``, keyed by ``build``: it
+    lives as long as the object, and an object built later never finds it
+    under a reused id or an equal value.
     """
     cache = vars(obj).setdefault("_derived", {})
     try:
@@ -106,37 +105,6 @@ def _derived(obj, build):
     except KeyError:
         value = cache[build] = build(obj)
         return value
-
-
-def _by_constellation(params) -> weakref.WeakKeyDictionary:
-    return weakref.WeakKeyDictionary()
-
-
-def _per_channel(build):
-    """``build(constellation, params)``, kept with the channel ``params`` for each constellation.
-
-    A decorator for read-only data that depends on one channel and one
-    constellation alone, such as the midpoint Q tails and the BD scan grid.
-    Every such value sits in one store per channel, a
-    ``weakref.WeakKeyDictionary`` kept with ``params`` by :func:`_derived`
-    and keyed by the constellation: a channel keeps no constellation alive,
-    and a constellation built later never finds another's data.  A build
-    that raises keeps nothing, so the call raises again every time.  Two
-    threads that miss at once may both build; their values are equal, and
-    the store keeps one.
-    """
-
-    @functools.wraps(build)
-    def kept(constellation, params):
-        store = _derived(params, _by_constellation)
-        try:
-            return store[constellation][kept]
-        except KeyError:
-            value = build(constellation, params)
-            store.setdefault(constellation, {})[kept] = value
-            return value
-
-    return kept
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,7 +142,7 @@ class Constellation:
     @property
     def size(self) -> int:
         """Number of points M."""
-        return int(self.points.size)
+        return len(self.points)
 
     def midpoints(self) -> np.ndarray:
         """The M-1 midpoints between adjacent points, a read-only array."""
@@ -304,7 +272,7 @@ class Labeling:
     @property
     def size(self) -> int:
         """Number of labeled points M."""
-        return int(self.matrix.shape[0])
+        return len(self.matrix)
 
     @property
     def n_bits(self) -> int:
@@ -323,6 +291,20 @@ class Labeling:
         codes = [_pattern_index(m_points, w) for w in indices]
         codes = np.array(codes, dtype=object if m_points > 63 else np.int64)
         return cls(np.ascontiguousarray(_bit_rows(codes, m_points).T))
+
+
+_TARGETS = (Labeling, BitPattern)  # a labeling, or a pattern as one column
+
+
+def _checked(target, kinds: tuple[type, ...], constellation: Constellation | None = None):
+    """``target``, after checking that it is one of ``kinds`` and, given a
+    constellation, of its size: the one target check of every public entry."""
+    if not isinstance(target, kinds):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise TypeError(f"target must be a {names}, got {type(target)!r}")
+    if constellation is not None and target.size != constellation.size:
+        raise ValueError("target and constellation sizes differ")
+    return target
 
 
 def named_labeling(name: str, m_points: int) -> Labeling:

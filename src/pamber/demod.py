@@ -23,7 +23,7 @@ every L-value from one gather index per target, ``_subsets``, built on
 the target's first use and kept with it (``constellation._derived``).
 The L-value functions and the BD solver read that index; the solver
 scans every column of a target at once, then refines the brackets of
-all columns in one pass.
+all columns in one pass, on a scan grid kept with the channel (``_per_channel``).
 
 The L-value kernels are point-major.  For a block of samples they hold
 one row of squared distances ``(y - x)**2`` per point ``x`` and gather,
@@ -39,8 +39,10 @@ terms ``exp(-snr*(d - d_min))`` are then added left to right, smallest
 distance first.  Every sample gets the same value whatever the size and
 shape of ``y``.
 
-All functions broadcast over ``y``; scalars in, scalars out.  They
-reject a non-finite ``y`` with a ValueError.  The L-value functions
+All functions broadcast over ``y``; scalars in, scalars out.  They check
+the target (``constellation._checked``) and ``y`` on entry, and reject a
+non-finite ``y`` with a ValueError; the helpers behind them trust their
+inputs.  The L-value functions
 also reject a ``y`` far enough out that rounding hides the differences
 between squared distances: an L-value compares squared distances of
 neighbouring points, which differ by about ``2*dmin*|y - x|``, while each
@@ -54,14 +56,21 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import BitPattern, Constellation, Labeling, _derived, _readonly
+from .constellation import _TARGETS, Constellation, Labeling, _checked, _derived, _readonly
 
 #: The demodulator names every entry point accepts.
 DEMODULATORS = ("sd", "abd", "bd")
+
+
+def _check_demodulator(name) -> None:
+    """The one check of a demodulator name."""
+    if name not in DEMODULATORS:
+        raise ValueError(f"demodulator must be one of {', '.join(DEMODULATORS)}; got {name!r}")
 
 
 @dataclass(frozen=True)
@@ -80,7 +89,7 @@ class ChannelParams:
             raise ValueError(f"snr must be positive and finite, got {self.snr}")
 
     def __getstate__(self) -> dict:
-        # a copy or a pickle leaves out what the library keeps here per constellation
+        # a copy or a pickle leaves out the stores of _per_channel
         return {"snr": self.snr}
 
     @classmethod
@@ -98,34 +107,48 @@ class ChannelParams:
         return 1.0 / math.sqrt(2.0 * self.snr)
 
 
+def _per_channel(build):
+    """``build(constellation, params)``, kept with the channel ``params`` for each constellation.
+
+    A decorator for read-only data that depends on one channel and one
+    constellation alone, such as the midpoint Q tails and the BD scan grid.
+    On each channel a builder keeps one ``weakref.WeakKeyDictionary``, keyed
+    by the constellation: a channel keeps no constellation alive, and a
+    constellation built later never finds another's data.  A build that
+    raises keeps nothing, so the call raises again every time.  Two threads
+    that miss at once may both build; their values are equal, and the store
+    keeps one.
+    """
+
+    @functools.wraps(build)
+    def kept(constellation, params):
+        stores = vars(params).setdefault("_per_channel", {})
+        store = stores.get(kept)
+        if store is None:
+            store = stores.setdefault(kept, weakref.WeakKeyDictionary())
+        value = store.get(constellation)
+        if value is None:
+            value = store[constellation] = build(constellation, params)
+        return value
+
+    return kept
+
+
 def _columns(target) -> np.ndarray:
-    """Bit columns of a target: a labeling's matrix, or a pattern as one column."""
+    """Bit columns of a checked target: a labeling's matrix, or a pattern as one column."""
     if isinstance(target, Labeling):
         return target.matrix
-    if isinstance(target, BitPattern):
-        return target.as_array()[:, None]
-    raise TypeError(f"target must be a Labeling or BitPattern, got {type(target)!r}")
-
-
-def _column_matrix(target, constellation: Constellation) -> np.ndarray:
-    """:func:`_columns`, after checking the target against the constellation's size."""
-    cols = _columns(target)
-    if cols.shape[0] != constellation.size:
-        raise ValueError("target and constellation sizes differ")
-    return cols
+    return target.as_array()[:, None]
 
 
 def _nearest(y, edges) -> np.ndarray:
-    """Region of each sample between sorted ``edges``: the edges strictly below it.
+    """Region of each checked sample between sorted ``edges``: the edges strictly below it.
 
     Equal to ``np.searchsorted(edges, y, side="left")``, in the smallest
     unsigned dtype that holds ``len(edges)``.  With the midpoints as edges,
     the region is the index of the nearest point.
     """
-    y = np.asarray(y, dtype=float)
-    if not np.isfinite(y).all():
-        raise ValueError("observations y must be finite")
-    idx = np.zeros(y.shape, dtype=np.min_scalar_type(len(edges)))
+    idx = np.zeros(np.shape(y), dtype=np.min_scalar_type(len(edges)))
     for edge in edges:
         idx += y > edge
     return idx
@@ -138,7 +161,8 @@ def sd_decide(y, target, constellation: Constellation) -> np.ndarray:
     one-column labeling.  An exact midpoint resolves to the lower-indexed
     point.
     """
-    return _column_matrix(target, constellation)[_nearest(y, constellation.midpoints())]
+    _checked(target, _TARGETS, constellation)
+    return _columns(target)[_nearest(_observations(y), constellation.midpoints())]
 
 
 # Samples times bit columns times points per block of the L-value
@@ -153,18 +177,20 @@ def _llr_limit(constellation: Constellation) -> float:
     return constellation.dmin / (8 * _EPS)
 
 
-def _llr_observations(y, constellation: Constellation) -> np.ndarray:
+def _observations(y, constellation: Constellation | None = None) -> np.ndarray:
+    """``y`` as a float array, after checking that it is finite and, given a
+    constellation, within the bound of the L-value functions on it."""
     y = np.asarray(y, dtype=float)
-    peak = float(np.abs(y).max(initial=0.0))
+    peak = float(max(-y.min(initial=0.0), y.max(initial=0.0)))  # NaN if a sample is NaN
     if not math.isfinite(peak):
         raise ValueError("observations y must be finite")
-    points = constellation.points
-    limit = _llr_limit(constellation)
-    if peak + max(-points[0], points[-1]) > limit:
-        raise ValueError(
-            f"|y| = {peak:g} is too large for L-values on this constellation: "
-            f"need |y| + max|x| <= dmin/(8*eps) = {limit:g}"
-        )
+    if constellation is not None:
+        points, limit = constellation.points, _llr_limit(constellation)
+        if peak + max(-points[0], points[-1]) > limit:
+            raise ValueError(
+                f"|y| = {peak:g} is too large for L-values on this constellation: "
+                f"need |y| + max|x| <= dmin/(8*eps) = {limit:g}"
+            )
     return y
 
 
@@ -252,9 +278,9 @@ def _llr_rows(samples, subsets, points, snr: float, kernel, squares=None) -> np.
 
 
 def _per_bit(y, target, constellation, params, kernel) -> np.ndarray:
-    _column_matrix(target, constellation)
+    _checked(target, _TARGETS, constellation)
     subsets = _derived(target, _subsets)
-    y_arr = _llr_observations(y, constellation)
+    y_arr = _observations(y, constellation)
     out = _llr_rows(y_arr.reshape(-1), subsets, constellation.points[:, None], params.snr, kernel)
     return out.reshape(out.shape[:1] + y_arr.shape).transpose(*range(1, y_arr.ndim + 1), 0)
 

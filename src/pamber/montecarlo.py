@@ -48,12 +48,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import Constellation, _bit_rows, _is_integer
+from .constellation import _TARGETS, Constellation, _bit_rows, _checked, _is_integer
 from .demod import (
     _EPS,
-    DEMODULATORS,
     ChannelParams,
-    _column_matrix,
+    _check_demodulator,
+    _columns,
     _llr_limit,
     _nearest,
     abd_decide,
@@ -92,8 +92,7 @@ class SimConfig:
             raise ValueError("empty SNR grid")
         for snr_db in self.snr_db_grid:  # rejects a non-finite or out-of-range value
             ChannelParams.from_db(snr_db)
-        if self.demodulator not in DEMODULATORS:
-            raise ValueError(f"demodulator must be one of {', '.join(DEMODULATORS)}")
+        _check_demodulator(self.demodulator)
 
 
 @dataclass(frozen=True)
@@ -154,7 +153,7 @@ def _regions(target, constellation: Constellation, params: ChannelParams, demodu
     ``_nearest`` counts the edges below each sample.  Past the solver's
     reach the signs of ``exact_llr`` decide BD, one region per label code.
     """
-    cols = _column_matrix(target, constellation)
+    cols = _columns(target)
     if demodulator != "bd":
         return functools.partial(_nearest, edges=constellation.midpoints()), cols.T
     if _past_reach(constellation, params):
@@ -198,7 +197,7 @@ def simulate(
             8-PAM).  The error names the first failing point in grid order.
             "sd", "abd" and "bd" on 2-PAM run at any SNR.
     """
-    cols = _column_matrix(target, constellation)
+    cols = _columns(_checked(target, _TARGETS, constellation))
     if config.demodulator == "bd":
         _check_grid(constellation, config)
     size, n_bits = cols.shape

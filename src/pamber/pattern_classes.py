@@ -39,7 +39,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .constellation import (
-    BitPattern, Labeling, _is_integer, _readonly, pattern_from_index,
+    BitPattern, Labeling, _checked, _is_integer, _readonly, pattern_from_index,
 )
 
 _SYMMETRIES = ("RE", "ARE", "ASY")
@@ -145,12 +145,12 @@ def pattern_coefficients(pattern: BitPattern) -> np.ndarray:
     differ; the vector is invariant under reflection and inversion of the
     pattern.
     """
-    return pattern_weights(pattern.as_array()[None, :])[0]
+    return pattern_weights(_checked(pattern, (BitPattern,)).as_array()[None, :])[0]
 
 
 def labeling_coefficients(labeling: Labeling) -> np.ndarray:
     """Sum of the column patterns' Q-function weight vectors."""
-    return pattern_weights(labeling.matrix.T).sum(axis=0)
+    return pattern_weights(_checked(labeling, (Labeling,)).matrix.T).sum(axis=0)
 
 
 @dataclass(frozen=True)

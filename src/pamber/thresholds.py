@@ -28,7 +28,7 @@ The solver scans the L-value of every column of a target on one grid out
 to T, which depends on the SNR and the constellation alone.  Only the
 channel keeps a grid: the whole grid, checked against the L-value bound
 of :mod:`pamber.demod`, and the squared distances of its samples to the
-points, for each constellation it meets (``constellation._per_channel``),
+points, for each constellation it meets (``demod._per_channel``),
 so every target solved on one channel scans the same arrays.  The sign
 changes of all columns are then refined in one pass: each step evaluates
 the L-value of every column at the brackets' next points in one kernel
@@ -45,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import BitPattern, Constellation, _derived, _per_channel, _readonly
-from .demod import ChannelParams, _exact_from_rows, _llr_observations, _llr_rows, _subsets
+from .constellation import BitPattern, Constellation, _checked, _derived, _readonly
+from .demod import ChannelParams, _exact_from_rows, _llr_rows, _observations, _per_channel, _subsets
 
 # The scan is uniform across the points and geometric beyond them, its
 # step growing by _SCAN_GROWTH per sample out to the bound T.  Crossings
@@ -218,10 +218,7 @@ def bd_thresholds(
         ValueError: if T exceeds 10^6 point gaps (below about -54 dB for
             8-PAM), where rounding in the L-value makes spurious crossings.
     """
-    if not isinstance(pattern, BitPattern):  # not a labeling's first column
-        raise TypeError(f"pattern must be a BitPattern, got {type(pattern)!r}")
-    if pattern.size != constellation.size:
-        raise ValueError("pattern and constellation sizes differ")
+    _checked(pattern, (BitPattern,), constellation)  # a labeling is not its first column
     return _crossings(pattern, constellation, params)[0]
 
 
@@ -247,11 +244,11 @@ def _channel_grid(constellation: Constellation, params: ChannelParams):
     reach = _reach(constellation, params)
     if _past_reach(constellation, params):
         raise ValueError(
-            f"snr={params.snr:g} is too low: the exact L-value cannot be "
-            f"resolved out to its bound T={reach:g}"
+            f"snr_db={10 * math.log10(params.snr):g} (snr={params.snr:g}) is too low: the "
+            f"exact L-value cannot be resolved out to its bound T={reach:g}"
         )
     grid = _readonly(_scan_grid(constellation, reach))
-    _llr_observations(grid[[0, -1]], constellation)  # sorted: its largest |y| is at an end
+    _observations(grid[[0, -1]], constellation)  # sorted: its largest |y| is at an end
     return grid, _readonly(np.square(grid - constellation.points[:, None]))
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analytic, labeling_space, montecarlo, pattern_classes
 from .constellation import (
-    BitPattern, Constellation, _bit_rows, make_pam, named_labeling, pattern_from_index,
+    BitPattern, Constellation, _bit_rows, _checked, make_pam, named_labeling, pattern_from_index,
 )
 from .demod import ChannelParams, abd_decide, maxlog_llr, sd_decide
 from .thresholds import ThresholdSet, bd_thresholds
@@ -204,9 +204,7 @@ def pber_interval_form(
     Independent of :func:`pamber.analytic.pber_general` apart from the
     shared Q-function; kept as a cross-check of the telescoped form.
     """
-    if pattern.size != constellation.size:
-        raise ValueError("pattern and constellation sizes differ")
-    bits = pattern.as_array()
+    bits = _checked(pattern, (BitPattern,), constellation).as_array()
     disagree = bits[:, None] != thresholds.bits[None, :]
     v = interval_probs(constellation, thresholds.betas, params)
     return float(v[disagree].sum()) / constellation.size

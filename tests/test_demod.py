@@ -320,9 +320,10 @@ class TestNearestPoint:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, bad):
+        # sd_decide checks its samples; _nearest trusts them
         for y in (bad, np.array([[0.1, bad], [0.0, 2.0]])):
             with pytest.raises(ValueError, match="finite"):
-                _nearest(y, make_pam(8).midpoints())
+                sd_decide(y, named_labeling("BRGC", 8), make_pam(8))
 
 
 class TestExactLlr:

@@ -31,7 +31,7 @@ from pamber import (
     simulate,
 )
 from pamber import montecarlo
-from pamber.demod import _column_matrix, _subsets
+from pamber.demod import _columns, _subsets
 from pamber.montecarlo import _CHUNK, _regions
 from pamber.thresholds import _crossings, _past_reach
 from pamber.verify import _require_crossing_facts
@@ -62,7 +62,8 @@ class TestSimConfig:
             SimConfig(trials=10_000, seed=1, snr_db_grid=(0.0, snr_db), demodulator=demod)
 
     def test_demodulator_names_are_exact(self):
-        with pytest.raises(ValueError, match="one of sd, abd, bd"):
+        # labeling_ber's message: one check of the name serves both
+        with pytest.raises(ValueError, match="^demodulator must be one of sd, abd, bd; got 'BD'$"):
             SimConfig(trials=10_000, seed=1, snr_db_grid=(0.0,), demodulator="BD")
 
     @pytest.mark.parametrize("field, value", [
@@ -153,7 +154,7 @@ def _errors_per_sample(target, c, config):
     (ABD) or ``exact_llr`` (BD), and every decided label bit is compared
     with the sent one.
     """
-    cols = _column_matrix(target, c)  # the label of every point
+    cols = _columns(target)  # the label of every point
     decide = {
         "sd": lambda y, params: sd_decide(y, target, c),
         "abd": lambda y, params: abd_decide(maxlog_llr(y, target, c, params)),
@@ -230,7 +231,7 @@ REGION_SNRS_DB = np.arange(-50.0, 40.1, 2.5)
 def test_one_solve_per_target_gives_each_columns_bd_thresholds():
     # -60 dB is past the solver's reach on 8-PAM, -50 dB on 16-PAM
     for target, c in REGION_SWEEP:
-        patterns = [BitPattern(col.tolist()) for col in _column_matrix(target, c).T]
+        patterns = [BitPattern(col.tolist()) for col in _columns(target).T]
         for snr_db in (-60.0, *REGION_SNRS_DB):
             params = ChannelParams.from_db(snr_db)
             if _past_reach(c, params):
@@ -280,7 +281,7 @@ class TestRegionDecisions:
         seen = self.count_kernel_samples(monkeypatch)
         offsets = np.array([0.0, -1e-12, 1e-12, -1e-9, 1e-9])
         for target, c in REGION_SWEEP:
-            patterns = [BitPattern(col.tolist()) for col in _column_matrix(target, c).T]
+            patterns = [BitPattern(col.tolist()) for col in _columns(target).T]
             for snr_db in REGION_SNRS_DB[::4]:  # every 10 dB
                 params = ChannelParams.from_db(snr_db)
                 if _past_reach(c, params):  # no crossings: the kernel decides every sample

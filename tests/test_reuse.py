@@ -3,13 +3,13 @@
 ``labeling_ber``, ``pber_general`` and ``bd_thresholds`` keep what does not
 depend on the SNR with the object it came from: a target's int64 bit rows,
 midpoint relevance matrix and gather index (one for all its columns, read
-by the BD solver for every column at once), a constellation's inner scan
-grid, and, for each constellation a channel meets, its midpoint Q tails
-and its checked BD scan grid.  Every value on reused objects must stay
-bit for bit the value of the same call on copies built afresh from the
-objects' values (a new ``Constellation``, a target rebuilt from its bits
-and a new ``ChannelParams``), whatever was evaluated before and whichever
-objects were freed in between.  The values themselves are pinned in
+by the BD solver for every column at once), and, for each constellation
+a channel meets, its midpoint Q tails and its checked BD scan grid.
+Every value on reused objects must stay bit for bit the value of the
+same call on copies built afresh from the objects' values (a new
+``Constellation``, a target rebuilt from its bits and a new
+``ChannelParams``), whatever was evaluated before and whichever objects
+were freed in between.  The values themselves are pinned in
 ``tests/pins.json.gz`` (``tests/test_pins.py``).
 """
 
@@ -35,7 +35,7 @@ from pamber import (
     pattern_from_index,
     pber_general,
 )
-from pamber import analytic, constellation, thresholds
+from pamber import analytic, thresholds
 from pamber.constellation import LABELING_NAMES
 from pamber.labeling_space import sample_labelings
 from pamber.pattern_classes import _masks_of_weight
@@ -285,9 +285,9 @@ class TestMidpointTails:
         assert bad == []
 
 
-def channel_store(params):
-    """The per-channel store: what ``params`` keeps for each constellation."""
-    return vars(params)["_derived"][constellation._by_constellation]
+def channel_stores(params):
+    """What the channel ``params`` keeps: one store per builder, keyed by constellation."""
+    return vars(params).get("_per_channel", {})
 
 
 class TestChannelGrid:
@@ -339,7 +339,7 @@ class TestChannelGrid:
                 bd_thresholds(pat, c, params)
             with pytest.raises(ValueError, match="too low"):
                 labeling_ber(named_labeling("BRGC", 8), c, params, "bd")
-        assert thresholds._channel_grid not in channel_store(params).get(c, {})
+        assert c not in channel_stores(params).get(thresholds._channel_grid, {})
 
     def test_a_channel_keeps_no_constellation_alive(self):
         # neither the BD grid nor the midpoint tails
@@ -352,15 +352,16 @@ class TestChannelGrid:
         del c
         gc.collect()
         assert ref() is None
-        assert len(channel_store(params)) == 0
+        stores = channel_stores(params)
+        assert len(stores) == 2 and all(len(store) == 0 for store in stores.values())
 
     def test_copies_and_pickles_leave_the_grid_and_the_tails_behind(self):
         params = ChannelParams.from_db(5.0)
         c = make_pam(8)
         bd_thresholds(pattern_from_index(8, 102), c, params)
         labeling_ber(named_labeling("BRGC", 8), c, params)
-        assert channel_store(params)[c].keys() == {thresholds._channel_grid,
-                                                   analytic._midpoint_tails}
+        kept = {build for build, store in channel_stores(params).items() if c in store}
+        assert kept == {thresholds._channel_grid, analytic._midpoint_tails}
         for twin in (pickle.loads(pickle.dumps(params)), copy.copy(params),
                      copy.deepcopy(params)):
             assert twin == params and vars(twin) == {"snr": params.snr}

@@ -316,28 +316,12 @@ class TestBdThresholds:
             assert bd == analytic.labeling_ber(pat, c, params, "abd")
             assert math.isclose(bd, q, rel_tol=1e-15, abs_tol=2**-54)
 
-    def test_rejects_a_pattern_of_another_size(self):
-        with pytest.raises(ValueError, match="sizes differ"):
-            bd_thresholds(pattern_from_index(4, 3), make_pam(8), ChannelParams.from_db(10.0))
-
     def test_rejects_snr_below_the_resolvable_range(self):
         c = make_pam(8)
         pat = pattern_from_index(8, 102)
         assert bd_thresholds(pat, c, ChannelParams.from_db(-50.0)).size == 2
         with pytest.raises(ValueError, match="too low"):
             bd_thresholds(pat, c, ChannelParams.from_db(-60.0))
-
-
-class TestTargetType:
-    def test_labeling_is_rejected(self):
-        # a labeling is not read as its first column
-        lab = named_labeling("BRGC", 8)
-        with pytest.raises(TypeError, match="BitPattern"):
-            bd_thresholds(lab, make_pam(8), ChannelParams.from_db(10.0))
-
-    def test_bit_tuple_is_rejected(self):
-        with pytest.raises(TypeError, match="BitPattern"):
-            bd_thresholds((0, 0, 1, 1), make_pam(4), ChannelParams.from_db(10.0))
 
 
 class TestRefinement:
