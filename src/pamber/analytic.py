@@ -19,7 +19,7 @@ One evaluator core, ``_gq_sums``, sums ``g*Q`` for a stack of relevance
 matrices against one set of boundaries in one array pass.  Against the
 midpoints, whose tails every column shares, :func:`labeling_ber` hands it
 the m columns as rows at once.  Every other boundary set goes through
-``_set_sums``: bit rows, each with its own :class:`ThresholdSet`, the Q
+``_set_sums``: sign rows, each with its own :class:`ThresholdSet`, the Q
 tails of all the sets' offsets evaluated in one call and sliced per row.
 :func:`pber_general` is its one-set case, and a BD :func:`labeling_ber`
 its all-columns case, on the sets of every column solved in one call.
@@ -29,9 +29,10 @@ terms in the order of the one-pattern sum, so that a labeling's BER is
 bit-identical to the average of its columns' PBERs.
 
 Only the Q arguments, and for BD the boundaries, depend on the SNR.  A
-target's int64 bit rows and midpoint relevance matrix are built on first
-use and kept with that object (``constellation._derived``); every later
-call reuses them, with the same operations in the same order.  The
+target's int64 bit rows, its float64 sign rows ``1 - 2*p`` and its
+midpoint relevance matrix are built on first use and kept with that
+object (``constellation._derived``); every later call reuses them, with
+the same operations in the same order.  The
 midpoint tails depend on the SNR and the constellation alone: they are
 kept with the :class:`ChannelParams`, weakly keyed by the constellation
 (``demod._per_channel``, which also keeps the BD scan grid), so every
@@ -142,24 +143,23 @@ def qfunc(x):
     return 0.5 * _erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
 
 
-def _relevance(bits, region_bits) -> np.ndarray:
+def _relevance(signs, region_bits) -> np.ndarray:
     """Relevance matrices ``(b[k+1]-b[k]) * (1-2*p[i])``, shape (..., M, K).
 
-    ``p`` is each row of the signed-integer bit matrix ``bits`` and ``b``
-    the region bits of K boundaries.  Column k is all zero exactly when
+    ``signs`` holds ``1 - 2*p`` for each bit row ``p`` and ``b`` is the
+    region bits of K boundaries.  Column k is all zero exactly when
     boundary k sits between regions that decide the same bit.
     """
     step = region_bits[..., 1:] - region_bits[..., :-1]
-    return step[..., None, :] * (1 - 2 * bits)[..., :, None]
+    return step[..., None, :] * signs[..., :, None]
 
 
 def _gq_sums(g, tails) -> np.ndarray:
     """Sum of ``g*tails``, one sum for each matrix of ``g``.
 
     ``g`` is an ``(n, M, K)`` stack of relevance matrices of C-contiguous
-    int64 bit rows, its small integers held as int64 or float64 (the
-    products are the same), and ``tails`` the ``(M, K)`` matrix of
-    :func:`_tails`.
+    bit rows, its small integers held as float64, and ``tails`` the
+    ``(M, K)`` matrix of :func:`_tails`.
     Sum r adds the terms of row r's one-pattern sum, in the same order
     (see the module docstring).
     """
@@ -181,17 +181,22 @@ def _int_rows(target) -> np.ndarray:
     return _readonly(np.ascontiguousarray(_columns(target).T, dtype=np.int64))
 
 
+def _signs(target) -> np.ndarray:
+    """A checked target's sign rows ``1 - 2*p`` as float64: ``g*tails`` then needs no cast."""
+    return _readonly((1 - 2 * _derived(target, _int_rows)).astype(float))
+
+
 def _midpoint_relevance(target) -> np.ndarray:
     """The midpoint relevance stack, as float64: ``g*tails`` then needs no int-to-float cast."""
     rows = _derived(target, _int_rows)
-    return _readonly(_relevance(rows, rows).astype(float))
+    return _readonly(_relevance(1 - 2 * rows, rows).astype(float))
 
 
-def _set_sums(rows, sets, constellation: Constellation, params: ChannelParams) -> list[float]:
-    """The ``g*Q`` sum of each bit row against its own :class:`ThresholdSet`, from one Q call."""
+def _set_sums(signs, sets, constellation: Constellation, params: ChannelParams) -> list[float]:
+    """The ``g*Q`` sum of each sign row against its own :class:`ThresholdSet`, from one Q call."""
     offsets = _offsets(np.concatenate([t.betas for t in sets]), constellation)
     tails, sums, start = _tails(offsets, params), [], 0
-    for row, t in zip(rows, sets):
+    for row, t in zip(signs, sets):
         g = _relevance(row[None], t.bits[None])
         sums += _gq_sums(g, tails[:, start : start + t.size]).tolist()
         start += t.size
@@ -220,7 +225,7 @@ def pber_general(
     _checked(pattern, (BitPattern,), constellation)
     if not isinstance(thresholds, ThresholdSet):
         raise TypeError(f"thresholds must be a ThresholdSet, got {type(thresholds)!r}")
-    s = _set_sums(_derived(pattern, _int_rows), [thresholds], constellation, params)[0]
+    s = _set_sums(_derived(pattern, _signs), [thresholds], constellation, params)[0]
     return 0.5 + s / pattern.size
 
 
@@ -280,13 +285,13 @@ def labeling_ber(
     """
     _checked(target, _TARGETS, constellation)
     _check_demodulator(demod)
-    rows = _derived(target, _int_rows)
     if demod == "bd":
-        sums = _set_sums(rows, _crossings(target, constellation, params), constellation, params)
+        signs = _derived(target, _signs)
+        sums = _set_sums(signs, _crossings(target, constellation, params), constellation, params)
     else:
         g = _derived(target, _midpoint_relevance)
         sums = _gq_sums(g, _midpoint_tails(constellation, params)).tolist()
     total = 0.0
     for s in sums:  # in column order: the built-in sum compensates from Python 3.12
-        total += 0.5 + s / rows.shape[1]
-    return total / len(rows)
+        total += 0.5 + s / constellation.size
+    return total / len(sums)

@@ -19,11 +19,14 @@ bit 1.  The two rules can disagree only on that measure-zero set.
 
 The demodulators act on a *target*: a :class:`Labeling`, or a
 :class:`BitPattern` as one column.  One sample loop, ``_llr_rows``, gives
-every L-value from one gather index per target, ``_subsets``, built on
-the target's first use and kept with it (``constellation._derived``).
-The L-value functions and the BD solver read that index; the solver
-scans every column of a target at once, then refines the brackets of
-all columns in one pass, on a scan grid kept with the channel (``_per_channel``).
+the L-values of a block of samples from one gather index per target,
+``_subsets``, built on the target's first use and kept with it
+(``constellation._derived``).  The L-value functions and the BD solver's
+scan read that index; the solver scans every column of a target at once,
+on a scan grid kept with the channel (``_per_channel``), then refines the
+brackets of all columns in one pass.  A refinement step needs the exact
+L-value at a few points alone, and ``_exact_few`` gives it there on
+Python floats, with the kernel's operations in the kernel's order.
 
 The L-value kernels are point-major.  For a block of samples they hold
 one row of squared distances ``(y - x)**2`` per point ``x`` and gather,
@@ -250,6 +253,34 @@ def _exact_from_rows(rows, snr: float, out) -> None:
     np.subtract(nearest[:, 0], nearest[:, 1], out=out)
     out *= snr
     out += corr[:, 1] - corr[:, 0]
+
+
+def _exact_few(ys, splits, snr: float) -> list[float]:
+    """``_exact_from_rows`` for a few samples: the same operations, on Python floats.
+
+    ``splits[k]`` holds the points of sample ``ys[k]``'s bit as two lists of
+    M/2, those whose bit is 0 and those whose bit is 1.  Each subset's
+    squares ``(y - x)*(y - x)`` are sorted, as the bitonic merger sorts
+    them; the terms ``(d - nearest)*-snr`` of all samples go through one
+    ``np.exp``, each subset's are added onto 1.0 smallest distance first,
+    and the sums go through one ``np.log``.  numpy's exp and log give an
+    element the same double whatever the array, so every L-value is the
+    kernel's, bit for bit, for two numpy calls in place of the kernel's
+    few dozen.
+    """
+    size = len(splits[0][0])
+    squares = [(y - x) * (y - x) for y, split in zip(ys, splits) for xs in split for x in xs]
+    rows = [sorted(squares[k : k + size]) for k in range(0, len(squares), size)]
+    exps = iter(np.exp([(d - row[0]) * -snr for row in rows for d in row[1:]]).tolist())
+    sums = []
+    for row in rows:
+        total = 1.0  # the nearest point's term, exp(-0.0)
+        for _ in row[1:]:  # none at M = 2
+            total += next(exps)
+        sums.append(total)
+    logs = np.log(sums).tolist()
+    return [(rows[k][0] - rows[k + 1][0]) * snr + (logs[k + 1] - logs[k])
+            for k in range(0, len(rows), 2)]
 
 
 def _subsets(target) -> np.ndarray:

@@ -48,16 +48,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import _TARGETS, Constellation, _bit_rows, _checked, _is_integer
+from .constellation import _TARGETS, Constellation, _bit_rows, _checked, _derived, _is_integer
 from .demod import (
     _EPS,
     ChannelParams,
     _check_demodulator,
     _columns,
+    _exact_from_rows,
     _llr_limit,
+    _llr_rows,
     _nearest,
+    _subsets,
     abd_decide,
-    exact_llr,
 )
 from .thresholds import _crossings, _past_reach
 
@@ -151,15 +153,19 @@ def _regions(target, constellation: Constellation, params: ChannelParams, demodu
     Column k of the table holds the bits that region k decides.  SD and ABD
     cut at the midpoints and BD at the merged crossings of every column, and
     ``_nearest`` counts the edges below each sample.  Past the solver's
-    reach the signs of ``exact_llr`` decide BD, one region per label code.
+    reach the signs of ``exact_llr`` decide BD, one region per label code,
+    from its sample loop without its checks: ``simulate`` has checked the
+    target, and ``_check_grid`` the reach of the samples.
     """
     cols = _columns(target)
     if demodulator != "bd":
         return functools.partial(_nearest, edges=constellation.midpoints()), cols.T
     if _past_reach(constellation, params):
+        subsets, column = _derived(target, _subsets), constellation.points[:, None]
+
         def kernel(y: np.ndarray) -> np.ndarray:  # label codes, first bit highest
             out = np.zeros(y.size, dtype=np.int64)
-            for row in exact_llr(y, target, constellation, params).T:  # contiguous: bit-major
+            for row in _llr_rows(y, subsets, column, params.snr, _exact_from_rows):
                 out = out << 1 | abd_decide(row)
             return out
         return kernel, _bit_rows(np.arange(1 << cols.shape[1]), cols.shape[1]).T

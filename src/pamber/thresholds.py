@@ -31,11 +31,12 @@ of :mod:`pamber.demod`, and the squared distances of its samples to the
 points, for each constellation it meets (``demod._per_channel``),
 so every target solved on one channel scans the same arrays.  The sign
 changes of all columns are then refined in one pass: each step evaluates
-the L-value of every column at the brackets' next points in one kernel
-call and keeps each bracket's own column.  A bracket's steps depend on
-its own ends alone, so the crossings are those of refining each column
-by itself.  Each column's crossings come back as a :class:`ThresholdSet`,
-checked as a user's set is.
+each bracket's own column at the bracket's next point, a few samples that
+``demod._exact_few`` takes on Python floats, bit for bit the values of
+the scan's kernel, with one numpy exp and one log call per step.  A
+bracket's steps depend on its own ends alone, so the crossings are those
+of refining each column by itself.  Each column's crossings come back as
+a :class:`ThresholdSet`, checked as a user's set is.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import BitPattern, Constellation, _checked, _derived, _readonly
-from .demod import ChannelParams, _exact_from_rows, _llr_rows, _observations, _per_channel, _subsets
+from .demod import (
+    ChannelParams, _exact_few, _exact_from_rows, _llr_rows, _observations, _per_channel, _subsets)
 
 # The scan is uniform across the points and geometric beyond them, its
 # step growing by _SCAN_GROWTH per sample out to the bound T.  Crossings
@@ -90,7 +92,7 @@ class ThresholdSet:
 
     def __post_init__(self) -> None:
         betas = np.array(self.betas, dtype=float)
-        bits = np.array(self.bits)
+        bits = np.asarray(self.bits)  # copied once, to int8, after the checks
         if betas.ndim != 1 or bits.shape != (betas.size + 1,):
             raise ValueError("need 1-D boundaries and one region bit more than boundaries")
         values = betas.tolist()  # a few boundaries: Python beats numpy's call overhead
@@ -279,20 +281,17 @@ def _crossings(target, constellation: Constellation, params: ChannelParams) -> l
 
     One scan of every column brackets the sign changes, and one
     refinement pass refines the brackets of all columns together: each
-    step evaluates every column at the brackets' next points and keeps
-    each bracket's own column.
+    step evaluates each bracket's own column at its next point.
     """
     grid, squares = _channel_grid(constellation, params)
-    subsets, column, snr = _derived(target, _subsets), constellation.points[:, None], params.snr
-    values = _llr_rows(grid, subsets, column, snr, _exact_from_rows, squares)
+    points, subsets, snr = constellation.points, _derived(target, _subsets), params.snr
+    values = _llr_rows(grid, subsets, points[:, None], snr, _exact_from_rows, squares)
     cols, left, right = _sign_changes(values)
     owner = cols.tolist()
+    splits = points[subsets].transpose(1, 2, 0).tolist()  # splits[j][b]: column j's points of bit b
 
-    def llr(y, which):  # a few points: one block of the kernel
-        out = np.empty((len(values), y.size))
-        _exact_from_rows(np.square(y - column).take(subsets, axis=0), snr, out)
-        rows = out.tolist()
-        return [rows[owner[i]][k] for k, i in enumerate(which)]
+    def llr(y, which):  # a few points: on Python floats
+        return _exact_few(y.tolist(), [splits[owner[i]] for i in which], snr)
 
     roots = _illinois(llr, grid[left], grid[right], values[cols, left], values[cols, right])
     cuts, start = [], 0  # the brackets, and so the roots, come column by column

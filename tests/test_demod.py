@@ -11,6 +11,7 @@ from pamber import (
     BitPattern,
     ChannelParams,
     Constellation,
+    Labeling,
     abd_decide,
     bd_thresholds,
     exact_llr,
@@ -20,7 +21,7 @@ from pamber import (
     pattern_from_index,
     sd_decide,
 )
-from pamber.demod import _nearest
+from pamber.demod import _exact_few, _exact_from_rows, _nearest, _subsets
 from pamber.labeling_space import sample_labelings
 from pamber.pattern_classes import _masks_of_weight, invert_index, reflect_index
 
@@ -234,6 +235,47 @@ class TestSortOracle:
             params = ChannelParams.from_db(snr_db)
             assert_same_bits(exact_llr(-y, pat, c, params)[..., 0],
                              exact_llr(y, pat, c, params)[..., 0])
+
+
+@st.composite
+def few_sample_cases(draw):
+    """A constellation of 2 to 64 points, PAM or clustered, a labeling on it,
+    an SNR from -54 to 60 dB and 1 to 7 samples, each with a column, within
+    ``[s_0 - T, s_{M-1} + T]`` or across the points alone."""
+    m_points = draw(st.sampled_from([2, 4, 8, 16, 64]))
+    if draw(st.booleans()):
+        c = make_pam(m_points)
+    else:  # log-uniform gaps in [e^-7, 1]
+        gaps = np.exp(draw(st.lists(st.floats(-7.0, 0.0), min_size=m_points - 1,
+                                    max_size=m_points - 1)))
+        c = Constellation(np.concatenate(([0.0], np.cumsum(gaps))))
+    n_bits = m_points.bit_length() - 1
+    labels = np.array(draw(st.permutations(range(m_points))))
+    lab = Labeling((labels[:, None] >> np.arange(n_bits - 1, -1, -1)) & 1)
+    params = ChannelParams.from_db(draw(st.floats(-54.0, 60.0)))
+    low, high = c.points[0], c.points[-1]
+    reach = math.log(m_points / 2) / (2 * params.snr * c.dmin)
+    samples = draw(st.lists(st.tuples(st.booleans(), st.floats(0.0, 1.0),
+                                      st.integers(0, n_bits - 1)), min_size=1, max_size=7))
+    ys = [low + u * (high - low) if inner else low - reach + u * (high - low + 2 * reach)
+          for inner, u, _ in samples]
+    return c, lab, params, ys, [j for _, _, j in samples]
+
+
+class TestFewSamples:
+    """The float evaluator of a few samples against the block kernel."""
+
+    @given(few_sample_cases())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_bit_identical_to_the_kernel(self, case):
+        c, lab, params, ys, cols = case
+        subsets = _subsets(lab)
+        block = np.empty((lab.n_bits, len(ys)))
+        rows = np.square(np.array(ys) - c.points[:, None]).take(subsets, axis=0)
+        _exact_from_rows(rows, params.snr, block)
+        splits = c.points[subsets].transpose(1, 2, 0).tolist()
+        got = _exact_few(ys, [splits[j] for j in cols], params.snr)
+        assert np.array(got).tobytes() == block[cols, range(len(ys))].tobytes()
 
 
 class TestSdDecide:

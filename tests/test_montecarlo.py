@@ -257,13 +257,13 @@ class TestRegionDecisions:
     @staticmethod
     def count_kernel_samples(monkeypatch):
         seen = []
-        real = montecarlo.exact_llr
+        real = montecarlo._llr_rows  # exact_llr's sample loop, unchecked
 
-        def kernel(y, target, c, params):
+        def kernel(y, *args):
             seen.append(len(y))
-            return real(y, target, c, params)
+            return real(y, *args)
 
-        monkeypatch.setattr(montecarlo, "exact_llr", kernel)
+        monkeypatch.setattr(montecarlo, "_llr_rows", kernel)
         return seen
 
     def test_regions_decide_as_the_kernel_on_simulated_samples(self):
@@ -494,7 +494,7 @@ class TestExtremeSnr:
             for demod in ("abd", "sd")
         )
         assert [e.bit_errors for e in abd] == [e.bit_errors for e in sd]
-        monkeypatch.setattr(montecarlo, "exact_llr", no_work)
+        monkeypatch.setattr(montecarlo, "_llr_rows", no_work)
         monkeypatch.setattr(montecarlo, "_crossings", no_work)
         config = SimConfig(trials=10_000, seed=0, snr_db_grid=(0.0, -300.0),
                            demodulator="bd")
@@ -515,7 +515,7 @@ class TestExtremeSnr:
         def no_work(*args):
             raise AssertionError("a chunk was demodulated")
 
-        monkeypatch.setattr(montecarlo, "exact_llr", no_work)
+        monkeypatch.setattr(montecarlo, "_llr_rows", no_work)
         monkeypatch.setattr(montecarlo, "_crossings", no_work)
         config = SimConfig(trials=10_000, seed=0, snr_db_grid=(0.0, -250.0),
                            demodulator="bd")
@@ -535,7 +535,7 @@ class TestExtremeSnr:
         def no_work(*args):
             raise AssertionError("a chunk was demodulated")
 
-        monkeypatch.setattr(montecarlo, "exact_llr", no_work)
+        monkeypatch.setattr(montecarlo, "_llr_rows", no_work)
         monkeypatch.setattr(montecarlo, "_crossings", no_work)
         config = SimConfig(trials=10_000, seed=0, snr_db_grid=grid, demodulator="bd")
         with pytest.raises(ValueError, match=message):

@@ -134,7 +134,7 @@ def bit_changes(pattern):
 def relevance(pattern):
     """Relevance matrix of a pattern under the midpoint rule."""
     bits = pattern.as_array().astype(np.int64)
-    return analytic._relevance(bits, bits)
+    return analytic._relevance(1 - 2 * bits, bits)
 
 
 class TestMidpoints:
@@ -388,30 +388,36 @@ class TestOnePass:
                 assert thr.bits.tolist() == alone.bits.tolist()
 
     @pytest.mark.parametrize("name, m_points", [("BRGC", 8), ("AG", 8), ("BRGC", 16)])
-    def test_a_labeling_point_calls_the_kernel_for_its_slowest_column(
+    def test_a_labeling_point_steps_as_often_as_its_slowest_column(
         self, monkeypatch, name, m_points
     ):
-        # 1 scan, then one call per refinement step of the column that needs
-        # the most; each column alone, as a pattern, takes 1 + its own steps
-        calls = []
-        kernel = thresholds._exact_from_rows
+        # 1 kernel call for the scan, then one evaluator call per refinement
+        # step of the column that needs the most; each column alone, as a
+        # pattern, takes 1 scan and its own steps
+        calls = {"kernel": 0, "steps": 0}
 
-        def counted(rows, snr, out):
-            calls.append(out.shape)
-            return kernel(rows, snr, out)
+        def counted(key, func):
+            def call(*args):
+                calls[key] += 1
+                return func(*args)
+            return call
 
-        monkeypatch.setattr(thresholds, "_exact_from_rows", counted)
+        monkeypatch.setattr(thresholds, "_exact_from_rows",
+                            counted("kernel", thresholds._exact_from_rows))
+        monkeypatch.setattr(thresholds, "_exact_few", counted("steps", thresholds._exact_few))
         lab, c = named_labeling(name, m_points), make_pam(m_points)
         for snr_db in (0.0, 10.0, 20.0):
             params = ChannelParams.from_db(snr_db)
             steps = []
             for col in lab.matrix.T:
-                calls.clear()
+                calls.update(kernel=0, steps=0)
                 thresholds.bd_thresholds(BitPattern(col.tolist()), c, params)
-                steps.append(len(calls) - 1)
-            calls.clear()
+                assert calls["kernel"] == 1
+                steps.append(calls["steps"])
+            calls.update(kernel=0, steps=0)
             labeling_ber(lab, c, params, "bd")
-            assert len(calls) == 1 + max(steps), (snr_db, steps)
+            assert calls["kernel"] == 1, snr_db
+            assert calls["kernel"] + calls["steps"] == 1 + max(steps) > 1, (snr_db, steps)
 
 
 class TestRefinementOracle:
