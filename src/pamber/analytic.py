@@ -23,16 +23,17 @@ the m columns as rows at once.  Every other boundary set goes through
 tails of all the sets' offsets evaluated in one call and sliced per row.
 :func:`pber_general` is its one-set case, and a BD :func:`labeling_ber`
 its all-columns case, on the sets of every column solved in one call.
-The bit matrix must be C-contiguous: numpy's summation order follows the
+The sign rows must be C-contiguous: numpy's summation order follows the
 memory layout, and only with C order does each row's sum add its ``M*K``
 terms in the order of the one-pattern sum, so that a labeling's BER is
 bit-identical to the average of its columns' PBERs.
 
 Only the Q arguments, and for BD the boundaries, depend on the SNR.  A
-target's int64 bit rows, its float64 sign rows ``1 - 2*p`` and its
-midpoint relevance matrix are built on first use and kept with that
-object (``constellation._derived``); every later call reuses them, with
-the same operations in the same order.  The
+target keeps two arrays, built on first use (``constellation._derived``):
+its C-contiguous float64 sign rows ``1 - 2*p``, and its midpoint
+relevance stack, built from those rows and the bit columns.  Every value
+in them is a small integer, exact in float64, and every later call
+reuses them, with the same operations in the same order.  The
 midpoint tails depend on the SNR and the constellation alone: they are
 kept with the :class:`ChannelParams`, weakly keyed by the constellation
 (``demod._per_channel``, which also keeps the BD scan grid), so every
@@ -158,7 +159,7 @@ def _gq_sums(g, tails) -> np.ndarray:
     """Sum of ``g*tails``, one sum for each matrix of ``g``.
 
     ``g`` is an ``(n, M, K)`` stack of relevance matrices of C-contiguous
-    bit rows, its small integers held as float64, and ``tails`` the
+    sign rows, its small integers held as float64, and ``tails`` the
     ``(M, K)`` matrix of :func:`_tails`.
     Sum r adds the terms of row r's one-pattern sum, in the same order
     (see the module docstring).
@@ -176,20 +177,14 @@ def _offsets(betas, constellation: Constellation) -> np.ndarray:
     return betas[None, :] - constellation.points[:, None]
 
 
-def _int_rows(target) -> np.ndarray:
-    """A checked target's bit columns as C-contiguous int64 rows (see the module docstring)."""
-    return _readonly(np.ascontiguousarray(_columns(target).T, dtype=np.int64))
-
-
 def _signs(target) -> np.ndarray:
-    """A checked target's sign rows ``1 - 2*p`` as float64: ``g*tails`` then needs no cast."""
-    return _readonly((1 - 2 * _derived(target, _int_rows)).astype(float))
+    """A checked target's sign rows ``1 - 2*p``, C-contiguous float64: see the module docstring."""
+    return _readonly(np.ascontiguousarray(1 - 2 * _columns(target).T, dtype=float))
 
 
 def _midpoint_relevance(target) -> np.ndarray:
-    """The midpoint relevance stack, as float64: ``g*tails`` then needs no int-to-float cast."""
-    rows = _derived(target, _int_rows)
-    return _readonly(_relevance(1 - 2 * rows, rows).astype(float))
+    """The midpoint relevance stack, float64 from the sign rows: ``g*tails`` needs no cast."""
+    return _readonly(_relevance(_derived(target, _signs), _columns(target).T))
 
 
 def _set_sums(signs, sets, constellation: Constellation, params: ChannelParams) -> list[float]:

@@ -11,6 +11,7 @@ Conventions used throughout the package:
 * A labeling assigns a distinct m-bit label to each of the M = 2^m
   points.  Bit position j (1-based) is column j of the M-by-m label
   matrix; every column of a bijective labeling is a valid bit pattern.
+  :func:`is_bijective_set` is the one distinct-label rule, on column indices.
 
 All types are immutable after construction and safe to share.  Every
 public function that takes a pattern or a labeling checks it with ``_checked``.
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -55,6 +56,42 @@ def _label_bits(m_points: int) -> int:
     if not _is_integer(m_points) or m_points < 2 or m_points & (m_points - 1):
         raise ValueError(f"M must be a power of two >= 2, got {m_points}")
     return int(m_points).bit_length() - 1
+
+
+def is_bijective_set(m_points: int, indices: Sequence[int]) -> bool:
+    """True when stacking the patterns as columns yields M distinct rows.
+
+    The rows are kept as M-bit masks of cells, rows whose labels agree on
+    the columns so far; each column splits every cell into its rows with
+    a 1 and its rows with a 0.  The labels are distinct exactly when M
+    non-empty cells remain.
+
+    Raises:
+        ValueError: unless M is a positive integer (see ``_is_integer``).
+    """
+    if type(m_points) is not int or m_points < 1:  # the census's plain ints pass here
+        if not _is_integer(m_points) or m_points < 1:
+            raise ValueError(f"M must be a positive integer, got {m_points!r}")
+        m_points = int(m_points)  # 1 << M would wrap in a narrow numpy integer
+    cells = [(1 << m_points) - 1]
+    for w in indices:
+        split = []
+        for cell in cells:
+            ones = cell & w
+            zeros = cell ^ ones
+            if ones:
+                split.append(ones)
+            if zeros:
+                split.append(zeros)
+        cells = split
+    return len(cells) == m_points
+
+
+def _check_weight(m_points: int, weight: int) -> None:
+    """The weight rule of a pattern of length M: M/2 ones."""
+    if weight != m_points // 2:
+        raise ValueError(
+            f"pattern of length {m_points} must have weight {m_points // 2}, got {weight}")
 
 
 def _bit_rows(codes, width: int) -> np.ndarray:
@@ -184,10 +221,7 @@ class BitPattern:
         if ints != bits or not {0, 1}.issuperset(ints):
             raise ValueError("pattern entries must be 0 or 1")
         object.__setattr__(self, "bits", ints)
-        if sum(ints) != m // 2:
-            raise ValueError(
-                f"pattern of length {m} must have weight {m // 2}, got {sum(ints)}"
-            )
+        _check_weight(m, sum(ints))
 
     @property
     def size(self) -> int:
@@ -229,11 +263,7 @@ def _pattern_index(m_points: int, index) -> int:
     index = int(index)
     if not 0 <= index < (1 << m_points):
         raise ValueError(f"index {index} out of range for M={m_points}")
-    if index.bit_count() != m_points // 2:  # BitPattern's weight rule, on the mask
-        raise ValueError(
-            f"pattern of length {m_points} must have weight {m_points // 2}, "
-            f"got {index.bit_count()}"
-        )
+    _check_weight(m_points, index.bit_count())
     return index
 
 
@@ -264,10 +294,11 @@ class Labeling:
             raise ValueError("labeling matrix entries must be 0 or 1")
         mat = _readonly(raw.astype(np.int8))
         object.__setattr__(self, "matrix", mat)
-        if len(set(_pack_rows(mat).tolist())) != m_points:
+        columns = _pack_rows(mat.T).tolist()
+        if not is_bijective_set(m_points, columns):
             raise ValueError("labeling rows must be pairwise distinct (bijection)")
         # Distinct rows are every m-bit label once: each column has weight M/2.
-        object.__setattr__(self, "pattern_set", frozenset(_pack_rows(mat.T).tolist()))
+        object.__setattr__(self, "pattern_set", frozenset(columns))
 
     @property
     def size(self) -> int:

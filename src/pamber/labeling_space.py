@@ -12,7 +12,8 @@ masks in ascending order that ``pattern_classes._masks_of_weight``
 filters by popcount.  It walks column prefixes depth first and prunes
 every prefix that does not split the points into equal cells, so of the
 C(70,3) = 54,740 3-sets for M = 8 only the 28,263 whose first two
-columns pass reach the full bijectivity test, and 6,720 are kept.  It
+columns pass reach the full bijectivity test, which ``Labeling`` applies
+too (:func:`~pamber.constellation.is_bijective_set`); 6,720 are kept.  It
 sums the pool's weight vectors over each set, groups equal sums with one
 stable lexicographic sort, and keeps the pattern indices of one witness
 per class; its :class:`~pamber.constellation.Labeling` is built when it
@@ -23,44 +24,15 @@ non-exhaustive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import pattern_classes
-from .constellation import Labeling, _is_integer, _label_bits, pattern_from_index
+from .constellation import (
+    Labeling, _is_integer, _label_bits, is_bijective_set, pattern_from_index)
 from .pattern_classes import _check_enumerable, _masks_of_weight
 
 _EXHAUSTIVE_SIZES = (2, 4, 8)
-
-
-def is_bijective_set(m_points: int, indices: Sequence[int]) -> bool:
-    """True when stacking the patterns as columns yields M distinct rows.
-
-    The rows are kept as M-bit masks of cells, rows whose labels agree on
-    the columns so far; each column splits every cell into its rows with
-    a 1 and its rows with a 0.  The labels are distinct exactly when M
-    non-empty cells remain.
-
-    Raises:
-        ValueError: unless M is a positive integer (see ``_is_integer``).
-    """
-    if type(m_points) is not int or m_points < 1:  # the census's plain ints pass here
-        if not _is_integer(m_points) or m_points < 1:
-            raise ValueError(f"M must be a positive integer, got {m_points!r}")
-        m_points = int(m_points)  # 1 << M would wrap in a narrow numpy integer
-    cells = [(1 << m_points) - 1]
-    for w in indices:
-        split = []
-        for cell in cells:
-            ones = cell & w
-            zeros = cell ^ ones
-            if ones:
-                split.append(ones)
-            if zeros:
-                split.append(zeros)
-        cells = split
-    return len(cells) == m_points
 
 
 def _bijective_sets(m_points: int) -> list[tuple[int, ...]]:

@@ -294,10 +294,11 @@ def _crossings(target, constellation: Constellation, params: ChannelParams) -> l
         return _exact_few(y.tolist(), [splits[owner[i]] for i in which], snr)
 
     roots = _illinois(llr, grid[left], grid[right], values[cols, left], values[cols, right])
+    counts = np.bincount(cols, minlength=len(values)).tolist()
     cuts, start = [], 0  # the brackets, and so the roots, come column by column
-    for j, first in enumerate(values[:, 0].tolist()):
-        end = start + owner.count(j)
+    for count, first in zip(counts, values[:, 0].tolist()):
         lead = int(first > 0)
-        cuts.append(ThresholdSet(roots[start:end], np.arange(lead, lead + end - start + 1) % 2))
-        start = end
+        bits = [(lead + k) % 2 for k in range(count + 1)]
+        cuts.append(ThresholdSet(roots[start : start + count], bits))
+        start += count
     return cuts

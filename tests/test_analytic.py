@@ -417,6 +417,14 @@ class TestLabelingBer:
             assert abs(abd - bd) / abd <= 0.02
             assert bd <= abd  # the exact rule is optimal per bit
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "BD 1.18639674751e-08 is above ABD 1.18639674566e-08: analytic._gq_sums "
+        "cancels down to about 1e-16 absolute (ROADMAP item 1)"))
+    def test_exact_boundaries_stay_below_abd_at_25_db(self):
+        # the even-dB test above never lands on an inverted SNR
+        c, lab, params = make_pam(8), named_labeling("BRGC", 8), ChannelParams.from_db(25.0)
+        assert labeling_ber(lab, c, params, "bd") <= labeling_ber(lab, c, params, "abd")
+
     def test_rejects_unknown_demodulator(self):
         with pytest.raises(ValueError, match="^demodulator must be one of sd, abd, bd; got 'zf'$"):
             labeling_ber(
@@ -582,6 +590,14 @@ class TestArbitraryConstellation:
         thr = bd_thresholds(pat, uneven, params)
         residual = exact_llr(thr.betas, pat, uneven, params)[..., 0]
         assert np.abs(residual).max() <= 1e-8
+
+    @pytest.mark.xfail(strict=True, raises=ValueError, reason=(
+        "the reach rule refuses every snr < ln(M/2)/(2e6*dmin^2), which a close "
+        "pair of points moves up to 18 dB (ROADMAP item 6)"))
+    def test_bd_answers_a_close_pair_at_18_db(self):
+        c = Constellation((-1.5, -1, -0.5, 0, 1e-4, 0.5, 1, 1.5))
+        lab, params = named_labeling("BRGC", 8), ChannelParams.from_db(18.0)
+        assert labeling_ber(lab, c, params, "bd") <= labeling_ber(lab, c, params, "abd")
 
     def test_rejects_unsorted_or_odd_points(self):
         with pytest.raises(ValueError, match="increasing"):

@@ -231,6 +231,8 @@ class TestLabeling:
             ([[-255, 0], [0, 1], [1, 0], [1, 1]], "entries must be 0 or 1"),
             # one point and no bits: 1 == 2^0 rows, but not a labeling
             (np.zeros((1, 0), dtype=np.int8), "at least one bit column"),
+            # 64 rows: the columns pack to Python ints (the object path)
+            (named_labeling("NBC", 64).matrix[[0, *range(63)]], "pairwise distinct"),
         ],
     )
     def test_rejections_keep_their_messages(self, matrix, message):

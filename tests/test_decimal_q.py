@@ -112,6 +112,16 @@ def test_labeling_ber_of_brgc8_at_30_db_agrees_to_1e12():
     assert relative(got, want) <= 1e-12
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "the same cancellation in analytic._gq_sums reaches BPSK: labeling_ber "
+    "returns exactly 0.0 from 16 dB (ROADMAP item 1)"))
+def test_labeling_ber_of_bpsk_at_16_db_agrees_to_1e12():
+    lab = named_labeling("BRGC", 2)
+    want = decimal_q.pam_ber(labeling_coefficients(lab), 2, 16) / lab.n_bits
+    got = labeling_ber(lab, make_pam(2), ChannelParams.from_db(16.0))
+    assert relative(got, want) <= 1e-12
+
+
 def test_interval_form_equals_the_weight_form_at_the_midpoints():
     # unit-energy 8-PAM in decimal: points d*(2i-7), midpoints d*(2i-6)
     with localcontext() as ctx:
