@@ -13,7 +13,10 @@ filters by popcount.  It walks column prefixes depth first and prunes
 every prefix that does not split the points into equal cells, so of the
 C(70,3) = 54,740 3-sets for M = 8 only the 28,263 whose first two
 columns pass reach the full bijectivity test, which ``Labeling`` applies
-too (:func:`~pamber.constellation.is_bijective_set`); 6,720 are kept.  It
+too (:func:`~pamber.constellation.is_bijective_set`); 6,720 are kept.
+That test keeps the cells of each column prefix in a bounded cache, so
+the 28,263 sets split their 1,224 distinct two-column prefixes once and
+each set splits only its last column.  It
 sums the pool's weight vectors over each set, groups equal sums with one
 stable lexicographic sort, and keeps the pattern indices of one witness
 per class; its :class:`~pamber.constellation.Labeling` is built when it
@@ -77,7 +80,9 @@ def sample_labelings(
     """Random labelings for sizes too large to enumerate; NOT exhaustive.
 
     Raises:
-        ValueError: unless M is a power of two the pool can hold, and
+        ValueError: unless M is a power of two that is a multiple of 4 and
+            at most ``pattern_classes.MAX_ENUMERATED_POINTS`` (so 4, 8 or
+            16; the pool holds the patterns of a class table), and
             ``count`` and ``seed`` are non-negative integers.
     """
     n_bits = _label_bits(m_points)

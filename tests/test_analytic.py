@@ -425,6 +425,13 @@ class TestLabelingBer:
         c, lab, params = make_pam(8), named_labeling("BRGC", 8), ChannelParams.from_db(25.0)
         assert labeling_ber(lab, c, params, "bd") <= labeling_ber(lab, c, params, "abd")
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "BD 3.5110803153770576e-15 is 1.2% above ABD 3.469446951953614e-15: "
+        "analytic._gq_sums cancels down to about 1e-16 absolute (ROADMAP item 1)"))
+    def test_exact_boundaries_stay_below_abd_on_16_pam_at_34_db(self):
+        c, lab, params = make_pam(16), named_labeling("BRGC", 16), ChannelParams.from_db(34.0)
+        assert labeling_ber(lab, c, params, "bd") <= labeling_ber(lab, c, params, "abd")
+
     def test_rejects_unknown_demodulator(self):
         with pytest.raises(ValueError, match="^demodulator must be one of sd, abd, bd; got 'zf'$"):
             labeling_ber(

@@ -1,11 +1,15 @@
 """Labeling enumeration and the distinct-BER census."""
 
+import functools
 import itertools
 import math
+import operator
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pamber import (
     Labeling,
@@ -15,7 +19,7 @@ from pamber import (
     pattern_coefficients,
     pattern_from_index,
 )
-from pamber import labeling_space, pattern_classes
+from pamber import constellation, labeling_space, pattern_classes
 from pamber.labeling_space import _bijective_sets, is_bijective_set, sample_labelings
 from pamber.pattern_classes import _masks_of_weight, invert_index, pattern_weights
 
@@ -31,6 +35,34 @@ def shift_by_shift_bijective(m_points, indices):
             return False
         codes.add(code)
     return True
+
+
+SIZES = [1, 2, 4, 6, 8, 16, 64]
+
+# Natural-binary columns of 64 points; their low M bits are those of M points.
+NBC_COLUMNS = [sum(1 << i for i in range(64) if i >> j & 1) for j in range(6)]
+
+
+def linear_column(columns, complement):
+    """The XOR of natural-binary columns; complemented, it is a negative int."""
+    w = functools.reduce(operator.xor, columns, 0)
+    return ~w if complement else w
+
+
+# Linear columns, so that sets of every size can be bijective.
+LINEAR_COLUMN = st.builds(
+    linear_column, st.sets(st.sampled_from(NBC_COLUMNS), min_size=1), st.booleans())
+
+# A column index: a linear column, any int, negative or with bits above M,
+# or a numpy integer; the narrow ones keep the low bits of a linear column.
+COLUMN_INDEX = st.one_of(
+    LINEAR_COLUMN,
+    st.integers(-(1 << 70), 1 << 70),
+    LINEAR_COLUMN.map(lambda w: np.uint8(w % (1 << 8)).view(np.int8)),
+    LINEAR_COLUMN.map(lambda w: np.uint64(w % (1 << 64))),
+    LINEAR_COLUMN.map(lambda w: np.uint64(w % (1 << 64)).view(np.int64)),
+    st.integers(-(1 << 63), (1 << 63) - 1).map(np.int64),
+)
 
 
 class TestBijectivity:
@@ -70,6 +102,38 @@ class TestBijectivity:
         # a narrow M once overflowed in 1 << M, or wrapped the full-row mask to -1
         for indices in ((15, 60, 195), (15, 60, 102), (15, 51), (15, 51, 85)):
             assert is_bijective_set(m, indices) == is_bijective_set(8, indices)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_cached_prefixes_match_the_row_codes_across_sizes(self, data):
+        # Sets share leading columns and recur under other sizes in a random
+        # interleaving, so a prefix kept for one M is asked for under another.
+        # The first base is triangular over the natural-binary columns: its
+        # first k columns label 2^k points, so every size meets true answers.
+        triangular = []
+        for j, c in enumerate(NBC_COLUMNS):
+            lower = [low for low in NBC_COLUMNS[:j] if data.draw(st.booleans())]
+            triangular.append(linear_column([c, *lower], data.draw(st.booleans())))
+        column = st.sampled_from(
+            data.draw(st.lists(COLUMN_INDEX, min_size=1, max_size=6)) + triangular)
+        bases = [triangular] + data.draw(st.lists(st.lists(column, max_size=6), max_size=3))
+        calls = data.draw(st.lists(
+            st.tuples(st.sampled_from(SIZES), st.sampled_from(bases), st.integers(0, 6),
+                      st.lists(column, max_size=1)),
+            min_size=1, max_size=30))
+        for m, base, keep, tail in calls:
+            indices = tuple(base[:keep] + tail)  # 0 to 7 columns
+            want = shift_by_shift_bijective(m, [int(w) for w in indices])
+            assert is_bijective_set(m, indices) is want, (m, indices)
+            assert is_bijective_set(m, list(indices)) is want, (m, indices)
+
+    def test_the_census_splits_each_prefix_once(self):
+        constellation._prefix_cells.cache_clear()
+        labeling_census(8)
+        info = constellation._prefix_cells.cache_info()
+        assert info.maxsize == constellation._PREFIX_CACHE_SIZE
+        assert info.misses == info.currsize == 1224 <= info.maxsize
+        assert info.hits == 28263 - 1224
 
     @pytest.mark.parametrize("m", [0, -8, np.int8(0), np.int64(-2), True, False, 8.0,
                                    np.float64(8.0), "8", None])
