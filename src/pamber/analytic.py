@@ -234,6 +234,7 @@ def ber_from_coefficients(
             or the M-1 weights are not all finite.
     """
     d = pam_spacing(m_points)
+    m_points = int(m_points)  # a numpy M would make the quotient a numpy float
     coefficients = np.asarray(coefficients)
     if coefficients.shape != (m_points - 1,):
         raise ValueError(f"need {m_points - 1} coefficients, got {coefficients.shape}")

@@ -60,11 +60,6 @@ def _label_bits(m_points: int) -> int:
     return int(m_points).bit_length() - 1
 
 
-#: Column prefixes whose cells :func:`is_bijective_set` keeps; the 8-PAM
-#: census meets 1,224 distinct two-column prefixes.
-_PREFIX_CACHE_SIZE = 2048
-
-
 def is_bijective_set(m_points: int, indices: Sequence[int]) -> bool:
     """True when stacking the patterns as columns yields M distinct rows.
 
@@ -72,8 +67,9 @@ def is_bijective_set(m_points: int, indices: Sequence[int]) -> bool:
     the columns so far; each column splits every cell into its rows with
     a 1 and its rows with a 0.  The labels are distinct exactly when M
     non-empty cells remain.  The cells of all columns but the last come
-    from :func:`_prefix_cells`, which keeps them per (M, prefix), so the
-    sets of the census that share their first columns split them once.
+    from :func:`_prefix_cells`, which keeps those of the last prefix it
+    was asked for: the census asks for its sets grouped by prefix, so
+    each prefix is split once and each set splits only its last column.
     Column indices are integers (``operator.index``): numpy integers
     answer as the equal ints.
 
@@ -103,7 +99,7 @@ def is_bijective_set(m_points: int, indices: Sequence[int]) -> bool:
     return whole == 0
 
 
-@functools.lru_cache(maxsize=_PREFIX_CACHE_SIZE)
+@functools.lru_cache(maxsize=1)
 def _prefix_cells(m_points: int, prefix: tuple) -> tuple[int, ...]:
     """The non-empty cells of M rows after splitting by each column of ``prefix``."""
     cells = [(1 << m_points) - 1]
@@ -384,7 +380,7 @@ def named_labeling(name: str, m_points: int) -> Labeling:
     """
     n_bits = _label_bits(m_points)
     m_points = 1 << n_bits
-    key = name.strip().upper()
+    key = name.strip().upper() if isinstance(name, str) else None  # None is unknown below
     if key in ("BRGC", "NBC"):  # point i gets code i, or its Gray code i ^ (i >> 1)
         codes = np.arange(m_points)
         if key == "BRGC":

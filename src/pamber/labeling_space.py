@@ -14,14 +14,14 @@ every prefix that does not split the points into equal cells, so of the
 C(70,3) = 54,740 3-sets for M = 8 only the 28,263 whose first two
 columns pass reach the full bijectivity test, which ``Labeling`` applies
 too (:func:`~pamber.constellation.is_bijective_set`); 6,720 are kept.
-That test keeps the cells of each column prefix in a bounded cache, so
-the 28,263 sets split their 1,224 distinct two-column prefixes once and
-each set splits only its last column.  It
-sums the pool's weight vectors over each set, groups equal sums with one
-stable lexicographic sort, and keeps the pattern indices of one witness
-per class; its :class:`~pamber.constellation.Labeling` is built when it
-is read.  For larger M a seeded sampler is provided and is explicitly
-non-exhaustive.
+That test keeps the cells of the last column prefix it split, and the
+walk hands it the sets grouped by prefix, so the 28,263 sets split their
+1,224 distinct two-column prefixes once and each set splits only its
+last column.  The census sums the pool's weight vectors over each set,
+groups equal sums with one stable lexicographic sort, and keeps the
+pattern indices of one witness per class; its
+:class:`~pamber.constellation.Labeling` is built when it is read.  For
+larger M a seeded sampler is provided and is explicitly non-exhaustive.
 """
 
 from __future__ import annotations

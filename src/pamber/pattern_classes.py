@@ -45,12 +45,6 @@ from .constellation import (
 _SYMMETRIES = ("RE", "ARE", "ASY")
 
 
-def _symmetry(index, m_points: int):
-    """0, 1 or 2 (RE, ARE, ASY) for a mask, or for each entry of an int64 array."""
-    flipped = reflect_index(index, m_points)
-    return np.where(flipped == index, 0, np.where(flipped == invert_index(index, m_points), 1, 2))
-
-
 # Entry b is the byte b with its eight bits in reverse order.
 _REVERSED_BYTE = np.packbits(
     np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1), axis=1, bitorder="little"
@@ -279,8 +273,11 @@ def enumerate_classes(m_points: int) -> ClassTable:
     # Every member meets its orbit; only the smallest one keeps it.
     rep = (words <= flipped) & (words <= invert_index(flipped, m_points))
     words, flipped = words[rep], flipped[rep]
-    orbits = np.sort(np.stack([words, flipped, invert_index(words, m_points),
+    inverted = invert_index(words, m_points)
+    orbits = np.sort(np.stack([words, flipped, inverted,
                                invert_index(flipped, m_points)], axis=1), axis=1)
+    # RE when the reflection is the mask itself, ARE when it is its inversion.
+    symmetry = np.where(flipped == words, 0, np.where(flipped == inverted, 1, 2))
     weights = _mask_weights(words, m_points)
     order = np.lexsort(weights.T[::-1])  # stable: ties keep ascending representatives
     weights = weights[order]
@@ -289,5 +286,4 @@ def enumerate_classes(m_points: int) -> ClassTable:
             f"distinct classes share a coefficient vector for M={m_points}",
             stacklevel=2,
         )
-    symmetry = _symmetry(words[order], m_points).astype(np.uint8)
-    return ClassTable(orbits[order], symmetry, weights)
+    return ClassTable(orbits[order], symmetry[order].astype(np.uint8), weights)

@@ -647,6 +647,15 @@ class TestBerFromCoefficients:
         # 1 << np.int8(8) would wrap to 0 and put index 15 out of range
         assert pattern_from_index(kind(8), kind(15)) == pattern_from_index(8, 15)
 
+    @pytest.mark.parametrize("kind", [np.int64, np.int8, np.uint8])
+    def test_a_numpy_size_gives_the_python_float_of_the_int_size(self, kind):
+        # float(...) / np.int8(8) once gave an np.float64, which == cannot tell
+        params = ChannelParams.from_db(6.0)
+        for weights in (np.zeros(7), np.array([4, -2, 6, 0, -2, 2, 0])):
+            got = ber_from_coefficients(weights, kind(8), params)
+            assert type(got) is float
+            assert got.hex() == ber_from_coefficients(weights, 8, params).hex()
+
     def test_bd_boundaries_in_general_form(self):
         # the general expression accepts SNR-dependent boundaries
         c = make_pam(8)

@@ -1,6 +1,7 @@
 """Tests for constellations, bit patterns, and labelings."""
 
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -187,6 +188,12 @@ class TestNamedLabeling:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown"):
             named_labeling("XYZ", 8)
+
+    @pytest.mark.parametrize("name", [None, 8, ["BRGC"], b"BRGC"])
+    def test_a_name_that_is_not_a_string_is_unknown(self, name):
+        # None once raised AttributeError from name.strip()
+        with pytest.raises(ValueError, match=re.escape(f"unknown labeling name {name!r}")):
+            named_labeling(name, 8)
 
     def test_unsupported_combination(self):
         with pytest.raises(ValueError, match="not defined"):
