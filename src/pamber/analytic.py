@@ -167,14 +167,9 @@ def _gq_sums(g, tails) -> np.ndarray:
     return np.add.reduce((g * tails).reshape(len(g), -1), axis=1)
 
 
-def _tails(offsets, params: ChannelParams) -> np.ndarray:
-    """``Q(offsets*sqrt(2*snr))`` for the ``(M, K)`` matrix ``beta_k - s_i``."""
-    return qfunc(offsets * math.sqrt(2.0 * params.snr))
-
-
-def _offsets(betas, constellation: Constellation) -> np.ndarray:
-    """The ``(M, K)`` matrix ``beta_k - s_i`` of the Q arguments at unit scale."""
-    return betas[None, :] - constellation.points[:, None]
+def _tails(betas, constellation: Constellation, params: ChannelParams) -> np.ndarray:
+    """The ``(M, K)`` matrix ``Q((beta_k - s_i)*sqrt(2*snr))`` of the boundaries ``betas``."""
+    return qfunc((betas[None, :] - constellation.points[:, None]) * math.sqrt(2.0 * params.snr))
 
 
 def _signs(target) -> np.ndarray:
@@ -189,8 +184,8 @@ def _midpoint_relevance(target) -> np.ndarray:
 
 def _set_sums(signs, sets, constellation: Constellation, params: ChannelParams) -> list[float]:
     """The ``g*Q`` sum of each sign row against its own :class:`ThresholdSet`, from one Q call."""
-    offsets = _offsets(np.concatenate([t.betas for t in sets]), constellation)
-    tails, sums, start = _tails(offsets, params), [], 0
+    tails = _tails(np.concatenate([t.betas for t in sets]), constellation, params)
+    sums, start = [], 0
     for row, t in zip(signs, sets):
         g = _relevance(row[None], t.bits[None])
         sums += _gq_sums(g, tails[:, start : start + t.size]).tolist()
@@ -201,7 +196,7 @@ def _set_sums(signs, sets, constellation: Constellation, params: ChannelParams) 
 @_per_channel
 def _midpoint_tails(constellation: Constellation, params: ChannelParams) -> np.ndarray:
     """The midpoint :func:`_tails`, kept with ``params`` for each constellation."""
-    return _readonly(_tails(_offsets(constellation.midpoints(), constellation), params))
+    return _readonly(_tails(constellation.midpoints(), constellation, params))
 
 
 def pber_general(
@@ -231,15 +226,15 @@ def ber_from_coefficients(
 
     Raises:
         ValueError: if M is not an integer, is odd or is smaller than 2,
-            or the M-1 weights are not all finite.
+            or the M-1 weights are not all real and finite.
     """
     d = pam_spacing(m_points)
     m_points = int(m_points)  # a numpy M would make the quotient a numpy float
     coefficients = np.asarray(coefficients)
     if coefficients.shape != (m_points - 1,):
         raise ValueError(f"need {m_points - 1} coefficients, got {coefficients.shape}")
-    if not np.all(np.isfinite(coefficients)):
-        raise ValueError("coefficients must be finite")
+    if coefficients.dtype.kind not in "biuf" or not np.all(np.isfinite(coefficients)):
+        raise ValueError(f"coefficients must be real and finite, got {coefficients!r}")
     n = np.arange(1, m_points)
     args = (2 * n - 1) * d * math.sqrt(2.0 * params.snr)
     return float(coefficients @ qfunc(args)) / m_points

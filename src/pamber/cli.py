@@ -245,7 +245,7 @@ def _cmd_simulate(args) -> int:
     config = montecarlo.SimConfig(
         trials=args.trials,
         seed=args.seed,
-        snr_db_grid=tuple(float(s) for s in grid),
+        snr_db_grid=grid,
         demodulator=args.demod,
     )
     rows = [

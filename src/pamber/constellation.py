@@ -151,6 +151,14 @@ def pam_spacing(m_points: int) -> float:
     return math.sqrt(3.0 / (m_points * m_points - 1.0))
 
 
+def _real(values, name: str) -> np.ndarray:
+    """``values`` as an array, checked not complex: a cast to float drops the imaginary part."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got {arr.dtype}")
+    return arr
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -187,7 +195,7 @@ class Constellation:
     _midpoints: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        pts = _readonly(np.array(self.points, dtype=float))
+        pts = _readonly(np.array(_real(self.points, "points"), dtype=float))
         object.__setattr__(self, "points", pts)
         if pts.ndim != 1 or pts.size < 2:
             raise ValueError("need a 1-D array of at least two points")

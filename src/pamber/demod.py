@@ -44,7 +44,7 @@ shape of ``y``.
 
 All functions broadcast over ``y``; scalars in, scalars out.  They check
 the target (``constellation._checked``) and ``y`` on entry, and reject a
-non-finite ``y`` with a ValueError; the helpers behind them trust their
+complex or non-finite ``y`` with a ValueError; the helpers behind them trust their
 inputs.  The L-value functions
 also reject a ``y`` far enough out that rounding hides the differences
 between squared distances: an L-value compares squared distances of
@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import _TARGETS, Constellation, Labeling, _checked, _derived, _readonly
+from .constellation import _TARGETS, Constellation, Labeling, _checked, _derived, _readonly, _real
 
 #: The demodulator names every entry point accepts.
 DEMODULATORS = ("sd", "abd", "bd")
@@ -181,9 +181,9 @@ def _llr_limit(constellation: Constellation) -> float:
 
 
 def _observations(y, constellation: Constellation | None = None) -> np.ndarray:
-    """``y`` as a float array, after checking that it is finite and, given a
+    """``y`` as a float array, after checking that it is real and finite and, given a
     constellation, within the bound of the L-value functions on it."""
-    y = np.asarray(y, dtype=float)
+    y = np.asarray(_real(y, "observations y"), dtype=float)
     peak = float(max(-y.min(initial=0.0), y.max(initial=0.0)))  # NaN if a sample is NaN
     if not math.isfinite(peak):
         raise ValueError("observations y must be finite")

@@ -48,7 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import _TARGETS, Constellation, _bit_rows, _checked, _derived, _is_integer
+from .constellation import (
+    _TARGETS, Constellation, _bit_rows, _checked, _derived, _is_integer, _pack_rows)
 from .demod import (
     _EPS,
     ChannelParams,
@@ -81,7 +82,10 @@ class SimConfig:
     demodulator: str = "abd"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "snr_db_grid", tuple(float(s) for s in self.snr_db_grid))
+        grid = self.snr_db_grid  # a string would be read character by character
+        if isinstance(grid, (str, bytes, bytearray)) or not np.iterable(grid):
+            raise ValueError(f"snr_db_grid must be a sequence of numbers, got {grid!r}")
+        object.__setattr__(self, "snr_db_grid", tuple(float(s) for s in grid))
         for name in ("trials", "seed"):
             value = getattr(self, name)
             if not _is_integer(value):
@@ -161,13 +165,10 @@ def _regions(target, constellation: Constellation, params: ChannelParams, demodu
     if demodulator != "bd":
         return functools.partial(_nearest, edges=constellation.midpoints()), cols.T
     if _past_reach(constellation, params):
-        subsets, column = _derived(target, _subsets), constellation.points[:, None]
+        subsets, column, snr = _derived(target, _subsets), constellation.points[:, None], params.snr
 
         def kernel(y: np.ndarray) -> np.ndarray:  # label codes, first bit highest
-            out = np.zeros(y.size, dtype=np.int64)
-            for row in _llr_rows(y, subsets, column, params.snr, _exact_from_rows):
-                out = out << 1 | abd_decide(row)
-            return out
+            return _pack_rows(abd_decide(_llr_rows(y, subsets, column, snr, _exact_from_rows).T))
         return kernel, _bit_rows(np.arange(1 << cols.shape[1]), cols.shape[1]).T
     sets = _crossings(target, constellation, params)
     edges = np.sort(np.concatenate([t.betas for t in sets]))

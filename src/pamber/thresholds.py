@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import BitPattern, Constellation, _checked, _derived, _readonly
+from .constellation import BitPattern, Constellation, _checked, _derived, _readonly, _real
 from .demod import (
     ChannelParams, _exact_few, _exact_from_rows, _llr_rows, _observations, _per_channel, _subsets)
 
@@ -83,7 +83,7 @@ class ThresholdSet:
     the decision region of point k and decides that point's bit.
 
     Raises:
-        ValueError: unless ``betas`` is 1-D, finite and non-decreasing, and
+        ValueError: unless ``betas`` is real, 1-D, finite and non-decreasing, and
             ``bits`` holds one 0 or 1 per region.
     """
 
@@ -91,7 +91,7 @@ class ThresholdSet:
     bits: np.ndarray
 
     def __post_init__(self) -> None:
-        betas = np.array(self.betas, dtype=float)
+        betas = np.array(_real(self.betas, "boundaries"), dtype=float)
         bits = np.asarray(self.bits)  # copied once, to int8, after the checks
         if betas.ndim != 1 or bits.shape != (betas.size + 1,):
             raise ValueError("need 1-D boundaries and one region bit more than boundaries")
@@ -257,23 +257,19 @@ def _channel_grid(constellation: Constellation, params: ChannelParams):
 def _sign_changes(values):
     """``(cols, left, right)``: each sign change of each row, between samples left and right.
 
-    The ends of every row are nonzero, so stepping over exact zeros keeps
-    every sign change; a scan with no exact zero needs no such step.
+    The ends of every row are nonzero, so stepping over exact zeros, in one
+    pass over the nonzero samples of all rows, keeps every sign change.
     """
     if values.all():
         negative = values < 0
         flat = np.flatnonzero(negative[:, 1:] != negative[:, :-1])
         cols, left = np.divmod(flat, values.shape[1] - 1)
         return cols, left, left + 1
-    cols, left, right = [], [], []
-    for j, row in enumerate(values):
-        kept = np.flatnonzero(row)
-        negative = row[kept] < 0
-        hits = np.flatnonzero(negative[1:] != negative[:-1])
-        cols.append(np.full(hits.size, j))
-        left.append(kept[hits])
-        right.append(kept[hits + 1])
-    return tuple(np.concatenate(a) for a in (cols, left, right))
+    nonzero = values != 0
+    cols, kept = np.nonzero(nonzero)  # row by row, so a row's samples are adjacent
+    negative = values[nonzero] < 0
+    hits = np.flatnonzero((negative[1:] != negative[:-1]) & (cols[1:] == cols[:-1]))
+    return cols[hits], kept[hits], kept[hits + 1]
 
 
 def _crossings(target, constellation: Constellation, params: ChannelParams) -> list[ThresholdSet]:
@@ -297,8 +293,7 @@ def _crossings(target, constellation: Constellation, params: ChannelParams) -> l
     counts = np.bincount(cols, minlength=len(values)).tolist()
     cuts, start = [], 0  # the brackets, and so the roots, come column by column
     for count, first in zip(counts, values[:, 0].tolist()):
-        lead = int(first > 0)
-        bits = [(lead + k) % 2 for k in range(count + 1)]
+        bits = [(int(first > 0) + k) % 2 for k in range(count + 1)]
         cuts.append(ThresholdSet(roots[start : start + count], bits))
         start += count
     return cuts

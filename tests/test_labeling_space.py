@@ -21,7 +21,7 @@ from pamber import (
 )
 from pamber import constellation, labeling_space, pattern_classes
 from pamber.labeling_space import _bijective_sets, is_bijective_set, sample_labelings
-from pamber.pattern_classes import _masks_of_weight, invert_index, pattern_weights
+from pamber.pattern_classes import _masks_of_weight, invert_index, pattern_weights, reflect_index
 
 
 def shift_by_shift_bijective(m_points, indices):
@@ -333,6 +333,27 @@ class TestCensus:
         assert [tuple(sorted(cls.witness.pattern_set)) for cls in census] == [
             first[a] for a in order
         ]
+
+    @pytest.mark.parametrize("m, classes", [(4, 3), (8, 460)])
+    def test_each_class_holds_one_multiset_of_column_pattern_classes(self, m, classes):
+        # Integers only.  A column's pattern class is the least index of its
+        # orbit under reflection and inversion; a census class is the set of
+        # labelings with one integer weight vector.
+        def pattern_class(w):
+            r = reflect_index(w, m)
+            return min(w, r, invert_index(w, m), invert_index(r, m))
+
+        weights = {w: pattern_coefficients(pattern_from_index(m, w)).tolist()
+                   for w in _masks_of_weight(m, m // 2).tolist()}
+        multisets = {}
+        for combo in _bijective_sets(m):
+            alpha = tuple(map(sum, zip(*(weights[w] for w in combo))))
+            multisets.setdefault(alpha, set()).add(tuple(sorted(map(pattern_class, combo))))
+        census = labeling_census(m)
+        assert sorted(multisets) == [cls.alpha for cls in census]
+        assert all(len(kinds) == 1 for kinds in multisets.values())
+        distinct = {kind for kinds in multisets.values() for kind in kinds}
+        assert len(distinct) == len(census) == classes
 
 
 class TestAlphaInvariances:

@@ -79,6 +79,13 @@ class TestSimConfig:
         config = SimConfig(trials=np.int64(10_000), seed=np.uint32(3), snr_db_grid=(0.0,))
         assert simulate(named_labeling("BRGC", 4), make_pam(4), config)[0].bits_sent == 20_000
 
+    @pytest.mark.parametrize("grid", ["10", b"10", 10.0, np.float64(10.0), np.array(10.0)],
+                             ids=["str", "bytes", "float", "float64", "0-d array"])
+    def test_rejects_a_grid_that_is_not_a_sequence(self, grid):
+        # "10" would otherwise be read character by character: 1 dB and 0 dB
+        with pytest.raises(ValueError, match="^snr_db_grid must be a sequence of numbers, got "):
+            SimConfig(trials=10_000, seed=1, snr_db_grid=grid)
+
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="non-negative"):
             SimConfig(trials=10_000, seed=-1, snr_db_grid=(0.0,))

@@ -5,7 +5,8 @@ import pytest
 
 import pamber
 from pamber import (
-    ChannelParams, SimConfig, ThresholdSet, bd_thresholds, exact_llr, labeling_ber,
+    ChannelParams, Constellation, SimConfig, ThresholdSet, bd_thresholds, ber_from_coefficients,
+    exact_llr, labeling_ber,
     labeling_ber_pam, labeling_coefficients, make_pam, maxlog_llr, named_labeling,
     pattern_coefficients, pattern_from_index, pber_general, pber_pam, sd_decide, simulate,
 )
@@ -126,3 +127,27 @@ def test_every_entry_checks_its_target_at_the_boundary(name):
         for kind in kinds:
             with pytest.raises(ValueError, match="^target and constellation sizes differ$"):
                 call(four[kind], make_pam(8))
+
+
+# Each one a value that a cast to float would take apart: the real part of
+# a complex number, or (for the weights) no number at all.
+NOT_REAL = {
+    "Constellation": lambda: Constellation(np.array([-1 + 2j, 1 + 0j])),
+    "ThresholdSet": lambda: ThresholdSet(np.array([0.1 + 1j]), [0, 1]),
+    "sd_decide": lambda: sd_decide(0.5 + 1j, named_labeling("BRGC", 4), make_pam(4)),
+    "exact_llr": lambda: exact_llr(np.array([0.5j]), named_labeling("BRGC", 4), make_pam(4),
+                                   PARAMS),
+    "maxlog_llr": lambda: maxlog_llr([0.5 + 0j], named_labeling("BRGC", 4), make_pam(4), PARAMS),
+    "ber_from_coefficients complex": lambda: ber_from_coefficients(
+        np.array([1 + 1j] * 7), 8, ChannelParams(1.0)),
+    "ber_from_coefficients str": lambda: ber_from_coefficients(
+        np.array(["1"] * 7), 8, ChannelParams(1.0)),
+    "ber_from_coefficients object": lambda: ber_from_coefficients(
+        np.array([1] * 7, dtype=object), 8, ChannelParams(1.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(NOT_REAL))
+def test_input_that_is_not_real_is_rejected_not_truncated(name):
+    with pytest.raises(ValueError, match="must be real"):
+        NOT_REAL[name]()

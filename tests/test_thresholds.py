@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pamber import (
@@ -653,3 +653,41 @@ def test_crossings_are_complete_on_random_constellations(case):
     bd = pber_general(pattern, c, thr, params)
     abd = pber_general(pattern, c, ThresholdSet(c.midpoints(), pattern.bits), params)
     assert bd <= abd * (1 + 1e-12) + 1e-15
+
+
+def per_row_sign_changes(values):
+    """``_sign_changes`` row by row: each pair of consecutive nonzero samples of one
+    row whose signs differ."""
+    cols, left, right = [], [], []
+    for j, row in enumerate(values.tolist()):
+        kept = [k for k, v in enumerate(row) if v != 0]
+        for a, b in zip(kept, kept[1:]):
+            if (row[a] < 0) != (row[b] < 0):
+                cols.append(j)
+                left.append(a)
+                right.append(b)
+    return cols, left, right
+
+
+@st.composite
+def scans_with_zeros(draw):
+    """An (m, n) scan whose rows end in nonzero samples, with exact zeros
+    (signed too) inside at least two rows."""
+    m, n = draw(st.integers(2, 6)), draw(st.integers(3, 24))
+    ends = st.sampled_from([-2.5, -1.0, 0.5, 3.0])
+    inside = st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.0, 0.5, 3.0])
+    values = np.array([[draw(ends), *draw(st.lists(inside, min_size=n - 2, max_size=n - 2)),
+                        draw(ends)] for _ in range(m)])
+    assume(np.count_nonzero(~values.all(axis=1)) >= 2)
+    return values
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(scans_with_zeros())
+@example(np.array([[1.0, 0.0, 0.0, -1.0], [-1.0, 0.0, 2.0, 1.0], [1.0, -0.0, 0.0, 1.0]]))
+@example(np.array([[-1.0, 0.0, -1.0], [1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]]))
+def test_a_scan_with_exact_zeros_in_several_rows_keeps_each_rows_changes(values):
+    # rows meet end to end in the array pass: a change between the last
+    # sample of one row and the first of the next is no crossing
+    got = thresholds._sign_changes(values)
+    assert [a.tolist() for a in got] == list(per_row_sign_changes(values))
