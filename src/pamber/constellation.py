@@ -125,7 +125,8 @@ def _check_weight(m_points: int, weight: int) -> None:
 
 def _bit_rows(codes, width: int) -> np.ndarray:
     """Big-endian bits of each code: bit k of a code lands in column width-1-k."""
-    return (np.asarray(codes)[..., None] >> np.arange(width - 1, -1, -1)) & 1
+    codes = np.asarray(codes, dtype=object if width > 63 else np.int64)  # as _pack_rows packs
+    return (codes[..., None] >> np.arange(width - 1, -1, -1)) & 1
 
 
 def _pack_rows(bits) -> np.ndarray:
@@ -357,7 +358,6 @@ class Labeling:
         """
         m_points = _even_size(m_points)
         codes = [_pattern_index(m_points, w) for w in indices]
-        codes = np.array(codes, dtype=object if m_points > 63 else np.int64)
         return cls(np.ascontiguousarray(_bit_rows(codes, m_points).T))
 
 

@@ -52,7 +52,8 @@ neighbouring points, which differ by about ``2*dmin*|y - x|``, while each
 is rounded by up to about ``1.5*eps*(y - x)**2``.  They therefore require
 ``|y| + max|x| <= dmin / (8*eps)``, with ``dmin`` the smallest gap between
 points and ``eps`` the float64 machine epsilon: about 2.5e14 for
-unit-energy 8-PAM, 3e13 for 64-PAM.
+unit-energy 8-PAM, 3e13 for 64-PAM.  ``_observations`` is the one test of
+the bound, also of the BD scan grid and of BD ``simulate``'s noise reach.
 """
 
 from __future__ import annotations
@@ -175,20 +176,15 @@ _BLOCK = 1 << 17
 _EPS = float(np.finfo(float).eps)
 
 
-def _llr_limit(constellation: Constellation) -> float:
-    """The bound ``dmin/(8*eps)`` on ``|y| + max|x|`` of the L-value functions."""
-    return constellation.dmin / (8 * _EPS)
-
-
 def _observations(y, constellation: Constellation | None = None) -> np.ndarray:
     """``y`` as a float array, after checking that it is real and finite and, given a
-    constellation, within the bound of the L-value functions on it."""
+    constellation, that ``|y| + max|x| <= dmin/(8*eps)``: the one test of the L-value bound."""
     y = np.asarray(_real(y, "observations y"), dtype=float)
     peak = float(max(-y.min(initial=0.0), y.max(initial=0.0)))  # NaN if a sample is NaN
     if not math.isfinite(peak):
         raise ValueError("observations y must be finite")
     if constellation is not None:
-        points, limit = constellation.points, _llr_limit(constellation)
+        points, limit = constellation.points, constellation.dmin / (8 * _EPS)
         if peak + max(-points[0], points[-1]) > limit:
             raise ValueError(
                 f"|y| = {peak:g} is too large for L-values on this constellation: "

@@ -19,9 +19,10 @@ BD ``labeling_ber`` solves them, and each column decides its own region
 bit.  Only at a point whose SNR the solver refuses (below -54 dB on
 8-PAM) do the signs (``abd_decide``) of ``exact_llr`` decide, one region
 per label code; ``_check_grid`` checks such points before any noise is
-drawn.  Per grid point, the errors of bit j are the sum of the tally
-weighted by whether bit j differs between the sent label and the bit that
-the region decides: the paper's sum over transitions, in exact integers.
+drawn, against BD's floor and, with ``demod._observations``, against the
+L-value bound.  Per grid point, the errors of bit j are the sum of the
+tally weighted by whether bit j differs between the sent label and the bit
+that the region decides: the paper's sum over transitions, in exact integers.
 
 Grid points run concurrently on a thread pool with one worker per CPU the
 process may run on (``os.sched_getaffinity``, else ``os.cpu_count``), and
@@ -42,8 +43,10 @@ from __future__ import annotations
 import contextvars
 import functools
 import math
+import numbers
 import os
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,9 +59,9 @@ from .demod import (
     _check_demodulator,
     _columns,
     _exact_from_rows,
-    _llr_limit,
     _llr_rows,
     _nearest,
+    _observations,
     _subsets,
     abd_decide,
 )
@@ -83,7 +86,10 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         grid = self.snr_db_grid  # a string would be read character by character
-        if isinstance(grid, (str, bytes, bytearray)) or not np.iterable(grid):
+        ordered = (isinstance(grid, Sequence) and not isinstance(grid, (str, bytes, bytearray))
+                   or isinstance(grid, np.ndarray) and grid.ndim == 1)  # not a set or a dict
+        if not ordered or not all(isinstance(s, numbers.Real) and not isinstance(s, bool)
+                                  for s in grid):
             raise ValueError(f"snr_db_grid must be a sequence of numbers, got {grid!r}")
         object.__setattr__(self, "snr_db_grid", tuple(float(s) for s in grid))
         for name in ("trials", "seed"):
@@ -124,8 +130,6 @@ def _available_cpus() -> int:
 
 def _check_grid(constellation: Constellation, config: SimConfig) -> None:
     """Reject the first grid point, past the solver's reach, that bd cannot handle."""
-    limit = _llr_limit(constellation)
-    peak = max(-constellation.points[0], constellation.points[-1])
     # The exact L-value adds log-domain corrections of about ln(M/2), each
     # rounded by about eps*ln(M/2), to an inner bit's L-value of about
     # snr*dmin^2.  Below this SNR its sign is rounding noise.
@@ -134,14 +138,12 @@ def _check_grid(constellation: Constellation, config: SimConfig) -> None:
         params = ChannelParams.from_db(snr_db)
         if not _past_reach(constellation, params):
             continue
-        reach = peak + _NOISE_SIGMAS * params.noise_std
-        if reach > limit:
-            raise ValueError(
-                f"snr_db={snr_db:g} is too low for L-value demodulation: max|x| plus "
-                f"{_NOISE_SIGMAS:g} noise standard deviations is {reach:g}, past the "
-                f"L-value bound dmin/(8*eps) = {limit:g}; "
-                f"the sd and abd demodulators have no such bound"
-            )
+        try:  # the L-value bound, on the farthest sample the point may draw
+            _observations(np.array([_NOISE_SIGMAS * params.noise_std]), constellation)
+        except ValueError as error:
+            raise ValueError(f"snr_db={snr_db:g} is too low for L-value demodulation: at "
+                             f"{_NOISE_SIGMAS:g} noise standard deviations, {error}; "
+                             f"the sd and abd demodulators have no such bound") from None
         if params.snr < floor:
             raise ValueError(
                 f"snr_db={snr_db:g} is too low for the bd demodulator: below "

@@ -110,23 +110,16 @@ class ThresholdSet:
         return int(self.betas.size)
 
 
-def _inner_grid(constellation: Constellation) -> tuple[np.ndarray, float]:
-    """The scan across the points and its uniform step."""
-    points = constellation.points
-    grid = np.linspace(points[0], points[-1], _SCAN_SAMPLES)
-    step = float(grid[1] - grid[0])
-    if step > constellation.dmin / 8:
-        grid = np.union1d(grid, points[:-1, None] + np.diff(points)[:, None] * np.arange(8) / 8)
-    return grid, step
-
-
 def _scan_grid(constellation: Constellation, reach: float) -> np.ndarray:
-    inner, step = _inner_grid(constellation)
+    points = constellation.points
+    inner = np.linspace(points[0], points[-1], _SCAN_SAMPLES)
+    step = float(inner[1] - inner[0])
+    if step > constellation.dmin / 8:
+        inner = np.union1d(inner, points[:-1, None] + np.diff(points)[:, None] * np.arange(8) / 8)
     if reach <= 0:
         return inner
     count = max(1, math.ceil(math.log(reach / step, _SCAN_GROWTH)) + 1)
     outer = np.minimum(step * _SCAN_GROWTH ** np.arange(count), reach)
-    points = constellation.points
     return np.concatenate((points[0] - outer[::-1], inner, points[-1] + outer))
 
 

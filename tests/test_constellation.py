@@ -271,11 +271,20 @@ class TestLabeling:
         # 63 bits is the widest int64 row; wider rows pack to Python ints
         top = (1 << width) - 1
         codes = sorted({0, 1, top, top >> 1, top // 3, (top + 1) // 2})
-        bits = _bit_rows(np.array(codes, dtype=object if width > 63 else np.int64), width)
+        bits = _bit_rows(codes, width)
         packed = _pack_rows(bits)
         assert packed.tolist() == codes
         assert all(type(code) is int for code in packed.tolist())
         np.testing.assert_array_equal(_bit_rows(packed, width), bits)
+
+    @pytest.mark.parametrize("width", [63, 64, 65, 128])
+    def test_a_plain_int_code_round_trips_at_every_width(self, width):
+        # _bit_rows picks the dtype by width as _pack_rows does: a Python int
+        # in [2^63, 2^64) would otherwise be read as uint64 and not shift
+        for code in (0, 5, 1 << (width - 1), (1 << width) - 1):
+            bits = _bit_rows(code, width)
+            assert bits.shape == (width,)
+            assert _pack_rows(bits) == code
 
     def test_from_indices_column_order(self):
         lab = Labeling.from_indices(8, [105, 60, 102])

@@ -79,12 +79,26 @@ class TestSimConfig:
         config = SimConfig(trials=np.int64(10_000), seed=np.uint32(3), snr_db_grid=(0.0,))
         assert simulate(named_labeling("BRGC", 4), make_pam(4), config)[0].bits_sent == 20_000
 
-    @pytest.mark.parametrize("grid", ["10", b"10", 10.0, np.float64(10.0), np.array(10.0)],
-                             ids=["str", "bytes", "float", "float64", "0-d array"])
+    @pytest.mark.parametrize("grid", [
+        "10", b"10", 10.0, np.float64(10.0), np.array(10.0), {10.0, 0.0, 5.0}, {0.0: 1, 5.0: 2},
+        np.array([[0.0, 5.0]]), iter([0.0]), ("10",), (b"5",), (True,), (np.True_,), (1j,),
+        (None,), np.array([1j]),
+    ], ids=["str", "bytes", "float", "float64", "0-d array", "set", "dict", "2-d array",
+            "iterator", "str element", "bytes element", "bool element", "numpy bool element",
+            "complex element", "None element", "complex array"])
     def test_rejects_a_grid_that_is_not_a_sequence(self, grid):
-        # "10" would otherwise be read character by character: 1 dB and 0 dB
+        # "10" would otherwise be read character by character: 1 dB and 0 dB;
+        # a set would run in its own order, a dict on its keys, and "10" or
+        # True inside a tuple would be read as a number
         with pytest.raises(ValueError, match="^snr_db_grid must be a sequence of numbers, got "):
             SimConfig(trials=10_000, seed=1, snr_db_grid=grid)
+
+    @pytest.mark.parametrize("grid", [
+        (0.0, 5.0), [0.0, 5.0], range(0, 10, 5), np.array([0.0, 5.0]),
+        (np.float32(0.0), np.int8(5)), np.array([0, 5], dtype=object),
+    ], ids=["tuple", "list", "range", "1-d array", "numpy reals", "object array"])
+    def test_accepts_sequences_of_real_numbers_in_order(self, grid):
+        assert SimConfig(trials=10_000, seed=1, snr_db_grid=grid).snr_db_grid == (0.0, 5.0)
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -531,7 +545,9 @@ class TestExtremeSnr:
 
     @pytest.mark.parametrize(("grid", "message"), [
         ((-200.0, -300.0), r"snr_db=-200 is too low for the bd demodulator"),
-        ((0.0, -300.0), r"snr_db=-300 is too low for L-value demodulation"),
+        ((0.0, -300.0), r"^snr_db=-300 is too low for L-value demodulation: .* "
+                        r"dmin/\(8\*eps\) = 2\.45692e\+14; "
+                        r"the sd and abd demodulators have no such bound$"),
     ], ids=["floor-at-the-first-point", "bound-before-floor"])
     def test_bd_names_the_first_failing_point_in_grid_order(self, monkeypatch, grid,
                                                             message):
