@@ -146,18 +146,27 @@ def pam_spacing(m_points: int) -> float:
     """Half the distance between adjacent points of unit-energy M-PAM.
 
     Raises:
-        ValueError: if M is not an integer, is odd or is smaller than 2.
+        ValueError: if M is not an integer, is odd or is smaller than 2, or
+            if M*M passes the float range.
     """
     m_points = _even_size(m_points)
-    return math.sqrt(3.0 / (m_points * m_points - 1.0))
+    try:
+        return math.sqrt(3.0 / (m_points * m_points - 1.0))
+    except OverflowError:  # M*M past the float range
+        raise ValueError(f"M must be an even integer >= 2, got {m_points}, "
+                         "whose square passes the float range") from None
 
 
 def _real(values, name: str) -> np.ndarray:
-    """``values`` as an array, checked not complex: a cast to float drops the imaginary part."""
+    """``values`` as a float array, checked not complex (a cast to float drops the
+    imaginary part) and, for an int past the float range, ``{name} must be finite``."""
     arr = np.asarray(values)
     if arr.dtype.kind == "c":
         raise ValueError(f"{name} must be real, got {arr.dtype}")
-    return arr
+    try:
+        return arr.astype(float, copy=False)
+    except OverflowError:  # a Python int in an object array
+        raise ValueError(f"{name} must be finite") from None
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -196,7 +205,7 @@ class Constellation:
     _midpoints: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        pts = _readonly(np.array(_real(self.points, "points"), dtype=float))
+        pts = _readonly(np.array(_real(self.points, "points")))
         object.__setattr__(self, "points", pts)
         if pts.ndim != 1 or pts.size < 2:
             raise ValueError("need a 1-D array of at least two points")

@@ -21,12 +21,12 @@ The demodulators act on a *target*: a :class:`Labeling`, or a
 :class:`BitPattern` as one column.  One sample loop, ``_llr_rows``, gives
 the L-values of a block of samples from one gather index per target,
 ``_subsets``, built on the target's first use and kept with it
-(``constellation._derived``).  The L-value functions and the BD solver's
-scan read that index; the solver scans every column of a target at once,
-on a scan grid kept with the channel (``_per_channel``), then refines the
-brackets of all columns in one pass.  A refinement step needs the exact
-L-value at a few points alone, and ``_exact_few`` gives it there on
-Python floats, with the kernel's operations in the kernel's order.
+(``constellation._derived``).  The L-value functions, BD ``simulate`` and
+the BD solver's scan all call it; the solver scans every column of a
+target at once, on a scan grid kept with the channel (``_per_channel``),
+then refines the brackets of all columns in one pass.  A refinement step
+needs the exact L-value at a few points alone, and ``_exact_few`` gives
+it there on Python floats, with the kernel's operations in the kernel's order.
 
 The L-value kernels are point-major.  For a block of samples they hold
 one row of squared distances ``(y - x)**2`` per point ``x`` and gather,
@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import weakref
 from dataclasses import dataclass
 
@@ -77,18 +78,36 @@ def _check_demodulator(name) -> None:
         raise ValueError(f"demodulator must be one of {', '.join(DEMODULATORS)}; got {name!r}")
 
 
+def _real_number(value, name: str) -> float:
+    """``value`` as a float, if it is a real number and not a bool.
+
+    The one rule for an SNR, linear or in dB; numpy reals pass.  A number
+    past the float range reads as the infinity of its sign, which the
+    caller's range check then rejects.
+    """
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """AWGN channel at average signal-to-noise ratio ``snr`` (linear).
 
     With unit-energy constellations the noise spectral density is
     ``n0 = 1/snr`` and the per-dimension noise variance is ``n0/2``.
+
+    Raises:
+        ValueError: unless ``snr`` is a real number, not a bool, positive and finite.
     """
 
     snr: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "snr", float(self.snr))
+        object.__setattr__(self, "snr", _real_number(self.snr, "snr"))
         if not math.isfinite(self.snr) or self.snr <= 0:
             raise ValueError(f"snr must be positive and finite, got {self.snr}")
 
@@ -99,7 +118,7 @@ class ChannelParams:
     @classmethod
     def from_db(cls, snr_db: float) -> "ChannelParams":
         """The channel at ``snr_db`` dB, whose linear SNR must be a positive finite float."""
-        snr_db = float(snr_db)
+        snr_db = _real_number(snr_db, "snr_db")
         try:
             return cls(snr=10.0 ** (snr_db / 10.0))
         except (OverflowError, ValueError):
@@ -179,7 +198,7 @@ _EPS = float(np.finfo(float).eps)
 def _observations(y, constellation: Constellation | None = None) -> np.ndarray:
     """``y`` as a float array, after checking that it is real and finite and, given a
     constellation, that ``|y| + max|x| <= dmin/(8*eps)``: the one test of the L-value bound."""
-    y = np.asarray(_real(y, "observations y"), dtype=float)
+    y = _real(y, "observations y")
     peak = float(max(-y.min(initial=0.0), y.max(initial=0.0)))  # NaN if a sample is NaN
     if not math.isfinite(peak):
         raise ValueError("observations y must be finite")
@@ -288,18 +307,12 @@ def _subsets(target) -> np.ndarray:
     return _readonly(np.ascontiguousarray(halves.transpose(2, 0, 1)))
 
 
-def _llr_rows(samples, subsets, points, snr: float, kernel, squares=None) -> np.ndarray:
-    """The ``(m, n)`` L-values of ``n`` checked samples; ``points`` is ``(M, 1)``.
-
-    ``squares``, if given, is ``np.square(samples - points)``, computed beforehand.
-    """
+def _llr_rows(samples, subsets, points, snr: float, kernel) -> np.ndarray:
+    """The ``(m, n)`` L-values of ``n`` checked samples; ``points`` is ``(M, 1)``."""
     out = np.empty((subsets.shape[1], samples.size))
     step = max(1, _BLOCK // subsets.size)  # subsets.size is M*m
     for lo in range(0, samples.size, step):
-        if squares is None:
-            sq = np.square(samples[lo : lo + step] - points)
-        else:
-            sq = squares[:, lo : lo + step]
+        sq = np.square(samples[lo : lo + step] - points)
         kernel(sq.take(subsets, axis=0), snr, out[:, lo : lo + step])
     return out
 

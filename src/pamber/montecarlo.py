@@ -43,7 +43,6 @@ from __future__ import annotations
 import contextvars
 import functools
 import math
-import numbers
 import os
 import threading
 from collections.abc import Sequence
@@ -62,6 +61,7 @@ from .demod import (
     _llr_rows,
     _nearest,
     _observations,
+    _real_number,
     _subsets,
     abd_decide,
 )
@@ -88,10 +88,13 @@ class SimConfig:
         grid = self.snr_db_grid  # a string would be read character by character
         ordered = (isinstance(grid, Sequence) and not isinstance(grid, (str, bytes, bytearray))
                    or isinstance(grid, np.ndarray) and grid.ndim == 1)  # not a set or a dict
-        if not ordered or not all(isinstance(s, numbers.Real) and not isinstance(s, bool)
-                                  for s in grid):
+        try:  # each element under the SNR rule of ChannelParams
+            snrs = tuple(_real_number(s, "snr_db") for s in grid) if ordered else None
+        except ValueError:
+            snrs = None
+        if snrs is None:
             raise ValueError(f"snr_db_grid must be a sequence of numbers, got {grid!r}")
-        object.__setattr__(self, "snr_db_grid", tuple(float(s) for s in grid))
+        object.__setattr__(self, "snr_db_grid", snrs)
         for name in ("trials", "seed"):
             value = getattr(self, name)
             if not _is_integer(value):

@@ -26,17 +26,17 @@ Two facts bound the BD boundaries of a pattern over points
 
 The solver scans the L-value of every column of a target on one grid out
 to T, which depends on the SNR and the constellation alone.  Only the
-channel keeps a grid: the whole grid, checked against the L-value bound
-of :mod:`pamber.demod`, and the squared distances of its samples to the
-points, for each constellation it meets (``demod._per_channel``),
-so every target solved on one channel scans the same arrays.  The sign
-changes of all columns are then refined in one pass: each step evaluates
-each bracket's own column at the bracket's next point, a few samples that
-``demod._exact_few`` takes on Python floats, bit for bit the values of
-the scan's kernel, with one numpy exp and one log call per step.  A
-bracket's steps depend on its own ends alone, so the crossings are those
-of refining each column by itself.  Each column's crossings come back as
-a :class:`ThresholdSet`, checked as a user's set is.
+channel keeps a grid, checked against the L-value bound of
+:mod:`pamber.demod`, for each constellation it meets
+(``demod._per_channel``), so every target solved on one channel scans the
+same samples, in the sample loop ``demod._llr_rows`` of every L-value.
+The sign changes of all columns are then refined in one pass: each step
+evaluates each bracket's own column at the bracket's next point, a few
+samples that ``demod._exact_few`` takes on Python floats, bit for bit the
+values of the scan's kernel, with one numpy exp and one log call per
+step.  A bracket's steps depend on its own ends alone, so the crossings
+are those of refining each column by itself.  Each column's crossings
+come back as a :class:`ThresholdSet`, checked as a user's set is.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ class ThresholdSet:
     bits: np.ndarray
 
     def __post_init__(self) -> None:
-        betas = np.array(_real(self.betas, "boundaries"), dtype=float)
+        betas = np.array(_real(self.betas, "boundaries"))
         bits = np.asarray(self.bits)  # copied once, to int8, after the checks
         if betas.ndim != 1 or bits.shape != (betas.size + 1,):
             raise ValueError("need 1-D boundaries and one region bit more than boundaries")
@@ -126,10 +126,10 @@ def _scan_grid(constellation: Constellation, reach: float) -> np.ndarray:
 def _illinois(f, lo, hi, flo, fhi) -> np.ndarray:
     """Roots of ``f`` in every bracket ``[lo, hi]`` (ends of opposite sign) at once.
 
-    ``f(x, which)`` gives a list of floats: for each point ``x[k]``, the
-    value of the function of bracket ``which[k]``.  The brackets may belong
-    to different functions, such as the columns of one target, and every
-    step refines all of them with one call of ``f``.
+    ``f(xs, which)`` maps a list of Python floats to a list of floats: for
+    each point ``xs[k]``, the value of the function of bracket ``which[k]``.
+    The brackets may belong to different functions, such as the columns of
+    one target, and every step refines all of them with one call of ``f``.
 
     Each step is a regula falsi step, clipped at least ``tol`` inside its
     bracket, with ``tol = _XTOL + _RTOL*max(|lo|, |hi|)`` so that a clipped
@@ -171,7 +171,7 @@ def _illinois(f, lo, hi, flo, fhi) -> np.ndarray:
             xs.append(x)
         if not xs:
             return np.array([0.5 * (a + b) for a, b in zip(lo, hi)])
-        for i, x, fx in zip(which, xs, f(np.array(xs), which)):
+        for i, x, fx in zip(which, xs, f(xs, which)):
             if (fx < 0) == (flo[i] < 0):
                 if moved[i] == -1:
                     fhi[i] *= 0.5
@@ -228,13 +228,12 @@ def _past_reach(constellation: Constellation, params: ChannelParams) -> bool:
 
 
 @_per_channel
-def _channel_grid(constellation: Constellation, params: ChannelParams):
-    """The scan grid out to the bound T, checked against the L-value bound, and its squares.
+def _channel_grid(constellation: Constellation, params: ChannelParams) -> np.ndarray:
+    """The read-only scan grid out to the bound T, checked against the L-value bound.
 
-    The squares are ``(y - x)**2`` of every grid sample y and point x, shape
-    ``(M, n)``.  Both depend on the SNR and the constellation alone, so they
-    are kept with ``params`` for each constellation; an SNR past the
-    solver's reach keeps nothing and raises on every call.
+    It depends on the SNR and the constellation alone, so it is kept with
+    ``params`` for each constellation; an SNR past the solver's reach keeps
+    nothing and raises on every call.
     """
     reach = _reach(constellation, params)
     if _past_reach(constellation, params):
@@ -244,7 +243,7 @@ def _channel_grid(constellation: Constellation, params: ChannelParams):
         )
     grid = _readonly(_scan_grid(constellation, reach))
     _observations(grid[[0, -1]], constellation)  # sorted: its largest |y| is at an end
-    return grid, _readonly(np.square(grid - constellation.points[:, None]))
+    return grid
 
 
 def _sign_changes(values):
@@ -255,8 +254,7 @@ def _sign_changes(values):
     """
     if values.all():
         negative = values < 0
-        flat = np.flatnonzero(negative[:, 1:] != negative[:, :-1])
-        cols, left = np.divmod(flat, values.shape[1] - 1)
+        cols, left = np.nonzero(negative[:, 1:] != negative[:, :-1])
         return cols, left, left + 1
     nonzero = values != 0
     cols, kept = np.nonzero(nonzero)  # row by row, so a row's samples are adjacent
@@ -272,15 +270,15 @@ def _crossings(target, constellation: Constellation, params: ChannelParams) -> l
     refinement pass refines the brackets of all columns together: each
     step evaluates each bracket's own column at its next point.
     """
-    grid, squares = _channel_grid(constellation, params)
+    grid = _channel_grid(constellation, params)
     points, subsets, snr = constellation.points, _derived(target, _subsets), params.snr
-    values = _llr_rows(grid, subsets, points[:, None], snr, _exact_from_rows, squares)
+    values = _llr_rows(grid, subsets, points[:, None], snr, _exact_from_rows)
     cols, left, right = _sign_changes(values)
     owner = cols.tolist()
     splits = points[subsets].transpose(1, 2, 0).tolist()  # splits[j][b]: column j's points of bit b
 
-    def llr(y, which):  # a few points: on Python floats
-        return _exact_few(y.tolist(), [splits[owner[i]] for i in which], snr)
+    def llr(ys, which):  # a few points: on Python floats
+        return _exact_few(ys, [splits[owner[i]] for i in which], snr)
 
     roots = _illinois(llr, grid[left], grid[right], values[cols, left], values[cols, right])
     counts = np.bincount(cols, minlength=len(values)).tolist()

@@ -623,6 +623,14 @@ class TestBerFromCoefficients:
         with pytest.raises(ValueError, match="finite"):
             ber_from_coefficients(np.array([2.0, bad, 0.0]), 4, ChannelParams(1.0))
 
+    def test_rejects_an_m_whose_square_passes_the_float_range(self):
+        # 10**400 is an even integer, but M*M - 1.0 in pam_spacing is no float
+        message = "^M must be an even integer >= 2, got 10{400}, whose square passes"
+        for call in (lambda: pam_spacing(10**400),
+                     lambda: ber_from_coefficients(np.arange(7), 10**400, ChannelParams(1.0))):
+            with pytest.raises(ValueError, match=message):
+                call()
+
     # 4.0 must neither reach range() in make_pam nor be evaluated as 4 by
     # ber_from_coefficients
     @pytest.mark.parametrize("m_points", [0, 1, 3, -8, 4.0, np.float64(4), True])

@@ -48,7 +48,8 @@ class TestMakePam:
         assert abs(np.mean(c.points**2) - 1.0) <= 1e-12
         np.testing.assert_allclose(c.points, -c.points[::-1], atol=0)
 
-    @pytest.mark.parametrize("m", [0, 1, 3, 7, -4])
+    # 10**400 is even, but M*M passes the float range
+    @pytest.mark.parametrize("m", [0, 1, 3, 7, -4, pytest.param(10**400, id="10**400")])
     def test_rejects_bad_sizes(self, m):
         with pytest.raises(ValueError):
             make_pam(m)
@@ -360,7 +361,8 @@ class TestGeometry:
             mids[0] = 1.0
 
     @pytest.mark.parametrize("points", [[0.0, 1.0, 2.0, np.inf], [-np.inf, 0.0],
-                                        [0.0, np.nan, 1.0, 2.0], [np.nan, 0.0]])
+                                        [0.0, np.nan, 1.0, 2.0], [np.nan, 0.0],
+                                        [0, 10**400], [-10**400, 0]])
     def test_rejects_non_finite_points(self, points):
         with pytest.raises(ValueError, match="points must be finite"):
             Constellation(points)

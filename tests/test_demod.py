@@ -95,20 +95,43 @@ class TestChannelParams:
         assert p.noise_std**2 == pytest.approx(1 / (2 * p.snr), rel=1e-15)
         assert p.noise_std == pytest.approx(math.sqrt(0.125), rel=1e-15)
 
-    @pytest.mark.parametrize("snr", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("snr", [0.0, -1.0, math.inf, math.nan,
+                                     pytest.param(10**400, id="10**400"),
+                                     pytest.param(-10**400, id="-10**400")])
     def test_rejects_bad_snr(self, snr):
         with pytest.raises(ValueError):
             ChannelParams(snr)
 
-    @pytest.mark.parametrize("db", [4000.0, -4000.0, np.float64(4000.0), 5000])
+    @pytest.mark.parametrize("db", [4000.0, -4000.0, np.float64(4000.0), 5000,
+                                    pytest.param(10**400, id="10**400"),
+                                    pytest.param(-10**400, id="-10**400")])
     def test_from_db_rejects_out_of_range_db(self, db):
-        # 10^(db/10) overflows or underflows a float
-        with pytest.raises(ValueError, match=f"snr_db={float(db):g} has no positive finite"):
+        # 10^(db/10) overflows or underflows a float; an int past the float
+        # range reads as the infinity of its sign
+        shown = "inf" if db > 1e308 else "-inf" if db < -1e308 else f"{float(db):g}"
+        with pytest.raises(ValueError, match=f"snr_db={shown} has no positive finite"):
             ChannelParams.from_db(db)
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, "1", "10", b"1", 1j, None,
+                                       np.array(2.0), [2.0]],
+                             ids=["True", "False", "numpy bool", "str 1", "str 10", "bytes",
+                                  "complex", "None", "0-d array", "list"])
+    def test_an_snr_is_a_real_number_and_not_a_bool(self, value):
+        # the rule of SimConfig's grid: True read as 1 (0 dB), "10" as 10 dB
+        for make, name in ((ChannelParams, "snr"), (ChannelParams.from_db, "snr_db")):
+            with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+                make(value)
+
+    @pytest.mark.parametrize("value", [np.float32(2), np.int64(3), np.uint8(4), 5])
+    def test_numpy_reals_and_ints_are_snrs(self, value):
+        assert ChannelParams(value).snr == float(value)
+        assert type(ChannelParams(value).snr) is float
+        assert ChannelParams.from_db(value).snr == ChannelParams.from_db(float(value)).snr
 
 
 class TestNonFiniteObservations:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     pytest.param(10**400, id="10**400")])
     def test_every_demodulator_rejects(self, bad):
         c = make_pam(8)
         lab = named_labeling("BRGC", 8)

@@ -50,7 +50,9 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(trials=10_000, seed=1, snr_db_grid=())
 
-    @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf,
+                                        pytest.param(10**400, id="10**400"),
+                                        pytest.param(-10**400, id="-10**400")])
     def test_rejects_non_finite_snr(self, snr_db):
         with pytest.raises(ValueError, match="finite"):
             SimConfig(trials=10_000, seed=1, snr_db_grid=(0.0, snr_db))

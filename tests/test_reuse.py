@@ -291,7 +291,7 @@ def channel_stores(params):
 
 
 class TestChannelGrid:
-    """The checked BD scan grid, and its squared distances, a channel keeps for each constellation."""
+    """The checked BD scan grid a channel keeps for each constellation."""
 
     def test_kept_grid_equals_a_fresh_one(self):
         for c in (make_pam(8), Constellation(points=UNEVEN), Constellation(points=CLUSTERED),
@@ -300,14 +300,12 @@ class TestChannelGrid:
                 params = ChannelParams.from_db(snr_db)
                 if thresholds._past_reach(c, params):
                     continue
-                grid, squares = thresholds._channel_grid(c, params)
+                grid = thresholds._channel_grid(c, params)
                 twin = Constellation(points=c.points), ChannelParams(params.snr)
-                want, want_squares = thresholds._channel_grid(*twin)
+                want = thresholds._channel_grid(*twin)
                 assert grid.tobytes() == want.tobytes(), (c, snr_db)
-                assert squares.tobytes() == want_squares.tobytes()
-                kept = thresholds._channel_grid(c, params)
-                assert kept[0] is grid and kept[1] is squares
-                assert not grid.flags.writeable and not squares.flags.writeable
+                assert thresholds._channel_grid(c, params) is grid
+                assert not grid.flags.writeable
 
     def test_one_grid_per_channel_for_every_pattern(self, monkeypatch):
         # a curve of 23 patterns over 51 SNRs builds 51 grids: 1,122 of
@@ -376,7 +374,7 @@ class TestChannelGrid:
 
         def work():
             for _ in range(40):
-                grids.append(thresholds._channel_grid(shared, params)[0])
+                grids.append(thresholds._channel_grid(shared, params))
                 for c in (shared, make_pam(8)):
                     got = [bd_thresholds(p, c, params).betas.tobytes() for p in pats]
                     if got != want:
@@ -385,5 +383,5 @@ class TestChannelGrid:
         run_threads(work)
         assert bad == []
         # every thread read the one grid the store holds once they are done
-        kept = thresholds._channel_grid(shared, params)[0]
+        kept = thresholds._channel_grid(shared, params)
         assert all(g.tobytes() == kept.tobytes() for g in grids)
